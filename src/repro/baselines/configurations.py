@@ -111,16 +111,6 @@ def with_top_k(configurations: Dict, k: int) -> Dict:
     return _with_overrides(configurations, top_k=k)
 
 
-def with_distributed(configurations: Dict, workers: Optional[int] = None) -> Dict:
-    """Fan each task's own frontier over a worker pool (``--distributed``).
-
-    The distributed scheduler synthesizes byte-identical programs and
-    deterministic counters for every worker count (see
-    :mod:`repro.engine.distributed`), so the labels stay unchanged.
-    """
-    return _with_overrides(configurations, distributed=True, workers=workers)
-
-
 def with_backend(configurations: Dict, backend: str) -> Dict:
     """Run every configuration on the named columnar execution backend.
 

@@ -749,14 +749,12 @@ class DeductionEngine:
         return (self.level, self.use_partial_evaluation, tuple(parts))
 
     # ------------------------------------------------------------------
-    def export_kb_facts(self, oe_store=None) -> None:
-        """Flush per-task facts (mined lemmas, OE representatives) to the KB.
+    def export_kb_facts(self) -> None:
+        """Flush the run's mined lemmas to the KB.
 
         Called once when a search finalizes.  Executions and attribute
-        vectors stream out as they are computed; lemmas and OE entries are
-        task-scoped blobs, exported at the end so one merged write covers
-        the run.  OE exports are observability/transport only -- they are
-        never pre-loaded into a live search (see :mod:`repro.engine.kb`).
+        vectors stream out as they are computed; lemmas are a task-scoped
+        blob, exported at the end so one merged write covers the run.
         """
         if self.kb_view is None:
             return
@@ -764,10 +762,6 @@ class DeductionEngine:
             self.kb_view.put_lemmas(
                 self._kb_task_key, self.lemma_store.export_entries()
             )
-        if oe_store is not None:
-            entries = oe_store.export_entries()
-            if entries:
-                self.kb_view.put_oe_entries(self._kb_task_key, entries)
 
     # ------------------------------------------------------------------
     def batch_evaluate_fills(

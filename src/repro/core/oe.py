@@ -32,52 +32,12 @@ only skip the duplicated completion work behind it.
 
 from __future__ import annotations
 
-from hashlib import blake2b
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..dataframe.table import Table
 from .hypothesis import Hole, Hypothesis
 from .types import Type
 
-
-def encode_key(key: ObservationKey) -> str:
-    """A stable hex digest of one observation signature.
-
-    Signatures mix bytes (fingerprints), strings, ints and frozen value
-    arguments; the encoding walks the nesting and hashes a canonical byte
-    string, so equal keys digest equally across processes.  Used by the
-    warm-start knowledge base to export representatives for observability --
-    digests are one-way on purpose (the KB never needs to reconstruct a
-    state, only to count and compare them).
-    """
-
-    hasher = blake2b(digest_size=16)
-
-    def feed(part) -> None:
-        if part is None:
-            hasher.update(b"\x00N")
-        elif isinstance(part, bytes):
-            hasher.update(b"\x00B" + len(part).to_bytes(4, "big") + part)
-        elif isinstance(part, str):
-            data = part.encode("utf-8")
-            hasher.update(b"\x00S" + len(data).to_bytes(4, "big") + data)
-        elif isinstance(part, bool):
-            hasher.update(b"\x00b" + (b"1" if part else b"0"))
-        elif isinstance(part, int):
-            data = str(part).encode("ascii")
-            hasher.update(b"\x00I" + len(data).to_bytes(4, "big") + data)
-        elif isinstance(part, tuple):
-            hasher.update(b"\x00T" + len(part).to_bytes(4, "big"))
-            for item in part:
-                feed(item)
-            hasher.update(b"\x00t")
-        else:
-            # Bound value arguments are frozen dataclasses: stable repr.
-            data = repr(part).encode("utf-8")
-            hasher.update(b"\x00R" + len(data).to_bytes(4, "big") + data)
-
-    feed(key)
-    return hasher.hexdigest()
 
 #: An observation signature: a nested tuple of structure markers and table
 #: fingerprints (bytes).  Hashable, comparable only by exact equality.
@@ -95,15 +55,12 @@ class OEStore:
     candidates and merges in its ``CompletionStats`` (one source of truth).
     """
 
-    __slots__ = ("_representatives", "_imported")
+    __slots__ = ("_representatives",)
 
     def __init__(self) -> None:
         #: Keys whose representative (the first-admitted state) is being --
         #: or has been -- explored.
         self._representatives: Set[ObservationKey] = set()
-        #: Digests imported from a knowledge base (observability only --
-        #: :meth:`admit` never consults them; see :meth:`import_entries`).
-        self._imported: Set[str] = set()
 
     def __len__(self) -> int:
         return len(self._representatives)
@@ -144,33 +101,6 @@ class OEStore:
         """
         for key in keys:
             self._representatives.discard(key)
-
-    # ------------------------------------------------------------------
-    def export_entries(self) -> List[str]:
-        """The store's representatives as sorted digests (KB transport form)."""
-        return sorted(encode_key(key) for key in self._representatives)
-
-    def import_entries(self, digests: Iterable[str]) -> int:
-        """Record digests exported by an earlier run; returns how many.
-
-        Imported digests are **never** consulted by :meth:`admit`: merging a
-        *fresh* search's state against a previous run's representative would
-        skip exploring it even though that run's solutions are not in this
-        frontier -- the soundness argument for merging does not transfer
-        across runs.  The imported set exists for observability (corpus
-        overlap metrics) and transport between stores only.
-        """
-        count = 0
-        for digest in digests:
-            if isinstance(digest, str):
-                self._imported.add(digest)
-                count += 1
-        return count
-
-    @property
-    def imported_digests(self) -> Set[str]:
-        """Digests previously imported via :meth:`import_entries`."""
-        return set(self._imported)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -39,7 +39,6 @@ _PARALLEL_EXPORTS = frozenset(
 
 __all__ = [
     "CacheStats",
-    "DistributedScheduler",
     "ExecutionCache",
     "LRUCache",
     "TaskContext",
@@ -52,12 +51,6 @@ def __getattr__(name):
         from . import parallel
 
         return getattr(parallel, name)
-    if name == "DistributedScheduler":
-        # Lazy like the parallel exports: the distributed scheduler imports
-        # the synthesizer, which imports this package's cache primitives.
-        from .distributed import DistributedScheduler
-
-        return DistributedScheduler
     if name == "TaskContext":
         # Lazy for the same reason as the parallel exports: the context
         # module imports the SMT solver, which itself imports this package.

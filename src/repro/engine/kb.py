@@ -1,9 +1,8 @@
 """Disk-backed cross-run knowledge base (the warm-start cache tier).
 
-Every synthesis run re-derives facts that PR 3's content-hash fingerprints
-made stable *across processes*: concrete component executions, Spec-2
-attribute vectors, mined blocking lemmas and observational-equivalence
-representatives.  :class:`KnowledgeBase` persists those facts in one sqlite
+Every synthesis run re-derives facts that content-hash fingerprints make
+stable *across processes*: concrete component executions, Spec-2 attribute
+vectors and mined blocking lemmas.  :class:`KnowledgeBase` persists those facts in one sqlite
 file so a later run -- another process, another day, another replica serving
 the same traffic -- starts warm instead of cold.  This is the memoized-facts
 pattern of cloud-scale interprocedural analysis applied to Morpheus-style
@@ -42,11 +41,12 @@ Safety tiers
   infeasible hypotheses, so synthesized programs are unchanged) but they
   shift work between the lemma store and the SMT tier, so the
   counter-differential harness keeps them off.
-* **OE representatives** are exported per task key for observability and
-  corpus analysis.  They are *never* pre-loaded into a live search: a fresh
-  search that merged a state against a previous run's representative would
-  skip exploring it -- the previous run's solutions are not in this run's
-  frontier, so the merge argument does not apply.
+* **OE representatives** are not persisted: a fresh search that merged a
+  state against a previous run's representative would skip exploring it --
+  the previous run's solutions are not in this run's frontier, so the merge
+  argument does not apply.  The ``oe`` scope of :class:`KBView` is no
+  longer written by any search; it stays only because the benchmark's
+  tracer (``perfbench/tracer.py``) wraps its accessors by name.
 
 Concurrency: one :class:`KnowledgeBase` may be shared by many
 :class:`~repro.engine.context.TaskContext`\\ s (threads) -- all sqlite access
@@ -77,7 +77,7 @@ SCHEMA_VERSION = 1
 #: Default size cap (rows) before LRU-by-last-used eviction kicks in.
 DEFAULT_MAX_ENTRIES = 200_000
 
-#: Upper bounds on the per-task lemma / OE blobs (entries, not bytes).
+#: Upper bounds on the per-task lemma / ``oe`` blobs (entries, not bytes).
 MAX_LEMMAS_PER_TASK = 512
 MAX_OE_PER_TASK = 8192
 
@@ -394,7 +394,7 @@ class KBView:
             json.dumps(list(attributes)).encode("utf-8"),
         )
 
-    # -- per-task fact blobs (lemmas / OE representatives) ------------
+    # -- per-task fact blobs (lemmas, the unused ``oe`` scope) ---------
     def task_key(self, inputs, output, level) -> bytes:
         """The fingerprint-derived identity of one synthesis task."""
         return self._digest(
@@ -413,11 +413,11 @@ class KBView:
         self._merge_json_list("lemmas", task_key, entries, MAX_LEMMAS_PER_TASK)
 
     def get_oe_entries(self, task_key: bytes) -> list:
-        """Previously exported OE representative digests for this task."""
+        """Entries stored under the task's ``oe`` scope (no search writes it)."""
         return self._get_json_list("oe", task_key)
 
     def put_oe_entries(self, task_key: bytes, entries: list) -> None:
-        """Merge exported OE representative digests into the task's set."""
+        """Merge entries into the task's ``oe`` scope (no search calls this)."""
         self._merge_json_list("oe", task_key, entries, MAX_OE_PER_TASK)
 
     # ------------------------------------------------------------------

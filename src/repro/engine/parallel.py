@@ -181,6 +181,11 @@ class KernelInterleaver:
         (there is no result to collect in :meth:`run` order), so the returned
         index is always ``-1`` and the task is released as soon as its
         ``advance`` reports completion.
+
+        A driver may also define ``fail(error)``: when its ``advance``
+        raises, :meth:`pump` hands it the exception, drops it from the
+        rotation and keeps slicing the others.  Without ``fail`` the
+        exception propagates to the pump's caller.
         """
         return self._register(_InterleavedTask(index=-1, driver=driver))
 
@@ -205,7 +210,14 @@ class KernelInterleaver:
                     break
                 task = self._pending.popleft()
             if task.driver is not None:
-                finished = task.driver.advance(self.slice_steps)
+                try:
+                    finished = task.driver.advance(self.slice_steps)
+                except Exception as error:
+                    fail = getattr(task.driver, "fail", None)
+                    if fail is None:
+                        raise
+                    fail(error)
+                    finished = True
             else:
                 finished = self._advance(task)
             if finished:

@@ -1,18 +1,15 @@
-"""Shared worker-pool plumbing for the process-parallel schedulers.
+"""Shared worker-pool plumbing for the process-parallel scheduler.
 
-Both process-level schedulers -- :mod:`repro.engine.parallel` (inter-task
-fan-out: many benchmarks over a pool) and :mod:`repro.engine.distributed`
-(intra-task fan-out: one search's frontier split into work units) -- need the
-same three pieces:
+:mod:`repro.engine.parallel` (inter-task fan-out: many benchmarks over a
+pool, ``--jobs N``) needs three pieces:
 
 * job-count resolution (``jobs=None`` means one worker per CPU),
 * the knowledge-base pool initializer (sqlite connections must not cross
   ``fork``/``spawn`` boundaries, so each worker opens its own handle), and
 * the generic index-preserving pool map helpers.
 
-They live here once so the two schedulers can never drift apart on pool
-semantics (``repro.engine.parallel`` re-exports them under its historical
-names for backward compatibility).
+``repro.engine.parallel`` re-exports them under its historical names for
+backward compatibility.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ Endpoints (all bodies are JSON; the facade dataclasses of :mod:`repro.api`
 are the wire format):
 
 ``GET  /healthz``
-    Liveness probe: ``{"status": "ok"}``.
+    Liveness probe: ``{"status": "ok"}``, or ``503`` with
+    ``{"status": "scheduler-down"}`` once the scheduler thread has died.
 ``GET  /metrics``
     Service-wide counters: live/active session counts, kernel steps,
     prescreen and observational-equivalence hit rates, rate-limit denials.
@@ -130,7 +131,10 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
     def _route_get(self) -> None:
         url = urlsplit(self.path)
         if url.path == "/healthz":
-            self._send_json(200, {"status": "ok"})
+            if self.store.healthy:
+                self._send_json(200, {"status": "ok"})
+            else:
+                self._send_json(503, {"status": "scheduler-down"})
             return
         if url.path == "/metrics":
             self._send_json(200, self.store.metrics())
@@ -217,8 +221,8 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
         """Chunked NDJSON: one line per candidate, then a final status line.
 
         The stream ends when *count* candidates have been sent, the session
-        settles (done / exhausted / timeout / expired), or *wait* seconds
-        pass -- whichever comes first.
+        settles (done / exhausted / timeout / expired / failed), or *wait*
+        seconds pass -- whichever comes first.
         """
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
@@ -236,7 +240,7 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
                     sent += 1
                 if count is not None and sent >= count:
                     break
-                if session.expired or session.session.finished:
+                if session.settled:
                     break
                 # One shared deadline across all waits: a slow trickle of
                 # candidates must not hold the handler past the budget.

@@ -21,11 +21,17 @@ scheduler thread.  The threading contract is strict and worth stating once:
 * Everything else (the registry dict, the rate limiter, per-session
   condition variables for streaming readers) uses ordinary fine-grained
   locks and never blocks on kernel work.
+* A slice that raises fails only its own session: the interleaver hands the
+  exception to :meth:`ServiceSession.fail`, which marks the session
+  ``failed`` (the error is reported in its state) and wakes its readers,
+  while the other sessions keep their slices.  ``GET /healthz`` reports the
+  scheduler thread itself (:attr:`SessionStore.healthy`).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import time
@@ -35,6 +41,8 @@ from typing import Dict, List, Optional
 from ..api import SynthesisRequest, SynthesisSession
 from ..engine.context import TaskContext
 from ..engine.parallel import KernelInterleaver
+
+_log = logging.getLogger(__name__)
 
 #: Kernel steps per scheduler slice (one ``pump`` pass gives every live
 #: session one slice).
@@ -102,6 +110,8 @@ class ServiceSession:
         self.created_at = time.monotonic()
         self.last_access = self.created_at
         self.expired = False
+        #: ``"ExceptionType: message"`` once a slice of this session raised.
+        self.error: Optional[str] = None
         #: Guarded by ``changed``; notified after every slice and resume so
         #: streaming readers wake as soon as new candidates can exist.
         self.changed = threading.Condition()
@@ -112,12 +122,7 @@ class ServiceSession:
         """One scheduler slice; ``True`` drops the session from the rotation.
 
         Called only by the scheduler thread, which holds the store's work
-        lock around the context-active kernel stepping.  For a distributed
-        configuration (``config.distributed``) the facade session runs the
-        *entire* burst -- warm-up, every scheduler round and the merge --
-        under this one work-lock acquisition, so co-scheduled sessions wait
-        for the whole drive rather than a 64-step slice; distributed
-        sessions are best run in a store of their own.  Leaving the
+        lock around the context-active kernel stepping.  Leaving the
         rotation and :meth:`SessionStore._enroll` are serialised on the
         registry lock: a concurrent ``add_example`` either resumes the
         session before the finished-check here (the task stays enrolled and
@@ -143,18 +148,38 @@ class ServiceSession:
             self.store._persist(self)
         return finished
 
+    def fail(self, error: Exception) -> None:
+        """Take the session out of service after one of its slices raised."""
+        _log.error("session %s failed", self.id, exc_info=error)
+        with self.store._registry_lock:
+            self.error = f"{type(error).__name__}: {error}"
+            self._enrolled = False
+        with self.changed:
+            self.changed.notify_all()
+
     # -- service-level views ------------------------------------------
     def touch(self) -> None:
         self.last_access = time.monotonic()
 
     @property
     def status(self) -> str:
-        return "expired" if self.expired else self.session.status
+        if self.expired:
+            return "expired"
+        if self.error is not None:
+            return "failed"
+        return self.session.status
+
+    @property
+    def settled(self) -> bool:
+        """True once the session will make no further search progress."""
+        return self.expired or self.error is not None or self.session.finished
 
     def state_json(self) -> dict:
         payload = self.session.state().to_json()
         payload["id"] = self.id
         payload["status"] = self.status
+        if self.error is not None:
+            payload["error"] = self.error
         return payload
 
     def wait_for(self, predicate, timeout: Optional[float]) -> bool:
@@ -162,7 +187,7 @@ class ServiceSession:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self.changed:
             while True:
-                if predicate() or self.expired or self.session.finished:
+                if predicate() or self.settled:
                     return predicate()
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
@@ -285,6 +310,11 @@ class SessionStore:
         if self.kb is not None:
             self.kb.close()
 
+    @property
+    def healthy(self) -> bool:
+        """True while the scheduler thread is alive to advance sessions."""
+        return self._scheduler.is_alive()
+
     # -- metrics -------------------------------------------------------
     def metrics(self) -> dict:
         with self._registry_lock:
@@ -300,7 +330,7 @@ class SessionStore:
         oe_candidates = totals.get("oe_candidates", 0)
         exec_hits = totals.get("exec_cache_hits", 0)
         metrics = {
-            "sessions_active": sum(1 for s in live if not s.session.finished),
+            "sessions_active": sum(1 for s in live if not s.settled),
             "sessions_live": len(live),
             "sessions_created_total": self.sessions_created,
             "sessions_expired_total": self.sessions_expired,
@@ -340,7 +370,7 @@ class SessionStore:
         # is either still in the rotation (flag up) or re-enrolled here --
         # it can never fall through the gap and hang until TTL expiry.
         with self._registry_lock:
-            if session.expired or session.session.finished or session._enrolled:
+            if session.settled or session._enrolled:
                 return
             session._enrolled = True
         self._interleaver.add_driver(session)
@@ -385,7 +415,7 @@ class SessionStore:
             with self._work_lock:
                 snapshot = (
                     None
-                    if session.session.finished
+                    if session.session.finished or session.error is not None
                     else session.session.snapshot_payload()
                 )
             payload = {

@@ -31,3 +31,13 @@ class TestHelp:
         help_text = render_help()
         for figure in ("figure16", "figure17", "figure18", "pruning"):
             assert figure in help_text, figure
+
+
+class TestRemovedFlags:
+    def test_distributed_flags_are_rejected(self):
+        assert "--distributed" not in render_help()
+        assert "--workers" not in render_help()
+        for argv in (["figure16", "--distributed"], ["figure16", "--workers", "2"]):
+            with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 2, argv

@@ -242,6 +242,43 @@ class TestSearchKernel:
         assert payload["version"] == 1
         assert payload["pending"]
 
+    def test_restore_ignores_advisory_rank_fields(self):
+        # Snapshots written by older versions carry a
+        # per-entry "rank" and a top-level "lower_bound".  Restore must
+        # accept them and resume exactly where the search stopped.
+        import json
+
+        from repro.core.frontier import SearchKernel
+        from repro.core.hypothesis import render_program
+        from repro.core.synthesizer import SynthesisStats
+
+        morpheus = Morpheus(config=SynthesisConfig(timeout=None))
+        uninterrupted = morpheus.kernel(self.example())
+        uninterrupted.run()
+        assert uninterrupted.solved
+
+        kernel = morpheus.kernel(self.example())
+        # Stop at a hypothesis boundary, where nothing is re-expanded.
+        while kernel.steps_taken < 5 or kernel.frontier.has_continuations:
+            kernel.step()
+        assert not kernel.solved
+        payload = json.loads(json.dumps(kernel.snapshot()))
+        assert "lower_bound" not in payload
+        assert all("rank" not in entry for entry in payload["pending"])
+        for entry in payload["pending"]:
+            entry["rank"] = [1, [2.5, 2], [0, 0], entry["tiebreak"]]
+        payload["lower_bound"] = [[2.5, 2], [1, [1.0, 1], [0, 0], 3]]
+
+        restored = SearchKernel.restore(
+            payload, self.example(), morpheus.config, morpheus.library,
+            morpheus.cost_model, SynthesisStats(),
+        )
+        restored.run()
+        assert [render_program(p) for p in restored.solutions] == [
+            render_program(p) for p in uninterrupted.solutions
+        ]
+        assert kernel.steps_taken + restored.steps_taken == uninterrupted.steps_taken
+
     def test_frontier_peak_is_reported(self):
         result = Morpheus(config=SynthesisConfig(timeout=20)).synthesize(self.example())
         assert result.stats.frontier_peak > 0

@@ -129,35 +129,6 @@ def test_jobs4_is_byte_identical_to_serial_without_prescreen():
     assert all(outcome.prescreen_decided == 0 for outcome in serial.outcomes)
 
 
-def test_distributed_timeout_is_a_function_of_the_step_budget():
-    # In distributed mode the solve/timeout decision is a pure function of
-    # the deterministic step budget (config.max_steps here), never of the
-    # wall clock: a task that cannot solve within the budget must report the
-    # same "timeout" status and the same step counter on every run and for
-    # every worker count, no matter how oversubscribed the host is.
-    from repro.api import SynthesisRequest, solve
-
-    # Cheap per step, cannot solve within the budget, and fans out to a
-    # full multi-unit round (repeat-run identity at a fixed worker count is
-    # covered by tests/engine/test_distributed.py).
-    task = r_benchmark_suite().get("c5_units_per_category")
-
-    def run(workers):
-        return solve(
-            SynthesisRequest.from_tables(
-                task.inputs, task.output,
-                timeout=None, max_steps=2500, distributed=True, workers=workers,
-            )
-        )
-
-    one, two = run(1), run(2)
-    assert [r.status for r in (one, two)] == ["timeout", "timeout"]
-    assert not one.solved
-    assert one.counters["steps"] == two.counters["steps"]
-    # The budget cut happened inside the distributed rounds, not the warm-up.
-    assert one.counters["steps"] > 2500
-
-
 def test_cdcl_and_ablation_agree_on_programs_across_schedulers():
     suite = fast_suite()
     cdcl = ParallelRunner(jobs=4).run_suite(

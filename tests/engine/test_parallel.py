@@ -199,6 +199,41 @@ class TestKernelInterleaver:
         assert interleaver.unfinished == 0
         assert len(interleaver._tasks) == 0
 
+    def test_raising_driver_fails_alone(self):
+        class Driver:
+            def __init__(self, slices, raises=False):
+                self.slices = slices
+                self.raises = raises
+                self.error = None
+
+            def advance(self, max_steps):
+                if self.raises:
+                    raise RuntimeError("injected fault")
+                self.slices -= 1
+                return self.slices <= 0
+
+            def fail(self, error):
+                self.error = error
+
+        broken, healthy = Driver(5, raises=True), Driver(3)
+        interleaver = KernelInterleaver(slice_steps=1)
+        interleaver.add_driver(broken)
+        interleaver.add_driver(healthy)
+        while interleaver.pump():
+            pass
+        assert isinstance(broken.error, RuntimeError)
+        assert healthy.slices == 0 and healthy.error is None
+
+    def test_raising_driver_without_fail_hook_propagates(self):
+        class Driver:
+            def advance(self, max_steps):
+                raise RuntimeError("injected fault")
+
+        interleaver = KernelInterleaver(slice_steps=1)
+        interleaver.add_driver(Driver())
+        with pytest.raises(RuntimeError):
+            interleaver.pump()
+
     def test_step_budget_bounds_an_untimed_search(self):
         # timeout=None + max_steps: the only budget is the deterministic
         # step count, so the run must terminate (and report unsolved) after

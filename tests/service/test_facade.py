@@ -73,8 +73,10 @@ class TestRequestJson:
         assert config_from_json(config_to_json(config)) == config
 
     def test_unknown_config_knob_raises(self):
-        with pytest.raises(RequestError, match="unknown config knobs"):
-            config_from_json({"warp_drive": True})
+        # distributed/workers were knobs of the removed distributed search.
+        for knob in ("warp_drive", "distributed", "workers"):
+            with pytest.raises(RequestError, match="unknown config knobs"):
+                config_from_json({knob: True})
 
     def test_unknown_library_raises(self):
         with pytest.raises(RequestError, match="library"):

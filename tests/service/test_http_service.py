@@ -88,7 +88,7 @@ def wait_for_status(server, session_id, timeout=30.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         _, state = get(server, f"/v1/sessions/{session_id}")
-        if state["status"] in ("done", "exhausted", "timeout"):
+        if state["status"] in ("done", "exhausted", "timeout", "failed"):
             return state
         time.sleep(0.05)
     return state
@@ -117,6 +117,15 @@ class TestEndpoints:
         status, body = post(server, "/v1/sessions", {"examples": []})
         assert status == 400
         assert "error" in body
+
+    def test_removed_distributed_knobs_are_400(self, server):
+        # distributed/workers configured the removed distributed search.
+        for knob, value in (("distributed", True), ("workers", 2)):
+            payload = dict(FILTER_REQUEST, config={"timeout": 20, knob: value})
+            status, body = post(server, "/v1/sessions", payload)
+            assert status == 400
+            assert "unknown config knobs" in body["error"]
+            assert knob in body["error"]
 
     def test_invalid_json_body_is_400(self, server):
         request = urllib.request.Request(
@@ -202,6 +211,46 @@ class TestResume:
             cold.advance(max_steps=64)
         cold_validated = [c.program for c in cold.candidates if c.validated]
         assert validated[0] == cold_validated[0]
+
+
+class TestSchedulerFaults:
+    def test_failing_session_does_not_stop_the_others(self, server, monkeypatch):
+        original = SynthesisSession.advance
+
+        def advance(session, max_steps=64):
+            if session.request.examples[0].output.columns == HEADCOUNT.columns:
+                raise RuntimeError("injected fault")
+            return original(session, max_steps=max_steps)
+
+        monkeypatch.setattr(SynthesisSession, "advance", advance)
+        broken_payload = SynthesisRequest.from_tables(
+            [EMPLOYEES], HEADCOUNT, timeout=20
+        ).to_json()
+        _, broken = post(server, "/v1/sessions", broken_payload)
+        _, healthy = post(server, "/v1/sessions", FILTER_REQUEST)
+        failed = wait_for_status(server, broken["id"])
+        assert failed["status"] == "failed"
+        assert failed["error"] == "RuntimeError: injected fault"
+        assert wait_for_status(server, healthy["id"])["status"] == "done"
+        assert get(server, "/healthz") == (200, {"status": "ok"})
+        # Readers of the failed session are not left waiting for candidates.
+        started = time.monotonic()
+        status, _ = get(server, f"/v1/sessions/{broken['id']}/programs?wait=10&count=1")
+        assert status == 200 and time.monotonic() - started < 5
+
+    def test_healthz_is_503_once_the_scheduler_is_gone(self, server):
+        store = server.store
+        store._stop.set()
+        store._wake.set()
+        store._scheduler.join(timeout=5)
+        assert not store._scheduler.is_alive()
+        try:
+            get(server, "/healthz")
+        except urllib.error.HTTPError as error:
+            assert error.code == 503
+            assert json.loads(error.read()) == {"status": "scheduler-down"}
+        else:
+            pytest.fail("/healthz answered 200 without a scheduler")
 
 
 class TestRateLimiting:
