@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .simplex import LinearConstraint, solve_rational
-from .terms import Atom
+from .terms import Atom, Number
 
 #: Maximum depth of the branch-and-bound search before giving up (and
 #: conservatively reporting SAT).
@@ -79,15 +79,16 @@ class _Problem:
 def _integer_row_cached(atom: Atom) -> Tuple[Tuple[Tuple[str, int], ...], int, bool]:
     """Scale an atom to integer coefficients (immutable, memoised form).
 
-    Atoms are immutable and heavily shared across queries (the deduction
-    engine interns its formula fragments), while the lcm/Fraction arithmetic
-    here is the single hottest piece of a theory check -- the unsat-core
-    deletion loop alone re-rows the same atoms a dozen times per mined lemma.
+    Terms store integral coefficients as ``int``, so the scale is 1 unless
+    the atom has a genuinely fractional coefficient or constant.  Atoms are
+    immutable, hash in O(1) (the hash is cached on the term) and are heavily
+    shared across queries -- the unsat-core deletion loop alone re-rows the
+    same atoms a dozen times per mined lemma.
     """
     expr = atom.expr
-    denominators = [coeff.denominator for coeff in expr.coeffs.values()]
-    denominators.append(expr.const.denominator)
-    scale = math.lcm(*denominators)
+    scale = math.lcm(
+        expr.const.denominator, *(coeff.denominator for coeff in expr.coeffs.values())
+    )
     coeffs = tuple(
         (name, int(coeff * scale)) for name, coeff in expr.coeffs.items()
     )
@@ -329,20 +330,16 @@ def _residual_constraints(problem: _Problem, rows: List[Row]) -> List[LinearCons
     for coeffs, const, is_equality in rows:
         constraints.append(
             LinearConstraint(
-                coeffs=tuple(sorted((name, Fraction(coeff)) for name, coeff in coeffs.items())),
+                coeffs=tuple(sorted(coeffs.items())),
                 rel="==" if is_equality else "<=",
-                rhs=Fraction(-const),
+                rhs=-const,
             )
         )
     for name in names:
         if name in problem.lower:
-            constraints.append(
-                LinearConstraint(((name, Fraction(-1)),), "<=", Fraction(-problem.lower[name]))
-            )
+            constraints.append(LinearConstraint(((name, -1),), "<=", -problem.lower[name]))
         if name in problem.upper:
-            constraints.append(
-                LinearConstraint(((name, Fraction(1)),), "<=", Fraction(problem.upper[name]))
-            )
+            constraints.append(LinearConstraint(((name, 1),), "<=", problem.upper[name]))
     return constraints
 
 
@@ -389,45 +386,44 @@ def _branch_and_bound(
         return assignment, True
     name = fractional[0]
     value = assignment[name]
-    floor_value = Fraction(math.floor(value))
-    ceil_value = Fraction(math.ceil(value))
-    below = constraints + [LinearConstraint(((name, Fraction(1)),), "<=", floor_value)]
+    floor_value = math.floor(value)
+    ceil_value = math.ceil(value)
+    below = constraints + [LinearConstraint(((name, 1),), "<=", floor_value)]
     result = _branch_and_bound(below, depth - 1)
     if result is not None:
         return result
-    above = constraints + [LinearConstraint(((name, Fraction(-1)),), "<=", -ceil_value)]
+    above = constraints + [LinearConstraint(((name, -1),), "<=", -ceil_value)]
     return _branch_and_bound(above, depth - 1)
 
 
 def _complete_model(problem: _Problem, assignment: Dict[str, Fraction]) -> Dict[str, int]:
     """Extend a residual assignment to every variable, honouring bounds."""
-    model: Dict[str, Fraction] = {name: Fraction(value) for name, value in assignment.items()}
+    model: Dict[str, Number] = dict(assignment)
 
     for name in set(problem.lower) | set(problem.upper):
         if name in model:
             continue
         if name in problem.lower:
-            model[name] = Fraction(problem.lower[name])
+            model[name] = problem.lower[name]
         else:
-            model[name] = Fraction(problem.upper[name])
+            model[name] = problem.upper[name]
 
-    def value_of(name: str, in_progress: frozenset) -> Fraction:
+    def value_of(name: str, in_progress: frozenset) -> Number:
         if name in model:
             return model[name]
         if name in problem.substitution and name not in in_progress:
             coeffs, const = problem.substitution[name]
-            total = Fraction(const)
+            total = const
             for other, coeff in coeffs.items():
                 total += coeff * value_of(other, in_progress | {name})
             model[name] = total
             return total
-        model[name] = Fraction(0)
-        return model[name]
+        model[name] = 0
+        return 0
 
     for name in list(problem.substitution):
         value_of(name, frozenset())
 
-    result: Dict[str, int] = {}
-    for name, value in model.items():
-        result[name] = int(value) if value.denominator == 1 else int(math.floor(value))
-    return result
+    # Fractional values only arise from an approximate (depth-limited)
+    # witness; they round down.
+    return {name: math.floor(value) for name, value in model.items()}

@@ -18,9 +18,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 Number = Union[int, Fraction]
+
+
+def _normalise(value) -> Number:
+    """*value* as an ``int`` when integral, else as a :class:`Fraction`.
+
+    Terms keep integral coefficients as plain ints so the theory layer runs
+    on machine integers; only genuinely fractional values pay for
+    ``Fraction``.  Equality and hashing are unaffected, because
+    ``Fraction(2) == 2`` and ``hash(Fraction(2)) == hash(2)``.
+    """
+    if value.__class__ is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 # ----------------------------------------------------------------------
@@ -29,16 +44,20 @@ Number = Union[int, Fraction]
 class LinExpr:
     """A linear expression ``c0 + c1*x1 + ... + cn*xn`` over integer variables."""
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("coeffs", "const", "_hash")
 
     def __init__(self, coeffs: Mapping[str, Number] = (), const: Number = 0) -> None:
-        cleaned: Dict[str, Fraction] = {}
+        cleaned: Dict[str, Number] = {}
         for name, coeff in dict(coeffs).items():
-            coeff = Fraction(coeff)
-            if coeff != 0:
+            coeff = _normalise(coeff)
+            if coeff:
                 cleaned[name] = coeff
-        self.coeffs: Dict[str, Fraction] = cleaned
-        self.const: Fraction = Fraction(const)
+        self.coeffs: Dict[str, Number] = cleaned
+        self.const: Number = _normalise(const)
+        # Computed on first use.  The hash covers variable names, whose string
+        # hash differs per process, so it never travels with the object (see
+        # ``__reduce__``).
+        self._hash: Optional[int] = None
 
     # -- construction helpers -------------------------------------------------
     @staticmethod
@@ -65,7 +84,7 @@ class LinExpr:
         other = LinExpr.coerce(other)
         coeffs = dict(self.coeffs)
         for name, coeff in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + coeff
+            coeffs[name] = coeffs.get(name, 0) + coeff
         return LinExpr(coeffs, self.const + other.const)
 
     __radd__ = __add__
@@ -82,7 +101,7 @@ class LinExpr:
     def __mul__(self, scalar: Number) -> "LinExpr":
         if isinstance(scalar, LinExpr):
             raise TypeError("products of variables are not linear")
-        scalar = Fraction(scalar)
+        scalar = _normalise(scalar)
         return LinExpr(
             {name: coeff * scalar for name, coeff in self.coeffs.items()},
             self.const * scalar,
@@ -143,7 +162,12 @@ class LinExpr:
         return self.coeffs == other.coeffs and self.const == other.const
 
     def __hash__(self) -> int:
-        return hash((tuple(sorted(self.coeffs.items())), self.const))
+        if self._hash is None:
+            self._hash = hash((tuple(sorted(self.coeffs.items())), self.const))
+        return self._hash
+
+    def __reduce__(self):
+        return LinExpr, (self.coeffs, self.const)
 
 
 LinOperand = Union[LinExpr, int, Fraction]
@@ -248,7 +272,7 @@ class Not(Formula):
 class _NaryFormula(Formula):
     """Shared implementation of :class:`And` / :class:`Or`."""
 
-    __slots__ = ("operands",)
+    __slots__ = ("operands", "_hash")
     _symbol = "?"
 
     def __init__(self, *operands: Formula) -> None:
@@ -259,6 +283,8 @@ class _NaryFormula(Formula):
             else:
                 flattened.append(operand)
         self.operands: Tuple[Formula, ...] = tuple(flattened)
+        # Lazily computed and never pickled, like ``LinExpr._hash``.
+        self._hash: Optional[int] = None
 
     def __repr__(self) -> str:
         return "(" + f" {self._symbol} ".join(repr(op) for op in self.operands) + ")"
@@ -267,7 +293,12 @@ class _NaryFormula(Formula):
         return isinstance(other, self.__class__) and self.operands == other.operands
 
     def __hash__(self) -> int:
-        return hash((self.__class__.__name__, self.operands))
+        if self._hash is None:
+            self._hash = hash((self.__class__.__name__, self.operands))
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, self.operands
 
 
 class And(_NaryFormula):

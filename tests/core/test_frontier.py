@@ -2,7 +2,7 @@
 
 import itertools
 
-from repro.core import Example, Morpheus, SynthesisConfig, standard_library
+from repro.core import Example, Morpheus, SynthesisConfig, standard_library, synthesize
 from repro.core.cost import CostModel
 from repro.core.frontier import (
     Frontier,
@@ -25,6 +25,16 @@ COMPONENTS = {component.name: component for component in LIBRARY}
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
 ADULTS = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
+
+
+def engine(timeout=20):
+    """The internal engine, for tests that drive its search kernel directly.
+
+    The kernel is not part of the public facade, so these tests build the
+    engine the way the facade does rather than through the deprecated
+    public constructor.
+    """
+    return Morpheus(config=SynthesisConfig(timeout=timeout), _sanctioned=True)
 
 
 def build_hypothesis(*names):
@@ -94,7 +104,7 @@ class TestSearchKernel:
         return Example.make([STUDENTS], ADULTS)
 
     def test_run_finds_the_same_program_as_synthesize(self):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
+        morpheus = engine()
         result = morpheus.synthesize(self.example())
         kernel = morpheus.kernel(self.example())
         kernel.run()
@@ -102,7 +112,7 @@ class TestSearchKernel:
         assert kernel.solutions[0] == result.program
 
     def test_anytime_stepping_reaches_the_same_program(self):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
+        morpheus = engine()
         reference = morpheus.synthesize(self.example())
         kernel = morpheus.kernel(self.example())
         # Drive the kernel in small slices, as an interleaving service would.
@@ -111,7 +121,7 @@ class TestSearchKernel:
         assert kernel.solutions[0] == reference.program
 
     def test_step_advances_one_state_at_a_time(self):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
+        morpheus = engine()
         kernel = morpheus.kernel(self.example())
         steps = 0
         while not kernel.done and steps < 100_000:
@@ -127,7 +137,7 @@ class TestSearchKernel:
         # finds the same program as an uninterrupted search.
         import time
 
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
+        morpheus = engine()
         reference = morpheus.synthesize(self.example())
         kernel = morpheus.kernel(self.example())
         # An already-expired deadline: the first completion step raises
@@ -149,7 +159,7 @@ class TestSearchKernel:
         from repro.core.completion import CompletionTimeout
         from repro.core.hypothesis import render_program
 
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
+        morpheus = engine()
         reference = morpheus.synthesize(self.example())
         kernel = morpheus.kernel(self.example())
         steps = 0
@@ -167,7 +177,7 @@ class TestSearchKernel:
         assert render_program(kernel.solutions[0]) == reference.render()
 
     def test_snapshot_restore_resumes_to_the_same_program(self):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
+        morpheus = engine()
         reference = morpheus.synthesize(self.example())
 
         kernel = morpheus.kernel(self.example())
@@ -197,7 +207,7 @@ class TestSearchKernel:
 
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
         example = Example.make([STUDENTS], output)
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
+        morpheus = engine()
         reference = morpheus.synthesize(example, k=2)
         assert len(reference.programs) == 2
 
@@ -220,7 +230,7 @@ class TestSearchKernel:
         from repro.core.frontier import SearchKernel
         from repro.core.synthesizer import SynthesisStats
 
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
+        morpheus = engine()
         kernel = morpheus.kernel(self.example())
         kernel.run()
         assert kernel.solved
@@ -235,7 +245,7 @@ class TestSearchKernel:
     def test_snapshot_is_json_serialisable(self):
         import json
 
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
+        morpheus = engine()
         kernel = morpheus.kernel(self.example())
         kernel.run(max_steps=5)
         payload = json.loads(json.dumps(kernel.snapshot()))
@@ -252,7 +262,7 @@ class TestSearchKernel:
         from repro.core.hypothesis import render_program
         from repro.core.synthesizer import SynthesisStats
 
-        morpheus = Morpheus(config=SynthesisConfig(timeout=None))
+        morpheus = engine(timeout=None)
         uninterrupted = morpheus.kernel(self.example())
         uninterrupted.run()
         assert uninterrupted.solved
@@ -280,7 +290,8 @@ class TestSearchKernel:
         assert kernel.steps_taken + restored.steps_taken == uninterrupted.steps_taken
 
     def test_frontier_peak_is_reported(self):
-        result = Morpheus(config=SynthesisConfig(timeout=20)).synthesize(self.example())
+        example = self.example()
+        result = synthesize(example.inputs, example.output, config=SynthesisConfig(timeout=20))
         assert result.stats.frontier_peak > 0
 
 
@@ -289,8 +300,7 @@ class TestTopK:
         # Selecting two of three columns has several observationally distinct
         # solutions (select variants, negative selects, ...).
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
-        example = Example.make([STUDENTS], output)
-        result = Morpheus(config=SynthesisConfig(timeout=20)).synthesize(example, k=3)
+        result = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=20), k=3)
         assert result.solved
         assert 1 <= len(result.programs) <= 3
         rendered = result.render_all()
@@ -300,9 +310,8 @@ class TestTopK:
 
     def test_first_solution_is_independent_of_k(self):
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
-        example = Example.make([STUDENTS], output)
-        single = Morpheus(config=SynthesisConfig(timeout=20)).synthesize(example)
-        multi = Morpheus(config=SynthesisConfig(timeout=20, top_k=3)).synthesize(example)
+        single = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=20))
+        multi = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=20, top_k=3))
         assert multi.program == single.program
         assert multi.programs[0] == multi.program
 
@@ -318,14 +327,14 @@ class TestSnapshotValidation:
         from repro.core.frontier import SearchKernel
         from repro.core.synthesizer import SynthesisStats
 
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20), _sanctioned=True)
+        morpheus = engine()
         return SearchKernel.restore(
             payload, self.example(), morpheus.config, morpheus.library,
             morpheus.cost_model, SynthesisStats(),
         )
 
     def snapshot(self):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20), _sanctioned=True)
+        morpheus = engine()
         kernel = morpheus.kernel(self.example())
         kernel.run(max_steps=5)
         return kernel.snapshot()
@@ -394,7 +403,7 @@ class TestSuspendResume:
         return Example.make([STUDENTS], output)
 
     def build(self, k=3):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20), _sanctioned=True)
+        morpheus = engine()
         return morpheus, morpheus.kernel(self.example(), k=k)
 
     def test_suspended_kernel_resumes_to_the_same_programs(self):

@@ -23,7 +23,7 @@ import pytest
 
 from repro.benchmarks import r_benchmark_suite, run_suite
 from repro.baselines import spec2_config, spec2_no_oe_config
-from repro.core import Example, Morpheus, OEStore, SynthesisConfig, standard_library
+from repro.core import Example, OEStore, SynthesisConfig, standard_library, synthesize
 from repro.core.completion import SketchCompleter
 from repro.core.deduction import DeductionEngine
 from repro.core.hypothesis import (
@@ -262,11 +262,13 @@ class TestAblationDifferential:
     def test_oe_counters_surface_through_synthesis_stats(self):
         benchmark = r_benchmark_suite().get("c3_exam_gather_unite_spread")
         example = Example.make(benchmark.inputs, benchmark.output)
-        result = Morpheus(config=SynthesisConfig(timeout=30)).synthesize(example)
+        result = synthesize(example.inputs, example.output, config=SynthesisConfig(timeout=30))
         assert result.solved
         assert result.stats.oe_candidates > 0
         assert result.stats.oe_merged > 0
         assert result.stats.oe_merged <= result.stats.oe_candidates
-        plain = Morpheus(config=SynthesisConfig(timeout=30, oe=False)).synthesize(example)
+        plain = synthesize(
+            example.inputs, example.output, config=SynthesisConfig(timeout=30, oe=False)
+        )
         assert plain.stats.oe_candidates == 0
         assert plain.render() == result.render()

@@ -2,7 +2,6 @@
 
 from repro.core import (
     Example,
-    Morpheus,
     SpecLevel,
     SynthesisConfig,
     sql_library,
@@ -84,11 +83,12 @@ class TestSimpleTasks:
                     yield from self._components
 
         output = Table(["name"], [["Zoe"]])
-        synthesizer = Morpheus(
+        result = synthesize(
+            [STUDENTS],
+            output,
             library=EndlessLibrary(standard_library()),
             config=SynthesisConfig(timeout=0.5),
         )
-        result = synthesizer.synthesize(Example.make([STUDENTS], output))
         assert not result.solved
         assert result.elapsed < 10
 
@@ -156,8 +156,9 @@ class TestConfigurations:
 
     def test_restricted_library(self):
         output = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
-        synthesizer = Morpheus(library=sql_library(), config=SynthesisConfig(timeout=20))
-        result = synthesizer.synthesize(Example.make([STUDENTS], output))
+        result = synthesize(
+            [STUDENTS], output, library=sql_library(), config=SynthesisConfig(timeout=20)
+        )
         assert result.solved
 
     def test_stats_are_populated(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import FIGURE16_CONFIGS
 from repro.benchmarks import r_benchmark_suite, run_figure16, run_suite
-from repro.core import Example, Morpheus, SpecLevel, SynthesisConfig
+from repro.core import Example, SpecLevel, SynthesisConfig, synthesize
 from repro.dataframe import Table
 from repro.engine import (
     KernelInterleaver,
@@ -141,7 +141,7 @@ class TestKernelInterleaver:
         for example in self.examples():
             context = TaskContext()
             with context.active():
-                dedicated.append(Morpheus(config=config).synthesize(example))
+                dedicated.append(synthesize(example.inputs, example.output, config=config))
         interleaver = KernelInterleaver(slice_steps=5)
         for example in self.examples():
             interleaver.add(example, config)
@@ -257,7 +257,7 @@ class TestKernelInterleaver:
             for example in self.examples():
                 context = TaskContext()
                 with context.active():
-                    dedicated.append(Morpheus(config=config).synthesize(example))
+                    dedicated.append(synthesize(example.inputs, example.output, config=config))
             # slice_steps deliberately does not divide the budget evenly.
             interleaver = KernelInterleaver(slice_steps=7)
             for example in self.examples():
@@ -291,7 +291,7 @@ class TestSynthesizeBatch:
     def test_results_come_back_in_input_order(self):
         examples = self.examples()
         config = SynthesisConfig(timeout=TIMEOUT)
-        serial = [Morpheus(config=config).synthesize(e) for e in examples]
+        serial = [synthesize(e.inputs, e.output, config=config) for e in examples]
         batch = synthesize_batch(examples, config=config, jobs=2)
         assert len(batch) == len(examples)
         for expected, actual in zip(serial, batch):

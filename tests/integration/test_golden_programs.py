@@ -11,7 +11,7 @@ outcome fails loudly.
 import pytest
 
 from repro.benchmarks import r_benchmark_suite
-from repro.core import Example, Morpheus, SynthesisConfig
+from repro.core import SynthesisConfig, synthesize
 from repro.smt.solver import clear_formula_cache
 
 #: name -> exact rendered program (the golden output of the seed synthesizer).
@@ -33,9 +33,7 @@ def synthesize_benchmark(name, cdcl):
     benchmark = r_benchmark_suite().get(name)
     clear_formula_cache()
     config = SynthesisConfig(timeout=30, cdcl=cdcl)
-    return Morpheus(config=config).synthesize(
-        Example.make(benchmark.inputs, benchmark.output)
-    )
+    return synthesize(benchmark.inputs, benchmark.output, config=config)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
