@@ -24,11 +24,8 @@ import sys
 import tempfile
 
 from repro.baselines import spec2_config, spec2_no_oe_config, spec2_no_prescreen_config
-from repro.baselines.configurations import override_config
 from repro.benchmarks import r_benchmark_suite, run_suite, suite_runs_json
 from repro.benchmarks.kb_differential import run_kb_differential
-from repro.benchmarks.stress import run_stress
-from repro.dataframe.backend import numpy_available
 
 from conftest import REPRESENTATIVE_BENCHMARKS
 
@@ -53,53 +50,6 @@ def kb_comparison(suite, timeout: float) -> dict:
                 pass
     comparison["kb_path"] = "<temporary>"
     return comparison
-
-
-def vectorized_comparison(suite, spec2_run, timeout: float) -> dict:
-    """A/B the columnar execution backends (``--backend numpy`` vs python).
-
-    Two halves: (1) the synthesis suite re-run on the numpy backend must
-    synthesize byte-identical programs (backends are observationally
-    identical, so this gate catches any semantic divergence end-to-end);
-    (2) the large-table stress suite, where vectorization actually pays --
-    synthesis tables are dozens of cells, so the adaptive kernels mostly
-    delegate there and the suite walls stay near parity.  ``speedup`` is
-    the best per-verb stress win (the headline vectorization number);
-    ``stress`` has the full per-verb breakdown.
-    """
-    if not numpy_available():
-        return {"numpy_available": False}
-    numpy_run = run_suite(
-        suite,
-        override_config(spec2_config, backend="numpy"),
-        timeout=timeout,
-        label="spec2-numpy",
-    )
-    programs = lambda run: [  # noqa: E731
-        (o.benchmark, o.solved, o.program) for o in run.outcomes
-    ]
-    stress = run_stress()
-    speedups = [
-        entry["speedup"]
-        for entry in stress["verbs"].values()
-        if entry["speedup"] is not None
-    ]
-    python_wall = round(sum(o.elapsed for o in spec2_run.outcomes), 4)
-    numpy_wall = round(sum(o.elapsed for o in numpy_run.outcomes), 4)
-    return {
-        "numpy_available": True,
-        "programs_identical": programs(spec2_run) == programs(numpy_run),
-        "synthesis_wall_python_s": python_wall,
-        "synthesis_wall_numpy_s": numpy_wall,
-        "synthesis_wall_ratio": (
-            round(python_wall / numpy_wall, 3) if numpy_wall else None
-        ),
-        "stress": stress,
-        "stress_outputs_identical": all(
-            entry["outputs_identical"] for entry in stress["verbs"].values()
-        ),
-        "speedup": max(speedups) if speedups else None,
-    }
 
 
 def record(timeout: float, full: bool = False) -> dict:
@@ -158,7 +108,6 @@ def record(timeout: float, full: bool = False) -> dict:
             "programs_identical": programs("spec2") == programs("spec2-no-oe"),
         },
         "kb_comparison": kb_comparison(suite, timeout),
-        "vectorized_comparison": vectorized_comparison(suite, runs["spec2"], timeout),
     }
 
 
@@ -217,24 +166,6 @@ def main(argv=None) -> int:
         return 1
     if not kb["warm_kb"]["hits"]:
         return 1
-    vec = payload["vectorized_comparison"]
-    if vec["numpy_available"]:
-        print(
-            f"vectorized: synthesis wall {vec['synthesis_wall_python_s']}s python vs "
-            f"{vec['synthesis_wall_numpy_s']}s numpy, "
-            f"programs identical: {vec['programs_identical']}, "
-            f"stress speedup (best verb): {vec['speedup']}x, "
-            f"stress outputs identical: {vec['stress_outputs_identical']}",
-            file=sys.stderr,
-        )
-        # Backend gates: byte-identical programs on the synthesis suite,
-        # fingerprint-identical outputs and a real (>1x) win at stress scale.
-        if not vec["programs_identical"] or not vec["stress_outputs_identical"]:
-            return 1
-        if not vec["speedup"] or vec["speedup"] <= 1:
-            return 1
-    else:
-        print("vectorized: numpy unavailable, backend A/B skipped", file=sys.stderr)
     return 0
 
 

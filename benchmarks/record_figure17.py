@@ -4,10 +4,7 @@ Runs the representative subset under the five Figure-17 configurations
 (deduction x partial-evaluation grid) and writes ``BENCH_figure17.json``
 with per-task wall times and the deterministic counters, including the
 batched sibling-evaluation and residual-SMT session counters the
-partial-evaluation curves exercise.  A ``backend_comparison`` block re-runs
-the full-strength configuration on the numpy columnar backend (when
-installed) and gates on byte-identical programs.  Re-record the checked-in
-copy with::
+partial-evaluation curves exercise.  Re-record the checked-in copy with::
 
     PYTHONPATH=src python benchmarks/record_figure17.py --timeout 20 --out BENCH_figure17.json
 
@@ -19,35 +16,10 @@ import json
 import platform
 import sys
 
-from repro.baselines.configurations import ALL_FIGURE17_CONFIGS, override_config
+from repro.baselines.configurations import ALL_FIGURE17_CONFIGS
 from repro.benchmarks import r_benchmark_suite, run_suite, suite_runs_json
-from repro.dataframe.backend import numpy_available
 
 from conftest import REPRESENTATIVE_BENCHMARKS
-
-
-def backend_comparison(suite, pe_run, timeout: float) -> dict:
-    """Re-run spec2-pe on the numpy backend and pair the walls and programs."""
-    if not numpy_available():
-        return {"numpy_available": False}
-    numpy_run = run_suite(
-        suite,
-        override_config(ALL_FIGURE17_CONFIGS["spec2-pe"], backend="numpy"),
-        timeout=timeout,
-        label="spec2-pe-numpy",
-    )
-    programs = lambda run: [  # noqa: E731
-        (o.benchmark, o.solved, o.program) for o in run.outcomes
-    ]
-    python_wall = round(sum(o.elapsed for o in pe_run.outcomes), 4)
-    numpy_wall = round(sum(o.elapsed for o in numpy_run.outcomes), 4)
-    return {
-        "numpy_available": True,
-        "programs_identical": programs(pe_run) == programs(numpy_run),
-        "wall_python_s": python_wall,
-        "wall_numpy_s": numpy_wall,
-        "wall_ratio": round(python_wall / numpy_wall, 3) if numpy_wall else None,
-    }
 
 
 def record(timeout: float, full: bool = False) -> dict:
@@ -80,7 +52,6 @@ def record(timeout: float, full: bool = False) -> dict:
             "smt_sessions": pe["smt_sessions"],
             "smt_session_reuse": pe["smt_session_reuse"],
         },
-        "backend_comparison": backend_comparison(suite, runs["spec2-pe"], timeout),
     }
 
 
@@ -105,18 +76,6 @@ def main(argv=None) -> int:
         f"smt sessions {pe['smt_sessions']} (+{pe['smt_session_reuse']} reused)",
         file=sys.stderr,
     )
-    backend = payload["backend_comparison"]
-    if backend["numpy_available"]:
-        print(
-            f"backend A/B: {backend['wall_python_s']}s python vs "
-            f"{backend['wall_numpy_s']}s numpy, "
-            f"programs identical: {backend['programs_identical']}",
-            file=sys.stderr,
-        )
-        if not backend["programs_identical"]:
-            return 1
-    else:
-        print("backend A/B: numpy unavailable, skipped", file=sys.stderr)
     # The batched evaluator and the residual sessions must actually engage
     # on the -pe configurations (nonzero deterministic counters).
     if not pe["sibling_batches"] or not pe["smt_sessions"]:

@@ -57,7 +57,6 @@ from .core.synthesizer import (
     SynthesisStats,
 )
 from .core.synthesizer import SynthesisResult as CoreSynthesisResult
-from .dataframe.backend import BackendUnavailableError, resolve_backend
 from .dataframe.cells import CellType
 from .dataframe.compare import tables_match_for_synthesis
 from .dataframe.table import Table
@@ -388,13 +387,9 @@ class SynthesisSession:
         if not request.examples:
             raise RequestError("a session needs at least one example")
         self.request = request
-        try:
-            backend = resolve_backend(request.config.backend)
-        except (ValueError, BackendUnavailableError) as error:
-            raise RequestError(str(error)) from error
         # *kb* attaches a warm-start knowledge base (repro.engine.kb) to the
         # session's context; None inherits the process default, if any.
-        self.context = TaskContext(kb=kb, backend=backend)
+        self.context = TaskContext(kb=kb)
         self.status = STATUS_CREATED
         self._examples: List[Example] = [
             payload.to_example() for payload in request.examples

@@ -111,15 +111,6 @@ def with_top_k(configurations: Dict, k: int) -> Dict:
     return _with_overrides(configurations, top_k=k)
 
 
-def with_backend(configurations: Dict, backend: str) -> Dict:
-    """Run every configuration on the named columnar execution backend.
-
-    Backends are observationally identical (``--backend`` A/B runs must
-    synthesize byte-identical programs), so the labels stay unchanged.
-    """
-    return _with_overrides(configurations, backend=backend)
-
-
 #: The three configurations of Figure 16, keyed by the column label.
 FIGURE16_CONFIGS = {
     "no-deduction": no_deduction_config,

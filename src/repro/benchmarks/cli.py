@@ -72,7 +72,6 @@ from ..baselines.configurations import (
     ALL_FIGURE17_CONFIGS,
     FIGURE16_CONFIGS,
     override_config,
-    with_backend,
     with_top_k,
     without_cdcl,
     without_oe,
@@ -224,12 +223,6 @@ def main(argv=None) -> int:
              "exhaustive enumeration of coincident alternatives)",
     )
     parser.add_argument(
-        "--backend", choices=["python", "numpy"], default="python",
-        help="columnar execution backend for the table verbs (numpy needs "
-             "the repro[fast] extra; backends synthesize byte-identical "
-             "programs, only wall-clock time changes)",
-    )
-    parser.add_argument(
         "--tasks", metavar="REGEX", default=None,
         help="restrict the r-suite to benchmarks whose name matches REGEX "
              "(applied after --categories/--names)",
@@ -278,27 +271,6 @@ def main(argv=None) -> int:
              "(default BENCH_figure16.json, merged if it exists); exits "
              "nonzero when warm programs differ or the warm hit rate is 0",
     )
-    stress = parser.add_argument_group("stress", "backend stress-suite options (--stress)")
-    stress.add_argument(
-        "--stress", action="store_true",
-        help="run the large-table backend stress suite instead of a figure: "
-             "time filter/arrange/gather/inner_join/summarise over 10**5-row "
-             "tables on the python and (when installed) numpy backends, "
-             "checking the outputs agree fingerprint-for-fingerprint; exits "
-             "nonzero on any backend divergence",
-    )
-    stress.add_argument(
-        "--stress-rows", type=int, default=None, metavar="N",
-        help="stress: rows per synthetic table (default 100000)",
-    )
-    stress.add_argument(
-        "--stress-repeats", type=int, default=None, metavar="N",
-        help="stress: timed repetitions per verb, best-of (default 3)",
-    )
-    stress.add_argument(
-        "--stress-verbs", nargs="*", default=None, metavar="VERB",
-        help="stress: restrict to these verbs (default: all five)",
-    )
     parser.add_argument("--categories", nargs="*", default=None, help="restrict to these categories")
     parser.add_argument("--names", nargs="*", default=None, help="restrict to these benchmark names")
     parser.add_argument("--quiet", action="store_true", help="suppress per-benchmark progress output")
@@ -338,33 +310,7 @@ def main(argv=None) -> int:
             persist_dir=args.persist_dir,
             kb_path=args.kb,
         )
-    if args.stress:
-        from .stress import DEFAULT_REPEATS, DEFAULT_ROWS, run_stress, stress_failures, stress_table
-
-        note = None if args.quiet else (lambda message: print(f"  {message}", file=sys.stderr))
-        payload = run_stress(
-            rows=args.stress_rows or DEFAULT_ROWS,
-            repeats=args.stress_repeats or DEFAULT_REPEATS,
-            verbs=args.stress_verbs or None,
-            progress=note,
-        )
-        print(stress_table(payload))
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        failures = stress_failures(payload)
-        for failure in failures:
-            print(f"stress: {failure}", file=sys.stderr)
-        return 1 if failures else 0
     progress = None if args.quiet else _progress
-    if args.backend != "python":
-        from ..dataframe.backend import BackendUnavailableError, resolve_backend
-
-        try:
-            resolve_backend(args.backend)
-        except (ValueError, BackendUnavailableError) as error:
-            parser.error(str(error))
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.top_k < 1:
@@ -404,8 +350,6 @@ def main(argv=None) -> int:
             configurations = without_oe(configurations)
         if args.top_k != 1:
             configurations = with_top_k(configurations, args.top_k)
-        if args.backend != "python":
-            configurations = with_backend(configurations, args.backend)
         return configurations
 
     def emit(runs) -> int:
@@ -424,7 +368,6 @@ def main(argv=None) -> int:
                 "prescreen": not args.no_prescreen,
                 "oe": not args.no_oe,
                 "top_k": args.top_k,
-                "backend": args.backend,
                 "runs": suite_runs_json(runs),
             }
             with open(args.json, "w") as handle:
@@ -453,7 +396,7 @@ def main(argv=None) -> int:
         return emit(runs)
     if args.figure == "figure18":
         morpheus_config = None
-        if args.no_cdcl or args.no_prescreen or args.no_oe or args.backend != "python":
+        if args.no_cdcl or args.no_prescreen or args.no_oe:
             from .runner import _morpheus_config
 
             morpheus_config = override_config(
@@ -461,7 +404,6 @@ def main(argv=None) -> int:
                 cdcl=not args.no_cdcl,
                 prescreen=not args.no_prescreen,
                 oe=not args.no_oe,
-                backend=args.backend,
             )
         rows = run_figure18(
             timeout=args.timeout, r_suite=_subset(args, parser), jobs=args.jobs,

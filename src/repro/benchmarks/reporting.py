@@ -154,7 +154,7 @@ def deduction_summary_table(runs: Dict[str, SuiteRun]) -> str:
 
 
 def execution_summary_table(runs: Dict[str, SuiteRun]) -> str:
-    """Per-configuration concrete-execution counters (columnar backend).
+    """Per-configuration concrete-execution counters (columnar executor).
 
     Complements :func:`deduction_summary_table` with the execution-side view:
     how many tables each configuration materialised, how many cells the

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..dataframe.backend import active_backend, join_key
-from ..dataframe.cells import CellValue
+from ..dataframe.cells import CellValue, value_sort_key
 from ..dataframe.table import Table
 from .errors import EvaluationError, InvalidArgumentError, PRUNABLE_ERRORS
-from .values import AGGREGATORS
+from .values import AGGREGATORS, agg_count
 
 #: A predicate over a single row, given as ``{column: value}``.
 RowPredicate = Callable[[Dict[str, CellValue]], bool]
@@ -89,13 +88,14 @@ def select(table: Table, columns: Sequence[str]) -> Table:
 
 def filter_rows(table: Table, predicate: RowPredicate) -> Table:
     """Keep the rows satisfying *predicate*."""
-    backend = active_backend()
-    kept = backend.filter_indices(table, predicate)
+    kept = [
+        index for index in range(table.n_rows) if predicate(table.row_dict(index))
+    ]
     if len(kept) == table.n_rows:
         # The paper's spec requires a strictly smaller table (footnote 3):
         # a filter that keeps everything is never needed for a minimal program.
         raise EvaluationError("filter: predicate keeps every row")
-    return backend.take_rows(table, kept)
+    return table.take_rows(kept)
 
 
 def filter_rows_batch(table: Table, predicates: Sequence[RowPredicate]) -> List[object]:
@@ -103,22 +103,19 @@ def filter_rows_batch(table: Table, predicates: Sequence[RowPredicate]) -> List[
 
     The batched-sibling-evaluation entry point: predicates filling sibling
     hypotheses of the same hole all scan the same input table, so the
-    per-table setup (row views for opaque predicates, cached column arrays
-    for structured ones) is paid once.  Returns one entry per predicate --
-    the filtered table, or the prunable error that predicate raises under
-    :func:`filter_rows` (same type, same message).
+    per-table setup (one ``{column: value}`` view per row) is paid once.
+    Returns one entry per predicate -- the filtered table, or the prunable
+    error that predicate raises under :func:`filter_rows` (same type, same
+    message).
     """
-    backend = active_backend()
-    rows = None
+    rows = [table.row_dict(index) for index in range(table.n_rows)]
     results: List[object] = []
     for predicate in predicates:
         try:
-            if rows is None and not backend.has_fast_predicate(table, predicate):
-                rows = backend.row_views(table)
-            kept = backend.filter_indices(table, predicate, rows)
+            kept = [index for index, row in enumerate(rows) if predicate(row)]
             if len(kept) == table.n_rows:
                 raise EvaluationError("filter: predicate keeps every row")
-            results.append(backend.take_rows(table, kept))
+            results.append(table.take_rows(kept))
         except PRUNABLE_ERRORS as error:
             results.append(error)
     return results
@@ -159,7 +156,17 @@ def summarise(
     if new_column in group_columns:
         raise EvaluationError(f"summarise: new column {new_column!r} collides with a grouping column")
 
-    keys, aggregates = active_backend().aggregate_groups(table, aggregator, target_column)
+    # Group keys appear in first-appearance order (dplyr semantics).
+    groups = table.group_row_indices()
+    keys = [key for key, _indices in groups]
+    if aggregator == "n":
+        aggregates = [agg_count([None] * len(indices)) for _key, indices in groups]
+    else:
+        target = table.column_values(target_column)
+        aggregates = [
+            AGGREGATORS[aggregator]([target[i] for i in indices])
+            for _key, indices in groups
+        ]
 
     out_columns = group_columns + [new_column]
     out_vectors = [
@@ -203,24 +210,61 @@ def inner_join(left: Table, right: Table) -> Table:
         raise EvaluationError("inner_join: tables share no columns")
     right_extra = [name for name in right.columns if name not in shared]
 
-    backend = active_backend()
-    left_indices, right_indices = backend.join_pairs(left, right, shared)
-    if not len(left_indices):
+    left_indices, right_indices = _join_pairs(left, right, shared)
+    if not left_indices:
         raise EvaluationError("inner_join: join result is empty")
 
     out_columns = list(left.columns) + right_extra
-    return backend.build_join(
-        left,
-        right,
-        left_indices,
-        right_indices,
-        right_extra,
-        surviving_group_cols(left, out_columns),
+    out_vectors = [
+        [vector[i] for i in left_indices]
+        for vector in (left.column_values(name) for name in left.columns)
+    ]
+    out_vectors.extend(
+        [vector[i] for i in right_indices]
+        for vector in (right.column_values(name) for name in right_extra)
+    )
+    return Table.from_vectors(
+        out_columns, out_vectors, group_cols=surviving_group_cols(left, out_columns)
     )
 
 
-#: Backwards-compatible alias (the key moved next to the join kernels).
-_join_key = join_key
+def join_key(value: CellValue):
+    """The equality key ``inner_join`` matches rows on.
+
+    Missing cells only match missing cells; numbers compare as floats (so
+    ``5`` joins ``5.0``); everything else compares as itself.
+    """
+    if value is None:
+        return (0, None)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return (1, float(value))
+    return (2, value)
+
+
+def _join_pairs(
+    left: Table, right: Table, shared: Sequence[str]
+) -> Tuple[List[int], List[int]]:
+    """Matching ``(left_indices, right_indices)`` of the natural join.
+
+    Pairs are emitted in left-row order; a left row's matches appear in
+    right-row order.
+    """
+    left_vectors = [left.column_values(name) for name in shared]
+    right_vectors = [right.column_values(name) for name in shared]
+
+    buckets: Dict[Tuple, List[int]] = {}
+    for row_index in range(right.n_rows):
+        key = tuple(join_key(vector[row_index]) for vector in right_vectors)
+        buckets.setdefault(key, []).append(row_index)
+
+    left_indices: List[int] = []
+    right_indices: List[int] = []
+    for row_index in range(left.n_rows):
+        key = tuple(join_key(vector[row_index]) for vector in left_vectors)
+        for match in buckets.get(key, ()):
+            left_indices.append(row_index)
+            right_indices.append(match)
+    return left_indices, right_indices
 
 
 def arrange(table: Table, columns: Sequence[str], descending: bool = False) -> Table:
@@ -231,6 +275,9 @@ def arrange(table: Table, columns: Sequence[str], descending: bool = False) -> T
     if len(set(columns)) != len(columns):
         raise InvalidArgumentError("arrange: sort columns must be distinct")
     _check_columns_exist(table, columns, "arrange")
-    backend = active_backend()
-    order = backend.sort_order(table, columns, descending)
-    return backend.take_rows(table, order)
+    vectors = [table.column_values(name) for name in columns]
+
+    def key(index):
+        return tuple(value_sort_key(vector[index]) for vector in vectors)
+
+    return table.take_rows(sorted(range(table.n_rows), key=key, reverse=descending))

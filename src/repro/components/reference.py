@@ -30,7 +30,7 @@ from ..dataframe.cells import (
     value_sort_key,
 )
 from ..dataframe.table import Table
-from .dplyr import GroupContext, RowExpression, RowPredicate, _join_key, surviving_group_cols
+from .dplyr import GroupContext, RowExpression, RowPredicate, join_key, surviving_group_cols
 from .errors import EvaluationError, InvalidArgumentError
 from .values import AGGREGATORS, agg_count
 
@@ -146,12 +146,12 @@ def inner_join(left: Table, right: Table) -> Table:
 
     buckets: Dict[Tuple, List[Tuple[CellValue, ...]]] = {}
     for row in right.rows:
-        key = tuple(_join_key(row[index]) for index in right_indices)
+        key = tuple(join_key(row[index]) for index in right_indices)
         buckets.setdefault(key, []).append(row)
 
     out_rows: List[Tuple[CellValue, ...]] = []
     for row in left.rows:
-        key = tuple(_join_key(row[index]) for index in left_indices)
+        key = tuple(join_key(row[index]) for index in left_indices)
         for match in buckets.get(key, ()):
             out_rows.append(tuple(row) + tuple(match[index] for index in right_extra_indices))
 

@@ -16,9 +16,8 @@ output schema.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dataframe.backend import active_backend
 from ..dataframe.cells import CellType, CellValue, format_value, value_sort_key
 from ..dataframe.table import Table
 from .dplyr import surviving_group_cols
@@ -73,10 +72,10 @@ def gather(table: Table, key: str, value: str, columns: Sequence[str]) -> Table:
     out_vectors.append(key_vector)
     out_vectors.append(value_vector)
 
+    out_columns = id_columns + [key, value]
     out_types = [table.column_type(name) for name in id_columns] + [CellType.STR, value_type]
-    return active_backend().build_gather(
-        table, id_columns, key, value, out_vectors, out_types,
-        surviving_group_cols(table, id_columns),
+    return Table.from_vectors(
+        out_columns, out_vectors, out_types, surviving_group_cols(table, id_columns)
     )
 
 
@@ -106,13 +105,34 @@ def spread(table: Table, key: str, value: str) -> Table:
         if name in id_columns:
             raise EvaluationError(f"spread: new column {name!r} collides with an existing column")
 
-    first_rows, value_vectors = active_backend().spread_scatter(
-        table, id_columns, key, value, key_values, new_columns
-    )
+    # Scatter the value cells into one vector per new column; *first_rows*
+    # holds the first row of each identifier group (insertion order) and
+    # missing combinations stay ``None``.
+    id_vectors = [table.column_values(name) for name in id_columns]
+    value_vector = table.column_values(value)
+
+    first_rows: List[int] = []
+    index_of: Dict[Tuple[CellValue, ...], int] = {}
+    cells: List[Dict[str, CellValue]] = []
+    for row_index in range(table.n_rows):
+        group_key = tuple(vector[row_index] for vector in id_vectors)
+        position = index_of.get(group_key)
+        if position is None:
+            position = index_of[group_key] = len(first_rows)
+            first_rows.append(row_index)
+            cells.append({})
+        column_name = format_value(key_vector[row_index])
+        if column_name in cells[position]:
+            raise EvaluationError("spread: duplicate identifiers for rows")
+        cells[position][column_name] = value_vector[row_index]
+
+    value_vectors = [
+        [cells[position].get(name) for position in range(len(first_rows))]
+        for name in new_columns
+    ]
 
     out_vectors: List[List[CellValue]] = [
-        [vector[row] for row in first_rows]
-        for vector in (table.column_values(name) for name in id_columns)
+        [vector[row] for row in first_rows] for vector in id_vectors
     ]
     out_vectors.extend(value_vectors)
 

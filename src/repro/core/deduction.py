@@ -779,7 +779,7 @@ class DeductionEngine:
         and a different argument.  This primes the
         :class:`~repro.engine.cache.ExecutionCache` for the whole sibling
         group in one :meth:`~repro.core.component.Component.execute_batch`
-        call, so the per-table setup (backend array views, row dictionaries)
+        call, so the per-table setup (the per-row dictionaries of a filter)
         is paid once and the later ``partial_evaluate`` calls hit the cache.
 
         Returns the number of fills actually executed (0 when the node is not

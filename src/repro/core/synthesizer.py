@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..dataframe.backend import install_backend
 from ..dataframe.profiling import ExecutionStats, execution_stats
 from ..dataframe.table import Table
 from ..engine.cache import CacheStats
@@ -113,11 +112,6 @@ class SynthesisConfig:
     #: some coincident alternatives are merged away -- combine ``top_k > 1``
     #: with ``oe=False`` for exhaustive enumeration.
     top_k: int = 1
-    #: Columnar execution backend for the table verbs ("python" or "numpy",
-    #: see :mod:`repro.dataframe.backend`).  Backends are observationally
-    #: identical -- same cells, fingerprints and error messages -- so this
-    #: knob changes wall-clock time only, never the synthesized program.
-    backend: str = "python"
 
     def describe(self) -> str:
         """Short human-readable description used by the benchmark reports."""
@@ -133,8 +127,6 @@ class SynthesisConfig:
                 name += "-no-prescreen"
             if not self.oe:
                 name += "-no-oe"
-        if self.backend != "python":
-            name += f"-{self.backend}"
         return name
 
 
@@ -349,16 +341,9 @@ class Morpheus:
         deadline = (
             started + self.config.timeout if self.config.timeout is not None else None
         )
-        # The session API installs the configured backend through its
-        # TaskContext; this convenience driver installs it around the run so
-        # ``config.backend`` is honored on the direct path too.
-        previous = install_backend(self.config.backend)
-        try:
-            kernel = self.kernel(example, k=k)
-            kernel.run(deadline=deadline, max_steps=self.config.max_steps)
-            return self.finalize(kernel, elapsed=time.monotonic() - started)
-        finally:
-            install_backend(previous)
+        kernel = self.kernel(example, k=k)
+        kernel.run(deadline=deadline, max_steps=self.config.max_steps)
+        return self.finalize(kernel, elapsed=time.monotonic() - started)
 
     def finalize(self, kernel: SearchKernel, elapsed: Optional[float] = None) -> SynthesisResult:
         """Package a (driven) kernel's state into a :class:`SynthesisResult`.

@@ -88,7 +88,6 @@ class Table:
         "_n_groups",
         "_header_set",
         "_value_set",
-        "_backend_cache",
     )
 
     def __init__(
@@ -154,9 +153,6 @@ class Table:
         self._n_groups = None
         self._header_set = None
         self._value_set = None
-        # Per-table array views memoised by the active execution backend
-        # (:mod:`repro.dataframe.backend`); never part of table identity.
-        self._backend_cache = None
         execution_stats().tables_built += 1
 
     # ------------------------------------------------------------------

@@ -8,12 +8,12 @@ the benchmark harness diffs byte-for-byte: the value intern pool
 task; a process that *interleaves* several search kernels cannot reset --
 each kernel needs its own copies, installed whenever that kernel runs.
 
-:class:`TaskContext` packages them (plus the task's knowledge-base handle
-and columnar backend) into one swappable unit.  A kernel
-constructed and stepped inside ``with context.active():`` observes exactly
-the state a dedicated, freshly-reset process would have observed, so its
-counters (and, because caches only affect *work*, its synthesized programs)
-are byte-identical to a whole-task run.  Activation is cheap -- three module
+:class:`TaskContext` packages them (plus the task's knowledge-base handle)
+into one swappable unit.  A kernel constructed and stepped inside
+``with context.active():`` observes exactly the state a dedicated,
+freshly-reset process would have observed, so its counters (and, because
+caches only affect *work*, its synthesized programs) are byte-identical to
+a whole-task run.  Activation is cheap -- four module
 globals are swapped, no data is copied -- which is what makes stepping many
 kernels round-robin in one process affordable.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from ..dataframe.backend import active_backend, install_backend, resolve_backend
 from ..dataframe.interning import install_intern_pool
 from ..dataframe.profiling import ExecutionStats, install_execution_stats
 from ..smt.solver import install_formula_cache, new_formula_cache
@@ -36,12 +35,7 @@ class TaskContext:
     (:mod:`repro.engine.kb`): ``kb=None`` inherits whatever KB is active when
     the context is *created* (usually the process default set by the CLI or
     a pool initializer), so interleaved kernels keep their warm-start tier
-    across install/uninstall swaps without any per-call plumbing.  The
-    columnar execution backend (:mod:`repro.dataframe.backend`) travels the
-    same way: ``backend=None`` inherits the creation-time active backend, a
-    name ("python"/"numpy") or instance pins one, and either way the
-    backend is installed alongside the other pieces so interleaved kernels
-    with different backends never observe each other's choice.
+    across install/uninstall swaps without any per-call plumbing.
     """
 
     __slots__ = (
@@ -49,18 +43,14 @@ class TaskContext:
         "intern_pool",
         "formula_cache",
         "kb",
-        "backend",
         "_previous",
     )
 
-    def __init__(self, kb=None, backend=None) -> None:
+    def __init__(self, kb=None) -> None:
         self.execution = ExecutionStats()
         self.intern_pool: dict = {}
         self.formula_cache = new_formula_cache()
         self.kb = kb if kb is not None else current_kb()
-        self.backend = (
-            resolve_backend(backend) if backend is not None else active_backend()
-        )
         self._previous = None
 
     # ------------------------------------------------------------------
@@ -73,20 +63,18 @@ class TaskContext:
             install_intern_pool(self.intern_pool),
             install_formula_cache(self.formula_cache),
             install_kb(self.kb),
-            install_backend(self.backend),
         )
 
     def uninstall(self) -> None:
         """Restore the state that was installed before :meth:`install`."""
         if self._previous is None:
             raise RuntimeError("TaskContext is not installed")
-        execution, pool, cache, kb, backend = self._previous
+        execution, pool, cache, kb = self._previous
         self._previous = None
         install_execution_stats(execution)
         install_intern_pool(pool)
         install_formula_cache(cache)
         install_kb(kb)
-        install_backend(backend)
 
     @contextmanager
     def active(self):

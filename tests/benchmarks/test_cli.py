@@ -41,3 +41,13 @@ class TestRemovedFlags:
             with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as excinfo:
                 cli.main(argv)
             assert excinfo.value.code == 2, argv
+
+    def test_backend_and_stress_flags_are_rejected(self):
+        # --backend picked the removed numpy execution backend; --stress ran
+        # its large-table A/B suite.
+        for flag in ("--backend", "--stress"):
+            assert flag not in render_help()
+        for argv in (["figure16", "--backend", "numpy"], ["figure16", "--stress"]):
+            with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 2, argv

@@ -17,31 +17,8 @@ from repro.components import dplyr, reference, tidyr
 from repro.components.errors import ComponentError
 from repro.core.arguments import Constant, Predicate
 from repro.dataframe import Table
-from repro.dataframe.backend import install_backend, numpy_available
 from repro.dataframe.errors import DataFrameError
 
-#: Both execution backends; the whole differential suite runs once per
-#: backend, so the vectorised kernels are held to the same cell-for-cell,
-#: error-for-error standard as the pure-python reference.
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(
-            not numpy_available(), reason="numpy not installed (repro[fast])"
-        ),
-    ),
-]
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    """Install the parametrised backend for the test, restoring after."""
-    previous = install_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        install_backend(previous)
 
 #: Columnar implementation of every verb, aligned with REFERENCE_VERBS.
 COLUMNAR_VERBS = {
@@ -64,10 +41,9 @@ COMPARABLE_ERRORS = (ComponentError, DataFrameError, ZeroDivisionError)
 def random_table(rng: random.Random) -> Table:
     """A random table: 2-5 columns of num/str cells, maybe grouped.
 
-    Mostly small (0-7 rows), but one draw in four straddles or exceeds the
-    numpy backend's vectorisation threshold (``MIN_VECTOR_ROWS`` = 32) so
-    the differential run on that backend exercises the vectorised kernels,
-    not just their small-table delegation.
+    Mostly small (0-7 rows), like the tables of an input-output example,
+    but one draw in four has 30-90 rows so the verbs also run over larger
+    groups, join buckets and sort inputs.
     """
     n_cols = rng.randint(2, 5)
     roll = rng.random()
@@ -116,9 +92,9 @@ def random_call(rng: random.Random, table: Table):
         constant = rng.choice([0, 1, "x", 2.5, None])
         op = rng.choice(["==", "!=", "<", ">", "<=", ">="])
         if rng.random() < 0.5:
-            # Structured predicate: the shape the synthesizer produces and
-            # the vectorised fast path recognises (None constants and the
-            # ordered operators exercise the missing-value error paths).
+            # Structured predicate: the shape the synthesizer produces (None
+            # constants and the ordered operators exercise the missing-value
+            # error paths).
             return verb, (Predicate(column, op, Constant(constant)),)
 
         def predicate(row, column=column, op=op, constant=constant):
@@ -172,7 +148,7 @@ def assert_tables_identical(columnar: Table, legacy: Table, context: str):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_columnar_and_reference_executors_agree(seed, backend):
+def test_columnar_and_reference_executors_agree(seed):
     rng = random.Random(seed)
     for iteration in range(25):
         table = random_table(rng)

@@ -8,8 +8,6 @@ The tests pin the counters (the optimisations actually engage) and the
 invariance (disabling batching changes nothing observable).
 """
 
-import pytest
-
 from repro.baselines import spec2_config
 from repro.benchmarks import r_benchmark_suite
 from repro.benchmarks.runner import run_benchmark
@@ -93,21 +91,3 @@ def test_batching_counters_deterministic_across_runs():
             second.stats.deduction, field
         )
 
-
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_programs_identical_across_backends(backend):
-    from repro.dataframe.backend import numpy_available
-
-    if backend == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed (repro[fast])")
-    reference = run()
-    other = run(SynthesisConfig(timeout=30, backend=backend))
-    assert other.solved
-    assert other.render() == reference.render()
-    # Deterministic counters, not just the program: the backends must walk
-    # the identical search.
-    assert other.stats.deduction.smt_calls == reference.stats.deduction.smt_calls
-    assert (
-        other.stats.completion.partial_programs
-        == reference.stats.completion.partial_programs
-    )

@@ -73,8 +73,9 @@ class TestRequestJson:
         assert config_from_json(config_to_json(config)) == config
 
     def test_unknown_config_knob_raises(self):
-        # distributed/workers were knobs of the removed distributed search.
-        for knob in ("warp_drive", "distributed", "workers"):
+        # distributed/workers were knobs of the removed distributed search,
+        # backend picked the removed numpy execution backend.
+        for knob in ("warp_drive", "distributed", "workers", "backend"):
             with pytest.raises(RequestError, match="unknown config knobs"):
                 config_from_json({knob: True})
 

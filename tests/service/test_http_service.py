@@ -119,8 +119,9 @@ class TestEndpoints:
         assert "error" in body
 
     def test_removed_distributed_knobs_are_400(self, server):
-        # distributed/workers configured the removed distributed search.
-        for knob, value in (("distributed", True), ("workers", 2)):
+        # distributed/workers configured the removed distributed search,
+        # backend the removed numpy execution backend.
+        for knob, value in (("distributed", True), ("workers", 2), ("backend", "numpy")):
             payload = dict(FILTER_REQUEST, config={"timeout": 20, knob: value})
             status, body = post(server, "/v1/sessions", payload)
             assert status == 400
