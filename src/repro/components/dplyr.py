@@ -117,7 +117,8 @@ def filter_rows_batch(table: Table, predicates: Sequence[RowPredicate]) -> List[
                 raise EvaluationError("filter: predicate keeps every row")
             results.append(table.take_rows(kept))
         except PRUNABLE_ERRORS as error:
-            results.append(error)
+            # Drop the traceback: it references this frame, whose ``results`` holds the error.
+            results.append(error.with_traceback(None))
     return results
 
 

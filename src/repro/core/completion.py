@@ -509,15 +509,15 @@ class CompletionRun:
 def _node_order(sketch: Hypothesis) -> List[int]:
     """Post-order list of application node ids (bottom-up completion order)."""
     order: List[int] = []
-
-    def walk(node: Hypothesis) -> None:
-        if isinstance(node, Apply):
-            for child in node.table_children:
-                walk(child)
-            order.append(node.node_id)
-
-    walk(sketch)
+    _append_post_order(sketch, order)
     return order
+
+
+def _append_post_order(node: Hypothesis, order: List[int]) -> None:
+    if isinstance(node, Apply):
+        for child in node.table_children:
+            _append_post_order(child, order)
+        order.append(node.node_id)
 
 
 def _find_node(sketch: Hypothesis, node_id: int) -> Apply:

@@ -113,7 +113,8 @@ class Component:
             try:
                 results.append(self.executor(tables, arguments, fresh_prefix))
             except PRUNABLE_ERRORS as error:
-                results.append(error)
+                # Drop the traceback: it references this frame, whose ``results`` holds the error.
+                results.append(error.with_traceback(None))
         return results
 
     def render_r(self, table_args: Sequence[str], arguments: Sequence[ValueArgument]) -> str:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dataframe.profiling import execution_stats
 from ..dataframe.table import Table
@@ -381,23 +381,24 @@ class DeductionEngine:
         self, hypothesis: Hypothesis, evaluated: Dict[int, Table]
     ) -> Formula:
         """The formula :math:`\\Phi(H)` of Figure 12."""
-        constraints = []
-
-        def walk(node: Hypothesis) -> None:
-            variables = self.node_vars(node.node_id)
-            if node.node_id in evaluated:
-                # Complete subterm: use the abstraction of its concrete value.
-                constraints.append(self._abstract(evaluated[node.node_id], variables))
-                return
-            if isinstance(node, Hole):
-                # Unknown leaf: no information (the spec is "true").
-                return
-            constraints.append(self._component_spec(node))
-            for child in node.table_children:
-                walk(child)
-
-        walk(hypothesis)
+        constraints: List[Formula] = []
+        self._collect_specification(hypothesis, evaluated, constraints)
         return conjoin(constraints)
+
+    def _collect_specification(
+        self, node: Hypothesis, evaluated: Dict[int, Table], constraints: List[Formula]
+    ) -> None:
+        variables = self.node_vars(node.node_id)
+        if node.node_id in evaluated:
+            # Complete subterm: use the abstraction of its concrete value.
+            constraints.append(self._abstract(evaluated[node.node_id], variables))
+            return
+        if isinstance(node, Hole):
+            # Unknown leaf: no information (the spec is "true").
+            return
+        constraints.append(self._component_spec(node))
+        for child in node.table_children:
+            self._collect_specification(child, evaluated, constraints)
 
     def _query_node_ids(self, hypothesis: Hypothesis) -> tuple:
         """The node ids whose attribute vectors appear in the query."""
@@ -562,36 +563,7 @@ class DeductionEngine:
         key_parts: List[tuple] = []
         named: Dict[tuple, Formula] = {}
         base: List[Formula] = []
-
-        def walk(node: Hypothesis, under_eval: bool) -> None:
-            if isinstance(node, Hole):
-                if node.hole_type is Type.TABLE:
-                    key_parts.append(("x", node.node_id, node.binding))
-                    base.append(self._binding(node.node_id, node.binding))
-                    if node.node_id in evaluated and not under_eval:
-                        base.append(
-                            self._abstract(
-                                evaluated[node.node_id], self.node_vars(node.node_id)
-                            )
-                        )
-                return
-            if node.node_id in evaluated and not under_eval:
-                key_parts.append(("t", node.node_id))
-                named[("eval", node.node_id)] = self._abstract(
-                    evaluated[node.node_id], self.node_vars(node.node_id)
-                )
-                # The subtree below an evaluated subterm contributes no specs
-                # or abstractions, but phi_in still binds its table holes.
-                for child in node.table_children:
-                    walk(child, True)
-                return
-            key_parts.append(("c", node.node_id, node.component.name))
-            if not under_eval:
-                base.append(self._component_spec(node))
-            for child in node.table_children:
-                walk(child, under_eval)
-
-        walk(hypothesis, False)
+        self._collect_residual(hypothesis, evaluated, False, key_parts, named, base)
         key = tuple(key_parts)
         session = self._residual_sessions.get(key)
         if session is None:
@@ -615,6 +587,43 @@ class DeductionEngine:
             self.stats.smt_session_reuse += 1
         return session, named
 
+    def _collect_residual(
+        self,
+        node: Hypothesis,
+        evaluated: Dict[int, Table],
+        under_eval: bool,
+        key_parts: List[tuple],
+        named: Dict[tuple, Formula],
+        base: List[Formula],
+    ) -> None:
+        """One node of the :meth:`_residual_session` walk."""
+        if isinstance(node, Hole):
+            if node.hole_type is Type.TABLE:
+                key_parts.append(("x", node.node_id, node.binding))
+                base.append(self._binding(node.node_id, node.binding))
+                if node.node_id in evaluated and not under_eval:
+                    base.append(
+                        self._abstract(
+                            evaluated[node.node_id], self.node_vars(node.node_id)
+                        )
+                    )
+            return
+        if node.node_id in evaluated and not under_eval:
+            key_parts.append(("t", node.node_id))
+            named[("eval", node.node_id)] = self._abstract(
+                evaluated[node.node_id], self.node_vars(node.node_id)
+            )
+            # The subtree below an evaluated subterm contributes no specs
+            # or abstractions, but phi_in still binds its table holes.
+            for child in node.table_children:
+                self._collect_residual(child, evaluated, True, key_parts, named, base)
+            return
+        key_parts.append(("c", node.node_id, node.component.name))
+        if not under_eval:
+            base.append(self._component_spec(node))
+        for child in node.table_children:
+            self._collect_residual(child, evaluated, under_eval, key_parts, named, base)
+
     # ------------------------------------------------------------------
     # Conflict-driven lemma learning
     # ------------------------------------------------------------------
@@ -637,50 +646,65 @@ class DeductionEngine:
         assumptions): a specific binding entails the any-input disjunction,
         so lemmas mined from unbound holes soundly block bound ones.
         """
-        descriptors = set()
+        descriptors: Set[tuple] = set()
         named: Dict[tuple, Formula] = {}
+        self._collect_lemma_parts(
+            hypothesis, (), False, evaluated, with_formulas, descriptors, named
+        )
+        return frozenset(descriptors), named
 
-        def walk(node: Hypothesis, path: Tuple[int, ...], under_eval: bool) -> None:
-            if isinstance(node, Hole):
-                if node.hole_type is Type.TABLE:
-                    descriptor = ("bind", path, node.binding)
+    def _collect_lemma_parts(
+        self,
+        node: Hypothesis,
+        path: Tuple[int, ...],
+        under_eval: bool,
+        evaluated: Dict[int, Table],
+        with_formulas: bool,
+        descriptors: Set[tuple],
+        named: Dict[tuple, Formula],
+    ) -> None:
+        """One node of the :meth:`_lemma_parts` walk."""
+        if isinstance(node, Hole):
+            if node.hole_type is Type.TABLE:
+                descriptor = ("bind", path, node.binding)
+                descriptors.add(descriptor)
+                if with_formulas:
+                    named[descriptor] = self._binding(node.node_id, node.binding)
+                if node.binding is not None:
+                    descriptors.add(("bind", path, None))
+                if node.node_id in evaluated and not under_eval:
+                    attributes = self.table_attributes(evaluated[node.node_id])
+                    descriptor = ("eval", path, attributes)
                     descriptors.add(descriptor)
                     if with_formulas:
-                        named[descriptor] = self._binding(node.node_id, node.binding)
-                    if node.binding is not None:
-                        descriptors.add(("bind", path, None))
-                    if node.node_id in evaluated and not under_eval:
-                        attributes = self.table_attributes(evaluated[node.node_id])
-                        descriptor = ("eval", path, attributes)
-                        descriptors.add(descriptor)
-                        if with_formulas:
-                            named[descriptor] = self._abstract(
-                                evaluated[node.node_id], self.node_vars(node.node_id)
-                            )
-                return
-            if node.node_id in evaluated and not under_eval:
-                attributes = self.table_attributes(evaluated[node.node_id])
-                descriptor = ("eval", path, attributes)
-                descriptors.add(descriptor)
-                if with_formulas:
-                    named[descriptor] = self._abstract(
-                        evaluated[node.node_id], self.node_vars(node.node_id)
-                    )
-                # The subtree below an evaluated subterm contributes no specs
-                # or abstractions, but phi_in still binds its table holes.
-                for index, child in enumerate(node.table_children):
-                    walk(child, path + (index,), True)
-                return
-            if not under_eval:
-                descriptor = ("spec", path, node.component.name)
-                descriptors.add(descriptor)
-                if with_formulas:
-                    named[descriptor] = self._component_spec(node)
+                        named[descriptor] = self._abstract(
+                            evaluated[node.node_id], self.node_vars(node.node_id)
+                        )
+            return
+        if node.node_id in evaluated and not under_eval:
+            attributes = self.table_attributes(evaluated[node.node_id])
+            descriptor = ("eval", path, attributes)
+            descriptors.add(descriptor)
+            if with_formulas:
+                named[descriptor] = self._abstract(
+                    evaluated[node.node_id], self.node_vars(node.node_id)
+                )
+            # The subtree below an evaluated subterm contributes no specs
+            # or abstractions, but phi_in still binds its table holes.
             for index, child in enumerate(node.table_children):
-                walk(child, path + (index,), under_eval)
-
-        walk(hypothesis, (), False)
-        return frozenset(descriptors), named
+                self._collect_lemma_parts(
+                    child, path + (index,), True, evaluated, with_formulas, descriptors, named
+                )
+            return
+        if not under_eval:
+            descriptor = ("spec", path, node.component.name)
+            descriptors.add(descriptor)
+            if with_formulas:
+                named[descriptor] = self._component_spec(node)
+        for index, child in enumerate(node.table_children):
+            self._collect_lemma_parts(
+                child, path + (index,), under_eval, evaluated, with_formulas, descriptors, named
+            )
 
     def _incremental_session(self) -> Solver:
         """The per-run solver session (example formula asserted once)."""
@@ -731,22 +755,23 @@ class DeductionEngine:
         and the partial-evaluation flag, so one memo could in principle be
         shared by engines running under different configurations.
         """
-        parts = []
-
-        def walk(node: Hypothesis) -> None:
-            if node.node_id in evaluated:
-                parts.append((node.node_id, "t", self.table_attributes(evaluated[node.node_id])))
-                return
-            if isinstance(node, Hole):
-                if node.hole_type is Type.TABLE:
-                    parts.append((node.node_id, "x", node.binding))
-                return
-            parts.append((node.node_id, "c", node.component.name))
-            for child in node.table_children:
-                walk(child)
-
-        walk(hypothesis)
+        parts: List[tuple] = []
+        self._collect_verdict_parts(hypothesis, evaluated, parts)
         return (self.level, self.use_partial_evaluation, tuple(parts))
+
+    def _collect_verdict_parts(
+        self, node: Hypothesis, evaluated: Dict[int, Table], parts: List[tuple]
+    ) -> None:
+        if node.node_id in evaluated:
+            parts.append((node.node_id, "t", self.table_attributes(evaluated[node.node_id])))
+            return
+        if isinstance(node, Hole):
+            if node.hole_type is Type.TABLE:
+                parts.append((node.node_id, "x", node.binding))
+            return
+        parts.append((node.node_id, "c", node.component.name))
+        for child in node.table_children:
+            self._collect_verdict_parts(child, evaluated, parts)
 
     # ------------------------------------------------------------------
     def export_kb_facts(self) -> None:

@@ -692,13 +692,9 @@ def _encode_entry(hypothesis: Hypothesis, tiebreak: int) -> dict:
 
 def hypothesis_signature(hypothesis: Hypothesis) -> str:
     """A canonical string describing the tree shape (for duplicate detection)."""
-
-    def walk(node: Hypothesis) -> str:
-        if isinstance(node, Hole):
-            if node.hole_type is Type.TABLE:
-                return f"x{node.binding}" if node.binding is not None else "?"
-            return "v"
-        children = ",".join(walk(child) for child in node.table_children)
-        return f"{node.component.name}({children})"
-
-    return walk(hypothesis)
+    if isinstance(hypothesis, Hole):
+        if hypothesis.hole_type is Type.TABLE:
+            return f"x{hypothesis.binding}" if hypothesis.binding is not None else "?"
+        return "v"
+    children = ",".join(hypothesis_signature(child) for child in hypothesis.table_children)
+    return f"{hypothesis.component.name}({children})"

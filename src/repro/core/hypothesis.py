@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..components.errors import PRUNABLE_ERRORS
 from ..dataframe.profiling import execution_stats
@@ -136,15 +136,15 @@ def hypothesis_size(hypothesis: Hypothesis) -> int:
 def component_sequence(hypothesis: Hypothesis) -> Tuple[str, ...]:
     """Post-order sequence of component names (used by the n-gram cost model)."""
     sequence: List[str] = []
-
-    def walk(node: Hypothesis) -> None:
-        if isinstance(node, Apply):
-            for child in node.table_children:
-                walk(child)
-            sequence.append(node.component.name)
-
-    walk(hypothesis)
+    _append_component_names(hypothesis, sequence)
     return tuple(sequence)
+
+
+def _append_component_names(node: Hypothesis, sequence: List[str]) -> None:
+    if isinstance(node, Apply):
+        for child in node.table_children:
+            _append_component_names(child, sequence)
+        sequence.append(node.component.name)
 
 
 def max_node_id(hypothesis: Hypothesis) -> int:
@@ -252,71 +252,87 @@ def partial_evaluate(
     tables share the concrete work (and the result object) above them.
     """
     results: Dict[int, Table] = {}
+    _evaluate_node(hypothesis, inputs, memo, exec_cache, results)
+    return results
 
-    def walk(node: Hypothesis) -> Optional[Table]:
-        if node.node_id in results:
-            return results[node.node_id]
-        if isinstance(node, Hole):
-            if node.hole_type is Type.TABLE and node.binding is not None:
-                table = inputs[node.binding]
-                results[node.node_id] = table
-                return table
+
+def _evaluate_node(
+    node: Hypothesis,
+    inputs: Sequence[Table],
+    memo: Optional[Dict[Hypothesis, object]],
+    exec_cache,
+    results: Dict[int, Table],
+) -> Optional[Table]:
+    """Evaluate *node* into *results*; ``None`` when its subtree has holes.
+
+    Failures are cached without a traceback and every raise -- first or
+    cached -- is a fresh :class:`EvaluationFailure`: re-raising a stored
+    exception would chain the raising frames onto it and keep them alive.
+    """
+    if node.node_id in results:
+        return results[node.node_id]
+    if isinstance(node, Hole):
+        if node.hole_type is Type.TABLE and node.binding is not None:
+            table = inputs[node.binding]
+            results[node.node_id] = table
+            return table
+        return None
+    if memo is not None and node in memo:
+        cached = memo[node]
+        if isinstance(cached, EvaluationFailure):
+            raise EvaluationFailure(str(cached))
+        results[node.node_id] = cached
+        return cached
+    child_tables = [
+        _evaluate_node(child, inputs, memo, exec_cache, results)
+        for child in node.table_children
+    ]
+    if any(table is None for table in child_tables):
+        return None
+    arguments = []
+    for hole in node.value_children:
+        if hole.value is None:
             return None
-        if memo is not None and node in memo:
-            cached = memo[node]
+        arguments.append(hole.value)
+    exec_key = None
+    if exec_cache is not None:
+        exec_key = (
+            node.component.name,
+            node.node_id,
+            tuple(table.fingerprint() for table in child_tables),
+            tuple(arguments),
+        )
+        cached = exec_cache.get(exec_key)
+        if cached is not None:
+            if memo is not None:
+                memo[node] = cached
             if isinstance(cached, EvaluationFailure):
-                raise cached
+                raise EvaluationFailure(str(cached))
             results[node.node_id] = cached
             return cached
-        child_tables = [walk(child) for child in node.table_children]
-        if any(table is None for table in child_tables):
-            return None
-        arguments = []
-        for hole in node.value_children:
-            if hole.value is None:
-                return None
-            arguments.append(hole.value)
-        exec_key = None
-        if exec_cache is not None:
-            exec_key = (
-                node.component.name,
-                node.node_id,
-                tuple(table.fingerprint() for table in child_tables),
-                tuple(arguments),
-            )
-            cached = exec_cache.get(exec_key)
-            if cached is not None:
-                if memo is not None:
-                    memo[node] = cached
-                if isinstance(cached, EvaluationFailure):
-                    raise cached
-                results[node.node_id] = cached
-                return cached
-        started = perf_counter()
-        try:
-            table = node.component.execute(child_tables, arguments, f"_n{node.node_id}_")
-        except PRUNABLE_ERRORS as error:
-            execution_stats().charge_execution(
-                node.component.name, perf_counter() - started
-            )
-            failure = EvaluationFailure(str(error))
-            if memo is not None:
-                memo[node] = failure
-            if exec_key is not None:
-                exec_cache.put(exec_key, failure)
-            raise failure from error
+    started = perf_counter()
+    try:
+        table = node.component.execute(child_tables, arguments, f"_n{node.node_id}_")
+    except PRUNABLE_ERRORS as error:
         execution_stats().charge_execution(
             node.component.name, perf_counter() - started
         )
+        message = str(error)
+        failure = EvaluationFailure(message)
         if memo is not None:
-            memo[node] = table
+            memo[node] = failure
         if exec_key is not None:
-            exec_cache.put(exec_key, table)
-        results[node.node_id] = table
-        return table
-
-    walk(hypothesis)
-    return results
+            exec_cache.put(exec_key, failure)
+        raise EvaluationFailure(message) from error
+    execution_stats().charge_execution(
+        node.component.name, perf_counter() - started
+    )
+    if memo is not None:
+        memo[node] = table
+    if exec_key is not None:
+        exec_cache.put(exec_key, table)
+    results[node.node_id] = table
+    return table
 
 
 def evaluate(
@@ -344,31 +360,37 @@ def render_program(hypothesis: Hypothesis, input_names: Optional[Sequence[str]] 
         df2 = inner_join(df1, table2)
     """
     lines: List[str] = []
-    counter = itertools.count(1)
-
-    def name_of_input(index: int) -> str:
-        if input_names is not None and index < len(input_names):
-            return input_names[index]
-        return f"table{index + 1}"
-
-    def walk(node: Hypothesis) -> str:
-        if isinstance(node, Hole):
-            if node.hole_type is Type.TABLE:
-                return name_of_input(node.binding) if node.binding is not None else f"?{node.node_id}"
-            return node.value.render_r() if node.value is not None else f"?{node.node_id}"
-        table_args = [walk(child) for child in node.table_children]
-        arguments = [child.value for child in node.value_children]
-        if any(argument is None for argument in arguments):
-            rendered_arguments = ", ".join(
-                child.value.render_r() if child.value is not None else f"?{child.node_id}"
-                for child in node.value_children
-            )
-            call = f"{node.component.name}({', '.join(table_args)}, {rendered_arguments})"
-        else:
-            call = node.component.render_r(table_args, arguments)
-        result_name = f"df{next(counter)}"
-        lines.append(f"{result_name} = {call}")
-        return result_name
-
-    walk(hypothesis)
+    _render_node(hypothesis, input_names, lines, itertools.count(1))
     return "\n".join(lines)
+
+
+def _render_node(
+    node: Hypothesis,
+    input_names: Optional[Sequence[str]],
+    lines: List[str],
+    counter: Iterator[int],
+) -> str:
+    """Append the assignments computing *node* to *lines*; return its name."""
+    if isinstance(node, Hole):
+        if node.hole_type is Type.TABLE:
+            if node.binding is None:
+                return f"?{node.node_id}"
+            if input_names is not None and node.binding < len(input_names):
+                return input_names[node.binding]
+            return f"table{node.binding + 1}"
+        return node.value.render_r() if node.value is not None else f"?{node.node_id}"
+    table_args = [
+        _render_node(child, input_names, lines, counter) for child in node.table_children
+    ]
+    arguments = [child.value for child in node.value_children]
+    if any(argument is None for argument in arguments):
+        rendered_arguments = ", ".join(
+            child.value.render_r() if child.value is not None else f"?{child.node_id}"
+            for child in node.value_children
+        )
+        call = f"{node.component.name}({', '.join(table_args)}, {rendered_arguments})"
+    else:
+        call = node.component.render_r(table_args, arguments)
+    result_name = f"df{next(counter)}"
+    lines.append(f"{result_name} = {call}")
+    return result_name

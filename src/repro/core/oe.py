@@ -123,29 +123,30 @@ class OEStore:
         missing from *evaluated* (evaluation failed); such states are never
         merged.
         """
-
-        def walk(node: Hypothesis):
-            table = evaluated.get(node.node_id)
-            if table is not None:
-                return ("t", table.fingerprint())
-            if isinstance(node, Hole):
-                if node.hole_type is Type.TABLE:
-                    if node.binding is not None:
-                        # A bound input that failed to appear in the
-                        # evaluation map: no exact observation exists.
-                        return None
-                    return ("x",)
-                return ("?", node.hole_type.value)
-            parts = [walk(child) for child in node.table_children]
-            if any(part is None for part in parts):
-                return None
-            values = tuple(
-                ("v", hole.value) if hole.is_bound else ("?", hole.hole_type.value)
-                for hole in node.value_children
-            )
-            return ("c", node.component.name, tuple(parts), values)
-
-        signature = walk(sketch)
+        signature = _state_signature(sketch, evaluated)
         if signature is None:
             return None
         return ("r", remaining, signature)
+
+
+def _state_signature(node: Hypothesis, evaluated: Dict[int, Table]):
+    """The signature of one subtree for :meth:`OEStore.state_key`."""
+    table = evaluated.get(node.node_id)
+    if table is not None:
+        return ("t", table.fingerprint())
+    if isinstance(node, Hole):
+        if node.hole_type is Type.TABLE:
+            if node.binding is not None:
+                # A bound input that failed to appear in the
+                # evaluation map: no exact observation exists.
+                return None
+            return ("x",)
+        return ("?", node.hole_type.value)
+    parts = [_state_signature(child, evaluated) for child in node.table_children]
+    if any(part is None for part in parts):
+        return None
+    values = tuple(
+        ("v", hole.value) if hole.is_bound else ("?", hole.hole_type.value)
+        for hole in node.value_children
+    )
+    return ("c", node.component.name, tuple(parts), values)

@@ -234,30 +234,10 @@ def prescreen_infeasible(
     #: collected parent-first so iterating forwards sweeps root-to-leaves.
     edges: List[Tuple[Box, List[Box], TransferFunction]] = []
 
-    def build(node) -> Box:
-        if node.node_id in evaluated:
-            box = point_box(attributes_of(evaluated[node.node_id]))
-        elif getattr(node, "component", None) is None:
-            # A table hole: phi_in binds it to one input (or any of them).
-            if node.binding is not None:
-                box = point_box(input_attributes[node.binding])
-            else:
-                box = hull_box(input_attributes)
-        else:
-            box = top_box()
-            boxes[node.node_id] = box
-            child_boxes: List[Box] = []
-            transfer = node.component.transfer
-            if transfer is not None:
-                edges.append((box, child_boxes, transfer))
-            for child in node.table_children:
-                child_boxes.append(build(child))
-            return box
-        boxes[node.node_id] = box
-        return box
-
     try:
-        root_box = build(hypothesis)
+        root_box = _build_boxes(
+            hypothesis, evaluated, attributes_of, input_attributes, boxes, edges
+        )
         # phi_out: the root equals the output table.  The output's group
         # attribute is symbolic (the example output carries no grouping
         # metadata), bounded exactly as ``abstract_attributes`` bounds it.
@@ -281,6 +261,39 @@ def prescreen_infeasible(
     except Infeasible:
         return True
     return False
+
+
+def _build_boxes(
+    node,
+    evaluated: Dict[int, object],
+    attributes_of: Callable[[object], Tuple[int, ...]],
+    input_attributes: Sequence[Tuple[int, ...]],
+    boxes: Dict[int, Box],
+    edges: List[Tuple[Box, List[Box], TransferFunction]],
+) -> Box:
+    """The box of *node*, registering its subtree's boxes and edges."""
+    if node.node_id in evaluated:
+        box = point_box(attributes_of(evaluated[node.node_id]))
+    elif getattr(node, "component", None) is None:
+        # A table hole: phi_in binds it to one input (or any of them).
+        if node.binding is not None:
+            box = point_box(input_attributes[node.binding])
+        else:
+            box = hull_box(input_attributes)
+    else:
+        box = top_box()
+        boxes[node.node_id] = box
+        child_boxes: List[Box] = []
+        transfer = node.component.transfer
+        if transfer is not None:
+            edges.append((box, child_boxes, transfer))
+        for child in node.table_children:
+            child_boxes.append(
+                _build_boxes(child, evaluated, attributes_of, input_attributes, boxes, edges)
+            )
+        return box
+    boxes[node.node_id] = box
+    return box
 
 
 def ground_check(

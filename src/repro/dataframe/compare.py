@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import List, Optional, Set
 
 from .cells import value_sort_key, values_equal
 from .profiling import execution_stats
@@ -132,25 +133,32 @@ def align_columns(actual: Table, expected: Table):
         candidates.append(matching)
 
     assignment = [None] * expected_count
-    used = set()
-
-    def backtrack(position: int) -> bool:
-        if position == expected_count:
-            aligned = actual.select_columns([actual.columns[i] for i in assignment])
-            return _multiset_tables_equal(aligned, expected)
-        for actual_index in candidates[position]:
-            if actual_index in used:
-                continue
-            used.add(actual_index)
-            assignment[position] = actual_index
-            if backtrack(position + 1):
-                return True
-            used.discard(actual_index)
-        return False
-
-    if backtrack(0):
+    if _backtrack_alignment(0, candidates, assignment, set(), actual, expected):
         return [actual.columns[i] for i in assignment]
     return None
+
+
+def _backtrack_alignment(
+    position: int,
+    candidates: List[List[int]],
+    assignment: List[Optional[int]],
+    used: Set[int],
+    actual: Table,
+    expected: Table,
+) -> bool:
+    """Extend *assignment* from *position* on to a bijection that matches."""
+    if position == len(candidates):
+        aligned = actual.select_columns([actual.columns[i] for i in assignment])
+        return _multiset_tables_equal(aligned, expected)
+    for actual_index in candidates[position]:
+        if actual_index in used:
+            continue
+        used.add(actual_index)
+        assignment[position] = actual_index
+        if _backtrack_alignment(position + 1, candidates, assignment, used, actual, expected):
+            return True
+        used.discard(actual_index)
+    return False
 
 
 def tables_match_for_synthesis(actual: Table, expected: Table) -> bool:

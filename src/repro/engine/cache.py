@@ -87,8 +87,9 @@ class ExecutionCache:
     (and one result object, which in turn shares its memoised fingerprints
     and comparison digests downstream).
 
-    Failed executions are cached too: the stored value is the
-    ``EvaluationFailure`` to re-raise.
+    Failed executions are cached too: the stored value is a
+    traceback-free ``EvaluationFailure`` whose message every hit re-raises
+    as a fresh exception.
 
     With a knowledge-base view attached (warm start,
     :mod:`repro.engine.kb`), a local miss falls through to the disk tier

@@ -408,22 +408,28 @@ def _complete_model(problem: _Problem, assignment: Dict[str, Fraction]) -> Dict[
         else:
             model[name] = problem.upper[name]
 
-    def value_of(name: str, in_progress: frozenset) -> Number:
-        if name in model:
-            return model[name]
-        if name in problem.substitution and name not in in_progress:
-            coeffs, const = problem.substitution[name]
-            total = const
-            for other, coeff in coeffs.items():
-                total += coeff * value_of(other, in_progress | {name})
-            model[name] = total
-            return total
-        model[name] = 0
-        return 0
-
     for name in list(problem.substitution):
-        value_of(name, frozenset())
+        _substituted_value(name, frozenset(), problem.substitution, model)
 
     # Fractional values only arise from an approximate (depth-limited)
     # witness; they round down.
     return {name: math.floor(value) for name, value in model.items()}
+
+
+def _substituted_value(
+    name: str, in_progress: frozenset, substitution, model: Dict[str, Number]
+) -> Number:
+    """The value of *name* in *model*, resolving eliminated variables on demand."""
+    if name in model:
+        return model[name]
+    if name in substitution and name not in in_progress:
+        coeffs, const = substitution[name]
+        total = const
+        for other, coeff in coeffs.items():
+            total += coeff * _substituted_value(
+                other, in_progress | {name}, substitution, model
+            )
+        model[name] = total
+        return total
+    model[name] = 0
+    return 0

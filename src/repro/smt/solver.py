@@ -656,44 +656,48 @@ def _as_clausal_conjunction(formula: Formula):
     """
     atoms: List[Atom] = []
     clauses: List[List[List[Atom]]] = []
-
-    def clause_branches(node: Formula) -> Optional[List[List[Atom]]]:
-        """Each branch of a disjunction as a conjunction of atoms."""
-        branches: List[List[Atom]] = []
-        for operand in node.operands:
-            if isinstance(operand, Atom):
-                branches.append([operand])
-            elif isinstance(operand, And):
-                flat = _as_conjunction_of_atoms(operand)
-                if flat is None:
-                    return None
-                branches.append(flat)
-            elif isinstance(operand, BoolVal):
-                if operand.value:
-                    branches.append([])
-            else:
-                return None
-        return branches
-
-    def walk(node: Formula) -> bool:
-        if isinstance(node, Atom):
-            atoms.append(node)
-            return True
-        if isinstance(node, BoolVal):
-            return node.value
-        if isinstance(node, And):
-            return all(walk(operand) for operand in node.operands)
-        if isinstance(node, Or):
-            branches = clause_branches(node)
-            if branches is None:
-                return False
-            clauses.append(branches)
-            return True
-        return False
-
-    if walk(formula) and len(clauses) <= MAX_CASE_SPLIT_CLAUSES:
+    if _collect_clausal(formula, atoms, clauses) and len(clauses) <= MAX_CASE_SPLIT_CLAUSES:
         return atoms, clauses
     return None
+
+
+def _collect_clausal(
+    node: Formula, atoms: List[Atom], clauses: List[List[List[Atom]]]
+) -> bool:
+    """Add *node*'s atoms and clauses; ``False`` if it is not clausal."""
+    if isinstance(node, Atom):
+        atoms.append(node)
+        return True
+    if isinstance(node, BoolVal):
+        return node.value
+    if isinstance(node, And):
+        return all(_collect_clausal(operand, atoms, clauses) for operand in node.operands)
+    if isinstance(node, Or):
+        branches = _clause_branches(node)
+        if branches is None:
+            return False
+        clauses.append(branches)
+        return True
+    return False
+
+
+def _clause_branches(node: Or) -> Optional[List[List[Atom]]]:
+    """Each branch of a disjunction as a conjunction of atoms."""
+    branches: List[List[Atom]] = []
+    for operand in node.operands:
+        if isinstance(operand, Atom):
+            branches.append([operand])
+        elif isinstance(operand, And):
+            flat = _as_conjunction_of_atoms(operand)
+            if flat is None:
+                return None
+            branches.append(flat)
+        elif isinstance(operand, BoolVal):
+            if operand.value:
+                branches.append([])
+        else:
+            return None
+    return branches
 
 
 def _check_clausal(atoms: List[Atom], clauses, exact: bool = True) -> Optional[TheoryResult]:
@@ -712,20 +716,21 @@ def _check_clausal(atoms: List[Atom], clauses, exact: bool = True) -> Optional[T
 def _as_conjunction_of_atoms(formula: Formula) -> Optional[List[Atom]]:
     """Flatten *formula* into a list of atoms, or ``None`` if it has boolean structure."""
     atoms: List[Atom] = []
-
-    def walk(node: Formula) -> bool:
-        if isinstance(node, Atom):
-            atoms.append(node)
-            return True
-        if isinstance(node, BoolVal):
-            return node.value
-        if isinstance(node, And):
-            return all(walk(operand) for operand in node.operands)
-        return False
-
-    if walk(formula):
+    if _collect_atoms(formula, atoms):
         return atoms
     return None
+
+
+def _collect_atoms(node: Formula, atoms: List[Atom]) -> bool:
+    """Add *node*'s atoms; ``False`` if it has boolean structure."""
+    if isinstance(node, Atom):
+        atoms.append(node)
+        return True
+    if isinstance(node, BoolVal):
+        return node.value
+    if isinstance(node, And):
+        return all(_collect_atoms(operand, atoms) for operand in node.operands)
+    return False
 
 
 def is_satisfiable(formulas: Iterable[Formula]) -> bool:

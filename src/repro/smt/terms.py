@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Number = Union[int, Fraction]
 
@@ -340,33 +340,22 @@ def disjoin(formulas: Iterable[Formula]) -> Formula:
 def formula_variables(formula: Formula) -> Tuple[str, ...]:
     """All integer variables occurring in *formula*."""
     seen = set()
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Atom):
-            seen.update(node.variables())
-        elif isinstance(node, Not):
-            walk(node.operand)
-        elif isinstance(node, (And, Or)):
-            for operand in node.operands:
-                walk(operand)
-
-    walk(formula)
+    for atom in _iter_atoms(formula):
+        seen.update(atom.variables())
     return tuple(sorted(seen))
 
 
 def formula_atoms(formula: Formula) -> Tuple[Atom, ...]:
     """All distinct atoms occurring in *formula* (in first-appearance order)."""
-    atoms = []
+    return tuple(dict.fromkeys(_iter_atoms(formula)))
 
-    def walk(node: Formula) -> None:
-        if isinstance(node, Atom):
-            if node not in atoms:
-                atoms.append(node)
-        elif isinstance(node, Not):
-            walk(node.operand)
-        elif isinstance(node, (And, Or)):
-            for operand in node.operands:
-                walk(operand)
 
-    walk(formula)
-    return tuple(atoms)
+def _iter_atoms(node: Formula) -> Iterator[Atom]:
+    """Every atom occurrence in *node*, left to right (with repeats)."""
+    if isinstance(node, Atom):
+        yield node
+    elif isinstance(node, Not):
+        yield from _iter_atoms(node.operand)
+    elif isinstance(node, (And, Or)):
+        for operand in node.operands:
+            yield from _iter_atoms(operand)

@@ -133,7 +133,12 @@ class TestFormulas:
     def test_formula_variables_and_atoms(self):
         formula = And(Int("a") <= 0, Or(Int("b").equals(1), Not(Int("a") <= 0)))
         assert formula_variables(formula) == ("a", "b")
-        assert len(formula_atoms(formula)) == 2
+        assert formula_atoms(formula) == (Int("a") <= 0, Int("b").equals(1))
+
+    def test_formula_atoms_keep_first_appearance_order(self):
+        a, b, c = Int("a") <= 0, Int("b") <= 1, Int("c").equals(2)
+        formula = Or(And(c, a), Not(c), And(b, Or(a, b)))
+        assert formula_atoms(formula) == (c, a, b)
 
     def test_boolval_repr(self):
         assert repr(BoolVal(True)) == "true"
