@@ -479,6 +479,9 @@ class SynthesisSession:
                 self._kernel.run(deadline=deadline, max_steps=max_steps)
             self._drain()
             self._update_status()
+        if self.finished and self.context.kb is not None:
+            # The search's facts reach disk when it finishes (write-behind).
+            self.context.kb.flush()
         return self.finished
 
     def _update_status(self) -> None:

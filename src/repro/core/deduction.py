@@ -775,11 +775,13 @@ class DeductionEngine:
 
     # ------------------------------------------------------------------
     def export_kb_facts(self) -> None:
-        """Flush the run's mined lemmas to the KB.
+        """Flush the run's mined lemmas and pending facts to the KB.
 
         Called once when a search finalizes.  Executions and attribute
-        vectors stream out as they are computed; lemmas are a task-scoped
-        blob, exported at the end so one merged write covers the run.
+        vectors stream into the KB's write-behind as they are computed;
+        lemmas are a task-scoped blob, exported at the end so one merged
+        write covers the run.  The flush then commits all of them, so the
+        facts reach disk even if the KB is never closed.
         """
         if self.kb_view is None:
             return
@@ -787,6 +789,7 @@ class DeductionEngine:
             self.kb_view.put_lemmas(
                 self._kb_task_key, self.lemma_store.export_entries()
             )
+        self.kb_view.kb.flush()
 
     # ------------------------------------------------------------------
     def batch_evaluate_fills(

@@ -577,7 +577,7 @@ class SearchKernel:
         }
 
     def export_kb_facts(self) -> None:
-        """Flush this search's task-scoped facts to the knowledge base.
+        """Export this search's task-scoped facts and flush the knowledge base.
 
         A no-op without an attached KB view.  Called by the facade when a
         search finalizes; safe to call more than once (exports merge).

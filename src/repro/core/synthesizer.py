@@ -361,8 +361,8 @@ class Morpheus:
         stats.execution = (
             execution_stats().snapshot().since(kernel.execution_baseline)
         )
-        # Warm-start tier: flush the run's mined lemmas to the attached
-        # knowledge base, if any.
+        # Warm-start tier: export the run's mined lemmas to the attached
+        # knowledge base, if any, and commit its pending facts to disk.
         kernel.export_kb_facts()
         program = kernel.solutions[0] if kernel.solutions else None
         return SynthesisResult(

@@ -49,11 +49,16 @@ Safety tiers
   tracer (``perfbench/tracer.py``) wraps its accessors by name.
 
 Concurrency: one :class:`KnowledgeBase` may be shared by many
-:class:`~repro.engine.context.TaskContext`\\ s (threads) -- all sqlite access
-is serialised on an internal lock -- and many *processes* may open the same
-file (WAL journaling + a busy timeout).  The KB only ever affects how much
-work a search performs, never its outcome, so ``--jobs N`` determinism is
-preserved no matter how entries race in.
+:class:`~repro.engine.context.TaskContext`\\ s (threads) -- its in-process
+tier, pending writes and sqlite connection are guarded by one internal
+lock, and tier hits hand every context the same immutable table or
+never-raised failure -- and many *processes* may open the same file (WAL
+journaling + a busy timeout).  Writes are behind: a process's facts reach
+the file when a batch fills, when a search finishes, and on ``close()`` or
+``len()``, so ``--jobs N`` workers and a second process see them without
+any handle being closed.  The KB only ever affects how much work a search
+performs, never its outcome, so ``--jobs N`` determinism is preserved no
+matter how entries race in.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ import json
 import sqlite3
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Optional, Tuple
@@ -71,11 +77,15 @@ from ..dataframe.profiling import ExecutionStats, install_execution_stats
 from ..dataframe.table import Table
 
 #: Bumping this invalidates every existing KB file's entries (the digest
-#: prefix changes), e.g. when the serialisation format evolves.
-SCHEMA_VERSION = 1
+#: prefix changes), e.g. when the serialisation format or the key encoding
+#: evolves.
+SCHEMA_VERSION = 2
 
 #: Default size cap (rows) before LRU-by-last-used eviction kicks in.
 DEFAULT_MAX_ENTRIES = 200_000
+
+#: Pending puts and hit stamps that trigger a flush (one transaction).
+FLUSH_BATCH = 1024
 
 #: Upper bounds on the per-task lemma / ``oe`` blobs (entries, not bytes).
 MAX_LEMMAS_PER_TASK = 512
@@ -113,45 +123,16 @@ class KBStats:
 # ----------------------------------------------------------------------
 # Canonical token hashing (the key side of every fact)
 # ----------------------------------------------------------------------
-def _feed(hasher, token) -> None:
-    """Feed one key token into *hasher* with an unambiguous type tag."""
-    if token is None:
-        hasher.update(b"\x00N")
-    elif isinstance(token, bytes):
-        hasher.update(b"\x00B" + len(token).to_bytes(4, "big"))
-        hasher.update(token)
-    elif isinstance(token, str):
-        data = token.encode("utf-8")
-        hasher.update(b"\x00S" + len(data).to_bytes(4, "big"))
-        hasher.update(data)
-    elif isinstance(token, bool):
-        hasher.update(b"\x00b" + (b"1" if token else b"0"))
-    elif isinstance(token, int):
-        data = str(token).encode("ascii")
-        hasher.update(b"\x00I" + len(data).to_bytes(4, "big"))
-        hasher.update(data)
-    elif isinstance(token, float):
-        data = repr(token).encode("ascii")
-        hasher.update(b"\x00F" + len(data).to_bytes(4, "big"))
-        hasher.update(data)
-    elif isinstance(token, (tuple, list)):
-        hasher.update(b"\x00T" + len(token).to_bytes(4, "big"))
-        for item in token:
-            _feed(hasher, item)
-        hasher.update(b"\x00t")
-    else:
-        # Value arguments (frozen dataclasses) and enums: stable repr.
-        data = repr(token).encode("utf-8")
-        hasher.update(b"\x00R" + len(data).to_bytes(4, "big"))
-        hasher.update(data)
-
-
 def digest_tokens(*tokens) -> bytes:
-    """A 16-byte BLAKE2b digest over canonically encoded *tokens*."""
-    hasher = blake2b(digest_size=16)
-    for token in tokens:
-        _feed(hasher, token)
-    return hasher.digest()
+    """A 16-byte BLAKE2b digest over the ``repr`` of *tokens*.
+
+    Key tokens are ``None``, bools, ints, floats, strings, bytes, tuples of
+    those, and frozen value dataclasses: all have a deterministic ``repr``
+    that tells the types apart (``1`` / ``1.0`` / ``True`` / ``'1'`` /
+    ``b'1'``) and does not depend on the hash seed, so the digest is the
+    same in every process.
+    """
+    return blake2b(repr(tokens).encode("utf-8"), digest_size=16).digest()
 
 
 # ----------------------------------------------------------------------
@@ -159,19 +140,17 @@ def digest_tokens(*tokens) -> bytes:
 # ----------------------------------------------------------------------
 def _serialize_result(result) -> bytes:
     """Encode an execution result (table or ``EvaluationFailure``) as JSON."""
-    from ..core.hypothesis import EvaluationFailure
-
-    if isinstance(result, EvaluationFailure):
-        payload = {"f": str(result)}
-    else:
+    if isinstance(result, Table):
         payload = {
             "t": {
-                "columns": list(result.columns),
+                "columns": result.columns,
                 "col_types": [col_type.value for col_type in result.col_types],
-                "rows": [list(row) for row in result.rows],
-                "group_cols": list(result.group_cols),
+                "rows": result.rows,
+                "group_cols": result.group_cols,
             }
         }
+    else:
+        payload = {"f": str(result)}
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
@@ -205,9 +184,39 @@ def _deserialize_result(blob: bytes):
     return table
 
 
+def _encode_json(value) -> bytes:
+    return json.dumps(value).encode("utf-8")
+
+
+def _decode_attributes(blob: bytes) -> Tuple[int, int, int, int, int]:
+    vector = json.loads(blob.decode("utf-8"))
+    if not (isinstance(vector, list) and len(vector) == 5):
+        raise ValueError("not an attribute vector")
+    return tuple(int(item) for item in vector)
+
+
+def _decode_json_list(blob: bytes) -> list:
+    payload = json.loads(blob.decode("utf-8"))
+    if not isinstance(payload, list):
+        raise ValueError("not a JSON list")
+    return payload
+
+
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
+_INSERT = (
+    "INSERT OR IGNORE INTO facts (scope, key, value, last_used) VALUES (?, ?, ?, ?)"
+)
+_UPDATE = "UPDATE facts SET value = ?, last_used = ? WHERE scope = ? AND key = ?"
+_TOUCH = "UPDATE facts SET last_used = ? WHERE scope = ? AND key = ?"
+_EVICT = (
+    "DELETE FROM facts WHERE rowid IN ("
+    " SELECT rowid FROM facts ORDER BY last_used ASC LIMIT ?)"
+    " RETURNING scope, key"
+)
+
+
 class KnowledgeBase:
     """A sqlite-backed, LRU-evicted store of cross-run synthesis facts.
 
@@ -216,6 +225,14 @@ class KnowledgeBase:
     table; overflow evicts the least-recently-used rows.  All access is
     thread-safe (one internal lock); the file itself may be shared across
     processes (WAL + busy timeout).
+
+    In front of sqlite sits an in-process tier: ``(scope, key)`` -> the
+    *decoded* fact (a table, a failure, an attribute tuple), LRU-bounded by
+    ``max_entries`` too.  A repeat probe returns the shared object with no
+    SQL and no decoding.  Writes are behind: puts and hit stamps wait in a
+    pending map and reach disk in one transaction per :meth:`flush`, which
+    runs when :data:`FLUSH_BATCH` facts are pending, when a search finishes,
+    and on :meth:`close` and ``len()``.
 
     *version_salt* is mixed into every key digest -- tests use it to
     simulate a library/version bump without rebuilding component objects.
@@ -238,6 +255,12 @@ class KnowledgeBase:
         self.reuse_lemmas = reuse_lemmas
         self.stats = KBStats()
         self._lock = threading.Lock()
+        #: (scope, key) -> decoded fact, least recently used first.
+        self._tier: "OrderedDict[tuple, object]" = OrderedDict()
+        #: Write-behind: blobs not yet on disk, and the ``last_used`` stamp
+        #: of every fact put or hit since the last flush.
+        self._blobs: dict = {}
+        self._stamps: dict = {}
         self._conn = sqlite3.connect(
             path, check_same_thread=False, isolation_level=None, timeout=30.0
         )
@@ -255,73 +278,159 @@ class KnowledgeBase:
             self._conn.execute(
                 "CREATE INDEX IF NOT EXISTS facts_lru ON facts (last_used)"
             )
-            self._count = self._conn.execute(
-                "SELECT COUNT(*) FROM facts"
-            ).fetchone()[0]
+            self._count = self._row_count()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
+        """Rows in the file, after flushing this handle's pending facts."""
         with self._lock:
+            self._flush()
+            self._count = self._row_count()
             return self._count
 
-    def close(self) -> None:
-        """Close the underlying connection (the object is dead afterwards)."""
+    def flush(self) -> None:
+        """Commit every pending fact and ``last_used`` stamp to disk."""
         with self._lock:
+            self._flush()
+
+    def close(self) -> None:
+        """Flush and close the connection (the object is dead afterwards)."""
+        with self._lock:
+            self._flush()
             self._conn.close()
 
-    # ------------------------------------------------------------------
+    # -- the bytes API ---------------------------------------------------
     def get(self, scope: str, key: bytes) -> Optional[bytes]:
         """The stored blob for ``(scope, key)``, refreshing its LRU stamp."""
+        slot = (scope, key)
         with self._lock:
-            row = self._conn.execute(
-                "SELECT value FROM facts WHERE scope = ? AND key = ?", (scope, key)
-            ).fetchone()
-            if row is None:
-                self.stats.misses += 1
-                return None
-            self._conn.execute(
-                "UPDATE facts SET last_used = ? WHERE scope = ? AND key = ?",
-                (time.time(), scope, key),
-            )
-            self.stats.hits += 1
-            return row[0]
+            blob = self._read(slot)
+            self._probed(slot, blob is not None)
+            return blob
 
     def put(self, scope: str, key: bytes, value: bytes) -> None:
-        """Insert or refresh a fact, evicting LRU rows past ``max_entries``."""
+        """Insert or replace a fact's blob (its decoded entry is dropped)."""
+        slot = (scope, key)
         with self._lock:
-            now = time.time()
-            updated = self._conn.execute(
-                "UPDATE facts SET value = ?, last_used = ?"
-                " WHERE scope = ? AND key = ?",
-                (value, now, scope, key),
-            ).rowcount
-            if not updated:
-                # ON CONFLICT covers the cross-process race between the
-                # update miss above and this insert.
-                self._conn.execute(
-                    "INSERT INTO facts (scope, key, value, last_used)"
-                    " VALUES (?, ?, ?, ?)"
-                    " ON CONFLICT (scope, key) DO UPDATE"
-                    " SET value = excluded.value, last_used = excluded.last_used",
-                    (scope, key, value, now),
+            self._tier.pop(slot, None)
+            self._write(slot, value)
+
+    # -- the decoded API -------------------------------------------------
+    def lookup(self, scope: str, key: bytes, decode, probe: bool = True):
+        """The decoded fact for ``(scope, key)``, or ``None``.
+
+        A row *decode* rejects (``ValueError``, ``KeyError``, ``TypeError``:
+        a corrupt or legacy blob) is a miss; the write-back after the fact
+        is recomputed replaces it.  ``probe=False`` reads without counting
+        a hit or miss and without refreshing the stamp.
+        """
+        slot = (scope, key)
+        with self._lock:
+            value = self._tier.get(slot)
+            if value is not None:
+                self._tier.move_to_end(slot)
+            else:
+                blob = self._read(slot)
+                if blob is not None:
+                    try:
+                        value = decode(blob)
+                    except (ValueError, KeyError, TypeError):
+                        value = None
+                    else:
+                        self._remember(slot, value)
+            if probe:
+                self._probed(slot, value is not None)
+            return value
+
+    def store(self, scope: str, key: bytes, value, encode) -> None:
+        """Record a decoded fact; ``encode(value)`` is the blob written."""
+        blob = encode(value)
+        slot = (scope, key)
+        with self._lock:
+            self._remember(slot, value)
+            self._write(slot, blob)
+
+    # -- internals (the lock is held) ----------------------------------
+    def _row_count(self) -> int:
+        return self._conn.execute("SELECT COUNT(*) FROM facts").fetchone()[0]
+
+    def _read(self, slot: tuple) -> Optional[bytes]:
+        blob = self._blobs.get(slot)
+        if blob is None:
+            row = self._conn.execute(
+                "SELECT value FROM facts WHERE scope = ? AND key = ?", slot
+            ).fetchone()
+            if row is not None:
+                blob = row[0]
+        return blob
+
+    def _remember(self, slot: tuple, value) -> None:
+        tier = self._tier
+        tier[slot] = value
+        tier.move_to_end(slot)
+        if len(tier) > self.max_entries:
+            tier.popitem(last=False)
+
+    def _probed(self, slot: tuple, hit: bool) -> None:
+        if hit:
+            self.stats.hits += 1
+            self._stamp(slot)
+        else:
+            self.stats.misses += 1
+
+    def _write(self, slot: tuple, blob: bytes) -> None:
+        self._blobs[slot] = blob
+        self.stats.stores += 1
+        self._stamp(slot)
+
+    def _stamp(self, slot: tuple) -> None:
+        self._stamps[slot] = time.time()
+        if len(self._stamps) >= FLUSH_BATCH:
+            self._flush()
+
+    def _flush(self) -> None:
+        """One transaction: insert or update pending blobs, touch stamps, evict.
+
+        Costs O(pending): new rows are counted by the ``INSERT OR IGNORE``
+        itself, so the file is never re-counted here.  Rows other processes
+        add are counted when the KB is opened and on ``len()``.
+        """
+        if not self._stamps:
+            return
+        stamps = self._stamps
+        writes = [
+            (scope, key, blob, stamps[scope, key])
+            for (scope, key), blob in self._blobs.items()
+        ]
+        touches = [
+            (stamp, scope, key)
+            for (scope, key), stamp in stamps.items()
+            if (scope, key) not in self._blobs
+        ]
+        conn = self._conn
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            inserted = conn.executemany(_INSERT, writes).rowcount if writes else 0
+            if inserted < len(writes):
+                # Some slots already had rows: overwrite them (re-writing the
+                # rows just inserted is harmless and rare).
+                conn.executemany(
+                    _UPDATE, [(blob, stamp, scope, key) for scope, key, blob, stamp in writes]
                 )
-                self._count += 1
-            self.stats.stores += 1
-            if self._count > self.max_entries:
-                # Writers in other processes make the tracked count an
-                # undercount; the true size is re-read before evicting.
-                self._count = self._conn.execute(
-                    "SELECT COUNT(*) FROM facts"
-                ).fetchone()[0]
-                excess = self._count - self.max_entries
-                if excess > 0:
-                    self._conn.execute(
-                        "DELETE FROM facts WHERE rowid IN ("
-                        " SELECT rowid FROM facts ORDER BY last_used ASC LIMIT ?)",
-                        (excess,),
-                    )
-                    self.stats.evictions += excess
-                    self._count -= excess
+            if touches:
+                conn.executemany(_TOUCH, touches)
+            excess = self._count + inserted - self.max_entries
+            evicted = conn.execute(_EVICT, (excess,)).fetchall() if excess > 0 else []
+            conn.execute("COMMIT")
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        self._blobs = {}
+        self._stamps = {}
+        self._count += inserted - len(evicted)
+        self.stats.evictions += len(evicted)
+        for scope, key in evicted:
+            self._tier.pop((scope, key), None)
 
     # ------------------------------------------------------------------
     def view(self, library_hash: bytes) -> "KBView":
@@ -353,45 +462,31 @@ class KBView:
     # -- execution facts ----------------------------------------------
     def get_execution(self, key: tuple):
         """The persisted result for one execution-cache key, or ``None``."""
-        blob = self.kb.get("exec", self._digest(*key))
-        if blob is None:
-            return None
-        try:
-            return _deserialize_result(blob)
-        except (ValueError, KeyError, TypeError):
-            # A corrupt/legacy row behaves like a miss (and will be
-            # overwritten by the write-back after re-execution).
-            return None
+        return self.kb.lookup("exec", self._digest(*key), _deserialize_result)
 
     def put_execution(self, key: tuple, result) -> None:
         """Persist one execution result (table or failure)."""
-        self.kb.put("exec", self._digest(*key), _serialize_result(result))
+        self.kb.store("exec", self._digest(*key), result, _serialize_result)
 
     # -- attribute vectors --------------------------------------------
     def get_attributes(
         self, fingerprint: bytes, level, baseline_digest: bytes
     ) -> Optional[Tuple[int, int, int, int, int]]:
         """A persisted ``(row, col, group, newCols, newVals)`` vector."""
-        blob = self.kb.get(
-            "attr", self._digest(fingerprint, level.value, baseline_digest)
+        return self.kb.lookup(
+            "attr",
+            self._digest(fingerprint, level.value, baseline_digest),
+            _decode_attributes,
         )
-        if blob is None:
-            return None
-        try:
-            vector = json.loads(blob.decode("utf-8"))
-            if isinstance(vector, list) and len(vector) == 5:
-                return tuple(int(item) for item in vector)
-        except (ValueError, TypeError):
-            pass
-        return None
 
     def put_attributes(
         self, fingerprint: bytes, level, baseline_digest: bytes, attributes
     ) -> None:
-        self.kb.put(
+        self.kb.store(
             "attr",
             self._digest(fingerprint, level.value, baseline_digest),
-            json.dumps(list(attributes)).encode("utf-8"),
+            tuple(attributes),
+            _encode_json,
         )
 
     # -- per-task fact blobs (lemmas, the unused ``oe`` scope) ---------
@@ -422,19 +517,13 @@ class KBView:
 
     # ------------------------------------------------------------------
     def _get_json_list(self, scope: str, key: bytes) -> list:
-        blob = self.kb.get(scope, key)
-        if blob is None:
-            return []
-        try:
-            payload = json.loads(blob.decode("utf-8"))
-            return payload if isinstance(payload, list) else []
-        except ValueError:
-            return []
+        return list(self.kb.lookup(scope, key, _decode_json_list) or ())
 
     def _merge_json_list(self, scope: str, key: bytes, entries: list, cap: int) -> None:
         if not entries:
             return
-        existing = self._get_json_list(scope, key)
+        # The read-modify-write is not a search probe: no hit/miss counted.
+        existing = self.kb.lookup(scope, key, _decode_json_list, probe=False) or []
         seen = {json.dumps(entry, sort_keys=True) for entry in existing}
         merged = list(existing)
         for entry in entries:
@@ -442,7 +531,7 @@ class KBView:
             if marker not in seen:
                 seen.add(marker)
                 merged.append(entry)
-        self.kb.put(scope, key, json.dumps(merged[:cap]).encode("utf-8"))
+        self.kb.store(scope, key, merged[:cap], _encode_json)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,9 @@ from repro.core.hypothesis import (
     unfilled_value_holes,
 )
 from repro.dataframe import Table
+from repro.engine import kb as kb_module
 from repro.engine.cache import ExecutionCache
+from repro.engine.kb import KnowledgeBase
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 COMPONENTS = {component.name: component for component in standard_library()}
@@ -83,6 +85,41 @@ def test_search_creates_no_cyclic_garbage():
         gc.set_debug(0)
         gc.enable()
     assert found == 0, f"the search left {found} objects in reference cycles:\n{report}"
+
+
+def test_shared_kb_tier_creates_no_cyclic_garbage(tmp_path, monkeypatch):
+    benchmark = r_benchmark_suite().get("c3_exam_gather_unite_spread")
+    request = SynthesisRequest.from_tables(
+        benchmark.inputs, benchmark.output, top_k=1, timeout=60
+    )
+    kb = KnowledgeBase(str(tmp_path / "kb.sqlite"))
+    decoded = []
+    deserialize = kb_module._deserialize_result
+    monkeypatch.setattr(
+        kb_module, "_deserialize_result", lambda blob: decoded.append(blob) or deserialize(blob)
+    )
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        first = create_session(request, kb=kb).solve()
+        hits_before = kb.stats.hits
+        second = create_session(request, kb=kb).solve()
+        found = gc.collect()
+        report = _describe(gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(0)
+        gc.enable()
+    # The second session is answered from the in-process tier: hits, but
+    # no row was decoded.
+    assert first.solved and second.solved
+    assert kb.stats.hits > hits_before and decoded == []
+    assert found == 0, f"the KB-attached search left {found} objects in cycles:\n{report}"
+    failures = [value for value in kb._tier.values() if isinstance(value, EvaluationFailure)]
+    assert failures
+    assert all(failure.__traceback__ is None for failure in failures)
+    kb.close()
 
 
 def _self_recursive_closures(path: Path):

@@ -15,8 +15,10 @@ from repro.core.lemmas import LemmaStore, decode_descriptor, encode_descriptor
 from repro.dataframe import Table
 from repro.dataframe.profiling import ExecutionStats, install_execution_stats
 from repro.engine import TaskContext
+from repro.engine import kb as kb_module
 from repro.engine.kb import (
     KnowledgeBase,
+    _serialize_result,
     baseline_digest,
     current_kb,
     digest_tokens,
@@ -179,6 +181,11 @@ class TestKBViewKeying:
         view.put_execution(("k",), Table(["a"], [(1,)]))
         kb.put("exec", view._digest("k"), b"not json")
         assert view.get_execution(("k",)) is None
+        assert kb.stats.hits == 0 and kb.stats.misses == 1
+        base = digest_tokens("baseline")
+        kb.put("attr", view._digest(b"fp", SpecLevel.SPEC2.value, base), b"[1, 2]")
+        assert view.get_attributes(b"fp", SpecLevel.SPEC2, base) is None
+        assert kb.stats.hits == 0 and kb.stats.misses == 2
         kb.close()
 
     def test_attribute_vector_roundtrip(self, tmp_path):
@@ -215,8 +222,58 @@ class TestKBViewKeying:
         second = [[["spec", [0], "select"]], [["bind", [1], 0]]]
         view.put_lemmas(key, first)
         view.put_lemmas(key, second)
+        # The merge's read of the stored set is not a search probe.
+        assert kb.stats.lookups == 0
         merged = view.get_lemmas(key)
         assert len(merged) == 2
+        assert kb.stats.hits == 1 and kb.stats.misses == 0
+        kb.close()
+
+
+class TestInProcessTier:
+    def test_repeat_lookup_returns_the_shared_object(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "kb.sqlite")
+        writer = KnowledgeBase(path)
+        writer.view(b"lib").put_execution(("k",), Table(["a"], [(1,), (2,)]))
+        writer.close()
+        kb = KnowledgeBase(path)
+        view = kb.view(b"lib")
+        first = view.get_execution(("k",))
+        assert first.rows == ((1,), (2,))
+        decoded = []
+        monkeypatch.setattr(kb_module, "_deserialize_result", decoded.append)
+        assert view.get_execution(("k",)) is first
+        assert decoded == []
+        assert kb.stats.hits == 2
+        kb.close()
+
+    def test_raw_put_replaces_the_decoded_value(self, tmp_path):
+        kb = KnowledgeBase(str(tmp_path / "kb.sqlite"))
+        view = kb.view(b"lib")
+        view.put_execution(("k",), Table(["a"], [(1,)]))
+        assert view.get_execution(("k",)).rows == ((1,),)
+        kb.put("exec", view._digest("k"), _serialize_result(Table(["b"], [(2,)])))
+        replaced = view.get_execution(("k",))
+        assert replaced.columns == ("b",) and replaced.rows == ((2,),)
+        kb.close()
+
+    def test_disk_eviction_drops_the_tier_entry(self, tmp_path):
+        kb = KnowledgeBase(str(tmp_path / "kb.sqlite"), max_entries=2)
+        view = kb.view(b"lib")
+        for key in ("k1", "k2"):
+            view.put_execution((key,), Table(["a"], [(key,)]))
+            time.sleep(0.002)
+        # A raw read refreshes k1's stamp without reordering the tier, so
+        # the disk's least recently used row (k2) is one the tier still holds.
+        assert kb.get("exec", view._digest("k1")) is not None
+        time.sleep(0.002)
+        assert len(kb) == 2
+        view.put_execution(("k3",), Table(["a"], [("k3",)]))
+        assert len(kb) == 2
+        assert kb.stats.evictions == 1
+        assert view.get_execution(("k2",)) is None
+        assert view.get_execution(("k1",)).rows == (("k1",),)
+        assert view.get_execution(("k3",)).rows == (("k3",),)
         kb.close()
 
 
@@ -290,6 +347,30 @@ class TestConcurrentAccess:
         assert errors == []
         assert len(kb) == 201  # 100 per worker + the shared key
         kb.close()
+
+    def test_len_counts_facts_not_yet_flushed(self, tmp_path):
+        path = str(tmp_path / "kb.sqlite")
+        kb = KnowledgeBase(path)
+        other = KnowledgeBase(path)
+        kb.view(b"lib").put_execution(("k",), Table(["a"], [(1,)]))
+        assert len(other) == 0  # still pending in the first handle
+        assert len(kb) == 1
+        assert len(other) == 1
+        other.close()
+        kb.close()
+
+    def test_write_behind_reaches_a_second_handle(self, tmp_path):
+        # Two processes (or --jobs workers) on one file: the first handle is
+        # never closed, yet its facts are on disk once its searches finish.
+        path = str(tmp_path / "kb.sqlite")
+        suite = fast_suite()
+        first = KnowledgeBase(path)
+        run_with(first, suite)
+        second = KnowledgeBase(path)
+        run_with(second, suite)
+        assert second.stats.hits > 0
+        second.close()
+        first.close()
 
 
 class TestLemmaAndOETransport:
