@@ -15,6 +15,13 @@ explicit:
   LIFO discipline walks them depth-first, so the frontier pops in *exactly*
   the order the recursion explored -- which is what keeps the first
   synthesized program byte-identical to the recursive implementation.
+* :class:`Refinement` and :class:`RefinementTemplate` -- lazy refinement.
+  Most refinements are never expanded, so the heap holds a recipe (parent,
+  hole, component, first reserved node id) instead of the refined tree.
+  The fan-out derives each child's signature, size, component sequence and
+  priority from one walk of the parent and reserves exactly the node ids an
+  eager :func:`~repro.core.hypothesis.refine` would draw; the frontier
+  builds the tree only when it pops the entry or a snapshot encodes it.
 * :class:`SearchKernel` -- the anytime search engine: ``step()`` processes
   one frontier state (at most one deduction query or one candidate hole
   filling), ``run(deadline)`` steps until a deadline, a solution quota, or
@@ -41,10 +48,11 @@ start cold, so only timing and cache counters differ).
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..components.errors import PRUNABLE_ERRORS
 from ..dataframe.compare import tables_match_for_synthesis
@@ -57,6 +65,7 @@ from .completion import (
     CompletionTimeout,
     SketchCompleter,
 )
+from .component import Component
 from .cost import CostModel
 from .deduction import DeductionEngine
 from .hypothesis import (
@@ -71,7 +80,6 @@ from .hypothesis import (
     is_complete,
     render_program,
     sketches,
-    table_holes,
     refine,
 )
 from .oe import OEStore
@@ -125,26 +133,56 @@ class CompletionState:
 
 @dataclass
 class RefineState:
-    """The refinement fan-out of one expanded hypothesis (runs last)."""
+    """The refinement fan-out of one expanded hypothesis (runs last).
+
+    A deadline can interrupt the fan-out between two (hole, component)
+    pairs; the state then records where it stopped, so re-running it
+    continues there instead of reserving the earlier pairs' node ids again.
+    """
 
     hypothesis: Hypothesis
+    #: The next (hole index, component index) pair to refine.
+    position: Tuple[int, int] = (0, 0)
+    #: First node id reserved for the pair at ``position``; ``None`` until
+    #: a deadline interrupts the fan-out, which starts at the node counter.
+    next_id: Optional[int] = None
+
+
+class Refinement(NamedTuple):
+    """A heap entry's recipe for ``refine(parent, hole, component)``.
+
+    The child's node ids are ``first_id``, ``first_id + 1``, ...: the block
+    the fan-out reserved for this pair, drawn in ``refine``'s order.
+    """
+
+    parent: Hypothesis
+    hole: Hole
+    component: Component
+    first_id: int
+
+    def build(self) -> Hypothesis:
+        """The refined tree, identical to the one an eager fan-out built."""
+        return refine(
+            self.parent, self.hole, self.component, itertools.count(self.first_id).__next__
+        )
 
 
 class Frontier:
     """The explicit frontier of pending search states.
 
-    Two lanes: a cost-ordered heap of :class:`HypothesisState` (ordered by
-    the cost model's priority, ties broken by insertion order, exactly like
-    the worklist of Algorithm 1) and a LIFO continuation lane holding the
+    Two lanes: a cost-ordered heap of hypotheses (ordered by the cost
+    model's priority, ties broken by insertion order, exactly like the
+    worklist of Algorithm 1) and a LIFO continuation lane holding the
     sketch / completion / refinement states of the hypothesis currently
     being expanded.  ``pop()`` drains the continuation lane first, so one
     hypothesis is fully expanded before the next is ranked -- the recursion
-    order, made explicit.
+    order, made explicit.  A heap entry holds either a built tree or a
+    :class:`Refinement` recipe; ``pop()`` hands out a built tree either way.
     """
 
     def __init__(self, cost_model: CostModel) -> None:
         self._cost_model = cost_model
-        self._heap: List[Tuple[Tuple[float, int], int, Hypothesis]] = []
+        self._heap: List[Tuple[Tuple[float, int], int, Union[Hypothesis, Refinement]]] = []
         self._continuations: list = []
         #: Peak number of simultaneously pending states (both lanes).
         self.peak = 0
@@ -178,8 +216,15 @@ class Frontier:
         )
 
     def push_hypothesis(self, hypothesis: Hypothesis, tiebreak: int) -> None:
-        """Enqueue a hypothesis under the cost model's priority."""
+        """Enqueue a built hypothesis under the cost model's priority."""
         heapq.heappush(self._heap, (self.priority(hypothesis), tiebreak, hypothesis))
+        self._note_size()
+
+    def push_refinement(
+        self, priority: Tuple[float, int], tiebreak: int, refinement: Refinement
+    ) -> None:
+        """Enqueue a refinement recipe under its precomputed priority."""
+        heapq.heappush(self._heap, (priority, tiebreak, refinement))
         self._note_size()
 
     def push_continuation(self, state) -> None:
@@ -191,8 +236,8 @@ class Frontier:
         """Pop the next state: continuations first (LIFO), then best hypothesis."""
         if self._continuations:
             return self._continuations.pop()
-        _, tiebreak, hypothesis = heapq.heappop(self._heap)
-        return HypothesisState(hypothesis, tiebreak)
+        _, tiebreak, entry = heapq.heappop(self._heap)
+        return HypothesisState(_built(entry), tiebreak)
 
     # ------------------------------------------------------------------
     def heap_entries(self) -> List[Tuple[int, Hypothesis]]:
@@ -203,11 +248,15 @@ class Frontier:
         so the snapshot of a frontier is a pure function of its *contents*.
         """
         ordered = sorted(self._heap, key=lambda entry: (entry[0], entry[1]))
-        return [(tiebreak, hypothesis) for _, tiebreak, hypothesis in ordered]
+        return [(tiebreak, _built(entry)) for _, tiebreak, entry in ordered]
 
     def continuation_states(self) -> list:
         """The pending continuation-lane states (in push order, read-only)."""
         return list(self._continuations)
+
+
+def _built(entry: Union[Hypothesis, Refinement]) -> Hypothesis:
+    return entry.build() if type(entry) is Refinement else entry
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +365,10 @@ class SearchKernel:
             oe_store=self.oe_store,
         )
         self.frontier = Frontier(cost_model)
+        self._cost_model = cost_model
+        #: ``(size, component sequence) -> priority``: refinements of
+        #: different parents often share both, and the cost model is pure.
+        self._priorities: Dict[Tuple[int, Tuple[str, ...]], Tuple[float, int]] = {}
         self.solutions: List[Hypothesis] = []
         #: Rendered programs a pre-restore kernel already found: re-finding
         #: one (the re-expanded in-flight hypothesis repeats its completion
@@ -336,7 +389,12 @@ class SearchKernel:
         #: *this* kernel object, so a restored kernel counts from zero and
         #: long-lived callers accumulate across kernels themselves.
         self.steps_taken = 0
-        self._push(initial_hypothesis())
+        # The one eagerly built heap entry (``restore`` pushes the others).
+        initial = initial_hypothesis()
+        self._visited.add(hypothesis_signature(initial))
+        self.frontier.push_hypothesis(initial, self._tiebreak)
+        self._tiebreak += 1
+        self.stats.hypotheses_enqueued += 1
         # Baselines for slicing the process-wide counters: taken *after* the
         # engine construction above, so the example-table fingerprinting the
         # constructor performs -- whose hit/miss split depends on whether the
@@ -418,30 +476,15 @@ class SearchKernel:
             self._advance_completion(state)
         else:
             try:
-                self._refine(state.hypothesis)
+                self._refine(state)
             except CompletionTimeout:
                 # Deadline mid-fan-out: re-push so a resumed run finishes
-                # the remaining refinements (already-pushed ones dedup via
-                # the visited set, so re-running the state is idempotent).
+                # the remaining refinements from where the state stopped.
                 self.frontier.push_continuation(state)
                 raise
             self._in_flight = None
 
     # ------------------------------------------------------------------
-    def _push(self, hypothesis: Hypothesis) -> None:
-        signature = hypothesis_signature(hypothesis)
-        if signature in self._visited:
-            return
-        self._visited.add(signature)
-        self.frontier.push_hypothesis(hypothesis, self._tiebreak)
-        self._tiebreak += 1
-        self.stats.hypotheses_enqueued += 1
-
-    def _next_node_id(self) -> int:
-        node_id = self._node_counter
-        self._node_counter += 1
-        return node_id
-
     def _expand_hypothesis(self, state: HypothesisState) -> None:
         """Lines 9-18 of Algorithm 1, decomposed into continuation states."""
         hypothesis = state.hypothesis
@@ -503,21 +546,53 @@ class SearchKernel:
         if not state.run.exhausted:
             self.frontier.push_continuation(state)
 
-    def _refine(self, hypothesis: Hypothesis) -> None:
+    def _refine(self, state: RefineState) -> None:
         """Lines 15-18 of Algorithm 1: replace one table hole per component.
 
-        The deadline is re-checked inside the fan-out so a refinement step
-        over a large library cannot overshoot the budget; expiry raises
-        (rather than silently truncating the fan-out) so a resumed kernel
-        re-runs this state and enqueues the refinements it missed.
+        Every (hole, component) pair reserves the ``component.arity`` node
+        ids ``refine`` would draw for it, duplicates included.  A child that
+        is not a duplicate is ranked from the parent's template and enqueued
+        as a :class:`Refinement` recipe, built only if the frontier pops it.
+
+        The deadline is re-checked between pairs so a fan-out over a large
+        library cannot overshoot the budget; expiry raises with the resume
+        point recorded on *state*, so re-running the state enqueues exactly
+        the pairs it missed.
         """
-        if hypothesis_size(hypothesis) >= self.config.max_size:
+        hypothesis = state.hypothesis
+        template = RefinementTemplate(hypothesis)
+        if template.size >= self.config.max_size:
             return
-        for hole in table_holes(hypothesis, unbound_only=True):
-            for component in self.library:
+        size = template.size + 1
+        visited = self._visited
+        priorities = self._priorities
+        node_id = self._node_counter if state.next_id is None else state.next_id
+        first_hole, skip = state.position
+        for hole_index in range(first_hole, len(template.holes)):
+            hole = template.holes[hole_index]
+            components = itertools.islice(self.library, skip, None)
+            for component_index, component in enumerate(components, skip):
                 if self._expired():
+                    state.position = (hole_index, component_index)
+                    state.next_id = self._node_counter = node_id
                     raise CompletionTimeout()
-                self._push(refine(hypothesis, hole, component, self._next_node_id))
+                first_id = node_id
+                node_id += component.arity
+                signature = template.signature(hole_index, call_signature(component))
+                if signature in visited:
+                    continue
+                visited.add(signature)
+                key = (size, template.sequence(hole_index, component.name))
+                priority = priorities.get(key)
+                if priority is None:
+                    priority = priorities[key] = self._cost_model.priority(*key)
+                self.frontier.push_refinement(
+                    priority, self._tiebreak, Refinement(hypothesis, hole, component, first_id)
+                )
+                self._tiebreak += 1
+                self.stats.hypotheses_enqueued += 1
+            skip = 0
+        self._node_counter = node_id
 
     def _check(self, candidate: Hypothesis) -> bool:
         """CHECK(p, E): run the program and compare against the expected output.
@@ -698,3 +773,77 @@ def hypothesis_signature(hypothesis: Hypothesis) -> str:
         return "v"
     children = ",".join(hypothesis_signature(child) for child in hypothesis.table_children)
     return f"{hypothesis.component.name}({children})"
+
+
+def call_signature(component: Component) -> str:
+    """The signature of *component* applied to fresh table holes."""
+    return f"{component.name}({','.join('?' * component.table_arity)})"
+
+
+class RefinementTemplate:
+    """A worklist hypothesis's signature and component sequence, split at its holes.
+
+    One walk of the parent yields what every refinement of it needs: its
+    unbound table holes (in :func:`~repro.core.hypothesis.table_holes`
+    order), the signature text around each hole, and the index at which a
+    component filling each hole enters the post-order component sequence.
+    :meth:`signature` and :meth:`sequence` then give a child's
+    :func:`hypothesis_signature` and
+    :func:`~repro.core.hypothesis.component_sequence` without building it.
+    """
+
+    __slots__ = ("holes", "size", "_sequence", "_cuts", "_left", "_right")
+
+    def __init__(self, hypothesis: Hypothesis) -> None:
+        tokens: List[Optional[str]] = []
+        holes: List[Hole] = []
+        cuts: List[int] = []
+        sequence: List[str] = []
+        _template_walk(hypothesis, tokens, holes, cuts, sequence)
+        self.holes = holes
+        #: Component applications in the parent (its ``hypothesis_size``).
+        self.size = len(sequence)
+        self._sequence = tuple(sequence)
+        self._cuts = cuts
+        pieces = [""]
+        for token in tokens:
+            if token is None:
+                pieces.append("")
+            else:
+                pieces[-1] += token
+        self._left = ["?".join(pieces[: index + 1]) for index in range(len(holes))]
+        self._right = ["?".join(pieces[index + 1:]) for index in range(len(holes))]
+
+    def signature(self, hole_index: int, call: str) -> str:
+        """The signature of the child whose hole *hole_index* becomes *call*."""
+        return self._left[hole_index] + call + self._right[hole_index]
+
+    def sequence(self, hole_index: int, name: str) -> Tuple[str, ...]:
+        """The component sequence of the child whose hole *hole_index* applies *name*."""
+        cut = self._cuts[hole_index]
+        return self._sequence[:cut] + (name,) + self._sequence[cut:]
+
+
+def _template_walk(
+    node: Hypothesis,
+    tokens: List[Optional[str]],
+    holes: List[Hole],
+    cuts: List[int],
+    sequence: List[str],
+) -> None:
+    """Append *node*'s signature tokens (``None`` marks an unbound table hole)."""
+    if isinstance(node, Hole):
+        if node.hole_type is Type.TABLE and node.binding is None:
+            tokens.append(None)
+            holes.append(node)
+            cuts.append(len(sequence))
+        else:
+            tokens.append(hypothesis_signature(node))
+        return
+    tokens.append(node.component.name + "(")
+    for index, child in enumerate(node.table_children):
+        if index:
+            tokens.append(",")
+        _template_walk(child, tokens, holes, cuts, sequence)
+    tokens.append(")")
+    sequence.append(node.component.name)

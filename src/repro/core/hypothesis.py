@@ -147,11 +147,6 @@ def _append_component_names(node: Hypothesis, sequence: List[str]) -> None:
         sequence.append(node.component.name)
 
 
-def max_node_id(hypothesis: Hypothesis) -> int:
-    """The largest node id used in the tree."""
-    return max(node.node_id for node in iter_nodes(hypothesis))
-
-
 # ----------------------------------------------------------------------
 # Tree rewriting
 # ----------------------------------------------------------------------
