@@ -29,7 +29,6 @@ from .reporting import (
     figure17_table,
     figure18_table,
     outcome_record,
-    profile_table,
     search_summary_table,
     suite_runs_json,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "figure18_table",
     "outcome_from_result",
     "outcome_record",
-    "profile_table",
     "r_benchmark_suite",
     "search_summary_table",
     "suite_runs_json",

@@ -7,8 +7,7 @@ Examples::
     python -m repro.benchmarks.cli figure16 --timeout 20 --no-cdcl --stats
     python -m repro.benchmarks.cli figure16 --timeout 20 --no-prescreen --stats
     python -m repro.benchmarks.cli figure16 --timeout 20 --no-oe --stats
-    python -m repro.benchmarks.cli figure16 --timeout 20 --profile
-    python -m repro.benchmarks.cli figure16 --timeout 20 --json BENCH_figure16.json
+    python -m repro.benchmarks.cli figure16 --timeout 20 --json figure16.json
     python -m repro.benchmarks.cli figure16 --tasks 'c[12]_' --timeout 10
     python -m repro.benchmarks.cli figure16 --list-tasks
     python -m repro.benchmarks.cli figure17 --timeout 10 --categories C1 C2
@@ -34,12 +33,7 @@ programs are found (the reported tables still describe the first).
 ``--kb PATH`` attaches the warm-start knowledge base (a sqlite file, see
 ``repro.engine.kb``): persisted executions and attribute vectors from past
 runs are reused, new facts are written back, and a library change
-invalidates stale entries via the version-hash keying.  ``--kb-bench``
-runs the selected figure16 suite twice -- cold then warm -- against one KB
-and records the cold-vs-warm wall times, the warm hit rate and a
-programs-byte-identical gate (merged into the ``--json`` file as the
-``kb_comparison`` block; the exit status fails if the warm run's programs
-differ or its KB hit rate is zero).
+invalidates stale entries via the version-hash keying.
 
 ``serve`` boots the synthesis HTTP service (``repro.service``) instead of
 running a benchmark: submit input-output examples over ``POST
@@ -54,10 +48,8 @@ from the shared knowledge base of past requests.
 calls, prescreen decisions, lemma prunes, lemmas learned), the
 concrete-execution counter table (tables built, cells interned, cache and
 comparison fast-path hits) and the search-kernel counter table (partial
-programs, OE candidates/merged, frontier peak); ``--profile`` appends a
-per-benchmark wall-clock split between deduction (SMT) and concrete
-execution with the prescreen hit rate and OE merge count, and ``--json
-FILE`` additionally writes the per-task outcomes (wall time, prune counts,
+programs, OE candidates/merged, frontier peak), and ``--json FILE``
+additionally writes the per-task outcomes (wall time, prune counts,
 prescreen/OE/exec-cache counters) as machine-readable JSON.
 """
 
@@ -85,7 +77,6 @@ from .reporting import (
     figure16_table,
     figure17_table,
     figure18_table,
-    profile_table,
     search_summary_table,
     suite_runs_json,
 )
@@ -113,72 +104,6 @@ def _subset(args, parser):
             names=[name for name in suite.names() if pattern.search(name)]
         )
     return suite
-
-
-def _kb_bench(args, parser, progress) -> int:
-    """Run the selected suite cold then warm against one KB (``--kb-bench``).
-
-    Both phases run the plain spec2 configuration serially.  The cold phase
-    populates the knowledge base; the warm phase replays the identical task
-    list against it.  The differential is merged into the ``--json`` file
-    (default ``BENCH_figure16.json``) as the ``kb_comparison`` block, and
-    the exit status enforces the two warm-start guarantees: byte-identical
-    programs and a nonzero KB hit rate.
-    """
-    import os
-    import tempfile
-
-    from .kb_differential import run_kb_differential
-
-    suite = _subset(args, parser)
-    kb_path = args.kb
-    temporary = kb_path is None
-    if temporary:
-        handle, kb_path = tempfile.mkstemp(prefix="repro-kb-", suffix=".sqlite")
-        os.close(handle)
-        os.unlink(kb_path)  # let sqlite create the file itself
-    try:
-        comparison = run_kb_differential(
-            suite, timeout=args.timeout, kb_path=kb_path, progress=progress
-        )
-    finally:
-        if temporary:
-            for suffix in ("", "-wal", "-shm"):
-                try:
-                    os.unlink(kb_path + suffix)
-                except OSError:
-                    pass
-    comparison["kb_path"] = "<temporary>" if temporary else kb_path
-    out = args.json or "BENCH_figure16.json"
-    payload = {}
-    if os.path.exists(out):
-        try:
-            with open(out) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            payload = {}
-    if not isinstance(payload, dict):
-        payload = {}
-    payload["kb_comparison"] = comparison
-    with open(out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(
-        f"kb-bench: cold {comparison['cold_wall_s']}s, "
-        f"warm {comparison['warm_wall_s']}s "
-        f"(speedup {comparison['speedup']}x), "
-        f"warm hit-rate {comparison['warm_kb']['hit_rate']}, "
-        f"programs identical: {comparison['programs_identical']}, "
-        f"counters identical: {comparison['counters_identical']}",
-        file=sys.stderr,
-    )
-    if not comparison["programs_identical"]:
-        return 1
-    if not comparison["counters_identical"]:
-        return 1
-    if not comparison["warm_kb"]["hits"]:
-        return 1
-    return 0
 
 
 def main(argv=None) -> int:
@@ -242,13 +167,6 @@ def main(argv=None) -> int:
              "peak) to the figure output",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="append a per-benchmark wall-clock split between deduction "
-             "(SMT) and concrete execution (component runs + output "
-             "comparison), with the prescreen hit rate and OE merge count, "
-             "to the figure output",
-    )
-    parser.add_argument(
         "--json", metavar="FILE", default=None,
         help="also write the per-task outcomes (wall time, prune counts, "
              "prescreen/OE/exec-cache counters) as machine-readable JSON "
@@ -261,15 +179,6 @@ def main(argv=None) -> int:
              "attribute vectors from past runs and write new facts back "
              "(figure16, figure17 and serve; outcomes are unchanged, only "
              "repeated work is skipped)",
-    )
-    parser.add_argument(
-        "--kb-bench", action="store_true",
-        help="run the selected figure16 suite cold then warm against one "
-             "knowledge base (--kb PATH, or a temporary file) and record "
-             "cold-vs-warm wall times, the warm hit rate and a "
-             "programs-byte-identical gate into the --json file "
-             "(default BENCH_figure16.json, merged if it exists); exits "
-             "nonzero when warm programs differ or the warm hit rate is 0",
     )
     parser.add_argument("--categories", nargs="*", default=None, help="restrict to these categories")
     parser.add_argument("--names", nargs="*", default=None, help="restrict to these benchmark names")
@@ -323,21 +232,10 @@ def main(argv=None) -> int:
         parser.error("--top-k is only available for figure16 and figure17")
     if args.stats and args.figure not in ("figure16", "figure17"):
         parser.error("--stats is only available for figure16 and figure17")
-    if args.profile and args.figure not in ("figure16", "figure17"):
-        parser.error("--profile is only available for figure16 and figure17")
     if args.json and args.figure not in ("figure16", "figure17"):
         parser.error("--json is only available for figure16 and figure17")
     if args.kb and args.figure not in ("figure16", "figure17"):
         parser.error("--kb is only available for figure16, figure17 and serve")
-    if args.kb_bench:
-        if args.figure != "figure16":
-            parser.error("--kb-bench is only available for figure16")
-        if args.jobs != 1:
-            parser.error("--kb-bench runs serially (the KB hit statistics "
-                         "live in the worker processes under --jobs)")
-        if args.no_cdcl or args.no_prescreen or args.no_oe or args.top_k != 1:
-            parser.error("--kb-bench uses the plain spec2 configuration")
-        return _kb_bench(args, parser, progress)
     if args.figure == "legend" and (args.no_cdcl or args.no_prescreen or args.no_oe):
         parser.error("ablation flags do not apply to the legend")
 
@@ -357,8 +255,6 @@ def main(argv=None) -> int:
             print(deduction_summary_table(runs))
             print(execution_summary_table(runs))
             print(search_summary_table(runs))
-        if args.profile:
-            print(profile_table(runs))
         if args.json:
             payload = {
                 "figure": args.figure,

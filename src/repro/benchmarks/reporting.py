@@ -221,84 +221,12 @@ def search_summary_table(runs: Dict[str, SuiteRun]) -> str:
     return "\n".join(lines)
 
 
-def profile_table(runs: Dict[str, SuiteRun]) -> str:
-    """Per-benchmark wall-clock split: deduction (SMT) vs concrete execution.
-
-    ``deduction`` is the time inside SMT ``check()`` calls; ``execution`` is
-    component execution plus output comparison; ``other`` is everything else
-    (formula construction, search bookkeeping, completion enumeration).
-    ``prescreen`` is the tier-1 hit rate -- the fraction of deduction
-    queries the interval sweep decided without the solver, which explains a
-    small ``deduction`` column.  ``oe merged`` is the number of completion
-    states the observational-equivalence store collapsed, which explains a
-    small ``other`` column on duplicate-heavy tasks.  Wall-clock values vary
-    run to run -- this table is for profiling, not for the determinism
-    diffs.
-    """
-    lines = [
-        "Configuration\tBenchmark\ttotal (s)\tdeduction (s)\texecution (s)"
-        "\tother (s)\tprescreen\toe merged"
-    ]
-    for label, run in runs.items():
-        for outcome in run.outcomes:
-            other = max(0.0, outcome.elapsed - outcome.smt_time - outcome.exec_time)
-            lines.append(
-                "\t".join(
-                    [
-                        label,
-                        outcome.benchmark,
-                        f"{outcome.elapsed:.3f}",
-                        f"{outcome.smt_time:.3f}",
-                        f"{outcome.exec_time:.3f}",
-                        f"{other:.3f}",
-                        _prescreen_hit_rate(
-                            outcome.prescreen_decided, outcome.prescreen_fallback
-                        ),
-                        str(outcome.oe_merged),
-                    ]
-                )
-            )
-        total = sum(outcome.elapsed for outcome in run.outcomes)
-        smt = sum(outcome.smt_time for outcome in run.outcomes)
-        execution = sum(outcome.exec_time for outcome in run.outcomes)
-        lines.append(
-            "\t".join(
-                [
-                    label,
-                    "TOTAL",
-                    f"{total:.3f}",
-                    f"{smt:.3f}",
-                    f"{execution:.3f}",
-                    f"{max(0.0, total - smt - execution):.3f}",
-                    _prescreen_hit_rate(
-                        sum(o.prescreen_decided for o in run.outcomes),
-                        sum(o.prescreen_fallback for o in run.outcomes),
-                    ),
-                    str(sum(o.oe_merged for o in run.outcomes)),
-                ]
-            )
-        )
-    lines.append("")
-    lines.append("Per-verb execution time (component runs, aggregated per configuration)")
-    lines.append("Configuration\tVerb\ttime (s)\tshare of verb time")
-    for label, run in runs.items():
-        totals: Dict[str, float] = {}
-        for outcome in run.outcomes:
-            for verb, elapsed in outcome.verb_times.items():
-                totals[verb] = totals.get(verb, 0.0) + elapsed
-        verb_total = sum(totals.values())
-        for verb, elapsed in sorted(totals.items(), key=lambda item: -item[1]):
-            share = f"{elapsed / verb_total:.1%}" if verb_total else "n/a"
-            lines.append(f"{label}\t{verb}\t{elapsed:.3f}\t{share}")
-    return "\n".join(lines)
-
-
 def outcome_record(outcome) -> Dict:
-    """One benchmark outcome as a JSON-ready dict (the ``BENCH_*.json`` rows).
+    """One benchmark outcome as a JSON-ready dict (the ``--json`` rows).
 
     Everything the perf trajectory needs per task: wall time, prune counts,
     and the prescreen / lemma / execution-cache counters.  Counter fields are
-    deterministic; ``elapsed`` and the ``*_time`` splits are wall clock.
+    deterministic; ``elapsed`` is wall clock.
     """
     return {
         "benchmark": outcome.benchmark,
@@ -310,8 +238,6 @@ def outcome_record(outcome) -> Dict:
         "program_size": outcome.program_size,
         "prune_rate": round(outcome.prune_rate, 4),
         "smt_calls": outcome.smt_calls,
-        "smt_time_s": round(outcome.smt_time, 4),
-        "exec_time_s": round(outcome.exec_time, 4),
         "prescreen_decided": outcome.prescreen_decided,
         "prescreen_fallback": outcome.prescreen_fallback,
         "partial_programs": outcome.partial_programs,
@@ -330,18 +256,14 @@ def outcome_record(outcome) -> Dict:
         "batched_fills": outcome.batched_fills,
         "smt_sessions": outcome.smt_sessions,
         "smt_session_reuse": outcome.smt_session_reuse,
-        "verb_times_s": {
-            verb: round(elapsed, 4)
-            for verb, elapsed in sorted(outcome.verb_times.items())
-        },
     }
 
 
 def suite_runs_json(runs: Dict[str, SuiteRun]) -> Dict:
     """A whole figure run as a JSON-ready dict, keyed by configuration label.
 
-    Emitted by the CLI's ``--json`` flag (and the ``BENCH_figure16.json``
-    recorder) so the perf trajectory is machine-readable across PRs.
+    Emitted by the CLI's ``--json`` flag so the counters are
+    machine-readable.
     """
     payload: Dict = {}
     for label, run in runs.items():

@@ -19,6 +19,7 @@ from ..baselines.lambda2 import Lambda2Synthesizer
 from ..baselines.sql_synthesizer import SqlSynthesizer
 from ..core.library import sql_library
 from ..core.synthesizer import SynthesisConfig
+from ..engine.pool import installed_kb
 from .r_suite import r_benchmark_suite
 from .sql_suite import sql_benchmark_suite
 from .suite import Benchmark, BenchmarkSuite
@@ -81,14 +82,6 @@ class BenchmarkOutcome:
     #: created vs reused for a sibling query.  Deterministic.
     smt_sessions: int = 0
     smt_session_reuse: int = 0
-    #: Wall-clock time split (not deterministic; surfaced by ``--profile``):
-    #: seconds inside deduction SMT checks vs concrete component execution
-    #: plus output comparison.
-    smt_time: float = 0.0
-    exec_time: float = 0.0
-    #: Per-verb share of ``exec_time`` (component name -> seconds), from the
-    #: same clock -- wall time, not deterministic.
-    verb_times: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -174,9 +167,6 @@ def outcome_from_result(
         batched_fills=completion.batched_fills,
         smt_sessions=deduction.smt_sessions,
         smt_session_reuse=deduction.smt_session_reuse,
-        smt_time=deduction.smt_time,
-        exec_time=execution.exec_time + execution.compare_time,
-        verb_times=dict(execution.verb_time),
     )
 
 
@@ -237,19 +227,14 @@ def run_suite(
             suite, config_factory, timeout=timeout, label=label,
             library=library, progress=progress,
         )
-    if kb_path is not None:
-        from ..engine.kb import current_kb
-        from ..engine.parallel import _init_worker_kb
-
-        if current_kb() is None:
-            _init_worker_kb(kb_path)
     config = config_factory(timeout)
     run = SuiteRun(configuration=label or config.describe())
-    for benchmark in suite:
-        outcome = run_benchmark(benchmark, config, library=library, label=run.configuration)
-        run.outcomes.append(outcome)
-        if progress is not None:
-            progress(outcome)
+    with installed_kb(kb_path):
+        for benchmark in suite:
+            outcome = run_benchmark(benchmark, config, library=library, label=run.configuration)
+            run.outcomes.append(outcome)
+            if progress is not None:
+                progress(outcome)
     return run
 
 

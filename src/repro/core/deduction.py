@@ -26,7 +26,6 @@ are rejected by a subset test without ever touching the solver.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -95,7 +94,6 @@ class DeductionStats:
     """Counters describing the work done by the deduction engine."""
 
     smt_calls: int = 0
-    smt_time: float = 0.0
     hypotheses_checked: int = 0
     hypotheses_rejected: int = 0
     evaluation_failures: int = 0
@@ -172,7 +170,6 @@ class DeductionStats:
     def merge(self, other: "DeductionStats") -> None:
         """Accumulate another stats object into this one."""
         self.smt_calls += other.smt_calls
-        self.smt_time += other.smt_time
         self.hypotheses_checked += other.hypotheses_checked
         self.hypotheses_rejected += other.hypotheses_rejected
         self.evaluation_failures += other.evaluation_failures
@@ -505,10 +502,8 @@ class DeductionEngine:
             self.stats.prescreen_fallback += 1
 
         query = self.build_query(hypothesis, evaluated)
-        started = time.perf_counter()
         result = self._check_residual(hypothesis, evaluated, query)
         self.stats.smt_calls += 1
-        self.stats.smt_time += time.perf_counter() - started
         feasible = result is not CheckResult.UNSAT
         self._verdict_cache.put(cache_key, feasible)
         if not feasible:
@@ -850,12 +845,8 @@ class DeductionEngine:
                 pending_arguments.append(filled)
         if not pending_keys:
             return 0
-        started = time.perf_counter()
         results = node.component.execute_batch(
             child_tables, pending_arguments, f"_n{node.node_id}_"
-        )
-        execution_stats().charge_execution(
-            node.component.name, time.perf_counter() - started
         )
         for key, result in zip(pending_keys, results):
             if isinstance(result, Exception):

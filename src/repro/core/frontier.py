@@ -611,10 +611,7 @@ class SearchKernel:
             )
         except (EvaluationFailure, *PRUNABLE_ERRORS):
             return False
-        started = perf_counter()
-        matched = tables_match_for_synthesis(actual, self.example.output)
-        execution_stats().compare_time += perf_counter() - started
-        return matched
+        return tables_match_for_synthesis(actual, self.example.output)
 
     # ------------------------------------------------------------------
     # Resume state

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..components.errors import PRUNABLE_ERRORS
-from ..dataframe.profiling import execution_stats
 from ..dataframe.table import Table
 from .arguments import ValueArgument
 from .component import Component
@@ -305,13 +303,9 @@ def _evaluate_node(
                 raise EvaluationFailure(str(cached))
             results[node.node_id] = cached
             return cached
-    started = perf_counter()
     try:
         table = node.component.execute(child_tables, arguments, f"_n{node.node_id}_")
     except PRUNABLE_ERRORS as error:
-        execution_stats().charge_execution(
-            node.component.name, perf_counter() - started
-        )
         message = str(error)
         failure = EvaluationFailure(message)
         if memo is not None:
@@ -319,9 +313,6 @@ def _evaluate_node(
         if exec_key is not None:
             exec_cache.put(exec_key, failure)
         raise EvaluationFailure(message) from error
-    execution_stats().charge_execution(
-        node.component.name, perf_counter() - started
-    )
     if memo is not None:
         memo[node] = table
     if exec_key is not None:

@@ -8,16 +8,15 @@ process-wide :class:`ExecutionStats` instance accumulates counters; callers
 that need a per-run slice snapshot it before the run and diff afterwards
 (the same ``snapshot()``/``since()`` discipline the SMT formula cache uses).
 
-All counters except the ``*_time`` fields are deterministic for a fixed
-synthesis problem, provided the intern pool is cleared between problems
-(see :func:`reset_execution_state`), so the benchmark harness can compare
-them byte-for-byte between serial and ``--jobs N`` runs.
+All counters are deterministic for a fixed synthesis problem, provided the
+intern pool is cleared between problems (see :func:`reset_execution_state`),
+so the benchmark harness can compare them byte-for-byte between serial and
+``--jobs N`` runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
 from ..engine.cache import CacheStats
 
@@ -40,18 +39,6 @@ class ExecutionStats:
     compare_fastpath_misses: int = 0
     #: Hit/miss accounting of the fingerprint-keyed component-execution memo.
     exec_cache: CacheStats = field(default_factory=CacheStats)
-    #: Wall-clock seconds spent executing components on concrete tables.
-    exec_time: float = 0.0
-    #: Wall-clock seconds spent comparing candidate outputs to the example.
-    compare_time: float = 0.0
-    #: :attr:`exec_time` split per component name (``--profile``'s per-verb
-    #: block; the sum over verbs equals ``exec_time`` up to timer noise).
-    verb_time: Dict[str, float] = field(default_factory=dict)
-
-    def charge_execution(self, verb: str, elapsed: float) -> None:
-        """Attribute *elapsed* seconds of concrete execution to *verb*."""
-        self.exec_time += elapsed
-        self.verb_time[verb] = self.verb_time.get(verb, 0.0) + elapsed
 
     @property
     def fingerprint_lookups(self) -> int:
@@ -72,10 +59,6 @@ class ExecutionStats:
         self.compare_fastpath_hits += other.compare_fastpath_hits
         self.compare_fastpath_misses += other.compare_fastpath_misses
         self.exec_cache.merge(other.exec_cache)
-        self.exec_time += other.exec_time
-        self.compare_time += other.compare_time
-        for verb, elapsed in other.verb_time.items():
-            self.verb_time[verb] = self.verb_time.get(verb, 0.0) + elapsed
 
     def snapshot(self) -> "ExecutionStats":
         """An independent copy (for per-run slicing)."""
@@ -87,9 +70,6 @@ class ExecutionStats:
             self.compare_fastpath_hits,
             self.compare_fastpath_misses,
             self.exec_cache.snapshot(),
-            self.exec_time,
-            self.compare_time,
-            dict(self.verb_time),
         )
         return copy
 
@@ -103,12 +83,6 @@ class ExecutionStats:
             self.compare_fastpath_hits - baseline.compare_fastpath_hits,
             self.compare_fastpath_misses - baseline.compare_fastpath_misses,
             self.exec_cache.since(baseline.exec_cache),
-            self.exec_time - baseline.exec_time,
-            self.compare_time - baseline.compare_time,
-            {
-                verb: elapsed - baseline.verb_time.get(verb, 0.0)
-                for verb, elapsed in self.verb_time.items()
-            },
         )
 
     def clear(self) -> None:
@@ -120,9 +94,6 @@ class ExecutionStats:
         self.compare_fastpath_hits = 0
         self.compare_fastpath_misses = 0
         self.exec_cache.clear()
-        self.exec_time = 0.0
-        self.compare_time = 0.0
-        self.verb_time.clear()
 
 
 #: The process-wide counter instance (sliced per run via snapshot/since).

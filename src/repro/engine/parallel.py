@@ -54,19 +54,12 @@ from ..smt.solver import clear_formula_cache
 from .context import TaskContext
 from .pool import (
     default_job_count as default_job_count,  # re-exported (repro.engine)
-    init_worker_kb,
+    installed_kb,
     map_batched,
     map_indexed,
     pool_initializer,
     resolve_jobs,
 )
-
-# Historical names, still imported by callers of this module (the benchmark
-# runner's suite harness and external scripts predate the shared pool module).
-_resolve_jobs = resolve_jobs
-_init_worker_kb = init_worker_kb
-_map_indexed = map_indexed
-_map_batched = map_batched
 
 #: A unit of benchmark work: (benchmark, configuration, label, library).
 BenchmarkPair = Tuple[Benchmark, SynthesisConfig, str, object]
@@ -393,7 +386,7 @@ class ParallelRunner:
     kb_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        self.jobs = _resolve_jobs(self.jobs)
+        self.jobs = resolve_jobs(self.jobs)
 
     def _pool_initializer(self) -> tuple:
         """The ``(initializer, initargs)`` pair for worker pools."""
@@ -415,43 +408,36 @@ class ParallelRunner:
         """
         on_result = None if progress is None else (lambda _index, outcome: progress(outcome))
         initializer, initargs = self._pool_initializer()
-        if self.kb_path is not None:
-            # Serial runs (and pool-skipping fallbacks for tiny inputs)
-            # execute in this process, where no initializer hook fires:
-            # install the process-default KB here unless the caller (the
-            # CLI, a service) already did.
-            from .kb import current_kb
-
-            if current_kb() is None:
-                _init_worker_kb(self.kb_path)
-        if self.interleave:
-            if self.jobs == 1:
+        # Serial runs (and pool-skipping fallbacks for tiny inputs) execute
+        # in this process, where no initializer hook fires.
+        with installed_kb(self.kb_path):
+            if self.interleave and self.jobs == 1:
                 # One interleaver over everything: maximal fairness and
                 # per-task progress (no batch granularity in-process).
-                outcomes = interleave_benchmarks(
+                return interleave_benchmarks(
                     pairs, slice_steps=self.slice_steps, on_result=on_result
                 )
-                return outcomes
-            groups = _round_robin_batches(
-                len(pairs), self.jobs * max(1, self.batches_per_worker)
-            )
-            batch_tasks = [
-                (indices, [pairs[index] for index in indices], self.slice_steps)
-                for indices in groups
-            ]
-            collected = _map_batched(
-                _run_pair_batch, batch_tasks, self.jobs, self.start_method,
-                on_result=on_result, initializer=initializer, initargs=initargs,
-            )
-        else:
-            tasks = [
-                (index, benchmark, config, label, library)
-                for index, (benchmark, config, label, library) in enumerate(pairs)
-            ]
-            collected = _map_indexed(
-                _run_pair_task, tasks, self.jobs, self.start_method,
-                on_result=on_result, initializer=initializer, initargs=initargs,
-            )
+            if self.interleave:
+                groups = _round_robin_batches(
+                    len(pairs), self.jobs * max(1, self.batches_per_worker)
+                )
+                batch_tasks = [
+                    (indices, [pairs[index] for index in indices], self.slice_steps)
+                    for indices in groups
+                ]
+                collected = map_batched(
+                    _run_pair_batch, batch_tasks, self.jobs, self.start_method,
+                    on_result=on_result, initializer=initializer, initargs=initargs,
+                )
+            else:
+                tasks = [
+                    (index, benchmark, config, label, library)
+                    for index, (benchmark, config, label, library) in enumerate(pairs)
+                ]
+                collected = map_indexed(
+                    _run_pair_task, tasks, self.jobs, self.start_method,
+                    on_result=on_result, initializer=initializer, initargs=initargs,
+                )
         return [collected[index] for index in range(len(pairs))]
 
     def run_suite(
@@ -523,7 +509,7 @@ def synthesize_batch(
     wall-clock timeout may time out when more workers run than there are
     CPU cores.
     """
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
     config = config if config is not None else SynthesisConfig()
     coerced = [_coerce_example(example) for example in examples]
     if interleave:
@@ -539,13 +525,13 @@ def synthesize_batch(
             (indices, [coerced[index] for index in indices], config, library, slice_steps)
             for indices in groups
         ]
-        collected = _map_batched(_synthesize_batch_task, batch_tasks, jobs)
+        collected = map_batched(_synthesize_batch_task, batch_tasks, jobs)
     else:
         tasks = [
             (index, example, config, library)
             for index, example in enumerate(coerced)
         ]
-        collected = _map_indexed(_synthesize_task, tasks, jobs)
+        collected = map_indexed(_synthesize_task, tasks, jobs)
     return [collected[index] for index in range(len(coerced))]
 
 
@@ -586,11 +572,11 @@ def synthesize_portfolio(
     configs = list(configs)
     if not configs:
         raise ValueError("synthesize_portfolio needs at least one configuration")
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
     example = _coerce_example(example)
     tasks = [(index, example, config, library) for index, config in enumerate(configs)]
 
-    collected = _map_indexed(
+    collected = map_indexed(
         _synthesize_task, tasks, jobs,
         stop=lambda _index, result: result.solved,
     )

@@ -5,17 +5,16 @@ pool, ``--jobs N``) needs three pieces:
 
 * job-count resolution (``jobs=None`` means one worker per CPU),
 * the knowledge-base pool initializer (sqlite connections must not cross
-  ``fork``/``spawn`` boundaries, so each worker opens its own handle), and
+  ``fork``/``spawn`` boundaries, so each worker opens its own handle) and
+  its in-process counterpart :func:`installed_kb`, and
 * the generic index-preserving pool map helpers.
-
-``repro.engine.parallel`` re-exports them under its historical names for
-backward compatibility.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import contextmanager
 from typing import Dict, Optional, Sequence
 
 
@@ -45,6 +44,29 @@ def init_worker_kb(kb_path: str) -> None:
     from .kb import KnowledgeBase, set_default_kb
 
     set_default_kb(KnowledgeBase(kb_path))
+
+
+@contextmanager
+def installed_kb(kb_path: Optional[str]):
+    """Open the knowledge base at *kb_path* as the process default for a block.
+
+    Serial runs execute in this process, where no pool initializer fires.
+    The KB is installed for the block only: afterwards the previous default
+    is restored and the KB is closed, which flushes its batched writes.
+    ``kb_path=None`` leaves the process default untouched.
+    """
+    if kb_path is None:
+        yield
+        return
+    from .kb import KnowledgeBase, install_kb
+
+    kb = KnowledgeBase(kb_path)
+    previous = install_kb(kb)
+    try:
+        yield
+    finally:
+        install_kb(previous)
+        kb.close()
 
 
 def pool_initializer(kb_path: Optional[str]) -> tuple:

@@ -142,4 +142,3 @@ class TestStats:
         engine.deduce(build_chain("mutate"))
         assert engine.stats.hypotheses_checked == 2
         assert engine.stats.smt_calls >= 1
-        assert engine.stats.smt_time > 0

@@ -7,14 +7,13 @@ import pytest
 
 from repro.baselines import spec2_config
 from repro.benchmarks import r_benchmark_suite, run_suite
-from repro.benchmarks.kb_differential import run_kb_differential
 from repro.core import SpecLevel
 from repro.core.hypothesis import EvaluationFailure
 from repro.core.library import standard_library
 from repro.core.lemmas import LemmaStore, decode_descriptor, encode_descriptor
 from repro.dataframe import Table
 from repro.dataframe.profiling import ExecutionStats, install_execution_stats
-from repro.engine import TaskContext
+from repro.engine import ParallelRunner, TaskContext
 from repro.engine import kb as kb_module
 from repro.engine.kb import (
     KnowledgeBase,
@@ -278,16 +277,59 @@ class TestInProcessTier:
 
 
 class TestColdVsWarmDifferential:
+    #: Per-outcome fields a warm start must reproduce exactly (the search
+    #: trajectory).  ``tables_built`` and ``cells_interned`` are left out:
+    #: the warm run skips the table constructions the KB answered.
+    TRAJECTORY_FIELDS = (
+        "benchmark",
+        "solved",
+        "program",
+        "program_size",
+        "smt_calls",
+        "lemma_prunes",
+        "lemmas_learned",
+        "lemma_mining_solves",
+        "prescreen_decided",
+        "prescreen_fallback",
+        "partial_programs",
+        "oe_candidates",
+        "oe_merged",
+        "frontier_peak",
+        "exec_cache_hits",
+    )
+
     def test_warm_run_matches_cold_run(self, tmp_path):
-        comparison = run_kb_differential(
-            fast_suite(), timeout=TIMEOUT, kb_path=str(tmp_path / "kb.sqlite")
-        )
-        assert comparison["programs_identical"]
-        assert comparison["counters_identical"]
-        assert comparison["counters_compared"] == len(FAST_NAMES)
-        assert comparison["solved_cold"] == comparison["solved_warm"]
-        assert comparison["warm_kb"]["hits"] > 0
-        assert comparison["cold_kb"]["hits"] < comparison["warm_kb"]["hits"]
+        path = str(tmp_path / "kb.sqlite")
+        phases = []
+        for _phase in ("cold", "warm"):
+            kb = KnowledgeBase(path)
+            phases.append((run_with(kb, fast_suite()), kb.stats.hits))
+            kb.close()
+        (cold, cold_hits), (warm, warm_hits) = phases
+
+        def programs(run):
+            return [(o.benchmark, o.solved, o.program) for o in run.outcomes]
+
+        # Only tasks that reached their deterministic end (a solution) in
+        # both phases can promise identical counters; a timeout is a
+        # wall-clock cut.
+        solved_both = {o.benchmark for o in cold.outcomes if o.solved} & {
+            o.benchmark for o in warm.outcomes if o.solved
+        }
+
+        def trajectory(run):
+            return [
+                tuple(getattr(outcome, field) for field in self.TRAJECTORY_FIELDS)
+                for outcome in run.outcomes
+                if outcome.benchmark in solved_both
+            ]
+
+        assert programs(cold) == programs(warm)
+        assert trajectory(cold) == trajectory(warm)
+        assert len(solved_both) == len(FAST_NAMES)
+        assert cold.solved == warm.solved
+        assert warm_hits > 0
+        assert cold_hits < warm_hits
 
     def test_version_bump_invalidates_but_stays_correct(self, tmp_path):
         path = str(tmp_path / "kb.sqlite")
@@ -309,6 +351,48 @@ class TestColdVsWarmDifferential:
         assert [
             (o.benchmark, o.solved, o.program) for o in bumped.outcomes
         ] == [(o.benchmark, o.solved, o.program) for o in cold.outcomes]
+
+
+class TestRunSuiteKBScope:
+    """``run_suite(kb_path=...)`` installs its knowledge base for the call only."""
+
+    @staticmethod
+    def entries(path):
+        kb = KnowledgeBase(path)
+        try:
+            return len(kb)
+        finally:
+            kb.close()
+
+    def test_each_call_uses_its_own_kb_and_leaves_none_behind(self, tmp_path):
+        suite = r_benchmark_suite().subset(names=FAST_NAMES[:1])
+        first, second = str(tmp_path / "a.kb"), str(tmp_path / "b.kb")
+        run_suite(suite, spec2_config, timeout=TIMEOUT, kb_path=first)
+        assert current_kb() is None
+        first_entries = self.entries(first)
+        assert first_entries > 0  # closing the KB flushed its batched writes
+        run_suite(suite, spec2_config, timeout=TIMEOUT, kb_path=second)
+        assert current_kb() is None
+        assert self.entries(second) > 0
+        assert self.entries(first) == first_entries
+        run_suite(suite, spec2_config, timeout=TIMEOUT)
+        assert current_kb() is None
+        assert self.entries(first) == first_entries
+
+    def test_in_process_parallel_runner_restores_the_default(self, tmp_path):
+        suite = r_benchmark_suite().subset(names=FAST_NAMES[:1])
+        default = KnowledgeBase(str(tmp_path / "default.kb"))
+        set_default_kb(default)
+        try:
+            ParallelRunner(jobs=1, kb_path=str(tmp_path / "run.kb")).run_suite(
+                suite, spec2_config, timeout=TIMEOUT
+            )
+            assert current_kb() is default
+        finally:
+            set_default_kb(None)
+        assert self.entries(str(tmp_path / "run.kb")) > 0
+        assert len(default) == 0
+        default.close()
 
 
 class TestConcurrentAccess:
