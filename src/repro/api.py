@@ -629,8 +629,9 @@ class SynthesisSession:
             "sibling_batches": stats.completion.sibling_batches,
             "batched_fills": stats.completion.batched_fills,
             "smt_calls": stats.deduction.smt_calls,
-            "smt_sessions": stats.deduction.smt_sessions,
-            "smt_session_reuse": stats.deduction.smt_session_reuse,
+            # Always 0 (residual sessions are gone); perfbench/worker.py reads both.
+            "smt_sessions": 0,
+            "smt_session_reuse": 0,
             "prescreen_decided": stats.deduction.prescreen_decided,
             "prescreen_fallback": stats.deduction.prescreen_fallback,
             "lemma_prunes": stats.deduction.lemma_prunes,

@@ -254,8 +254,6 @@ def outcome_record(outcome) -> Dict:
         "compare_fastpath_hits": outcome.compare_fastpath_hits,
         "sibling_batches": outcome.sibling_batches,
         "batched_fills": outcome.batched_fills,
-        "smt_sessions": outcome.smt_sessions,
-        "smt_session_reuse": outcome.smt_session_reuse,
     }
 
 
@@ -289,8 +287,6 @@ def suite_runs_json(runs: Dict[str, SuiteRun]) -> Dict:
             ),
             "sibling_batches": sum(o.sibling_batches for o in run.outcomes),
             "batched_fills": sum(o.batched_fills for o in run.outcomes),
-            "smt_sessions": sum(o.smt_sessions for o in run.outcomes),
-            "smt_session_reuse": sum(o.smt_session_reuse for o in run.outcomes),
             "outcomes": [outcome_record(o) for o in run.outcomes],
         }
     return payload

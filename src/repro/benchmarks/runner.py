@@ -78,10 +78,6 @@ class BenchmarkOutcome:
     #: function of the completion order).
     sibling_batches: int = 0
     batched_fills: int = 0
-    #: Residual-SMT tuning: per-sketch-path incremental solver sessions
-    #: created vs reused for a sibling query.  Deterministic.
-    smt_sessions: int = 0
-    smt_session_reuse: int = 0
 
 
 @dataclass
@@ -165,8 +161,6 @@ def outcome_from_result(
         compare_fastpath_hits=execution.compare_fastpath_hits,
         sibling_batches=completion.sibling_batches,
         batched_fills=completion.batched_fills,
-        smt_sessions=deduction.smt_sessions,
-        smt_session_reuse=deduction.smt_session_reuse,
     )
 
 

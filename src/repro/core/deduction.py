@@ -26,21 +26,14 @@ are rejected by a subset test without ever touching the solver.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dataframe.profiling import execution_stats
 from ..dataframe.table import Table
 from ..engine.cache import CacheStats, ExecutionCache, LRUCache
-from ..smt.solver import (
-    CheckResult,
-    IncrementalStats,
-    Solver,
-    formula_cache_lookup,
-    formula_cache_store,
-)
-from ..smt.terms import BoolVal, Formula, conjoin, disjoin
+from ..smt.solver import CheckResult, Solver
+from ..smt.terms import Formula, conjoin, disjoin
 from .abstraction import (
     AbstractionCache,
     ExampleBaseline,
@@ -64,12 +57,6 @@ from .types import Type
 
 #: Default bound of the per-engine verdict memo.
 VERDICT_CACHE_SIZE = 32768
-
-#: Bound on live residual-SMT sessions per engine (LRU-evicted).  Sessions
-#: are keyed by sketch path, and one sketch's per-hole fills arrive as a
-#: burst of queries with the same key, so a small working set suffices; each
-#: session additionally self-recycles at ``SESSION_CLAUSE_LIMIT`` clauses.
-RESIDUAL_SESSION_LIMIT = 128
 
 #: Default bound on incremental-session solves spent mining lemmas per run.
 #: Mining is an investment (each mined core costs a replay solve plus a few
@@ -113,15 +100,6 @@ class DeductionStats:
     core_size_total: int = 0
     #: Incremental-session solves spent mining and minimizing cores.
     lemma_mining_solves: int = 0
-    #: Residual-SMT sessions created (one per distinct sketch path, LRU-bounded).
-    smt_sessions: int = 0
-    #: Residual queries served by an already-open session -- the encodings,
-    #: clausal flattenings and learned clauses of earlier sibling queries
-    #: were reused instead of re-built.
-    smt_session_reuse: int = 0
-    #: Activity of the persistent incremental solver session (clause reuse,
-    #: recycles, theory conflicts).
-    incremental: IncrementalStats = field(default_factory=IncrementalStats)
     #: Verdict-memo accounting: a hit means an entire SMT query was skipped.
     #: (The counters are written directly by the verdict LRU cache.)
     verdict_cache: CacheStats = field(default_factory=CacheStats)
@@ -180,9 +158,6 @@ class DeductionStats:
         self.cores_extracted += other.cores_extracted
         self.core_size_total += other.core_size_total
         self.lemma_mining_solves += other.lemma_mining_solves
-        self.smt_sessions += other.smt_sessions
-        self.smt_session_reuse += other.smt_session_reuse
-        self.incremental.merge(other.incremental)
         self.verdict_cache.merge(other.verdict_cache)
         self.abstraction_cache.merge(other.abstraction_cache)
 
@@ -286,12 +261,10 @@ class DeductionEngine:
         #: hypotheses under named assumptions (created lazily; the example
         #: formula and phi_out are asserted exactly once per run).
         self._incremental: Optional[Solver] = None
-        #: Residual-SMT sessions, keyed by sketch path (the structural shape
-        #: of a query: components, bindings, which subterms are evaluated --
-        #: everything except the evaluated tables' attribute values).  The
-        #: sketch completer's sibling fills produce bursts of queries with
-        #: the same key, which then differ only in their named assumptions.
-        self._residual_sessions: "OrderedDict[tuple, Solver]" = OrderedDict()
+        #: Wall-clock deadline (``time.monotonic()``) of the current search
+        #: slice, set by the search kernel.  A solver call it cuts short
+        #: answers UNKNOWN, which is accepted but never memoised.
+        self.deadline: Optional[float] = None
         self._example_formula = self._build_example_formula()
 
     # ------------------------------------------------------------------
@@ -442,8 +415,7 @@ class DeductionEngine:
         4. the tier-1 interval prescreen -- compiled attribute propagation
            that decides ground-heavy queries without constructing a
            ``Formula`` (see :mod:`repro.core.propagation`);
-        5. the incremental SMT stack (tier 2), the only tier that can also
-           *accept*.
+        5. one SMT check (tier 2), the only tier that can also *accept*.
 
         When *learn* is set, every tier-2 rejection is mined for a new lemma.
         Callers issuing bulk near-duplicate queries (the sketch completer's
@@ -501,9 +473,16 @@ class DeductionEngine:
                 return False
             self.stats.prescreen_fallback += 1
 
-        query = self.build_query(hypothesis, evaluated)
-        result = self._check_residual(hypothesis, evaluated, query)
+        # Residual solving (tier 2): one SMT check.  ``Solver.check`` probes
+        # the process-wide formula cache first and stores what it decides.
+        solver = Solver()
+        solver.add(self.build_query(hypothesis, evaluated))
+        result = solver.check(deadline=self.deadline)
         self.stats.smt_calls += 1
+        if solver.reason_unknown() == "timeout":
+            # Cut short by the task deadline: accepting is sound, and since
+            # the verdict is memoised nowhere a resumed run asks again.
+            return True
         feasible = result is not CheckResult.UNSAT
         self._verdict_cache.put(cache_key, feasible)
         if not feasible:
@@ -511,113 +490,6 @@ class DeductionEngine:
             if use_cdcl and learn:
                 self._mine_lemma(hypothesis, evaluated)
         return feasible
-
-    # ------------------------------------------------------------------
-    # Residual solving (tier 2): formula cache, then per-path sessions
-    # ------------------------------------------------------------------
-    def _check_residual(
-        self, hypothesis: Hypothesis, evaluated: Dict[int, Table], query: Formula
-    ) -> CheckResult:
-        """Decide one residual query (everything the cheaper tiers passed on).
-
-        The process-wide formula cache is probed first -- with exactly the
-        accounting :meth:`Solver.check` would produce, so warm-cache replays
-        stay byte-identical to the monolithic path this replaced.  Misses go
-        to the persistent session keyed by the query's sketch path: the base
-        of the query (example formula, phi_out, bindings, component specs)
-        is asserted once per session, and only the evaluated subterms'
-        abstractions -- the part that varies between sibling queries -- are
-        passed as per-call assumptions.  The decided verdict is written back
-        to the formula cache, so later structurally identical queries (and
-        later runs) hit tier 0.
-        """
-        if isinstance(query, BoolVal):
-            return CheckResult.SAT if query.value else CheckResult.UNSAT
-        cached = formula_cache_lookup(query)
-        if cached is not None:
-            return cached[0]
-        session, named = self._residual_session(hypothesis, evaluated)
-        result = session.check_assumptions(named)
-        formula_cache_store(query, result, session.model())
-        return result
-
-    def _residual_session(
-        self, hypothesis: Hypothesis, evaluated: Dict[int, Table]
-    ) -> Tuple[Solver, Dict[tuple, Formula]]:
-        """The (possibly reused) session and assumptions for one query.
-
-        The walk mirrors :meth:`specification` and :meth:`build_query`
-        fragment for fragment, splitting them by what varies under a fixed
-        sketch path: abstractions of top-most evaluated *application* nodes
-        vary with the candidate's concrete tables (named assumptions);
-        everything else -- phi_in bindings, unevaluated components' specs,
-        the abstractions of evaluated *bound holes* (input tables, fixed per
-        binding), the example formula, nonnegativity and phi_out -- is
-        invariant and forms the session base.
-        """
-        key_parts: List[tuple] = []
-        named: Dict[tuple, Formula] = {}
-        base: List[Formula] = []
-        self._collect_residual(hypothesis, evaluated, False, key_parts, named, base)
-        key = tuple(key_parts)
-        session = self._residual_sessions.get(key)
-        if session is None:
-            session = Solver()
-            # All sessions account into the engine's incremental counters.
-            session.incremental_stats = self.stats.incremental
-            session.add(self._example_formula)
-            session.add(self._nonnegativity(self._query_node_ids(hypothesis)))
-            session.add(
-                self.node_vars(hypothesis.node_id).equal_to(
-                    self._output_vars, self.level
-                )
-            )
-            session.add(*base)
-            self._residual_sessions[key] = session
-            self.stats.smt_sessions += 1
-            if len(self._residual_sessions) > RESIDUAL_SESSION_LIMIT:
-                self._residual_sessions.popitem(last=False)
-        else:
-            self._residual_sessions.move_to_end(key)
-            self.stats.smt_session_reuse += 1
-        return session, named
-
-    def _collect_residual(
-        self,
-        node: Hypothesis,
-        evaluated: Dict[int, Table],
-        under_eval: bool,
-        key_parts: List[tuple],
-        named: Dict[tuple, Formula],
-        base: List[Formula],
-    ) -> None:
-        """One node of the :meth:`_residual_session` walk."""
-        if isinstance(node, Hole):
-            if node.hole_type is Type.TABLE:
-                key_parts.append(("x", node.node_id, node.binding))
-                base.append(self._binding(node.node_id, node.binding))
-                if node.node_id in evaluated and not under_eval:
-                    base.append(
-                        self._abstract(
-                            evaluated[node.node_id], self.node_vars(node.node_id)
-                        )
-                    )
-            return
-        if node.node_id in evaluated and not under_eval:
-            key_parts.append(("t", node.node_id))
-            named[("eval", node.node_id)] = self._abstract(
-                evaluated[node.node_id], self.node_vars(node.node_id)
-            )
-            # The subtree below an evaluated subterm contributes no specs
-            # or abstractions, but phi_in still binds its table holes.
-            for child in node.table_children:
-                self._collect_residual(child, evaluated, True, key_parts, named, base)
-            return
-        key_parts.append(("c", node.node_id, node.component.name))
-        if not under_eval:
-            base.append(self._component_spec(node))
-        for child in node.table_children:
-            self._collect_residual(child, evaluated, under_eval, key_parts, named, base)
 
     # ------------------------------------------------------------------
     # Conflict-driven lemma learning
@@ -705,7 +577,6 @@ class DeductionEngine:
         """The per-run solver session (example formula asserted once)."""
         if self._incremental is None:
             session = Solver()
-            session.incremental_stats = self.stats.incremental
             session.add(self._example_formula)
             session.add(self.node_vars(0).equal_to(self._output_vars, self.level))
             self._incremental = session
@@ -728,13 +599,17 @@ class DeductionEngine:
         # queries still fall to the lazy path, which can disagree with the
         # monolithic fast paths near the theory solver's conservative
         # limits; a lemma is only mined from a definite UNSAT.
-        result = session.check_assumptions(named, known_unsat=True)
+        result = session.check_assumptions(
+            named, known_unsat=True, deadline=self.deadline
+        )
         if result is CheckResult.UNSAT:
             core = session.unsat_core()
             if 0 < len(core) <= MINIMIZE_CORE_LIMIT:
-                core = session.minimize_core()
+                core = session.minimize_core(deadline=self.deadline)
             lemma = [descriptor for descriptor in core if descriptor != _NONNEG]
-            if lemma:
+            # A core whose minimization the deadline cut short depends on
+            # timing; nothing is learned from it.
+            if lemma and session.reason_unknown() != "timeout":
                 self.stats.cores_extracted += 1
                 self.stats.core_size_total += len(lemma)
                 if store.add(lemma):

@@ -425,6 +425,7 @@ class SearchKernel:
         """Set the wall-clock deadline consulted by ``run``/``step``."""
         self._deadline = deadline
         self.completer.deadline = deadline
+        self.engine.deadline = deadline
 
     def _expired(self) -> bool:
         return self._deadline is not None and time.monotonic() > self._deadline

@@ -26,6 +26,7 @@ deduction engine mines these cores into blocking lemmas.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -35,8 +36,9 @@ from .lia import TheoryResult, check_conjunction
 from .sat import SatSolver
 from .terms import And, Atom, BoolVal, Formula, Or, conjoin, formula_atoms
 
-#: Upper bound on theory-refinement rounds of the lazy loop; reaching it is
-#: treated as SAT (sound for a deduction engine that prunes only on UNSAT).
+#: Upper bound on theory-refinement rounds of the lazy loop; reaching it
+#: answers UNKNOWN, which a deduction engine that prunes only on UNSAT
+#: treats as SAT.
 MAX_THEORY_ROUNDS = 200
 
 #: Default bound of the process-wide formula -> verdict cache.
@@ -91,9 +93,8 @@ def formula_cache_lookup(
 ) -> Optional[Tuple["CheckResult", Optional[Dict[str, int]]]]:
     """Probe the process-wide verdict cache, counting a hit or a miss.
 
-    Exposed for callers that decide cache misses through their own machinery
-    (the deduction engine's residual sessions) but must keep the cache's
-    accounting identical to routing the query through :meth:`Solver.check`.
+    :meth:`Solver.check` probes through this function (looked up on the
+    module at call time), so wrapping it observes every cache probe.
     """
     return _formula_cache.get(formula)
 
@@ -101,7 +102,7 @@ def formula_cache_lookup(
 def formula_cache_store(
     formula: Formula, result: "CheckResult", model: Optional[Dict[str, int]] = None
 ) -> None:
-    """Record an externally decided verdict in the process-wide cache."""
+    """Record a decided verdict (and its model) in the process-wide cache."""
     _formula_cache.put(formula, (result, dict(model) if model is not None else None))
 
 
@@ -254,6 +255,7 @@ class Solver:
         self._core: Tuple[object, ...] = ()
         self._core_minimal = False
         self._last_assumptions: Dict[object, Formula] = {}
+        self._reason_unknown: Optional[str] = None
         self.incremental_stats = IncrementalStats()
 
     def add(self, *formulas: Formula) -> None:
@@ -295,35 +297,50 @@ class Solver:
         self._core = ()
         self._core_minimal = False
         self._last_assumptions = {}
+        self._reason_unknown = None
 
     def model(self) -> Optional[Dict[str, int]]:
         """The model found by the last successful check."""
         return self._model
 
+    def reason_unknown(self) -> Optional[str]:
+        """Why the last check answered UNKNOWN (``None`` if it did not).
+
+        ``"timeout"``: the caller's deadline passed between two theory
+        rounds; such a verdict is never cached.  ``"max theory rounds"``:
+        the lazy loop spent :data:`MAX_THEORY_ROUNDS`.
+        """
+        return self._reason_unknown
+
     # ------------------------------------------------------------------
-    def check(self) -> CheckResult:
+    def check(self, deadline: Optional[float] = None) -> CheckResult:
         """Decide satisfiability of the conjunction of all assertions.
 
         Verdicts are memoised in the process-wide formula cache: two solver
         instances asserting the same (structurally equal) formula share one
-        underlying satisfiability check.
+        underlying satisfiability check.  *deadline* (a ``time.monotonic()``
+        value) bounds the lazy loop: once it has passed, the check answers
+        UNKNOWN with :meth:`reason_unknown` ``"timeout"`` and caches nothing.
         """
         self._model = None
+        self._reason_unknown = None
         formula = conjoin(self.assertions())
         if isinstance(formula, BoolVal):
             return CheckResult.SAT if formula.value else CheckResult.UNSAT
 
-        cached = _formula_cache.get(formula)
+        cached = formula_cache_lookup(formula)
         if cached is not None:
             result, model = cached
             self._model = dict(model) if model is not None else None
             return result
-        result = self._check_uncached(formula)
-        model = dict(self._model) if self._model is not None else None
-        _formula_cache.put(formula, (result, model))
+        result = self._check_uncached(formula, deadline)
+        if self._reason_unknown != "timeout":
+            formula_cache_store(formula, result, self._model)
         return result
 
-    def _check_uncached(self, formula: Formula) -> CheckResult:
+    def _check_uncached(
+        self, formula: Formula, deadline: Optional[float]
+    ) -> CheckResult:
         flat = _as_conjunction_of_atoms(formula)
         if flat is not None:
             result = check_conjunction(flat)
@@ -336,13 +353,16 @@ class Solver:
             if result is None:
                 return CheckResult.UNSAT
             return self._finish(result)
-        return self._solve_lazy(formula)
+        return self._solve_lazy(formula, deadline)
 
     # ------------------------------------------------------------------
     # Solving under assumptions (the incremental session)
     # ------------------------------------------------------------------
     def check_assumptions(
-        self, assumptions: NamedAssumptions = (), known_unsat: bool = False
+        self,
+        assumptions: NamedAssumptions = (),
+        known_unsat: bool = False,
+        deadline: Optional[float] = None,
     ) -> CheckResult:
         """Decide the active assertions conjoined with named *assumptions*.
 
@@ -370,9 +390,12 @@ class Solver:
         check just refuted): the fast path skips the confirming solve and
         goes straight to core extraction.  A wrong hint yields a wrong UNSAT
         verdict -- the hint shifts the proof obligation to the caller.
+
+        *deadline* bounds the lazy path exactly as in :meth:`check`.
         """
         named: Dict[object, Formula] = dict(assumptions)
         self._model = None
+        self._reason_unknown = None
         self._core = ()
         self._core_minimal = False
         self._last_assumptions = named
@@ -399,7 +422,7 @@ class Solver:
         )
         if clausal is not None:
             return clausal
-        return self._check_assumptions_lazy(session, base, named, stats)
+        return self._check_assumptions_lazy(session, base, named, stats, deadline)
 
     def _check_assumptions_clausal(
         self,
@@ -477,6 +500,7 @@ class Solver:
         base: Tuple[Formula, ...],
         named: Dict[object, Formula],
         stats: IncrementalStats,
+        deadline: Optional[float],
     ) -> CheckResult:
         """The general path: persistent SAT engine + assumption literals."""
         literal_names: Dict[int, List[object]] = {}
@@ -532,7 +556,9 @@ class Solver:
             # Theory conflict: the blocking clause is theory-valid, so it can
             # stay in the persistent database and help every later query.
             session.sat.add_clause(blocking)
-        return CheckResult.UNKNOWN
+            if _expired(deadline):
+                return self._unknown("timeout")
+        return self._unknown("max theory rounds")
 
     def unsat_core(self) -> Tuple[object, ...]:
         """Assumption names in the final conflict of the last UNSAT check.
@@ -543,7 +569,7 @@ class Solver:
         """
         return self._core
 
-    def minimize_core(self) -> Tuple[object, ...]:
+    def minimize_core(self, deadline: Optional[float] = None) -> Tuple[object, ...]:
         """Deletion-minimize the unsat core of the last UNSAT check.
 
         Re-solves with one core member dropped at a time; a member whose
@@ -552,26 +578,33 @@ class Solver:
         :meth:`unsat_core` yields a core where dropping any single member
         makes the query satisfiable (modulo the theory solver's conservative
         SAT answers).  The last-check model/core state is left describing the
-        minimized core.
+        minimized core.  A probe cut by *deadline* ends the minimization,
+        leaving :meth:`reason_unknown` at ``"timeout"``.
         """
         if self._core_minimal:
             # The fast path's deletion loop already minimized the core.
             return self._core
         named = dict(self._last_assumptions)
         core = [name for name in named if name in set(self._core)]
+        cut = False
         for name in list(core):
             if name not in core:
                 continue  # already dropped by an earlier, smaller refutation
             trial = {n: named[n] for n in core if n != name}
-            if self.check_assumptions(trial) is CheckResult.UNSAT:
+            verdict = self.check_assumptions(trial, deadline=deadline)
+            if verdict is CheckResult.UNSAT:
                 survivors = set(self._core)
                 core = [n for n in core if n != name and n in survivors]
+            elif self._reason_unknown == "timeout":
+                cut = True
+                break
         self._core = tuple(core)
-        self._core_minimal = True
+        self._core_minimal = not cut
         self._last_assumptions = named
         # A SAT deletion probe may have left its model behind; the overall
         # query is UNSAT, so the last-check state must not offer one.
         self._model = None
+        self._reason_unknown = "timeout" if cut else None
         return self._core
 
     # ------------------------------------------------------------------
@@ -581,7 +614,11 @@ class Solver:
         self._model = result.model
         return CheckResult.SAT
 
-    def _solve_lazy(self, formula: Formula) -> CheckResult:
+    def _unknown(self, reason: str) -> CheckResult:
+        self._reason_unknown = reason
+        return CheckResult.UNKNOWN
+
+    def _solve_lazy(self, formula: Formula, deadline: Optional[float]) -> CheckResult:
         cnf = tseitin(formula)
         sat = SatSolver(cnf.num_vars, cnf.clauses)
         theory_vars = sorted(cnf.atom_of_var)
@@ -600,7 +637,13 @@ class Solver:
             if not blocking:
                 return CheckResult.UNSAT
             sat.add_clause(blocking)
-        return CheckResult.UNKNOWN
+            if _expired(deadline):
+                return self._unknown("timeout")
+        return self._unknown("max theory rounds")
+
+
+def _expired(deadline: Optional[float]) -> bool:
+    return deadline is not None and time.monotonic() > deadline
 
 
 def _theory_literals(cnf: CNF, assignment: Dict[int, bool], theory_vars):

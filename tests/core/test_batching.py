@@ -1,16 +1,12 @@
-"""Batched sibling evaluation and residual-SMT session tests.
+"""Batched sibling evaluation tests.
 
-Both optimisations are pure work-movers: grouping sibling hole fills into
-one batched ``execute`` and reusing an incremental solver session across a
-sketch path must leave the synthesized program, the search order and every
+Batching is a pure work-mover: grouping sibling hole fills into one batched
+``execute`` must leave the synthesized program, the search order and every
 deterministic counter unchanged -- only the amount of repeated setup drops.
-The tests pin the counters (the optimisations actually engage) and the
-invariance (disabling batching changes nothing observable).
+The tests pin the counters (batching actually engages) and the invariance
+(disabling batching changes nothing observable).
 """
 
-from repro.baselines import spec2_config
-from repro.benchmarks import r_benchmark_suite
-from repro.benchmarks.runner import run_benchmark
 from repro.core import SynthesisConfig, synthesize
 from repro.core import completion
 from repro.dataframe import Table
@@ -63,22 +59,6 @@ def test_batching_disabled_without_partial_evaluation():
     assert result.stats.completion.batched_fills == 0
 
 
-def test_residual_sessions_engage_and_reuse():
-    # A task deep enough that sibling candidates replay the same sketch
-    # path (the tiny count task above resolves its few queries before the
-    # residual tier, so the sessions would legitimately stay at zero).
-    benchmark = r_benchmark_suite().get("c3_exam_gather_unite_spread")
-    outcome = run_benchmark(benchmark, spec2_config(timeout=30))
-    assert outcome.solved
-    assert outcome.smt_sessions > 0
-    # Sibling queries over the same sketch path must actually share their
-    # session (the point of keying on the sketch path).
-    assert outcome.smt_session_reuse > 0
-    # A session exists only to serve real residual checks: never more
-    # sessions than SMT calls.
-    assert outcome.smt_sessions <= outcome.smt_calls
-
-
 def test_batching_counters_deterministic_across_runs():
     first = run()
     second = run()
@@ -86,8 +66,5 @@ def test_batching_counters_deterministic_across_runs():
         assert getattr(first.stats.completion, field) == getattr(
             second.stats.completion, field
         )
-    for field in ("smt_sessions", "smt_session_reuse", "smt_calls"):
-        assert getattr(first.stats.deduction, field) == getattr(
-            second.stats.deduction, field
-        )
+    assert first.stats.deduction.smt_calls == second.stats.deduction.smt_calls
 

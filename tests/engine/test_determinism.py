@@ -56,13 +56,11 @@ def deterministic_fingerprint(run):
             outcome.fingerprint_hits,
             outcome.exec_cache_hits,
             outcome.compare_fastpath_hits,
-            # Batched sibling evaluation and residual-SMT session counters:
-            # pure functions of the completion/deduction order, so they too
-            # must match byte for byte across schedulers.
+            # Batched sibling evaluation counters: pure functions of the
+            # completion order, so they too must match byte for byte across
+            # schedulers.
             outcome.sibling_batches,
             outcome.batched_fills,
-            outcome.smt_sessions,
-            outcome.smt_session_reuse,
         )
         for outcome in run.outcomes
     ]
