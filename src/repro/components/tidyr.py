@@ -111,17 +111,18 @@ def spread(table: Table, key: str, value: str) -> Table:
     id_vectors = [table.column_values(name) for name in id_columns]
     value_vector = table.column_values(value)
 
+    name_of = dict(zip(key_values, new_columns))
+
     first_rows: List[int] = []
     index_of: Dict[Tuple[CellValue, ...], int] = {}
     cells: List[Dict[str, CellValue]] = []
-    for row_index in range(table.n_rows):
-        group_key = tuple(vector[row_index] for vector in id_vectors)
+    for row_index, group_key in enumerate(zip(*id_vectors)):
         position = index_of.get(group_key)
         if position is None:
             position = index_of[group_key] = len(first_rows)
             first_rows.append(row_index)
             cells.append({})
-        column_name = format_value(key_vector[row_index])
+        column_name = name_of[key_vector[row_index]]
         if column_name in cells[position]:
             raise EvaluationError("spread: duplicate identifiers for rows")
         cells[position][column_name] = value_vector[row_index]

@@ -17,7 +17,6 @@ Hypotheses are immutable; refinement and hole filling return new trees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..components.errors import PRUNABLE_ERRORS
@@ -27,16 +26,31 @@ from .component import Component
 from .types import Type
 
 
-@dataclass(frozen=True)
 class Hole:
-    """An unknown expression ``?i : tau``, optionally with a qualifier."""
+    """An unknown expression ``?i : tau``, optionally with a qualifier.
 
-    node_id: int
-    hole_type: Type
-    #: For TABLE holes: the index of the input table this hole is bound to.
-    binding: Optional[int] = None
-    #: For first-order holes: the concrete argument value filling the hole.
-    value: Optional[ValueArgument] = None
+    Nodes are immutable by convention and compare structurally (same class,
+    equal fields).  The hash is computed on first use and kept in ``_hash``;
+    it never travels with the node (see ``__reduce__``), because it covers
+    strings whose hash differs per process.
+    """
+
+    __slots__ = ("node_id", "hole_type", "binding", "value", "_hash")
+
+    def __init__(
+        self,
+        node_id: int,
+        hole_type: Type,
+        binding: Optional[int] = None,
+        value: Optional[ValueArgument] = None,
+    ) -> None:
+        self.node_id = node_id
+        self.hole_type = hole_type
+        #: For TABLE holes: the index of the input table this hole is bound to.
+        self.binding = binding
+        #: For first-order holes: the concrete argument value filling the hole.
+        self.value = value
+        self._hash: Optional[int] = None
 
     @property
     def is_bound(self) -> bool:
@@ -44,6 +58,21 @@ class Hole:
         if self.hole_type is Type.TABLE:
             return self.binding is not None
         return self.value is not None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Hole:
+            return NotImplemented
+        return (self.node_id, self.hole_type, self.binding, self.value) == (
+            other.node_id, other.hole_type, other.binding, other.value
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.node_id, self.hole_type.value, self.binding, self.value))
+        return self._hash
+
+    def __reduce__(self):
+        return Hole, (self.node_id, self.hole_type, self.binding, self.value)
 
     def __repr__(self) -> str:
         if self.hole_type is Type.TABLE and self.binding is not None:
@@ -53,19 +82,47 @@ class Hole:
         return f"?{self.node_id}:{self.hole_type.value}"
 
 
-@dataclass(frozen=True)
 class Apply:
     """An application node ``?X_i(H_1, ..., H_n)``.
 
     ``table_children`` are sub-hypotheses (holes or nested applications) for
     the component's table arguments; ``value_children`` are the first-order
-    holes for its remaining parameters.
+    holes for its remaining parameters.  Equality is structural like
+    :class:`Hole`'s; the cached hash covers the component's *name* only, so
+    hashing never walks the component's fields.
     """
 
-    node_id: int
-    component: Component
-    table_children: Tuple["Hypothesis", ...]
-    value_children: Tuple[Hole, ...]
+    __slots__ = ("node_id", "component", "table_children", "value_children", "_hash")
+
+    def __init__(
+        self,
+        node_id: int,
+        component: Component,
+        table_children: Tuple["Hypothesis", ...],
+        value_children: Tuple[Hole, ...],
+    ) -> None:
+        self.node_id = node_id
+        self.component = component
+        self.table_children = table_children
+        self.value_children = value_children
+        self._hash: Optional[int] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Apply:
+            return NotImplemented
+        return (
+            self.node_id, self.component, self.table_children, self.value_children
+        ) == (other.node_id, other.component, other.table_children, other.value_children)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(
+                (self.node_id, self.component.name, self.table_children, self.value_children)
+            )
+        return self._hash
+
+    def __reduce__(self):
+        return Apply, (self.node_id, self.component, self.table_children, self.value_children)
 
     def __repr__(self) -> str:
         children = list(self.table_children) + list(self.value_children)
@@ -185,12 +242,14 @@ def refine(
 
 def bind_table_hole(hypothesis: Hypothesis, hole: Hole, input_index: int) -> Hypothesis:
     """Attach the qualifier ``(x_j, T_j)`` to a table hole."""
-    return replace_node(hypothesis, hole.node_id, replace(hole, binding=input_index))
+    bound = Hole(hole.node_id, hole.hole_type, input_index, hole.value)
+    return replace_node(hypothesis, hole.node_id, bound)
 
 
 def fill_value_hole(hypothesis: Hypothesis, hole: Hole, value: ValueArgument) -> Hypothesis:
     """Attach a concrete first-order argument to a value hole."""
-    return replace_node(hypothesis, hole.node_id, replace(hole, value=value))
+    filled = Hole(hole.node_id, hole.hole_type, hole.binding, value)
+    return replace_node(hypothesis, hole.node_id, filled)
 
 
 def sketches(hypothesis: Hypothesis, num_inputs: int) -> Iterable[Hypothesis]:
@@ -270,12 +329,13 @@ def _evaluate_node(
             results[node.node_id] = table
             return table
         return None
-    if memo is not None and node in memo:
-        cached = memo[node]
-        if isinstance(cached, EvaluationFailure):
-            raise EvaluationFailure(str(cached))
-        results[node.node_id] = cached
-        return cached
+    if memo is not None:
+        cached = memo.get(node)
+        if cached is not None:
+            if isinstance(cached, EvaluationFailure):
+                raise EvaluationFailure(str(cached))
+            results[node.node_id] = cached
+            return cached
     child_tables = [
         _evaluate_node(child, inputs, memo, exec_cache, results)
         for child in node.table_children

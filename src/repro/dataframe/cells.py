@@ -38,6 +38,11 @@ class CellType(enum.Enum):
 
 def is_numeric(value: CellValue) -> bool:
     """Return ``True`` if *value* is a number (bools are not numbers here)."""
+    # Exact-type test first: ``isinstance(..., Fraction)`` goes through the
+    # ``numbers`` ABC machinery, which is slow on the per-cell paths.
+    cls = type(value)
+    if cls is int or cls is float:
+        return True
     return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
 
 
@@ -71,9 +76,15 @@ def infer_column_type(values: Iterable[CellValue]) -> CellType:
     """
     inferred: Optional[CellType] = None
     for value in values:
-        value_type = infer_cell_type(value)
-        if value_type is None:
-            continue
+        cls = type(value)
+        if cls is str:
+            value_type = CellType.STR
+        elif cls is int or cls is float:
+            value_type = CellType.NUM
+        else:
+            value_type = infer_cell_type(value)
+            if value_type is None:
+                continue
         if inferred is None:
             inferred = value_type
         elif inferred is not value_type:
@@ -103,6 +114,12 @@ def coerce_value(value: CellValue, cell_type: CellType) -> CellValue:
 
 def normalize_number(value: Union[int, float, Fraction]) -> Union[int, float]:
     """Normalise a numeric cell: integral floats become ints, Fractions collapse."""
+    cls = type(value)
+    if cls is int:
+        return value
+    if cls is float:
+        # ``is_integer`` is False for ``inf`` and ``nan``.
+        return int(value) if value.is_integer() else value
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)

@@ -1,13 +1,15 @@
 """A process-wide intern pool for cell values.
 
 Every cell that enters a :class:`~repro.dataframe.table.Table` through a
-validating constructor is routed through :func:`intern_value`, so equal
-cells share one Python object across all live tables.  Synthesis executes
-thousands of candidate programs over the same handful of example tables, and
-almost every value a verb produces already occurred somewhere upstream --
-interning collapses that into pointer sharing, which both bounds memory and
-makes the identity-based fast paths (dict buckets, ``is`` checks inside
-tuple comparison) fire far more often.
+validating constructor is interned -- by
+:func:`~repro.dataframe.table.coerce_column`, the per-column form of
+:func:`intern_value` -- so equal cells share one Python object across all
+live tables.  Synthesis executes thousands of candidate programs over the
+same handful of example tables, and almost every value a verb produces
+already occurred somewhere upstream -- interning collapses that into
+pointer sharing, which both bounds memory and makes the identity-based fast
+paths (dict buckets, ``is`` checks inside tuple comparison) fire far more
+often.
 
 The pool maps a value to its canonical instance.  Only hashable cell values
 exist (``int``/``float``/``str``/``None``), and numeric cells are already

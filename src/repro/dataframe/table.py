@@ -33,6 +33,7 @@ from __future__ import annotations
 from hashlib import blake2b
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from . import interning
 from .cells import (
     CellType,
     CellValue,
@@ -45,7 +46,6 @@ from .cells import (
     values_equal,
 )
 from .errors import ColumnNotFoundError, DuplicateColumnError, SchemaError
-from .interning import intern_value
 from .profiling import execution_stats
 
 
@@ -55,6 +55,52 @@ def _encode_tokens(hasher, tokens: Iterable[str]) -> None:
         data = token.encode("utf-8", "surrogatepass")
         hasher.update(b"%d:" % len(data))
         hasher.update(data)
+
+
+def coerce_column(values: Iterable[CellValue], cell_type: CellType) -> Tuple[CellValue, ...]:
+    """Coerce every cell of one column to *cell_type* and intern it.
+
+    Equivalent to passing each cell through
+    :func:`~repro.dataframe.cells.coerce_value` and then
+    :func:`~repro.dataframe.interning.intern_value` -- same cells, same
+    errors, same ``cells_interned`` count -- but in one loop that dispatches
+    on each cell's exact type and falls back to ``coerce_value`` only for the
+    rare cells (``Fraction``, ``bool``, subclasses, mismatches).  The pool is
+    read from :mod:`~repro.dataframe.interning` at call time because
+    :class:`~repro.engine.context.TaskContext` swaps it per task.
+    """
+    pool = interning._POOL
+    capacity = interning.POOL_CAPACITY
+    numeric = cell_type is CellType.NUM
+    cells: List[CellValue] = []
+    append = cells.append
+    hits = 0
+    try:
+        for value in values:
+            if value is None:
+                append(None)
+                continue
+            cls = type(value)
+            if numeric:
+                if cls is float:
+                    if value.is_integer():
+                        value = int(value)
+                elif cls is not int:
+                    value = coerce_value(value, cell_type)
+            elif cls is not str:
+                value = coerce_value(value, cell_type)
+            canonical = pool.get(value)
+            if canonical is None:
+                if len(pool) < capacity:
+                    pool[value] = value
+                append(value)
+            else:
+                hits += 1
+                append(canonical)
+    finally:
+        if hits:
+            execution_stats().cells_interned += hits
+    return tuple(cells)
 
 
 class Table:
@@ -120,11 +166,7 @@ class Table:
             raise SchemaError("col_types must have one entry per column")
 
         coerced = tuple(
-            tuple(
-                intern_value(coerce_value(value, col_types[index]))
-                for value in vectors[index]
-            )
-            for index in range(len(columns))
+            coerce_column(vector, cell_type) for vector, cell_type in zip(vectors, col_types)
         )
 
         for name in group_cols:
@@ -206,11 +248,7 @@ class Table:
         if len(col_types) != len(columns):
             raise SchemaError("col_types must have one entry per column")
         coerced = tuple(
-            tuple(
-                intern_value(coerce_value(value, col_types[index]))
-                for value in vectors[index]
-            )
-            for index in range(len(columns))
+            coerce_column(vector, cell_type) for vector, cell_type in zip(vectors, col_types)
         )
         for name in group_cols:
             if name not in columns:
@@ -534,7 +572,7 @@ class Table:
                 f"new column has {len(values)} values but the table has {self._n_rows} rows"
             )
         new_type = infer_column_type(values)
-        new_vector = tuple(intern_value(coerce_value(value, new_type)) for value in values)
+        new_vector = coerce_column(values, new_type)
         return Table._from_shared(
             self._columns + (str(name),),
             self._col_types + (new_type,),

@@ -177,5 +177,40 @@ def test_columnar_and_reference_executors_agree(seed):
             columnar_table, legacy_table = columnar_result, legacy_result
 
 
+SPREAD_EDGE_CASES = {
+    "numeric keys mixing ints and non-integral floats": Table(
+        ["id", "site", "k", "v"],
+        [["a", 1, 1, 10], ["a", 1, 2.5, 11], ["b", 2, 1, 12], ["b", 2, 0.25, 13], ["a", 2, 1, 14]],
+    ),
+    "missing cells in the value column": Table(
+        ["id", "k", "v"],
+        [["a", "x", None], ["a", "y", 1.5], ["b", "x", 2], ["c", "y", None]],
+    ),
+    "duplicate identifiers": Table(
+        ["id", "k", "v"], [["a", "x", 1], ["b", "x", 2], ["a", "x", 3]]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPREAD_EDGE_CASES))
+def test_spread_edge_cases_match_reference(case):
+    table = SPREAD_EDGE_CASES[case]
+    outcomes = []
+    for spread in (tidyr.spread, reference.spread):
+        try:
+            outcomes.append(spread(table, "k", "v"))
+        except COMPARABLE_ERRORS as error:
+            outcomes.append((type(error), str(error)))
+    columnar, legacy = outcomes
+    if case == "duplicate identifiers":
+        assert columnar == legacy
+        assert columnar[1] == "spread: duplicate identifiers for rows"
+        return
+    assert_tables_identical(columnar, legacy, case)
+    assert any(None in row for row in columnar.rows)
+    if case.startswith("numeric"):
+        assert columnar.columns == ("id", "site", "0.25", "1", "2.5")
+
+
 def test_reference_covers_every_component():
     assert set(reference.REFERENCE_VERBS) == set(COLUMNAR_VERBS)

@@ -1,6 +1,12 @@
 """Tests for hypotheses, refinement trees, sketches and partial evaluation."""
 
+import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +89,97 @@ class TestRefinement:
         refined = refine(hypothesis, hypothesis, COMPONENTS["filter"], make_counter())
         assert isinstance(hypothesis, Hole)
         assert isinstance(refined, Apply)
+
+
+class TestNodeContract:
+    """Slotted nodes: structural equality, cached hash, hash never pickled."""
+
+    def _filled_by_hand(self):
+        table_hole = Hole(1, Type.TABLE, binding=0)
+        value_hole = Hole(2, Type.PREDICATE, value=Predicate("age", ">", Constant(10)))
+        return Apply(0, COMPONENTS["filter"], (table_hole,), (value_hole,))
+
+    def test_rewritten_trees_equal_trees_built_by_hand(self):
+        refined = build_chain("filter")
+        assert refined == Apply(
+            0, COMPONENTS["filter"], (Hole(1, Type.TABLE),), (Hole(2, Type.PREDICATE),)
+        )
+        bound = bind_table_hole(refined, table_holes(refined)[0], 0)
+        program = fill_value_hole(
+            bound, unfilled_value_holes(bound)[0], Predicate("age", ">", Constant(10))
+        )
+        by_hand = self._filled_by_hand()
+        assert program == by_hand and by_hand == program
+        assert hash(program) == hash(by_hand)
+        assert {by_hand: "memo"}[program] == "memo"
+
+    def test_fields_change_equality(self):
+        hole = Hole(3, Type.TABLE)
+        assert hole == Hole(3, Type.TABLE)
+        assert hole != Hole(3, Type.TABLE, binding=0)
+        assert hole != Hole(4, Type.TABLE)
+        assert hole != Hole(3, Type.COLS)
+        refined = build_chain("filter")
+        assert refined != build_chain("select")
+
+    def test_hole_never_equals_apply_with_the_same_id(self):
+        hole = Hole(0, Type.TABLE)
+        application = build_chain("filter")
+        assert application.node_id == hole.node_id
+        assert hole != application and application != hole
+        assert len({hole, application}) == 2
+
+    def test_pickle_and_deepcopy_drop_the_cached_hash(self):
+        program = self._filled_by_hand()
+        hash(program)
+        assert program._hash is not None
+        for clone in (pickle.loads(pickle.dumps(program)), copy.deepcopy(program)):
+            assert clone._hash is None
+            assert clone.table_children[0]._hash is None
+            assert clone.value_children[0]._hash is None
+            assert clone == program
+            assert hash(clone) == hash(program)
+
+    def test_pickled_tree_survives_a_new_hash_seed(self, tmp_path):
+        """A tree hashed and pickled under one seed keys a memo under another."""
+        build = (
+            "from repro.core import standard_library\n"
+            "from repro.core.arguments import Constant, Predicate\n"
+            "from repro.core.hypothesis import Apply, Hole\n"
+            "from repro.core.types import Type\n"
+            "def build():\n"
+            "    filter_ = {c.name: c for c in standard_library()}['filter']\n"
+            "    predicate = Predicate('age', '>', Constant(10))\n"
+            "    return Apply(0, filter_, (Hole(1, Type.TABLE, binding=0),),\n"
+            "                 (Hole(2, Type.PREDICATE, value=predicate),))\n"
+        )
+        dump = build + (
+            "import pickle, sys\n"
+            "tree = build()\n"
+            "memo = {tree: 'entry'}\n"
+            "sys.stdout.buffer.write(pickle.dumps((tree, memo)))\n"
+        )
+        load = build + (
+            "import pickle, sys\n"
+            "tree, memo = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "fresh = build()\n"
+            "assert tree == fresh, (tree, fresh)\n"
+            "assert hash(tree) == hash(fresh)\n"
+            "assert memo[fresh] == 'entry'\n"
+            "assert {fresh: 1}[tree] == 1\n"
+            "print('ok')\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+
+        def run(seed, code, *args):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr.decode()
+            return done.stdout
+
+        payload = tmp_path / "tree.pickle"
+        payload.write_bytes(run(0, dump))
+        assert run(26, load, str(payload)).strip() == b"ok"
 
 
 class TestSketches:

@@ -1,11 +1,15 @@
 """Tests for cell values and cell types."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dataframe.cells import (
     CellType,
+    cell_token,
     coerce_value,
     format_number,
     format_value,
@@ -65,6 +69,43 @@ class TestCoercion:
     def test_format_number(self):
         assert format_number(2.0) == "2"
         assert format_number(2.5) == "2.5"
+
+
+class TestExactTypeFastPaths:
+    """Cells that miss the ``type(value) is int``/``float`` fast paths."""
+
+    def test_integral_fraction(self):
+        half_four = Fraction(4, 2)
+        assert is_numeric(half_four)
+        assert normalize_number(half_four) == 2
+        assert type(normalize_number(half_four)) is int
+        assert type(normalize_number(Fraction(1, 2))) is float
+        assert format_value(half_four) == "2"
+        assert cell_token(half_four) == "n2"
+        assert value_sort_key(half_four) == (1, 2.0)
+        assert values_equal(half_four, 2)
+        assert infer_column_type([1, half_four, 2.5]) is CellType.NUM
+
+    def test_bool_is_not_a_number(self):
+        assert not is_numeric(True)
+        assert normalize_number(True) is True
+        assert format_value(True) == "True"
+        assert value_sort_key(True) == (2, "True")
+        with pytest.raises(CellTypeError):
+            infer_column_type([1, True])
+        with pytest.raises(CellTypeError):
+            coerce_value(True, CellType.NUM)
+
+    def test_infinity_stays_a_float(self):
+        infinity = float("inf")
+        assert is_numeric(infinity)
+        assert normalize_number(infinity) is infinity
+        assert normalize_number(-infinity) == -math.inf
+        assert format_value(infinity) == "inf"
+        assert cell_token(-infinity) == "n-inf"
+        assert value_sort_key(infinity) == (1, infinity)
+        assert values_equal(infinity, infinity)
+        assert not values_equal(infinity, 1e308)
 
 
 class TestEqualityAndOrdering:
