@@ -33,19 +33,9 @@ from .dataframe import Table, tables_equivalent, tables_match_for_synthesis
 
 __version__ = "1.1.0"
 
-#: Parallel/caching APIs re-exported lazily from :mod:`repro.engine` (the
-#: engine imports the synthesizer, so an eager import here would be circular).
-_ENGINE_EXPORTS = frozenset(
-    {
-        "ParallelRunner",
-        "PortfolioResult",
-        "synthesize_batch",
-        "synthesize_portfolio",
-    }
-)
-
-#: Facade APIs re-exported lazily from :mod:`repro.api` (same circularity:
-#: the facade imports the synthesizer and the engine context).
+#: Facade APIs re-exported lazily from :mod:`repro.api` (the facade imports
+#: the synthesizer and the engine context, so an eager import here would be
+#: circular).
 _API_EXPORTS = frozenset(
     {
         "CandidateProgram",
@@ -61,8 +51,6 @@ __all__ = [
     "CandidateProgram",
     "Example",
     "Morpheus",
-    "ParallelRunner",
-    "PortfolioResult",
     "SessionState",
     "SpecLevel",
     "SynthesisConfig",
@@ -76,18 +64,12 @@ __all__ = [
     "sql_library",
     "standard_library",
     "synthesize",
-    "synthesize_batch",
-    "synthesize_portfolio",
     "tables_equivalent",
     "tables_match_for_synthesis",
 ]
 
 
 def __getattr__(name):
-    if name in _ENGINE_EXPORTS:
-        from . import engine
-
-        return getattr(engine, name)
     if name in _API_EXPORTS:
         from . import api
 

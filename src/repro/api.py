@@ -78,8 +78,9 @@ LIBRARIES = {
     "sql": sql_library,
 }
 
-#: Kernel steps per scheduling slice when a session is advanced without an
-#: explicit ``max_steps`` (matches the engine's interleaving default).
+#: Kernel steps per scheduling slice: the default ``max_steps`` of
+#: :meth:`SynthesisSession.advance`, and the slice the service's scheduler
+#: grants each session per round-robin pass.
 DEFAULT_SLICE_STEPS = 64
 
 
@@ -369,13 +370,12 @@ class SynthesisSession:
     """An anytime, resumable synthesis search for one request.
 
     The session owns a :class:`~repro.engine.context.TaskContext` (private
-    intern pool, execution counters and formula cache -- the same isolation
-    the interleaved benchmark scheduler uses) and a
+    intern pool, execution counters and formula cache) and a
     :class:`~repro.core.frontier.SearchKernel` that is constructed, stepped,
     suspended and restored strictly inside that context.  It is
     single-threaded by design: the service serialises all stepping onto one
-    scheduler thread, and :meth:`advance` doubles as a
-    :meth:`repro.engine.parallel.KernelInterleaver.add_driver` driver.
+    scheduler thread, which grants each session one :meth:`advance` slice
+    per round-robin pass.
 
     Lifecycle: ``created`` -> ``searching`` -> ``done`` (quota of validated
     programs met) | ``exhausted`` (frontier drained) | ``timeout`` (active
@@ -463,8 +463,8 @@ class SynthesisSession:
 
         The per-session budget (``config.timeout``) is charged against
         *active* time -- the seconds this session's own steps consumed --
-        exactly like interleaved benchmark tasks, so many sessions sharing
-        one scheduler neither starve nor subsidise one another.
+        so many sessions sharing one scheduler neither starve nor subsidise
+        one another.
         """
         if self.finished:
             return True
@@ -667,7 +667,8 @@ class SynthesisSession:
 
         Single-example sessions reproduce ``Morpheus.synthesize`` exactly
         (same wall-clock deadline handling, same counter windows -- the
-        benchmark harness diffs these byte-for-byte across schedulers);
+        benchmark harness diffs these byte-for-byte between serial and
+        ``--jobs N`` runs);
         multi-example sessions keep searching until a candidate passes every
         example or the budget expires.
         """

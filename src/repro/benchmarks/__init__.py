@@ -13,11 +13,11 @@ from .runner import (
     BenchmarkOutcome,
     Figure18Row,
     SuiteRun,
-    outcome_from_result,
     run_benchmark,
     run_figure16,
     run_figure17,
     run_figure18,
+    run_pairs,
     run_pruning_statistics,
     run_suite,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "figure17_series",
     "figure17_table",
     "figure18_table",
-    "outcome_from_result",
     "outcome_record",
     "r_benchmark_suite",
     "search_summary_table",
@@ -58,6 +57,7 @@ __all__ = [
     "run_figure16",
     "run_figure17",
     "run_figure18",
+    "run_pairs",
     "run_pruning_statistics",
     "run_suite",
     "sql_benchmark_suite",

@@ -16,9 +16,9 @@ Examples::
     python -m repro.benchmarks.cli serve --port 8642
 
 ``--jobs N`` fans the benchmark x configuration pairs over ``N`` worker
-processes, each of which *interleaves the search-kernel steps* of its batch
-(the ``repro-bench`` console script installed by the package accepts the
-same arguments).  ``--tasks REGEX`` restricts the suite to benchmarks whose
+processes, each running one whole task at a time exactly as the serial run
+does (the ``repro-bench`` console script installed by the package accepts
+the same arguments).  ``--tasks REGEX`` restricts the suite to benchmarks whose
 name matches the regex (combinable with ``--categories``/``--names``), and
 ``--list-tasks`` prints the selected benchmark names without running
 anything -- the single-task iteration loop.
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--jobs", "-j", type=int, default=1, metavar="N",
         help="fan benchmark x configuration pairs over N worker processes, "
-             "each interleaving the search-kernel steps of its batch "
+             "each running one whole task at a time "
              "(1 = serial; solve/fail outcomes match the serial run unless "
              "per-task solve times approach --timeout while workers "
              "oversubscribe the CPUs)",

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.configurations import ALL_FIGURE17_CONFIGS, FIGURE16_CONFIGS
 from ..baselines.lambda2 import Lambda2Synthesizer
 from ..baselines.sql_synthesizer import SqlSynthesizer
 from ..core.library import sql_library
 from ..core.synthesizer import SynthesisConfig
-from ..engine.pool import installed_kb
+from ..engine.pool import installed_kb, map_indexed, pool_initializer
 from .r_suite import r_benchmark_suite
 from .sql_suite import sql_benchmark_suite
 from .suite import Benchmark, BenchmarkSuite
@@ -64,9 +64,9 @@ class BenchmarkOutcome:
     oe_merged: int = 0
     #: Peak number of simultaneously pending search-frontier states.
     frontier_peak: int = 0
-    #: Concrete-execution counters (deterministic: the runner resets the
-    #: intern pool and counters before each task, so serial and ``--jobs N``
-    #: runs report identical values).
+    #: Concrete-execution counters (deterministic: each task runs in its own
+    #: session context with a fresh intern pool and counters, so serial and
+    #: ``--jobs N`` runs report identical values).
     tables_built: int = 0
     cells_interned: int = 0
     fingerprint_hits: int = 0
@@ -116,22 +116,37 @@ class SuiteRun:
         return grouped
 
 
+#: A unit of benchmark work: (benchmark, configuration, label, library).
+BenchmarkPair = Tuple[Benchmark, SynthesisConfig, str, object]
+
+
 def _morpheus_config(timeout: Optional[float]) -> SynthesisConfig:
     """The default full-strength configuration (used by Figure 18 / pruning)."""
     return SynthesisConfig(timeout=timeout)
 
 
-def outcome_from_result(
+def run_benchmark(
     benchmark: Benchmark,
     config: SynthesisConfig,
-    result,
+    library=None,
     label: Optional[str] = None,
 ) -> BenchmarkOutcome:
-    """Flatten a :class:`~repro.core.SynthesisResult` into a BenchmarkOutcome.
+    """Run Morpheus on one benchmark under one configuration.
 
-    Shared by the serial runner and the interleaved kernel scheduler so the
-    two can never disagree on how counters map onto outcome fields.
+    Goes through the sanctioned facade (:func:`repro.api.create_session`):
+    each benchmark runs in its own session, whose private
+    :class:`~repro.engine.context.TaskContext` provides a fresh SMT formula
+    cache, execution counters and value intern pool -- so the outcome does
+    not depend on which benchmarks ran earlier in the same process.  That
+    independence is what makes serial and ``--jobs N`` harness runs report
+    byte-identical programs and counters.
     """
+    from ..api import SynthesisRequest, create_session
+
+    request = SynthesisRequest.from_tables(
+        benchmark.inputs, benchmark.output, config=config
+    )
+    result = create_session(request, library=library).solve()
     deduction = result.stats.deduction
     execution = result.stats.execution
     completion = result.stats.completion
@@ -164,31 +179,44 @@ def outcome_from_result(
     )
 
 
-def run_benchmark(
-    benchmark: Benchmark,
-    config: SynthesisConfig,
-    library=None,
-    label: Optional[str] = None,
-) -> BenchmarkOutcome:
-    """Run Morpheus on one benchmark under one configuration.
+def _run_pair(task):
+    """Pool worker (top-level so it pickles): one indexed pair -> outcome."""
+    index, (benchmark, config, label, library) = task
+    return index, run_benchmark(benchmark, config, library=library, label=label)
 
-    Goes through the sanctioned facade (:func:`repro.api.create_session`):
-    each benchmark runs in its own session, whose private
-    :class:`~repro.engine.context.TaskContext` provides a fresh SMT formula
-    cache, execution counters and value intern pool -- so the outcome does
-    not depend on which benchmarks ran earlier in the same process.  That
-    independence is what makes parallel and serial harness runs equivalent
-    even for tasks near the timeout boundary (and keeps the execution
-    counters byte-identical between schedulers).
+
+def run_pairs(
+    pairs: Sequence[BenchmarkPair],
+    jobs: int = 1,
+    kb_path: Optional[str] = None,
+    progress: Optional[Callable[[BenchmarkOutcome], None]] = None,
+) -> List[BenchmarkOutcome]:
+    """Run every (benchmark, config, label, library) pair; outcomes in input order.
+
+    ``jobs == 1`` runs the pairs one after another in this process;
+    ``jobs > 1`` maps them over a pool of that many worker processes.  Both
+    execute :func:`run_benchmark` per pair, so every deterministic outcome
+    field is identical between them.  (Caveat: a task whose solve time
+    approaches its wall-clock ``timeout`` can flip to a timeout when more
+    workers run than there are CPU cores.)
+
+    ``kb_path`` attaches the warm-start knowledge base at that path
+    (:mod:`repro.engine.kb`) for this call only: installed in this process
+    and opened by each pool worker.  ``progress`` fires in this process once
+    per outcome, as it arrives.
     """
-    from ..api import SynthesisRequest, create_session
-
-    request = SynthesisRequest.from_tables(
-        benchmark.inputs, benchmark.output, config=config
-    )
-    session = create_session(request, library=library)
-    result = session.solve()
-    return outcome_from_result(benchmark, config, result, label=label)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    on_result = None if progress is None else (lambda _index, outcome: progress(outcome))
+    initializer, initargs = pool_initializer(kb_path)
+    # A serial run (or a pool skipped for a single pair) executes in this
+    # process, where no pool initializer fires.
+    with installed_kb(kb_path):
+        collected = map_indexed(
+            _run_pair, list(enumerate(pairs)), jobs,
+            on_result=on_result, initializer=initializer, initargs=initargs,
+        )
+    return [collected[index] for index in range(len(pairs))]
 
 
 def run_suite(
@@ -198,38 +226,45 @@ def run_suite(
     label: Optional[str] = None,
     library=None,
     progress: Optional[Callable[[BenchmarkOutcome], None]] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     kb_path: Optional[str] = None,
 ) -> SuiteRun:
     """Run a whole suite under one configuration factory.
 
-    ``jobs`` > 1 fans the benchmarks over a process pool (see
-    :class:`repro.engine.ParallelRunner`); the outcomes are identical to the
-    serial run, in suite order.  (Caveat: tasks whose solve time approaches
-    the wall-clock ``timeout`` can flip to a timeout when more workers run
-    than there are CPU cores, since concurrent workers share the CPU.)
-
-    ``kb_path`` attaches the warm-start knowledge base at that path
-    (:mod:`repro.engine.kb`): every task consults it for persisted
-    executions and attribute vectors and writes new facts back.  The KB
-    never changes outcomes, only how much work each search re-does.
+    ``jobs`` and ``kb_path`` are passed to :func:`run_pairs`: the outcomes
+    are the serial ones, in suite order, whatever the worker count.  The
+    KB never changes outcomes, only how much work each search re-does.
     """
-    if jobs is not None and jobs != 1:
-        from ..engine.parallel import ParallelRunner
-
-        return ParallelRunner(jobs=jobs, kb_path=kb_path).run_suite(
-            suite, config_factory, timeout=timeout, label=label,
-            library=library, progress=progress,
-        )
     config = config_factory(timeout)
-    run = SuiteRun(configuration=label or config.describe())
-    with installed_kb(kb_path):
-        for benchmark in suite:
-            outcome = run_benchmark(benchmark, config, library=library, label=run.configuration)
-            run.outcomes.append(outcome)
-            if progress is not None:
-                progress(outcome)
-    return run
+    resolved = label or config.describe()
+    outcomes = run_pairs(
+        [(benchmark, config, resolved, library) for benchmark in suite],
+        jobs=jobs, kb_path=kb_path, progress=progress,
+    )
+    return SuiteRun(configuration=resolved, outcomes=outcomes)
+
+
+def _run_matrix(
+    suite: BenchmarkSuite,
+    configurations: Dict[str, Callable[[Optional[float]], SynthesisConfig]],
+    timeout: float,
+    progress: Optional[Callable[[BenchmarkOutcome], None]],
+    jobs: int,
+    kb_path: Optional[str],
+) -> Dict[str, SuiteRun]:
+    """Run the whole benchmark x configuration grid through one :func:`run_pairs`.
+
+    Scheduling all cells together keeps every pool worker busy even when one
+    configuration is much slower than the others.
+    """
+    pairs: List[BenchmarkPair] = []
+    for label, factory in configurations.items():
+        config = factory(timeout)
+        pairs.extend((benchmark, config, label, None) for benchmark in suite)
+    runs = {label: SuiteRun(configuration=label) for label in configurations}
+    for outcome in run_pairs(pairs, jobs=jobs, kb_path=kb_path, progress=progress):
+        runs[outcome.configuration].outcomes.append(outcome)
+    return runs
 
 
 # ----------------------------------------------------------------------
@@ -240,23 +275,13 @@ def run_figure16(
     suite: Optional[BenchmarkSuite] = None,
     configurations: Optional[Dict[str, Callable]] = None,
     progress: Optional[Callable[[BenchmarkOutcome], None]] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     kb_path: Optional[str] = None,
 ) -> Dict[str, SuiteRun]:
     """Run the Figure 16 experiment (No deduction / Spec 1 / Spec 2)."""
     suite = suite if suite is not None else r_benchmark_suite()
     configurations = configurations if configurations is not None else FIGURE16_CONFIGS
-    if jobs is not None and jobs != 1:
-        from ..engine.parallel import ParallelRunner
-
-        return ParallelRunner(jobs=jobs, kb_path=kb_path).run_matrix(
-            suite, configurations, timeout=timeout, progress=progress
-        )
-    return {
-        label: run_suite(suite, factory, timeout=timeout, label=label,
-                         progress=progress, kb_path=kb_path)
-        for label, factory in configurations.items()
-    }
+    return _run_matrix(suite, configurations, timeout, progress, jobs, kb_path)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +292,7 @@ def run_figure17(
     suite: Optional[BenchmarkSuite] = None,
     configurations: Optional[Dict[str, Callable]] = None,
     progress: Optional[Callable[[BenchmarkOutcome], None]] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     kb_path: Optional[str] = None,
 ) -> Dict[str, SuiteRun]:
     """Run the Figure 17 experiment (deduction x partial evaluation grid)."""
@@ -275,17 +300,7 @@ def run_figure17(
     configurations = (
         configurations if configurations is not None else ALL_FIGURE17_CONFIGS
     )
-    if jobs is not None and jobs != 1:
-        from ..engine.parallel import ParallelRunner
-
-        return ParallelRunner(jobs=jobs, kb_path=kb_path).run_matrix(
-            suite, configurations, timeout=timeout, progress=progress
-        )
-    return {
-        label: run_suite(suite, factory, timeout=timeout, label=label,
-                         progress=progress, kb_path=kb_path)
-        for label, factory in configurations.items()
-    }
+    return _run_matrix(suite, configurations, timeout, progress, jobs, kb_path)
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +326,7 @@ def run_figure18(
     include_lambda2: bool = True,
     r_suite: Optional[BenchmarkSuite] = None,
     sql_suite: Optional[BenchmarkSuite] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     morpheus_config: Optional[Callable[[Optional[float]], SynthesisConfig]] = None,
 ) -> List[Figure18Row]:
     """Compare Morpheus with the SQLSynthesizer (and lambda2) baselines.
@@ -373,7 +388,7 @@ def run_figure18(
 def run_pruning_statistics(
     timeout: float = 20.0,
     suite: Optional[BenchmarkSuite] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cdcl: bool = True,
     prescreen: bool = True,
     oe: bool = True,

@@ -26,7 +26,7 @@ explicit:
   one frontier state (at most one deduction query or one candidate hole
   filling), ``run(deadline)`` steps until a deadline, a solution quota, or
   exhaustion.  Kernels are cheap to hold suspended: a service can run many
-  of them round-robin (see :class:`repro.engine.parallel.KernelInterleaver`)
+  of them round-robin (see :class:`repro.service.sessions.SessionStore`)
   and a suspended kernel serialises its resume state with
   :meth:`SearchKernel.snapshot`.
 

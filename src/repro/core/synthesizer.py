@@ -8,7 +8,7 @@ and deduplicates partial programs through the observational-equivalence
 store (:mod:`repro.core.oe`).  The frontier pops in exactly the cost order
 the original recursive loop explored, so the first synthesized program is
 unchanged -- but the search can now be paused, resumed, interleaved fairly
-across tasks (see :class:`repro.engine.parallel.KernelInterleaver`), and
+across tasks (see :class:`repro.service.sessions.SessionStore`), and
 continued past the first solution: ``synthesize(k=...)`` enumerates the top
 ``k`` distinct programs -- alternative generalisations of the same example,
 in discovery (cost) order.

@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
 )
 from .interning import clear_intern_pool, intern_pool_size, intern_value
-from .profiling import ExecutionStats, execution_stats, reset_execution_state
+from .profiling import ExecutionStats, execution_stats
 from .table import Table
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "intern_value",
     "is_missing",
     "is_numeric",
-    "reset_execution_state",
     "tables_equivalent",
     "value_sort_key",
     "values_equal",

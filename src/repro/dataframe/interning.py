@@ -17,11 +17,11 @@ normalised by :func:`~repro.dataframe.cells.coerce_value` before interning,
 so a plain dict keyed by the value itself is sufficient.  ``None`` passes
 through untouched (the runtime already has exactly one of it).
 
-The pool is process-wide and therefore warm across tasks; the benchmark
-harness clears it between tasks (see
-:func:`~repro.dataframe.profiling.reset_execution_state`) so the
-``cells_interned`` counter stays deterministic under ``--jobs N``.  For
-long-lived library users that never reset, the pool is size-capped: once
+The pool is process-wide and therefore warm across tasks, except that each
+synthesis session installs a private, initially empty pool through its
+:class:`~repro.engine.context.TaskContext` (see :func:`install_intern_pool`)
+so the ``cells_interned`` counter stays deterministic under ``--jobs N``.
+For long-lived users of the process-wide pool, it is size-capped: once
 full it keeps deduplicating against the values it already holds but admits
 no new ones, so memory stays bounded while behaviour (sharing is a pure
 optimisation) is unchanged.
@@ -74,11 +74,10 @@ def clear_intern_pool() -> None:
 def install_intern_pool(pool: Dict[CellValue, CellValue]) -> Dict[CellValue, CellValue]:
     """Swap the process-wide pool, returning the previous one.
 
-    Used by :class:`repro.engine.context.TaskContext` to give each
-    interleaved search kernel its own pool: sharing is a pure optimisation,
-    but the ``cells_interned`` counter depends on pool warmth, so per-task
-    pools keep the counter byte-identical between whole-task and interleaved
-    scheduling.
+    Used by :class:`repro.engine.context.TaskContext` to give each session
+    its own pool: sharing is a pure optimisation, but the ``cells_interned``
+    counter depends on pool warmth, so per-task pools keep the counter
+    independent of what else ran in the process.
     """
     global _POOL
     previous = _POOL

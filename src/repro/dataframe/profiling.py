@@ -9,9 +9,12 @@ that need a per-run slice snapshot it before the run and diff afterwards
 (the same ``snapshot()``/``since()`` discipline the SMT formula cache uses).
 
 All counters are deterministic for a fixed synthesis problem, provided the
-intern pool is cleared between problems (see :func:`reset_execution_state`),
-so the benchmark harness can compare them byte-for-byte between serial and
-``--jobs N`` runs.
+problem starts from an empty intern pool and zeroed counters.  Every
+synthesis session gets exactly that from its own
+:class:`~repro.engine.context.TaskContext`, which installs a private counter
+block (:func:`install_execution_stats`) and intern pool while the session
+runs, so the benchmark harness can compare counters byte-for-byte between
+serial and ``--jobs N`` runs.
 """
 
 from __future__ import annotations
@@ -109,24 +112,10 @@ def install_execution_stats(stats: ExecutionStats) -> ExecutionStats:
     """Swap the process-wide counter instance, returning the previous one.
 
     Used by :class:`repro.engine.context.TaskContext` to give each
-    interleaved search kernel its own counter block, so per-task counters
-    are independent of which other kernels share the process.
+    session its own counter block, so per-task counters are independent of
+    what else ran in the process.
     """
     global _EXECUTION_STATS
     previous = _EXECUTION_STATS
     _EXECUTION_STATS = stats
     return previous
-
-
-def reset_execution_state() -> None:
-    """Zero the counters and clear the value intern pool.
-
-    The benchmark runner calls this before each task (next to
-    ``clear_formula_cache``) so per-task counters do not depend on what ran
-    earlier in the same process -- the property that keeps serial and
-    ``--jobs N`` harness runs byte-identical.
-    """
-    from .interning import clear_intern_pool
-
-    _EXECUTION_STATS.clear()
-    clear_intern_pool()

@@ -1,59 +1,37 @@
-"""Parallel execution and memoization subsystem.
+"""Memoization, per-task isolation and warm-start subsystem.
 
-Three layers live here:
+Four layers live here:
 
 * :mod:`repro.engine.cache` -- the bounded LRU memo tables (with hit/miss
   accounting) backing deduction verdicts, abstraction formulas, and SMT
   satisfiability results.
 * :mod:`repro.engine.context` -- :class:`TaskContext`, the per-task bundle
   of swappable process-wide state (intern pool, execution counters, formula
-  cache) that keeps interleaved kernels byte-identical to dedicated runs.
-* :mod:`repro.engine.parallel` -- scheduling drivers: a
-  :class:`KernelInterleaver` that steps many search kernels round-robin in
-  one process, a :class:`ParallelRunner` that fans benchmark x
-  configuration pairs over a ``multiprocessing`` pool (each worker
-  interleaving its batch), :func:`synthesize_batch` for serving many
-  examples concurrently, and :func:`synthesize_portfolio` for racing
-  several configurations on one example.
+  cache, knowledge base) that every :class:`repro.api.SynthesisSession`
+  runs its search in, so a task's programs and counters do not depend on
+  what else ran in the process.
+* :mod:`repro.engine.kb` -- the sqlite warm-start knowledge base.
+* :mod:`repro.engine.pool` -- the worker-pool plumbing behind
+  ``--jobs N`` (:func:`repro.benchmarks.runner.run_pairs`).
 
-The parallel and context layers are imported lazily: :mod:`repro.core` and
+The context layer is imported lazily: :mod:`repro.core` and
 :mod:`repro.smt.solver` import the cache primitives from this package, while
-:mod:`repro.engine.parallel` imports the synthesizer and
 :mod:`repro.engine.context` imports the solver, so an eager import here
 would be circular.
 """
 
 from .cache import CacheStats, ExecutionCache, LRUCache
 
-_PARALLEL_EXPORTS = frozenset(
-    {
-        "KernelInterleaver",
-        "ParallelRunner",
-        "PortfolioResult",
-        "default_job_count",
-        "interleave_benchmarks",
-        "synthesize_batch",
-        "synthesize_portfolio",
-    }
-)
-
 __all__ = [
     "CacheStats",
     "ExecutionCache",
     "LRUCache",
     "TaskContext",
-    *sorted(_PARALLEL_EXPORTS),
 ]
 
 
 def __getattr__(name):
-    if name in _PARALLEL_EXPORTS:
-        from . import parallel
-
-        return getattr(parallel, name)
     if name == "TaskContext":
-        # Lazy for the same reason as the parallel exports: the context
-        # module imports the SMT solver, which itself imports this package.
         from .context import TaskContext
 
         return TaskContext

@@ -4,18 +4,18 @@ Three pieces of process-wide state feed the deterministic per-task counters
 the benchmark harness diffs byte-for-byte: the value intern pool
 (:mod:`repro.dataframe.interning`), the execution counter block
 (:mod:`repro.dataframe.profiling`), and the SMT formula cache
-(:mod:`repro.smt.solver`).  The serial harness resets all three before each
-task; a process that *interleaves* several search kernels cannot reset --
-each kernel needs its own copies, installed whenever that kernel runs.
+(:mod:`repro.smt.solver`).  Nothing resets them between tasks; instead
+each task gets its own copies, installed whenever its kernel runs.
 
 :class:`TaskContext` packages them (plus the task's knowledge-base handle)
-into one swappable unit.  A kernel constructed and stepped inside
-``with context.active():`` observes exactly the state a dedicated,
-freshly-reset process would have observed, so its counters (and, because
-caches only affect *work*, its synthesized programs) are byte-identical to
-a whole-task run.  Activation is cheap -- four module
-globals are swapped, no data is copied -- which is what makes stepping many
-kernels round-robin in one process affordable.
+into one swappable unit; every :class:`repro.api.SynthesisSession` owns
+one.  A kernel constructed and stepped inside ``with context.active():``
+observes exactly the state a dedicated, fresh process would have observed,
+so its counters (and, because caches only affect *work*, its synthesized
+programs) do not depend on what else ran in the process.  Activation is
+cheap -- four module globals are swapped, no data is copied -- which is
+what makes stepping many sessions round-robin in one process (the
+service's scheduler) affordable.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class TaskContext:
     The context also carries the task's knowledge-base handle
     (:mod:`repro.engine.kb`): ``kb=None`` inherits whatever KB is active when
     the context is *created* (usually the process default set by the CLI or
-    a pool initializer), so interleaved kernels keep their warm-start tier
+    a pool initializer), so round-robin sessions keep their warm-start tier
     across install/uninstall swaps without any per-call plumbing.
     """
 

@@ -6,8 +6,7 @@ a long-lived, multi-tenant process:
 * :mod:`repro.service.sessions` -- the session store: an in-memory registry
   with TTL expiry, a token-bucket rate limiter, optional JSON-file
   persistence of frontier snapshots, and a background scheduler thread that
-  slices kernel steps round-robin across live sessions through the engine's
-  :class:`~repro.engine.parallel.KernelInterleaver`.
+  slices kernel steps round-robin across live sessions.
 * :mod:`repro.service.api` -- the HTTP layer (stdlib ``http.server``, no
   external dependencies): submit examples, poll or stream candidates,
   add distinguishing examples that *resume* the suspended search.

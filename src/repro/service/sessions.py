@@ -13,15 +13,15 @@ scheduler thread.  The threading contract is strict and worth stating once:
   ``add_example`` and request deserialisation (building a request's tables
   mutates the installed counters and intern pool, so it runs through
   :meth:`SessionStore.deserialize` under the lock in a scratch context).
-* Fairness across sessions comes from the engine's
-  :class:`~repro.engine.parallel.KernelInterleaver`: each live session is
-  enrolled as a *driver* (:meth:`ServiceSession.advance`), and the
-  scheduler's loop is nothing but ``interleaver.pump()`` -- the same
-  round-robin slicing the benchmark batch runner uses.
+* Fairness across sessions comes from a round-robin rotation: every live
+  session is enrolled in one deque, and each scheduler pass grants every
+  enrolled session one slice of :data:`~repro.api.DEFAULT_SLICE_STEPS`
+  kernel steps (:meth:`ServiceSession.advance`), dropping the ones that
+  finish.
 * Everything else (the registry dict, the rate limiter, per-session
   condition variables for streaming readers) uses ordinary fine-grained
   locks and never blocks on kernel work.
-* A slice that raises fails only its own session: the interleaver hands the
+* A slice that raises fails only its own session: the scheduler hands the
   exception to :meth:`ServiceSession.fail`, which marks the session
   ``failed`` (the error is reported in its state) and wakes its readers,
   while the other sessions keep their slices.  ``GET /healthz`` reports the
@@ -36,17 +36,13 @@ import os
 import threading
 import time
 import uuid
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
-from ..api import SynthesisRequest, SynthesisSession
+from ..api import DEFAULT_SLICE_STEPS, SynthesisRequest, SynthesisSession
 from ..engine.context import TaskContext
-from ..engine.parallel import KernelInterleaver
 
 _log = logging.getLogger(__name__)
-
-#: Kernel steps per scheduler slice (one ``pump`` pass gives every live
-#: session one slice).
-DEFAULT_SLICE_STEPS = 64
 
 #: Sessions idle longer than this many seconds are expired by the sweeper.
 DEFAULT_TTL = 600.0
@@ -99,8 +95,8 @@ class TokenBucket:
 class ServiceSession:
     """A stored session: the facade session plus service-level bookkeeping.
 
-    Doubles as a :meth:`~repro.engine.parallel.KernelInterleaver.add_driver`
-    driver -- :meth:`advance` is the slice the scheduler's pump grants.
+    :meth:`advance` is the slice the store's scheduler grants it per
+    round-robin pass.
     """
 
     def __init__(self, store: "SessionStore", session: SynthesisSession) -> None:
@@ -117,7 +113,7 @@ class ServiceSession:
         self.changed = threading.Condition()
         self._enrolled = False
 
-    # -- driver protocol ----------------------------------------------
+    # -- scheduler protocol -------------------------------------------
     def advance(self, max_steps: int) -> bool:
         """One scheduler slice; ``True`` drops the session from the rotation.
 
@@ -217,7 +213,6 @@ class SessionStore:
         ttl: Optional[float] = DEFAULT_TTL,
         rate: float = DEFAULT_RATE,
         burst: int = DEFAULT_BURST,
-        slice_steps: int = DEFAULT_SLICE_STEPS,
         persist_dir: Optional[str] = None,
         kb_path: Optional[str] = None,
     ) -> None:
@@ -238,7 +233,9 @@ class SessionStore:
         self._registry_lock = threading.Lock()
         #: Serialises all TaskContext-active work (see the module docstring).
         self._work_lock = threading.Lock()
-        self._interleaver = KernelInterleaver(slice_steps=slice_steps)
+        #: Sessions awaiting their next slice, in round-robin order.  Guarded
+        #: by the registry lock, which also guards ``_enrolled``.
+        self._rotation: Deque[ServiceSession] = deque()
         self._wake = threading.Event()
         self._stop = threading.Event()
         self.sessions_created = 0
@@ -373,16 +370,43 @@ class SessionStore:
             if session.settled or session._enrolled:
                 return
             session._enrolled = True
-        self._interleaver.add_driver(session)
+            self._rotation.append(session)
         self._wake.set()
 
     def _schedule(self) -> None:
         while not self._stop.is_set():
-            unfinished = self._interleaver.pump()
+            unfinished = self._rotate()
             self._sweep()
             if not unfinished:
                 self._wake.wait(timeout=0.05)
                 self._wake.clear()
+
+    def _rotate(self) -> int:
+        """One round-robin pass; returns how many sessions remain enrolled.
+
+        Every session enrolled at the start of the pass gets one slice;
+        sessions enrolled during the pass wait for the next one.  A finished
+        session leaves the rotation and is not referenced again, so expired
+        sessions are not pinned in memory.  Only the scheduler thread calls
+        this.
+        """
+        with self._registry_lock:
+            slices = len(self._rotation)
+        for _ in range(slices):
+            with self._registry_lock:
+                if not self._rotation:
+                    break
+                session = self._rotation.popleft()
+            try:
+                finished = session.advance(DEFAULT_SLICE_STEPS)
+            except Exception as error:
+                session.fail(error)
+                finished = True
+            if not finished:
+                with self._registry_lock:
+                    self._rotation.append(session)
+        with self._registry_lock:
+            return len(self._rotation)
 
     def _sweep(self) -> None:
         if self.ttl is None:

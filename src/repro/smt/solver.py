@@ -109,11 +109,10 @@ def formula_cache_store(
 def install_formula_cache(cache: "LRUCache") -> "LRUCache":
     """Swap the process-wide formula cache, returning the previous one.
 
-    Used by :class:`repro.engine.context.TaskContext` to give each
-    interleaved search kernel its own cache: a kernel's steps then see
-    exactly the cache state a dedicated process would have seen, which keeps
-    the per-run cache counters byte-identical between whole-task and
-    interleaved scheduling.
+    Used by :class:`repro.engine.context.TaskContext` to give each session
+    its own cache: a kernel's steps then see exactly the cache state a
+    dedicated process would have seen, which keeps the per-run cache
+    counters independent of what else ran in the process.
     """
     global _formula_cache
     previous = _formula_cache

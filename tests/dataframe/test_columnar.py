@@ -18,7 +18,7 @@ from repro.dataframe.interning import (
     intern_pool_size,
     intern_value,
 )
-from repro.dataframe.profiling import execution_stats, reset_execution_state
+from repro.dataframe.profiling import execution_stats
 from repro.dataframe.table import coerce_column
 from repro.engine.context import TaskContext
 
@@ -31,9 +31,9 @@ class TestInterning:
         assert left.cell(0, "a") is right.cell(0, "a")
 
     def test_interning_is_counted(self):
-        reset_execution_state()
-        Table(["a"], [["v"], ["v"], ["v"]])
-        assert execution_stats().cells_interned == 2
+        with TaskContext().active():
+            Table(["a"], [["v"], ["v"], ["v"]])
+            assert execution_stats().cells_interned == 2
 
     def test_pool_clears(self):
         Table(["a"], [["x"]])
@@ -223,13 +223,13 @@ class TestFingerprint:
         assert Table(["a"], [["5"]]).fingerprint() != Table(["a"], [[5]]).fingerprint()
 
     def test_fingerprint_is_memoised(self):
-        reset_execution_state()
-        table = Table(["a"], [[1]])
-        table.fingerprint()
-        misses = execution_stats().fingerprint_misses
-        table.fingerprint()
-        assert execution_stats().fingerprint_misses == misses
-        assert execution_stats().fingerprint_hits >= 1
+        with TaskContext().active():
+            table = Table(["a"], [[1]])
+            table.fingerprint()
+            misses = execution_stats().fingerprint_misses
+            table.fingerprint()
+            assert execution_stats().fingerprint_misses == misses
+            assert execution_stats().fingerprint_hits >= 1
 
     def test_fingerprint_is_stable_across_processes(self):
         # --jobs N determinism rests on content-derived digests, so the

@@ -1,7 +1,7 @@
 """Parallel determinism of the CDCL-enabled benchmark harness.
 
 Lemma state is strictly per-task (a fresh store and incremental session per
-synthesis run), so a ``ParallelRunner --jobs 4`` suite run must reproduce the
+synthesis run), so a ``run_suite(jobs=4)`` suite run must reproduce the
 serial run byte for byte on every deterministic outcome field -- including
 the synthesized program text and the lemma-prune / SMT-call counters that
 the conflict-driven engine adds.  ``elapsed`` is wall clock and necessarily
@@ -9,8 +9,8 @@ excluded.
 """
 
 from repro.baselines import FIGURE16_CONFIGS, spec2_no_cdcl_config
+from repro.api import SynthesisRequest, create_session
 from repro.benchmarks import r_benchmark_suite, run_suite
-from repro.engine import ParallelRunner
 
 FAST_NAMES = [
     "c1_prices_long_to_wide",
@@ -49,8 +49,9 @@ def deterministic_fingerprint(run):
             outcome.oe_candidates,
             outcome.oe_merged,
             outcome.frontier_peak,
-            # Concrete-execution counters: the runner resets the intern pool
-            # and counters per task, so these must match byte for byte too.
+            # Concrete-execution counters: every task runs in its own
+            # session context (fresh intern pool and counters), so these
+            # must match byte for byte too.
             outcome.tables_built,
             outcome.cells_interned,
             outcome.fingerprint_hits,
@@ -69,29 +70,46 @@ def deterministic_fingerprint(run):
 def test_jobs4_suite_is_byte_identical_to_serial_with_cdcl():
     suite = fast_suite()
     serial = run_suite(suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2")
-    parallel = ParallelRunner(jobs=4).run_suite(
-        suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2"
+    parallel = run_suite(
+        suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2", jobs=4
     )
     assert deterministic_fingerprint(parallel) == deterministic_fingerprint(serial)
     # The tier-1 prescreen actually ran (this is not a vacuous comparison).
     assert sum(outcome.prescreen_decided for outcome in serial.outcomes) > 0
 
 
-def test_interleaved_and_whole_task_scheduling_agree():
-    # --jobs now interleaves kernel steps across each worker's batch; the
-    # classic one-task-at-a-time workers must report byte-identical
-    # deterministic fields, and so must in-process interleaving (jobs=1
-    # through the runner drives every kernel in the calling process).
+def test_round_robin_sessions_agree_with_the_harness():
+    # The service's scheduling -- every session advanced one default slice
+    # per round-robin pass, all in one process -- must find the harness's
+    # programs, with counters identical to dedicated whole-task sessions.
+    # (Session counters cover the whole session context, a slightly wider
+    # window than the kernel-scoped outcome fields, so they are compared
+    # session to session.)
     suite = fast_suite()
+    config = FIGURE16_CONFIGS["spec2"](TIMEOUT)
     serial = run_suite(suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2")
-    interleaved = ParallelRunner(jobs=1).run_suite(
-        suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2"
-    )
-    whole_tasks = ParallelRunner(jobs=4, interleave=False).run_suite(
-        suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2"
-    )
-    assert deterministic_fingerprint(interleaved) == deterministic_fingerprint(serial)
-    assert deterministic_fingerprint(whole_tasks) == deterministic_fingerprint(serial)
+
+    def sessions():
+        return [
+            create_session(SynthesisRequest.from_tables(b.inputs, b.output, config=config))
+            for b in suite
+        ]
+
+    dedicated = sessions()
+    for session in dedicated:
+        session.solve()
+    rotated = sessions()
+    pending = list(rotated)
+    while pending:
+        pending = [session for session in pending if not session.advance()]
+    for outcome, expected, actual in zip(serial.outcomes, dedicated, rotated):
+        assert outcome.solved and actual.status == expected.status == "done"
+        assert actual.candidates[0].program == outcome.program
+        counters, reference = actual.counters(), expected.counters()
+        del counters["active_seconds"], reference["active_seconds"]
+        assert counters == reference
+        assert counters["prescreen_decided"] == outcome.prescreen_decided
+        assert counters["partial_programs"] == outcome.partial_programs
 
 
 def test_jobs4_is_byte_identical_to_serial_without_oe():
@@ -101,8 +119,8 @@ def test_jobs4_is_byte_identical_to_serial_without_oe():
     serial = run_suite(
         suite, spec2_no_oe_config, timeout=TIMEOUT, label="spec2-no-oe"
     )
-    parallel = ParallelRunner(jobs=4).run_suite(
-        suite, spec2_no_oe_config, timeout=TIMEOUT, label="spec2-no-oe"
+    parallel = run_suite(
+        suite, spec2_no_oe_config, timeout=TIMEOUT, label="spec2-no-oe", jobs=4
     )
     assert deterministic_fingerprint(parallel) == deterministic_fingerprint(serial)
     assert all(outcome.oe_candidates == 0 for outcome in serial.outcomes)
@@ -119,8 +137,9 @@ def test_jobs4_is_byte_identical_to_serial_without_prescreen():
     serial = run_suite(
         suite, spec2_no_prescreen_config, timeout=TIMEOUT, label="spec2-no-prescreen"
     )
-    parallel = ParallelRunner(jobs=4).run_suite(
-        suite, spec2_no_prescreen_config, timeout=TIMEOUT, label="spec2-no-prescreen"
+    parallel = run_suite(
+        suite, spec2_no_prescreen_config, timeout=TIMEOUT, label="spec2-no-prescreen",
+        jobs=4,
     )
     assert deterministic_fingerprint(parallel) == deterministic_fingerprint(serial)
     assert sum(outcome.lemmas_learned for outcome in serial.outcomes) > 0
@@ -129,8 +148,8 @@ def test_jobs4_is_byte_identical_to_serial_without_prescreen():
 
 def test_cdcl_and_ablation_agree_on_programs_across_schedulers():
     suite = fast_suite()
-    cdcl = ParallelRunner(jobs=4).run_suite(
-        suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2"
+    cdcl = run_suite(
+        suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2", jobs=4
     )
     plain = run_suite(suite, spec2_no_cdcl_config, timeout=TIMEOUT, label="spec2")
     programs = lambda run: [(o.benchmark, o.solved, o.program) for o in run.outcomes]  # noqa: E731

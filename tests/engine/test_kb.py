@@ -13,7 +13,7 @@ from repro.core.library import standard_library
 from repro.core.lemmas import LemmaStore, decode_descriptor, encode_descriptor
 from repro.dataframe import Table
 from repro.dataframe.profiling import ExecutionStats, install_execution_stats
-from repro.engine import ParallelRunner, TaskContext
+from repro.engine import TaskContext
 from repro.engine import kb as kb_module
 from repro.engine.kb import (
     KnowledgeBase,
@@ -379,18 +379,41 @@ class TestRunSuiteKBScope:
         assert current_kb() is None
         assert self.entries(first) == first_entries
 
-    def test_in_process_parallel_runner_restores_the_default(self, tmp_path):
+    def test_in_process_run_restores_the_default(self, tmp_path):
         suite = r_benchmark_suite().subset(names=FAST_NAMES[:1])
         default = KnowledgeBase(str(tmp_path / "default.kb"))
         set_default_kb(default)
         try:
-            ParallelRunner(jobs=1, kb_path=str(tmp_path / "run.kb")).run_suite(
-                suite, spec2_config, timeout=TIMEOUT
+            run_suite(
+                suite, spec2_config, timeout=TIMEOUT, jobs=1,
+                kb_path=str(tmp_path / "run.kb"),
             )
             assert current_kb() is default
         finally:
             set_default_kb(None)
         assert self.entries(str(tmp_path / "run.kb")) > 0
+        assert len(default) == 0
+        default.close()
+
+    def test_pool_run_writes_the_file_and_leaves_the_default(self, tmp_path):
+        # Each pool worker opens the file itself; the caller's process
+        # default must come back untouched, and the programs must be the
+        # serial ones.
+        suite = fast_suite()
+        serial = run_suite(suite, spec2_config, timeout=TIMEOUT)
+        default = KnowledgeBase(str(tmp_path / "default.kb"))
+        set_default_kb(default)
+        try:
+            pooled = run_suite(
+                suite, spec2_config, timeout=TIMEOUT, jobs=2,
+                kb_path=str(tmp_path / "pool.kb"),
+            )
+            assert current_kb() is default
+        finally:
+            set_default_kb(None)
+        assert [o.program for o in pooled.outcomes] == [o.program for o in serial.outcomes]
+        assert all(o.solved for o in pooled.outcomes)
+        assert self.entries(str(tmp_path / "pool.kb")) > 0
         assert len(default) == 0
         default.close()
 

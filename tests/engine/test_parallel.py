@@ -1,18 +1,23 @@
-"""Tests for the process-parallel drivers (repro.engine.parallel)."""
+"""Tests for ``--jobs`` runs (repro.benchmarks.runner.run_pairs), per-task
+contexts, and round-robin scheduling of synthesis sessions."""
+
+import inspect
 
 import pytest
 
+from repro.api import SynthesisRequest, create_session
 from repro.baselines import FIGURE16_CONFIGS
-from repro.benchmarks import r_benchmark_suite, run_figure16, run_suite
-from repro.core import Example, SpecLevel, SynthesisConfig, synthesize
-from repro.dataframe import Table
-from repro.engine import (
-    KernelInterleaver,
-    ParallelRunner,
-    TaskContext,
-    synthesize_batch,
-    synthesize_portfolio,
+from repro.benchmarks import (
+    r_benchmark_suite,
+    run_figure16,
+    run_figure17,
+    run_figure18,
+    run_pairs,
+    run_pruning_statistics,
+    run_suite,
 )
+from repro.core import SynthesisConfig
+from repro.engine import TaskContext
 
 #: Fast representative benchmarks (each solves in well under a second).
 FAST_NAMES = [
@@ -23,9 +28,23 @@ FAST_NAMES = [
 
 TIMEOUT = 30.0
 
+#: Every runner entry point that takes a worker count.
+JOBS_ENTRY_POINTS = [
+    run_pairs,
+    run_suite,
+    run_figure16,
+    run_figure17,
+    run_figure18,
+    run_pruning_statistics,
+]
+
 
 def fast_suite():
     return r_benchmark_suite().subset(names=FAST_NAMES)
+
+
+def empty_suite():
+    return r_benchmark_suite().subset(names=[])
 
 
 def outcome_fingerprint(run):
@@ -35,29 +54,42 @@ def outcome_fingerprint(run):
     ]
 
 
-class TestParallelRunner:
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(jobs=0)
+class TestJobs:
+    @pytest.mark.parametrize("entry", JOBS_ENTRY_POINTS, ids=lambda f: f.__name__)
+    def test_default_is_one_serial_worker(self, entry):
+        # One meaning of ``jobs`` everywhere: omitting it runs serially.
+        assert inspect.signature(entry).parameters["jobs"].default == 1
 
-    def test_default_jobs_is_at_least_one(self):
-        assert ParallelRunner().jobs >= 1
+    @pytest.mark.parametrize("entry", JOBS_ENTRY_POINTS, ids=lambda f: f.__name__)
+    def test_jobs_below_one_is_rejected_by_the_library(self, entry):
+        calls = {
+            run_pairs: lambda jobs: run_pairs([], jobs=jobs),
+            run_suite: lambda jobs: run_suite(
+                empty_suite(), FIGURE16_CONFIGS["spec2"], jobs=jobs
+            ),
+            run_figure16: lambda jobs: run_figure16(suite=empty_suite(), jobs=jobs),
+            run_figure17: lambda jobs: run_figure17(suite=empty_suite(), jobs=jobs),
+            run_figure18: lambda jobs: run_figure18(
+                include_lambda2=False, r_suite=empty_suite(),
+                sql_suite=empty_suite(), jobs=jobs,
+            ),
+            run_pruning_statistics: lambda jobs: run_pruning_statistics(
+                suite=empty_suite(), jobs=jobs
+            ),
+        }
+        for jobs in (0, -2):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                calls[entry](jobs)
 
+
+class TestRunPairs:
     def test_parallel_suite_matches_serial(self):
         suite = fast_suite()
         serial = run_suite(suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2")
-        parallel = ParallelRunner(jobs=2).run_suite(
-            suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2"
-        )
-        assert outcome_fingerprint(parallel) == outcome_fingerprint(serial)
-
-    def test_run_suite_jobs_parameter_routes_to_parallel_runner(self):
-        suite = fast_suite()
-        serial = run_suite(suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2")
-        threaded = run_suite(
+        parallel = run_suite(
             suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2", jobs=2
         )
-        assert outcome_fingerprint(threaded) == outcome_fingerprint(serial)
+        assert outcome_fingerprint(parallel) == outcome_fingerprint(serial)
 
     def test_run_matrix_matches_serial_figure16(self):
         suite = fast_suite()
@@ -70,19 +102,32 @@ class TestParallelRunner:
     def test_progress_callback_sees_every_outcome(self):
         suite = fast_suite()
         seen = []
-        ParallelRunner(jobs=2).run_suite(
+        run_suite(
             suite,
             FIGURE16_CONFIGS["spec2"],
             timeout=TIMEOUT,
             label="spec2",
             progress=seen.append,
+            jobs=2,
         )
         assert sorted(o.benchmark for o in seen) == sorted(suite.names())
 
+    def test_pool_progress_sees_every_figure16_pair_once(self):
+        suite = fast_suite()
+        seen = []
+        runs = run_figure16(timeout=TIMEOUT, suite=suite, jobs=2, progress=seen.append)
+        pairs = [(o.configuration, o.benchmark) for o in seen]
+        assert sorted(pairs) == sorted(
+            (label, name) for label in FIGURE16_CONFIGS for name in suite.names()
+        )
+        assert len(set(pairs)) == len(pairs)
+        assert set(runs) == set(FIGURE16_CONFIGS)
+
     def test_jobs_one_is_a_serial_loop(self):
         suite = fast_suite()
-        runner = ParallelRunner(jobs=1)
-        run = runner.run_suite(suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2")
+        run = run_suite(
+            suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2", jobs=1
+        )
         assert [o.benchmark for o in run.outcomes] == suite.names()
 
 
@@ -119,7 +164,7 @@ class TestTaskContext:
 
     def test_context_cache_mirrors_configured_size(self):
         # Per-task caches must evict exactly like the process-wide cache a
-        # caller configured, or interleaved and whole-task runs diverge.
+        # caller configured, or sliced and whole-task runs diverge.
         from repro.smt.solver import FORMULA_CACHE_SIZE, configure_formula_cache
 
         try:
@@ -130,233 +175,78 @@ class TestTaskContext:
         assert TaskContext().formula_cache.maxsize == FORMULA_CACHE_SIZE
 
 
-class TestKernelInterleaver:
-    def examples(self):
-        suite = fast_suite()
-        return [Example.make(b.inputs, b.output) for b in suite]
+def sessions_for(config):
+    return [
+        create_session(SynthesisRequest.from_tables(b.inputs, b.output, config=config))
+        for b in fast_suite()
+    ]
 
-    def test_interleaved_results_match_dedicated_runs(self):
+
+def round_robin(sessions, slice_steps):
+    """Advance every unfinished session one slice per pass, in one process."""
+    pending = list(sessions)
+    while pending:
+        pending = [s for s in pending if not s.advance(max_steps=slice_steps)]
+
+
+def deterministic_counters(session):
+    counters = dict(session.counters())
+    del counters["active_seconds"]
+    return counters
+
+
+def assert_sessions_match(sliced, dedicated):
+    assert len(sliced) == len(dedicated)
+    for actual, expected in zip(sliced, dedicated):
+        assert actual.status == expected.status
+        assert [c.program for c in actual.candidates] == [
+            c.program for c in expected.candidates
+        ]
+        assert deterministic_counters(actual) == deterministic_counters(expected)
+
+
+class TestSessionScheduling:
+    """Sliced, round-robin sessions search exactly like dedicated ones.
+
+    ``SynthesisSession.advance`` is the one way a scheduler runs a search
+    (the service's rotation grants each session one slice per pass), so a
+    task cut into slices and interleaved with other tasks in one process
+    must find the program ``solve()`` finds, with the same counters.
+    """
+
+    def test_round_robin_sessions_match_dedicated_runs(self):
         config = SynthesisConfig(timeout=TIMEOUT)
-        dedicated = []
-        for example in self.examples():
-            context = TaskContext()
-            with context.active():
-                dedicated.append(synthesize(example.inputs, example.output, config=config))
-        interleaver = KernelInterleaver(slice_steps=5)
-        for example in self.examples():
-            interleaver.add(example, config)
-        results = interleaver.run()
-        assert len(results) == len(dedicated)
-        for expected, actual in zip(dedicated, results):
-            assert actual.solved == expected.solved
-            assert actual.render() == expected.render()
-            assert actual.stats.smt_calls == expected.stats.smt_calls
-            assert actual.stats.frontier_peak == expected.stats.frontier_peak
-            assert (
-                actual.stats.completion.partial_programs
-                == expected.stats.completion.partial_programs
-            )
-            assert actual.stats.tables_built == expected.stats.tables_built
-            assert actual.stats.cells_interned == expected.stats.cells_interned
-
-    def test_on_result_fires_once_per_task(self):
-        config = SynthesisConfig(timeout=TIMEOUT)
-        interleaver = KernelInterleaver()
-        for example in self.examples():
-            interleaver.add(example, config)
-        seen = []
-        interleaver.run(on_result=lambda index, result: seen.append(index))
-        assert sorted(seen) == list(range(len(self.examples())))
-
-    def test_rejects_invalid_slice_steps(self):
-        with pytest.raises(ValueError):
-            KernelInterleaver(slice_steps=0)
-
-    def test_finished_driver_tasks_are_released(self):
-        class FakeDriver:
-            def __init__(self, slices):
-                self.slices = slices
-
-            def advance(self, max_steps):
-                self.slices -= 1
-                return self.slices <= 0
-
-        interleaver = KernelInterleaver(slice_steps=1)
-        interleaver.add_driver(FakeDriver(1))
-        interleaver.add_driver(FakeDriver(3))
-        assert interleaver.unfinished == 2
-        while interleaver.pump():
-            pass
-        # Finished drivers leave the rotation *and* hold no task-list slot:
-        # a long-lived service re-enrolls sessions on every resume, so any
-        # retained reference would pin expired sessions in memory forever.
-        assert interleaver.unfinished == 0
-        assert len(interleaver._tasks) == 0
-        interleaver.add_driver(FakeDriver(2))
-        assert interleaver.unfinished == 1
-        while interleaver.pump():
-            pass
-        assert interleaver.unfinished == 0
-        assert len(interleaver._tasks) == 0
-
-    def test_raising_driver_fails_alone(self):
-        class Driver:
-            def __init__(self, slices, raises=False):
-                self.slices = slices
-                self.raises = raises
-                self.error = None
-
-            def advance(self, max_steps):
-                if self.raises:
-                    raise RuntimeError("injected fault")
-                self.slices -= 1
-                return self.slices <= 0
-
-            def fail(self, error):
-                self.error = error
-
-        broken, healthy = Driver(5, raises=True), Driver(3)
-        interleaver = KernelInterleaver(slice_steps=1)
-        interleaver.add_driver(broken)
-        interleaver.add_driver(healthy)
-        while interleaver.pump():
-            pass
-        assert isinstance(broken.error, RuntimeError)
-        assert healthy.slices == 0 and healthy.error is None
-
-    def test_raising_driver_without_fail_hook_propagates(self):
-        class Driver:
-            def advance(self, max_steps):
-                raise RuntimeError("injected fault")
-
-        interleaver = KernelInterleaver(slice_steps=1)
-        interleaver.add_driver(Driver())
-        with pytest.raises(RuntimeError):
-            interleaver.pump()
+        dedicated = sessions_for(config)
+        for session in dedicated:
+            session.solve()
+        sliced = sessions_for(config)
+        round_robin(sliced, slice_steps=5)
+        assert_sessions_match(sliced, dedicated)
+        assert all(session.status == "done" for session in sliced)
+        assert all(deterministic_counters(s)["tables_built"] > 0 for s in sliced)
 
     def test_step_budget_bounds_an_untimed_search(self):
         # timeout=None + max_steps: the only budget is the deterministic
-        # step count, so the run must terminate (and report unsolved) after
-        # exactly the budget, independent of host speed.
-        config = SynthesisConfig(timeout=None, max_steps=3)
-        interleaver = KernelInterleaver(slice_steps=2)
-        for example in self.examples():
-            interleaver.add(example, config)
-        results = interleaver.run()
-        assert all(not result.solved for result in results)
+        # step count, so the run must terminate (unsolved) after exactly the
+        # budget, independent of host speed.
+        sessions = sessions_for(SynthesisConfig(timeout=None, max_steps=3))
+        round_robin(sessions, slice_steps=2)
+        for session in sessions:
+            assert session.status == "timeout"
+            assert session.steps == 3
+            assert not session.candidates
 
     def test_step_budget_matches_dedicated_runs(self):
-        # The deterministic slice mode: with a step budget the interleaver
-        # cuts every kernel at the same frontier position as a dedicated
-        # run, no matter how wall-clock time is divided across slices --
-        # the fix for the PR 5 caveat where near-timeout tasks flipped
-        # solve/timeout under --jobs on an oversubscribed host.
+        # With a step budget, uneven slices cut every search at the same
+        # frontier position as a dedicated run, however wall-clock time is
+        # divided across slices -- so near-budget tasks cannot flip between
+        # solve and timeout on an oversubscribed host.
         for budget in (25, 10_000):
             config = SynthesisConfig(timeout=None, max_steps=budget)
-            dedicated = []
-            for example in self.examples():
-                context = TaskContext()
-                with context.active():
-                    dedicated.append(synthesize(example.inputs, example.output, config=config))
-            # slice_steps deliberately does not divide the budget evenly.
-            interleaver = KernelInterleaver(slice_steps=7)
-            for example in self.examples():
-                interleaver.add(example, config)
-            results = interleaver.run()
-            for expected, actual in zip(dedicated, results):
-                assert actual.solved == expected.solved
-                assert actual.render() == expected.render()
-                assert actual.stats.smt_calls == expected.stats.smt_calls
-                assert actual.stats.frontier_peak == expected.stats.frontier_peak
-                assert (
-                    actual.stats.completion.partial_programs
-                    == expected.stats.completion.partial_programs
-                )
-
-    def test_synthesize_batch_interleaved_matches_plain(self):
-        config = SynthesisConfig(timeout=TIMEOUT)
-        plain = synthesize_batch(self.examples(), config=config, jobs=1)
-        interleaved = synthesize_batch(
-            self.examples(), config=config, jobs=1, interleave=True
-        )
-        assert [r.render() for r in interleaved] == [r.render() for r in plain]
-        assert [r.solved for r in interleaved] == [r.solved for r in plain]
-
-
-class TestSynthesizeBatch:
-    def examples(self):
-        suite = fast_suite()
-        return [Example.make(b.inputs, b.output) for b in suite]
-
-    def test_results_come_back_in_input_order(self):
-        examples = self.examples()
-        config = SynthesisConfig(timeout=TIMEOUT)
-        serial = [synthesize(e.inputs, e.output, config=config) for e in examples]
-        batch = synthesize_batch(examples, config=config, jobs=2)
-        assert len(batch) == len(examples)
-        for expected, actual in zip(serial, batch):
-            assert actual.solved == expected.solved
-            assert actual.size == expected.size
-            assert actual.render() == expected.render()
-
-    def test_batch_is_deterministic_across_runs(self):
-        examples = self.examples()
-        config = SynthesisConfig(timeout=TIMEOUT)
-        first = synthesize_batch(examples, config=config, jobs=2)
-        second = synthesize_batch(examples, config=config, jobs=2)
-        assert [r.render() for r in first] == [r.render() for r in second]
-
-    def test_accepts_inputs_output_pairs(self):
-        inputs = [Table(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])]
-        output = Table(["a", "b"], [[1, 2], [4, 5]])
-        results = synthesize_batch([(inputs, output)], jobs=1,
-                                   config=SynthesisConfig(timeout=TIMEOUT))
-        assert results[0].solved
-
-    def test_rejects_invalid_jobs(self):
-        with pytest.raises(ValueError):
-            synthesize_batch([], jobs=-2)
-
-
-class TestSynthesizePortfolio:
-    def example(self):
-        inputs = [Table(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])]
-        output = Table(["a", "b"], [[1, 2], [4, 5]])
-        return inputs, output
-
-    def test_requires_at_least_one_config(self):
-        with pytest.raises(ValueError):
-            synthesize_portfolio(self.example(), [])
-
-    def test_serial_portfolio_prefers_earlier_configs(self):
-        configs = [
-            SynthesisConfig(timeout=TIMEOUT),
-            SynthesisConfig(deduction=False, timeout=TIMEOUT),
-        ]
-        portfolio = synthesize_portfolio(self.example(), configs, jobs=1)
-        assert portfolio.solved
-        assert portfolio.winner == configs[0].describe()
-        assert portfolio.attempts == 1
-
-    def test_parallel_portfolio_returns_a_solution(self):
-        configs = [
-            SynthesisConfig(timeout=TIMEOUT),
-            SynthesisConfig(deduction=False, timeout=TIMEOUT),
-        ]
-        portfolio = synthesize_portfolio(self.example(), configs, jobs=2)
-        assert portfolio.solved
-        assert portfolio.winner in {c.describe() for c in configs}
-        assert 1 <= portfolio.attempts <= len(configs)
-
-    def test_unsolvable_example_returns_first_config_result(self):
-        # An output whose values cannot be produced from the input.
-        inputs = [Table(["a", "b"], [[1, 2], [3, 4]])]
-        output = Table(["zz"], [["impossible"]])
-        configs = [
-            SynthesisConfig(timeout=2.0, max_size=1),
-            SynthesisConfig(timeout=2.0, max_size=1, spec_level=SpecLevel.SPEC1),
-        ]
-        portfolio = synthesize_portfolio((inputs, output), configs, jobs=1)
-        assert not portfolio.solved
-        assert portfolio.winner is None
-        assert portfolio.attempts == len(configs)
+            dedicated = sessions_for(config)
+            for session in dedicated:
+                session.solve()
+            # 7 deliberately does not divide the budget evenly.
+            sliced = sessions_for(config)
+            round_robin(sliced, slice_steps=7)
+            assert_sessions_match(sliced, dedicated)

@@ -8,7 +8,13 @@ import pytest
 
 from repro import Table
 from repro.api import ExamplePayload, SynthesisRequest
-from repro.service import RateLimited, SessionStore, TokenBucket, UnknownSession
+from repro.service import (
+    RateLimited,
+    ServiceSession,
+    SessionStore,
+    TokenBucket,
+    UnknownSession,
+)
 
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
@@ -32,6 +38,17 @@ def wait_until(predicate, timeout=20.0):
 @pytest.fixture
 def store():
     store = SessionStore(ttl=None, rate=1000, burst=1000)
+    yield store
+    store.close()
+
+
+@pytest.fixture
+def manual_store():
+    """A store whose scheduler thread is stopped: tests drive ``_rotate``."""
+    store = SessionStore(ttl=None, rate=1000, burst=1000)
+    store._stop.set()
+    store._wake.set()
+    store._scheduler.join(timeout=5)
     yield store
     store.close()
 
@@ -92,10 +109,10 @@ class TestSessionStore:
     def test_finished_sessions_release_their_scheduler_slot(self, store):
         session = store.create(filter_request())
         assert wait_until(lambda: session.session.finished)
-        assert wait_until(lambda: store._interleaver.unfinished == 0)
-        # No task-list slot retained either: the interleaver must not keep
-        # finished (and later expired) sessions reachable forever.
-        assert len(store._interleaver._tasks) == 0
+        # The rotation holds no reference to a finished session: it must not
+        # keep finished (and later expired) sessions reachable forever.
+        assert wait_until(lambda: len(store._rotation) == 0)
+        assert not session._enrolled
 
     def test_metrics_aggregate_counters(self, store):
         session = store.create(filter_request())
@@ -116,8 +133,57 @@ class TestSessionStore:
             store.close()
 
 
+class TestRotation:
+    def test_each_pass_grants_every_enrolled_session_one_slice(
+        self, manual_store, monkeypatch
+    ):
+        # The rotation calls ServiceSession.advance through the class
+        # attribute, so a class-level wrapper (the perfbench tracer's
+        # ``service.advance`` span) sees every slice.
+        slices = []
+        original = ServiceSession.advance
+
+        def counted(session, max_steps):
+            slices.append((session.id, max_steps))
+            return original(session, max_steps)
+
+        monkeypatch.setattr(ServiceSession, "advance", counted)
+        sessions = [manual_store.create(filter_request()) for _ in range(3)]
+        manual_store._rotate()
+        assert slices == [(session.id, 64) for session in sessions]
+        late = manual_store.create(filter_request())
+        slices.clear()
+        while manual_store._rotate():
+            pass
+        assert late.id in {session_id for session_id, _ in slices}
+        assert all(s.session.finished for s in sessions + [late])
+        assert len(manual_store._rotation) == 0
+
+    def test_raising_session_fails_alone(self, manual_store, monkeypatch):
+        broken = manual_store.create(filter_request())
+        healthy = manual_store.create(filter_request())
+
+        def raising(max_steps=64):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(broken.session, "advance", raising)
+        while manual_store._rotate():
+            pass
+        assert broken.status == "failed"
+        assert broken.error == "RuntimeError: injected fault"
+        assert healthy.session.status == "done" and healthy.error is None
+        assert len(manual_store._rotation) == 0
+
+    def test_expired_sessions_leave_the_rotation_unstepped(self, manual_store):
+        session = manual_store.create(filter_request())
+        session.expired = True
+        assert manual_store._rotate() == 0
+        assert session.session.steps == 0
+        assert not session._enrolled
+
+
 class TestEnrollmentRace:
-    def test_resume_in_the_unenroll_gap_is_not_lost(self):
+    def test_resume_in_the_unenroll_gap_is_not_lost(self, manual_store):
         """A client adding an example right as the final slice ends must not
         strand the resumed session outside the scheduler rotation.
 
@@ -129,51 +195,45 @@ class TestEnrollmentRace:
         session stayed ``searching`` forever (``_enrolled`` still true when
         ``_enroll`` checked, then dropped by the scheduler).
         """
-        store = SessionStore(ttl=None, rate=1000, burst=1000)
-        store._stop.set()
-        store._wake.set()
-        store._scheduler.join(timeout=5)
-        try:
-            session = store.create(filter_request())
-            real_changed = session.changed
-            injected = []
+        store = manual_store
+        session = store.create(filter_request())
+        real_changed = session.changed
+        injected = []
 
-            class InjectingCondition:
-                def __enter__(self):
-                    return real_changed.__enter__()
+        class InjectingCondition:
+            def __enter__(self):
+                return real_changed.__enter__()
 
-                def __exit__(self, *args):
-                    return real_changed.__exit__(*args)
+            def __exit__(self, *args):
+                return real_changed.__exit__(*args)
 
-                def wait(self, timeout=None):
-                    return real_changed.wait(timeout)
+            def wait(self, timeout=None):
+                return real_changed.wait(timeout)
 
-                def notify_all(self):
-                    real_changed.notify_all()
-                    if session.session.finished and not injected:
-                        injected.append(True)
-                        store.add_example(
-                            session.id,
-                            ExamplePayload.make(
-                                [Table(["name", "age", "gpa"],
-                                       [["Zoe", 8, 3.5], ["Max", 20, 2.0]])],
-                                Table(["name", "age", "gpa"],
-                                      [["Max", 20, 2.0]]),
-                            ),
-                        )
+            def notify_all(self):
+                real_changed.notify_all()
+                if session.session.finished and not injected:
+                    injected.append(True)
+                    store.add_example(
+                        session.id,
+                        ExamplePayload.make(
+                            [Table(["name", "age", "gpa"],
+                                   [["Zoe", 8, 3.5], ["Max", 20, 2.0]])],
+                            Table(["name", "age", "gpa"],
+                                  [["Max", 20, 2.0]]),
+                        ),
+                    )
 
-            session.changed = InjectingCondition()
-            while store._interleaver.pump():
-                pass
-            session.changed = real_changed
-            assert injected
-            assert session.session.resumes == 1
-            # The resumed search kept its rotation slot (or was re-enrolled)
-            # and ran to completion instead of hanging in 'searching'.
-            assert session.session.finished
-            assert any(c.validated for c in session.session.candidates)
-        finally:
-            store.close()
+        session.changed = InjectingCondition()
+        while store._rotate():
+            pass
+        session.changed = real_changed
+        assert injected
+        assert session.session.resumes == 1
+        # The resumed search kept its rotation slot (or was re-enrolled)
+        # and ran to completion instead of hanging in 'searching'.
+        assert session.session.finished
+        assert any(c.validated for c in session.session.candidates)
 
 
 class TestTTL:
