@@ -17,7 +17,7 @@ component library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 from ..components.dplyr import GroupContext
@@ -28,12 +28,44 @@ from ..dataframe.cells import CellValue, format_value, is_numeric
 class ValueArgument:
     """Base class of all first-order argument values."""
 
+    __slots__ = ()
+
     def render_r(self) -> str:
         """Render this argument the way it would appear in R source."""
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+def _value_argument(cls):
+    """Make *cls* a frozen, slotted dataclass whose hash is cached.
+
+    Arguments are hashed in every evaluation-memo probe and execution-cache
+    key, so the field hash is computed on first use and kept in a ``_hash``
+    slot.  Like a hypothesis node's, the cached hash never travels with a
+    pickle or a copy (``__reduce__`` passes the fields only), because it
+    covers strings whose hash differs per process.
+    """
+    cls.__annotations__["_hash"] = "Optional[int]"
+    cls._hash = field(default=None, init=False, repr=False, compare=False)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    field_hash = cls.__hash__
+    names = tuple(item.name for item in fields(cls) if item.init)
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = field_hash(self)
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, name) for name in names)
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
+
+
+@_value_argument
 class ColumnList(ValueArgument):
     """An ordered list of column names (type ``cols``)."""
 
@@ -49,7 +81,7 @@ class ColumnList(ValueArgument):
         return len(self.names)
 
 
-@dataclass(frozen=True)
+@_value_argument
 class ColumnRef(ValueArgument):
     """A single column name (type ``col``)."""
 
@@ -59,7 +91,7 @@ class ColumnRef(ValueArgument):
         return self.name
 
 
-@dataclass(frozen=True)
+@_value_argument
 class Constant(ValueArgument):
     """A literal constant drawn from a table (the *Const* rule)."""
 
@@ -71,7 +103,7 @@ class Constant(ValueArgument):
         return f'"{self.value}"'
 
 
-@dataclass(frozen=True)
+@_value_argument
 class Predicate(ValueArgument):
     """``lambda row. row[column] <operator> constant`` (type ``row -> bool``)."""
 
@@ -86,7 +118,7 @@ class Predicate(ValueArgument):
         return f"{self.column} {self.operator} {self.constant.render_r()}"
 
 
-@dataclass(frozen=True)
+@_value_argument
 class Aggregation(ValueArgument):
     """An aggregate transformer, optionally applied to a target column."""
 
@@ -99,7 +131,7 @@ class Aggregation(ValueArgument):
         return f"{self.function}({self.column})"
 
 
-@dataclass(frozen=True)
+@_value_argument
 class MutationExpr(ValueArgument):
     """A per-row arithmetic expression ``lhs <op> rhs``.
 

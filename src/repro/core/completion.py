@@ -18,6 +18,12 @@ advances the search by exactly one frame (one candidate hole filling, one
 deduction query), and the frame stack is popped LIFO so programs are still
 produced in *exactly* the order the recursion produced them.
 
+Each frame carries the partial-evaluation map of its sketch, computed once
+when first read and seeded from the parent frame's map: a hole fill
+evaluates only the node it completed, and the deduction query, the OE
+admission, the context table and the sibling batch share the one map (see
+DESIGN.md, "Incremental completion").
+
 Frames that reach a node boundary are offered to an optional
 observational-equivalence store (:mod:`repro.core.oe`): two partial programs
 whose completed subtrees evaluate to fingerprint-identical tables collapse
@@ -30,18 +36,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..dataframe.table import Table
 from .deduction import DeductionEngine
 from .hypothesis import (
     Apply,
-    EvaluationFailure,
     Hole,
     Hypothesis,
     fill_value_hole,
-    is_complete,
-    partial_evaluate,
+    is_sketch,
     unfilled_value_holes,
 )
 from .inhabitation import enumerate_arguments
@@ -116,6 +120,14 @@ class _Frame:
     sketch: Hypothesis
     #: Index into the run's post-order node list (the next node to complete).
     position: int
+    #: The partial-evaluation map of ``sketch`` once :attr:`exact`; until
+    #: then the map of the nearest ancestor frame that computed one, which
+    #: seeds the evaluation (see :meth:`SketchCompleter._evaluation`).
+    #: ``None`` with no seed, or -- when exact -- when a complete subterm
+    #: failed to evaluate.
+    evaluated: Optional[Dict[int, Table]] = None
+    #: True once :attr:`evaluated` is this frame's own map.
+    exact: bool = False
     #: Remaining unbound first-order holes of the current node (argument
     #: frames only).
     holes: Optional[Sequence[Hole]] = None
@@ -199,7 +211,21 @@ class SketchCompleter:
                 run.release()
 
     # ------------------------------------------------------------------
-    def _admit(self, sketch: Hypothesis, remaining: int, admitted=None) -> bool:
+    def _evaluation(self, frame: _Frame) -> Optional[Dict[int, Table]]:
+        """The frame's partial-evaluation map, computed once from its seed.
+
+        Returns ``None`` when a complete subterm fails to evaluate.  Only
+        the nodes the frame's fills completed are evaluated; everything
+        else comes from the seed its ancestors computed.
+        """
+        if not frame.exact:
+            frame.evaluated = self.engine.evaluate_if_possible(
+                frame.sketch, known=frame.evaluated
+            )
+            frame.exact = True
+        return frame.evaluated
+
+    def _admit(self, frame: _Frame, remaining: int, admitted=None) -> bool:
         """Offer a node-boundary state to the OE store.
 
         Returns ``False`` when an observationally equal state was explored
@@ -210,10 +236,10 @@ class SketchCompleter:
         """
         if self.oe_store is None:
             return True
-        evaluated = self.engine.evaluate_if_possible(sketch)
+        evaluated = self._evaluation(frame)
         if evaluated is None:
             return True
-        key = OEStore.state_key(sketch, evaluated, remaining)
+        key = OEStore.state_key(frame.sketch, evaluated, remaining)
         if key is None:
             return True
         self.stats.oe_candidates += 1
@@ -224,24 +250,27 @@ class SketchCompleter:
             admitted.append(key)
         return True
 
-    def _deduce_partial(self, candidate: Hypothesis) -> bool:
+    def _deduce_partial(self, frame: _Frame) -> bool:
         """Rule 3's deduction check for one partially filled sketch.
 
         ``learn=False``: per-hole fills come in bulk and mostly differ only
         in evaluated-table abstractions; they consult the lemma store (and
         the tier-1 prescreen) but are not worth a mining replay each.  The
         prescreen counter delta attributes each prune to the tier that
-        decided it.
+        decided it.  The frame's map is computed only when the engine reads
+        it, so without partial evaluation nothing runs here.
         """
-        decided_before = self.engine.stats.prescreen_decided
-        if self.engine.deduce(candidate, learn=False):
+        engine = self.engine
+        evaluated = self._evaluation(frame) if engine.use_partial_evaluation else None
+        decided_before = engine.stats.prescreen_decided
+        if engine.deduce(frame.sketch, learn=False, evaluated=evaluated):
             return True
         self.stats.pruned_partial += 1
-        if self.engine.stats.prescreen_decided > decided_before:
+        if engine.stats.prescreen_decided > decided_before:
             self.stats.pruned_by_prescreen += 1
         return False
 
-    def _context_table(self, sketch: Hypothesis, node: Apply) -> Optional[Table]:
+    def _context_table(self, frame: _Frame, node: Apply) -> Optional[Table]:
         """The concrete table the node's first-order holes are enumerated against.
 
         For single-input components this is the (already completed and
@@ -249,13 +278,8 @@ class SketchCompleter:
         and first-order holes would use the concatenation of their columns
         (``T1 x ... x Tn`` in the paper) -- the built-in library has none.
         """
-        try:
-            evaluated = partial_evaluate(
-                sketch, self.engine.inputs,
-                memo=self.engine.evaluation_memo,
-                exec_cache=self.engine.execution_cache,
-            )
-        except EvaluationFailure:
+        evaluated = self._evaluation(frame)
+        if evaluated is None:
             return None
         tables = []
         for child in node.table_children:
@@ -286,17 +310,25 @@ class CompletionRun:
     on.
     """
 
-    __slots__ = ("completer", "sketch", "_order", "_stack", "_admitted")
+    __slots__ = ("completer", "sketch", "known", "_order", "_finishes", "_stack", "_admitted")
 
     def __init__(self, completer: SketchCompleter, sketch: Hypothesis) -> None:
         self.completer = completer
         self.sketch = sketch
+        #: The partial-evaluation map the run carried to the program the
+        #: last :meth:`step` returned: the seed for evaluating it at CHECK.
+        self.known: Optional[Dict[int, Table]] = None
         self._order = _node_order(sketch)
+        #: Whether the programs the worklist finishes are complete: every
+        #: first-order hole is filled by the last node, so only a table hole
+        #: the sketch left unbound can remain.
+        self._finishes = is_sketch(sketch)
         self._stack: List[_Frame] = []
         #: OE keys this run admitted, withdrawn if the run is cut short.
         self._admitted: List = []
-        if completer._admit(sketch, remaining=len(self._order), admitted=self._admitted):
-            self._stack.append(_Frame(sketch, 0))
+        frame = _Frame(sketch, 0)
+        if completer._admit(frame, remaining=len(self._order), admitted=self._admitted):
+            self._stack.append(frame)
 
     @property
     def exhausted(self) -> bool:
@@ -336,10 +368,13 @@ class CompletionRun:
     def _advance_node(self, frame: _Frame) -> Optional[Hypothesis]:
         completer = self.completer
         if frame.position == len(self._order):
-            if is_complete(frame.sketch):
-                completer.stats.complete_programs += 1
-                return frame.sketch
-            return None
+            if not self._finishes:
+                return None
+            completer.stats.complete_programs += 1
+            # The program itself is evaluated at CHECK, not here: a step
+            # budget may end the search between the two.
+            self.known = frame.evaluated
+            return frame.sketch
         node = _find_node(frame.sketch, self._order[frame.position])
         holes = [hole for hole in node.value_children if not hole.is_bound]
         if not holes:
@@ -349,14 +384,15 @@ class CompletionRun:
             # concrete abstraction may already contradict the example.
             completer._charge_budget()
             completer.stats.partial_programs += 1
-            if completer._deduce_partial(frame.sketch):
-                self._push_boundary(frame.sketch, frame.position + 1)
+            if completer._deduce_partial(frame):
+                frame.position += 1
+                self._push_boundary(frame)
             return None
-        context_table = completer._context_table(frame.sketch, node)
+        context_table = completer._context_table(frame, node)
         if context_table is None:
             # The table children failed to evaluate; no completion can succeed.
             return None
-        self._push_arguments(frame.sketch, frame.position, holes, context_table)
+        self._push_arguments(frame, holes, context_table)
         return None
 
     def _advance_arguments(self, frame: _Frame) -> Optional[Hypothesis]:
@@ -393,7 +429,10 @@ class CompletionRun:
         self._stack.append(frame)
         completer._charge_budget()
         hole, rest = frame.holes[0], frame.holes[1:]
-        candidate = fill_value_hole(frame.sketch, hole, argument)
+        # The candidate inherits this frame's map as the seed of its own.
+        candidate = _Frame(
+            fill_value_hole(frame.sketch, hole, argument), frame.position, frame.evaluated
+        )
         completer.stats.partial_programs += 1
         # When this fill produces a fully complete program, the synthesizer
         # is about to evaluate and CHECK it anyway, which subsumes (and is
@@ -402,9 +441,10 @@ class CompletionRun:
         if not frame.completes and not completer._deduce_partial(candidate):
             return None
         if rest:
-            self._push_arguments(candidate, frame.position, rest, frame.context_table)
+            self._push_arguments(candidate, rest, frame.context_table)
         else:
-            self._push_boundary(candidate, frame.position + 1)
+            candidate.position += 1
+            self._push_boundary(candidate)
         return None
 
     # ------------------------------------------------------------------
@@ -422,7 +462,7 @@ class CompletionRun:
         self._admitted = []
 
     # ------------------------------------------------------------------
-    def _push_boundary(self, sketch: Hypothesis, position: int) -> None:
+    def _push_boundary(self, frame: _Frame) -> None:
         """Advance to the next node, deduplicating through the OE store.
 
         Complete programs (no nodes remaining) are *not* offered to the
@@ -431,11 +471,11 @@ class CompletionRun:
         The merge win lives in the partial states, where a duplicate still
         has whole argument spaces ahead of it.
         """
-        remaining = len(self._order) - position
+        remaining = len(self._order) - frame.position
         if remaining == 0 or self.completer._admit(
-            sketch, remaining=remaining, admitted=self._admitted
+            frame, remaining=remaining, admitted=self._admitted
         ):
-            self._stack.append(_Frame(sketch, position))
+            self._stack.append(frame)
 
     def _enumerate(self, frame: _Frame) -> Iterator:
         """The (deterministic) argument enumeration for ``frame.holes[0]``."""
@@ -483,25 +523,23 @@ class CompletionRun:
         frame.pending = batch
         if len(batch) < 2:
             return
+        # The frame's map, even when only a seed, holds the node's table
+        # children: they were complete before its first hole was filled.
         node = _find_node(frame.sketch, self._order[frame.position])
         executed = completer.engine.batch_evaluate_fills(
-            frame.sketch, node, frame.holes[0], batch
+            node, frame.holes[0], batch, frame.evaluated
         )
         if executed:
             completer.stats.sibling_batches += 1
             completer.stats.batched_fills += executed
 
     def _push_arguments(
-        self,
-        sketch: Hypothesis,
-        position: int,
-        holes: Sequence[Hole],
-        context_table: Table,
+        self, frame: _Frame, holes: Sequence[Hole], context_table: Table
     ) -> None:
-        completes = (
-            len(holes) == 1 and len(unfilled_value_holes(sketch)) == 1
-        )
-        frame = _Frame(sketch, position, holes, None, context_table, completes)
+        """Turn *frame* into the argument frame enumerating ``holes[0]``."""
+        frame.holes = holes
+        frame.context_table = context_table
+        frame.completes = len(holes) == 1 and len(unfilled_value_holes(frame.sketch)) == 1
         frame.arguments = self._enumerate(frame)
         self._stack.append(frame)
 

@@ -27,6 +27,10 @@ class NGramModel:
         self.vocabulary = tuple(sorted(set(vocabulary)))
         self._unigram_counts: Dict[str, int] = {}
         self._bigram_counts: Dict[Tuple[str, str], int] = {}
+        #: ``(left, right) -> log P(right | left)``, filled as pairs are
+        #: first scored (nothing is computed at import) and emptied whenever
+        #: training changes the counts.
+        self._log_table: Dict[Tuple[str, str], float] = {}
 
     def train(self, sentences: Iterable[Sequence[str]]) -> None:
         """Count unigrams and bigrams over the training sentences."""
@@ -35,6 +39,7 @@ class NGramModel:
             for left, right in zip(tokens, tokens[1:]):
                 self._unigram_counts[left] = self._unigram_counts.get(left, 0) + 1
                 self._bigram_counts[(left, right)] = self._bigram_counts.get((left, right), 0) + 1
+        self._log_table.clear()
 
     def bigram_log_probability(self, left: str, right: str) -> float:
         """``log P(right | left)`` with add-one smoothing."""
@@ -48,14 +53,21 @@ class NGramModel:
 
         ``closed`` adds the end-of-sentence transition, which is appropriate
         for complete programs but not for partial hypotheses that may still
-        be extended.
+        be extended.  Each bigram's :meth:`bigram_log_probability` is
+        computed once and then read from a table; the terms are summed in
+        sequence order, so the result is bit-identical to the formula's.
         """
-        tokens = [SENTENCE_START] + list(sequence)
-        if closed:
-            tokens.append(SENTENCE_END)
+        table = self._log_table
+        tokens = (*sequence, SENTENCE_END) if closed else sequence
         total = 0.0
-        for left, right in zip(tokens, tokens[1:]):
-            total += self.bigram_log_probability(left, right)
+        left = SENTENCE_START
+        for right in tokens:
+            log_probability = table.get((left, right))
+            if log_probability is None:
+                log_probability = self.bigram_log_probability(left, right)
+                table[left, right] = log_probability
+            total += log_probability
+            left = right
         return total
 
 

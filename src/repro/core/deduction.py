@@ -402,7 +402,12 @@ class DeductionEngine:
         return conjoin(constraints)
 
     # ------------------------------------------------------------------
-    def deduce(self, hypothesis: Hypothesis, learn: bool = True) -> bool:
+    def deduce(
+        self,
+        hypothesis: Hypothesis,
+        learn: bool = True,
+        evaluated: Optional[Dict[int, Table]] = None,
+    ) -> bool:
         """Algorithm 2, staged: return ``False`` when the hypothesis can be rejected.
 
         The query passes through progressively more expensive tiers, each of
@@ -424,10 +429,17 @@ class DeductionEngine:
         mining replay.  Prescreen-decided rejections are never mined: the
         replay solve they would need costs exactly the solver work the
         prescreen exists to skip.
+
+        *evaluated* is the hypothesis's partial-evaluation map when the
+        caller already holds it (the sketch completer's frames carry
+        theirs); by default it is computed here.  A caller whose evaluation
+        failed passes nothing: the failure is cached in the evaluation memo,
+        so re-raising it here executes nothing.
         """
         self.stats.hypotheses_checked += 1
-        evaluated: Dict[int, Table] = {}
-        if self.use_partial_evaluation:
+        if not self.use_partial_evaluation:
+            evaluated = {}
+        elif evaluated is None:
             try:
                 evaluated = partial_evaluate(
                     hypothesis, self.inputs,
@@ -664,10 +676,10 @@ class DeductionEngine:
     # ------------------------------------------------------------------
     def batch_evaluate_fills(
         self,
-        sketch: Hypothesis,
         node: Apply,
         hole: Hole,
         arguments: Sequence,
+        evaluated: Optional[Dict[int, Table]],
     ) -> int:
         """Pre-execute sibling fillings of *hole* on *node*, sharing setup.
 
@@ -680,15 +692,14 @@ class DeductionEngine:
         call, so the per-table setup (the per-row dictionaries of a filter)
         is paid once and the later ``partial_evaluate`` calls hit the cache.
 
+        *evaluated* is a partial-evaluation map of the sketch that holds the
+        node's table children (the completer passes its frame's map).
         Returns the number of fills actually executed (0 when the node is not
         batchable -- unevaluated child tables, other holes still unfilled, or
         everything already cached).  Skipping the batch is always safe: the
         unbatched path computes exactly the same results one by one.
         """
-        if not self.use_partial_evaluation or len(arguments) < 2:
-            return 0
-        evaluated = self.evaluate_if_possible(sketch)
-        if evaluated is None:
+        if not self.use_partial_evaluation or len(arguments) < 2 or evaluated is None:
             return 0
         child_tables = []
         for child in node.table_children:
@@ -730,12 +741,18 @@ class DeductionEngine:
         return len(pending_keys)
 
     # ------------------------------------------------------------------
-    def evaluate_if_possible(self, hypothesis: Hypothesis) -> Optional[Dict[int, Table]]:
-        """Partially evaluate, returning ``None`` when a complete subterm fails."""
+    def evaluate_if_possible(
+        self, hypothesis: Hypothesis, known: Optional[Dict[int, Table]] = None
+    ) -> Optional[Dict[int, Table]]:
+        """Partially evaluate, returning ``None`` when a complete subterm fails.
+
+        *known* seeds the evaluation (see :func:`partial_evaluate`).
+        """
         try:
             return partial_evaluate(
                 hypothesis, self.inputs,
                 memo=self.evaluation_memo, exec_cache=self.execution_cache,
+                known=known,
             )
         except EvaluationFailure:
             return None

@@ -77,7 +77,6 @@ from .hypothesis import (
     evaluate,
     hypothesis_size,
     initial_hypothesis,
-    is_complete,
     render_program,
     sketches,
     refine,
@@ -530,7 +529,7 @@ class SearchKernel:
             raise
         if candidate is not None:
             self.stats.programs_checked += 1
-            if self._check(candidate):
+            if self._check(candidate, state.run.known):
                 if self._already_found:
                     text = render_program(candidate)
                     if text in self._already_found:
@@ -595,20 +594,21 @@ class SearchKernel:
             skip = 0
         self._node_counter = node_id
 
-    def _check(self, candidate: Hypothesis) -> bool:
+    def _check(self, candidate: Hypothesis, known: Optional[Dict[int, object]]) -> bool:
         """CHECK(p, E): run the program and compare against the expected output.
 
-        Evaluation goes through the engine's evaluation memo and
+        *candidate* is a complete program from a completion run, and *known*
+        the partial-evaluation map the run carried to it: evaluation starts
+        from that map and goes through the engine's evaluation memo and
         fingerprint-keyed execution cache, so the sub-programs the completer
         already executed are never re-run here.
         """
-        if not is_complete(candidate):
-            return False
         try:
             actual = evaluate(
                 candidate, self.example.inputs,
                 memo=self.engine.evaluation_memo,
                 exec_cache=self.engine.execution_cache,
+                known=known,
             )
         except (EvaluationFailure, *PRUNABLE_ERRORS):
             return False

@@ -206,18 +206,31 @@ def _append_component_names(node: Hypothesis, sequence: List[str]) -> None:
 # Tree rewriting
 # ----------------------------------------------------------------------
 def replace_node(hypothesis: Hypothesis, node_id: int, new_node: Hypothesis) -> Hypothesis:
-    """Return a copy of the tree with the node *node_id* replaced."""
+    """Return the tree with the node *node_id* replaced, copying only its path.
+
+    Only the ancestors of the replaced node are rebuilt; every untouched
+    subtree comes back as the same object, so its cached hash and its
+    identity in the evaluation memo survive the edit.  (A value child is
+    only replaced by a :class:`Hole`.)
+    """
     if hypothesis.node_id == node_id:
         return new_node
-    if isinstance(hypothesis, Hole):
+    if hypothesis.__class__ is Hole:
         return hypothesis
-    table_children = tuple(
-        replace_node(child, node_id, new_node) for child in hypothesis.table_children
-    )
-    value_children = tuple(
-        new_node if child.node_id == node_id and isinstance(new_node, Hole) else child
-        for child in hypothesis.value_children
-    )
+    table_children = hypothesis.table_children
+    for index, child in enumerate(hypothesis.table_children):
+        if child.__class__ is Hole and child.node_id != node_id:
+            continue
+        replaced = replace_node(child, node_id, new_node)
+        if replaced is not child:
+            table_children = table_children[:index] + (replaced,) + table_children[index + 1:]
+    value_children = hypothesis.value_children
+    if new_node.__class__ is Hole:
+        for index, child in enumerate(hypothesis.value_children):
+            if child.node_id == node_id:
+                value_children = value_children[:index] + (new_node,) + value_children[index + 1:]
+    if table_children is hypothesis.table_children and value_children is hypothesis.value_children:
+        return hypothesis
     return Apply(hypothesis.node_id, hypothesis.component, table_children, value_children)
 
 
@@ -282,6 +295,7 @@ def partial_evaluate(
     inputs: Sequence[Table],
     memo: Optional[Dict[Hypothesis, object]] = None,
     exec_cache=None,
+    known: Optional[Dict[int, Table]] = None,
 ) -> Dict[int, Table]:
     """Evaluate every *complete* subterm of the hypothesis.
 
@@ -302,8 +316,18 @@ def partial_evaluate(
     of the argument tables rather than by sub-hypothesis structure, so two
     different sub-programs that happen to produce identical intermediate
     tables share the concrete work (and the result object) above them.
+
+    ``known`` seeds the result with the map of an earlier version of the
+    tree -- the sketch completer passes its parent frame's map.  It must
+    only hold nodes the edits since then left untouched: filling a hole
+    rebuilds only the hole's ancestors, which were incomplete and therefore
+    absent.  The walk stops at every seeded node, so only the nodes an edit
+    completed are evaluated, probing the memo and the execution cache
+    exactly as a walk from scratch would.  The result may keep seeded
+    entries below a node that a walk from scratch answers from the memo;
+    read top-down, stopping at the first evaluated node, the two maps agree.
     """
-    results: Dict[int, Table] = {}
+    results: Dict[int, Table] = dict(known) if known else {}
     _evaluate_node(hypothesis, inputs, memo, exec_cache, results)
     return results
 
@@ -386,12 +410,20 @@ def evaluate(
     inputs: Sequence[Table],
     memo: Optional[Dict[Hypothesis, object]] = None,
     exec_cache=None,
+    known: Optional[Dict[int, Table]] = None,
 ) -> Table:
-    """Evaluate a complete hypothesis to its output table."""
-    if not is_complete(hypothesis):
+    """Evaluate a complete hypothesis to its output table.
+
+    ``known`` seeds the evaluation as in :func:`partial_evaluate`.  The root
+    is evaluated exactly when the tree is complete, so no separate
+    completeness walk runs: a tree with holes raises :class:`ValueError`
+    once its complete subterms are evaluated.
+    """
+    results = partial_evaluate(hypothesis, inputs, memo=memo, exec_cache=exec_cache, known=known)
+    table = results.get(hypothesis.node_id)
+    if table is None:
         raise ValueError("cannot fully evaluate a hypothesis that still has holes")
-    results = partial_evaluate(hypothesis, inputs, memo=memo, exec_cache=exec_cache)
-    return results[hypothesis.node_id]
+    return table
 
 
 # ----------------------------------------------------------------------

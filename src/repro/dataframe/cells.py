@@ -38,11 +38,14 @@ class CellType(enum.Enum):
 
 def is_numeric(value: CellValue) -> bool:
     """Return ``True`` if *value* is a number (bools are not numbers here)."""
-    # Exact-type test first: ``isinstance(..., Fraction)`` goes through the
-    # ``numbers`` ABC machinery, which is slow on the per-cell paths.
+    # Exact-type tests first, for numbers and for the common non-numbers
+    # (strings, missing cells): ``isinstance(..., Fraction)`` goes through
+    # the ``numbers`` ABC machinery, which is slow on the per-cell paths.
     cls = type(value)
     if cls is int or cls is float:
         return True
+    if cls is str or value is None:
+        return False
     return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
 
 

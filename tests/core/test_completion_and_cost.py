@@ -160,6 +160,30 @@ class TestNGramModel:
     def test_unseen_tokens_get_smoothed_probability(self):
         model = default_ngram_model()
         assert model.bigram_log_probability("spread", "never_seen") < 0
+        assert model.sequence_log_probability(["never_seen", "spread"]) < 0
+
+    def test_table_scores_equal_the_formula(self):
+        """Sequences score from a bigram table, bit-identical to the formula."""
+        model = default_ngram_model()
+        names = [component.name for component in LIBRARY]
+        compared = 0
+        for length in range(5):
+            for sequence in itertools.product(names, repeat=length):
+                for closed in (False, True):
+                    tokens = ["<s>", *sequence] + (["</s>"] if closed else [])
+                    formula = 0.0
+                    for left, right in zip(tokens, tokens[1:]):
+                        formula += model.bigram_log_probability(left, right)
+                    assert model.sequence_log_probability(sequence, closed) == formula
+                    compared += 1
+        assert compared == 2 * sum(len(names) ** length for length in range(5))
+
+    def test_training_rebuilds_the_table(self):
+        model = NGramModel(["a", "b"])
+        model.train([("a", "b")])
+        before = model.sequence_log_probability(["a", "b"])
+        model.train([("a", "b")])
+        assert model.sequence_log_probability(["a", "b"]) > before
 
 
 class TestCostModel:

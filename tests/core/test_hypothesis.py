@@ -4,6 +4,7 @@ import copy
 import itertools
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import standard_library
-from repro.core.arguments import Aggregation, ColumnList, Constant, Predicate
+from repro.core.arguments import Aggregation, ColumnList, Constant, MutationExpr, Predicate
 from repro.core.hypothesis import (
     Apply,
     EvaluationFailure,
@@ -28,6 +29,7 @@ from repro.core.hypothesis import (
     partial_evaluate,
     refine,
     render_program,
+    replace_node,
     sketches,
     table_holes,
     unfilled_value_holes,
@@ -153,33 +155,170 @@ class TestNodeContract:
             "    return Apply(0, filter_, (Hole(1, Type.TABLE, binding=0),),\n"
             "                 (Hole(2, Type.PREDICATE, value=predicate),))\n"
         )
-        dump = build + (
-            "import pickle, sys\n"
-            "tree = build()\n"
-            "memo = {tree: 'entry'}\n"
-            "sys.stdout.buffer.write(pickle.dumps((tree, memo)))\n"
-        )
-        load = build + (
-            "import pickle, sys\n"
-            "tree, memo = pickle.load(open(sys.argv[1], 'rb'))\n"
-            "fresh = build()\n"
-            "assert tree == fresh, (tree, fresh)\n"
-            "assert hash(tree) == hash(fresh)\n"
-            "assert memo[fresh] == 'entry'\n"
-            "assert {fresh: 1}[tree] == 1\n"
-            "print('ok')\n"
-        )
-        src = str(Path(__file__).resolve().parents[2] / "src")
+        assert pickle_across_hash_seeds(tmp_path, build) == b"ok"
 
-        def run(seed, code, *args):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
-            done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True)
-            assert done.returncode == 0, done.stderr.decode()
-            return done.stdout
+    def test_pickled_arguments_survive_a_new_hash_seed(self, tmp_path):
+        """Argument values cache their hash too; it must not travel either."""
+        build = (
+            "from repro.core import standard_library\n"
+            "from repro.core.arguments import (\n"
+            "    Aggregation, ColumnList, Constant, MutationExpr, Predicate)\n"
+            "from repro.core.hypothesis import Apply, Hole\n"
+            "from repro.core.types import Type\n"
+            "def build():\n"
+            "    c = {c.name: c for c in standard_library()}\n"
+            "    expression = MutationExpr('/', 'n', right_aggregate=Aggregation('sum', 'n'))\n"
+            "    predicate = Predicate('name', '==', Constant('Bob'))\n"
+            "    columns = ColumnList(('name', 'n'))\n"
+            "    mutate = Apply(1, c['mutate'], (Hole(2, Type.TABLE, binding=0),),\n"
+            "                   (Hole(3, Type.MUTATION, value=expression),))\n"
+            "    filter_ = Apply(4, c['filter'], (mutate,),\n"
+            "                    (Hole(5, Type.PREDICATE, value=predicate),))\n"
+            "    return Apply(0, c['select'], (filter_,),\n"
+            "                 (Hole(6, Type.COLS, value=columns),))\n"
+        )
+        assert pickle_across_hash_seeds(tmp_path, build) == b"ok"
 
-        payload = tmp_path / "tree.pickle"
-        payload.write_bytes(run(0, dump))
-        assert run(26, load, str(payload)).strip() == b"ok"
+    def test_argument_copies_drop_the_cached_hash(self):
+        arguments = (
+            ColumnList(("name", "age")),
+            Predicate("age", ">", Constant(10)),
+            MutationExpr("/", "n", right_aggregate=Aggregation("sum", "n")),
+            Aggregation("mean", "age"),
+        )
+        for argument in arguments:
+            hash(argument)
+            assert argument._hash is not None
+            for clone in (
+                pickle.loads(pickle.dumps(argument)),
+                copy.copy(argument),
+                copy.deepcopy(argument),
+            ):
+                assert clone._hash is None
+                assert clone == argument
+                assert hash(clone) == hash(argument)
+            # The cached hash is the field hash a frozen dataclass computes.
+            fields = tuple(getattr(argument, name) for name in argument.__dataclass_fields__
+                           if name != "_hash")
+            assert hash(argument) == hash(fields)
+
+    def test_replace_node_copies_only_the_edited_path(self):
+        rng = random.Random(20261017)
+        for _trial in range(60):
+            tree = random_tree(rng)
+            nodes = list(iter_nodes(tree))
+            for target in nodes:
+                for new_node in replacements(target, rng):
+                    replaced = replace_node(tree, target.node_id, new_node)
+                    assert replaced == full_rebuild(tree, target.node_id, new_node)
+                    path = ancestors(tree, target.node_id)
+                    after = {node.node_id: node for node in iter_nodes(replaced)}
+                    for node in nodes:
+                        if node.node_id not in after or node.node_id in path:
+                            continue
+                        # Off the path: the very same object survives.
+                        assert after[node.node_id] is node
+                    value_hole = isinstance(target, Hole) and target.hole_type is not Type.TABLE
+                    if target is tree:
+                        assert replaced is new_node
+                    elif value_hole and isinstance(new_node, Apply):
+                        # A value child is only ever replaced by a hole.
+                        assert replaced is tree
+                    else:
+                        for node_id in path - {target.node_id}:
+                            assert after[node_id] is not find(tree, node_id)
+
+
+def pickle_across_hash_seeds(tmp_path, build):
+    """Pickle ``build()`` and a memo keyed by it under seed 0, probe under 26."""
+    dump = build + (
+        "import pickle, sys\n"
+        "tree = build()\n"
+        "memo = {tree: 'entry'}\n"
+        "sys.stdout.buffer.write(pickle.dumps((tree, memo)))\n"
+    )
+    load = build + (
+        "import pickle, sys\n"
+        "tree, memo = pickle.load(open(sys.argv[1], 'rb'))\n"
+        "fresh = build()\n"
+        "assert tree == fresh, (tree, fresh)\n"
+        "assert hash(tree) == hash(fresh)\n"
+        "assert memo[fresh] == 'entry'\n"
+        "assert {fresh: 1}[tree] == 1\n"
+        "print('ok')\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+
+    def run(seed, code, *args):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    payload = tmp_path / "tree.pickle"
+    payload.write_bytes(run(0, dump))
+    return run(26, load, str(payload)).strip()
+
+
+def full_rebuild(hypothesis, node_id, new_node):
+    """The former ``replace_node``, which rebuilt every application."""
+    if hypothesis.node_id == node_id:
+        return new_node
+    if isinstance(hypothesis, Hole):
+        return hypothesis
+    table_children = tuple(
+        full_rebuild(child, node_id, new_node) for child in hypothesis.table_children
+    )
+    value_children = tuple(
+        new_node if child.node_id == node_id and isinstance(new_node, Hole) else child
+        for child in hypothesis.value_children
+    )
+    return Apply(hypothesis.node_id, hypothesis.component, table_children, value_children)
+
+
+def random_tree(rng):
+    """A random refinement tree, some table holes bound, some value holes filled."""
+    next_id = make_counter()
+    tree = initial_hypothesis()
+    for _ in range(rng.randint(1, 4)):
+        holes = table_holes(tree)
+        if not holes:
+            break
+        tree = refine(tree, rng.choice(holes), rng.choice(list(LIBRARY)), next_id)
+    for hole in table_holes(tree):
+        if rng.random() < 0.7:
+            tree = bind_table_hole(tree, hole, rng.randint(0, 1))
+    for hole in unfilled_value_holes(tree):
+        if rng.random() < 0.5:
+            tree = fill_value_hole(tree, hole, ColumnList((f"c{hole.node_id}",)))
+    return tree
+
+
+def replacements(target, rng):
+    """A filled or re-bound copy of *target*'s hole, and a fresh application."""
+    if isinstance(target, Hole):
+        if target.hole_type is Type.TABLE:
+            yield Hole(target.node_id, Type.TABLE, binding=rng.randint(0, 1))
+        else:
+            yield Hole(target.node_id, target.hole_type, value=ColumnList(("x",)))
+    yield Apply(target.node_id, COMPONENTS["inner_join"],
+                (Hole(900, Type.TABLE), Hole(901, Type.TABLE)), ())
+
+
+def ancestors(tree, node_id):
+    """Ids of the node *node_id* and every node above it."""
+    if tree.node_id == node_id:
+        return {node_id}
+    if isinstance(tree, Apply):
+        for child in tree.table_children + tree.value_children:
+            below = ancestors(child, node_id)
+            if below:
+                return below | {tree.node_id}
+    return set()
+
+
+def find(tree, node_id):
+    return next(node for node in iter_nodes(tree) if node.node_id == node_id)
 
 
 class TestSketches:

@@ -127,9 +127,10 @@ class TestStateKeys:
 class _RecordingCompleter(SketchCompleter):
     """Records, per OE key, the evaluated tables of every offered state."""
 
-    def _admit(self, sketch, remaining, admitted=None):
+    def _admit(self, frame, remaining, admitted=None):
         if not hasattr(self, "observations"):
             self.observations = {}
+        sketch = frame.sketch
         evaluated = self.engine.evaluate_if_possible(sketch)
         if evaluated is not None:
             key = OEStore.state_key(sketch, evaluated, remaining)
@@ -138,7 +139,7 @@ class _RecordingCompleter(SketchCompleter):
                     evaluated[node_id] for node_id in sorted(evaluated)
                 )
                 self.observations.setdefault(key, []).append(tables)
-        return super()._admit(sketch, remaining, admitted=admitted)
+        return super()._admit(frame, remaining, admitted=admitted)
 
 
 class TestMergedStatesAreObservationallyEqual:

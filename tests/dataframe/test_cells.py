@@ -96,6 +96,24 @@ class TestExactTypeFastPaths:
         with pytest.raises(CellTypeError):
             coerce_value(True, CellType.NUM)
 
+    def test_only_numbers_and_their_subclasses_are_numeric(self):
+        class MyInt(int):
+            pass
+
+        class MyFloat(float):
+            pass
+
+        class MyFraction(Fraction):
+            pass
+
+        class MyStr(str):
+            pass
+
+        for value in (3, 2.5, Fraction(1, 3), MyInt(4), MyFloat(0.5), MyFraction(2, 3)):
+            assert is_numeric(value), value
+        for value in (True, False, "3", "", MyStr("4"), None):
+            assert not is_numeric(value), value
+
     def test_infinity_stays_a_float(self):
         infinity = float("inf")
         assert is_numeric(infinity)
