@@ -28,25 +28,24 @@ from ..dataframe.cells import CellValue, format_value, is_numeric
 class ValueArgument:
     """Base class of all first-order argument values."""
 
-    __slots__ = ()
-
     def render_r(self) -> str:
         """Render this argument the way it would appear in R source."""
         raise NotImplementedError
 
 
 def _value_argument(cls):
-    """Make *cls* a frozen, slotted dataclass whose hash is cached.
+    """Make *cls* a frozen dataclass whose hash is cached.
 
     Arguments are hashed in every evaluation-memo probe and execution-cache
     key, so the field hash is computed on first use and kept in a ``_hash``
-    slot.  Like a hypothesis node's, the cached hash never travels with a
-    pickle or a copy (``__reduce__`` passes the fields only), because it
-    covers strings whose hash differs per process.
+    field that takes no part in equality.  Like a hypothesis node's, the
+    cached hash never travels with a pickle or a copy (``__reduce__`` passes
+    the fields only), because it covers strings whose hash differs per
+    process.
     """
     cls.__annotations__["_hash"] = "Optional[int]"
     cls._hash = field(default=None, init=False, repr=False, compare=False)
-    cls = dataclass(frozen=True, slots=True)(cls)
+    cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
     names = tuple(item.name for item in fields(cls) if item.init)
 

@@ -200,9 +200,9 @@ class SketchCompleter:
         run = self.start(sketch)
         try:
             while not run.exhausted:
-                program = run.step()
-                if program is not None:
-                    yield program
+                finished = run.step()
+                if finished is not None:
+                    yield finished.sketch
         finally:
             # Any early exit -- budget, deadline, or the caller abandoning
             # the generator -- leaves admitted states under-explored;
@@ -310,14 +310,11 @@ class CompletionRun:
     on.
     """
 
-    __slots__ = ("completer", "sketch", "known", "_order", "_finishes", "_stack", "_admitted")
+    __slots__ = ("completer", "sketch", "_order", "_finishes", "_stack", "_admitted")
 
     def __init__(self, completer: SketchCompleter, sketch: Hypothesis) -> None:
         self.completer = completer
         self.sketch = sketch
-        #: The partial-evaluation map the run carried to the program the
-        #: last :meth:`step` returned: the seed for evaluating it at CHECK.
-        self.known: Optional[Dict[int, Table]] = None
         self._order = _node_order(sketch)
         #: Whether the programs the worklist finishes are complete: every
         #: first-order hole is filled by the last node, so only a table hole
@@ -340,8 +337,12 @@ class CompletionRun:
         return len(self._stack)
 
     # ------------------------------------------------------------------
-    def step(self) -> Optional[Hypothesis]:
-        """Process one worklist frame; return a complete program if one surfaced.
+    def step(self) -> Optional[_Frame]:
+        """Process one worklist frame; return it if it finished a program.
+
+        A finished frame's ``sketch`` is a complete program and its
+        ``evaluated`` the partial-evaluation map the run carried to it: the
+        seed for evaluating the program at CHECK.
 
         Raises :class:`CompletionTimeout` when the deadline has expired and
         :class:`CompletionBudgetExceeded` when this sketch has used up its
@@ -354,7 +355,8 @@ class CompletionRun:
         frame = self._stack.pop()
         try:
             if frame.holes is not None:
-                return self._advance_arguments(frame)
+                self._advance_arguments(frame)
+                return None
             return self._advance_node(frame)
         except CompletionTimeout:
             # The deadline fired mid-frame (inside the argument enumerator,
@@ -365,7 +367,7 @@ class CompletionRun:
             raise
 
     # ------------------------------------------------------------------
-    def _advance_node(self, frame: _Frame) -> Optional[Hypothesis]:
+    def _advance_node(self, frame: _Frame) -> Optional[_Frame]:
         completer = self.completer
         if frame.position == len(self._order):
             if not self._finishes:
@@ -373,8 +375,7 @@ class CompletionRun:
             completer.stats.complete_programs += 1
             # The program itself is evaluated at CHECK, not here: a step
             # budget may end the search between the two.
-            self.known = frame.evaluated
-            return frame.sketch
+            return frame
         node = _find_node(frame.sketch, self._order[frame.position])
         holes = [hole for hole in node.value_children if not hole.is_bound]
         if not holes:
@@ -395,7 +396,7 @@ class CompletionRun:
         self._push_arguments(frame, holes, context_table)
         return None
 
-    def _advance_arguments(self, frame: _Frame) -> Optional[Hypothesis]:
+    def _advance_arguments(self, frame: _Frame) -> None:
         completer = self.completer
         if frame.pending:
             argument = frame.pending.pop(0)

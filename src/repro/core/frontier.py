@@ -514,7 +514,7 @@ class SearchKernel:
     def _advance_completion(self, state: CompletionState) -> None:
         """Advance one completion run by one frame; CHECK surfaced programs."""
         try:
-            candidate = state.run.step()
+            finished = state.run.step()
         except CompletionBudgetExceeded:
             # This sketch used up its budget; withdraw its OE admissions
             # (their subtrees may be unexplored, so a later equal state must
@@ -527,9 +527,10 @@ class SearchKernel:
             # a fresh deadline resumes this completion exactly here.
             self.frontier.push_continuation(state)
             raise
-        if candidate is not None:
+        if finished is not None:
+            candidate = finished.sketch
             self.stats.programs_checked += 1
-            if self._check(candidate, state.run.known):
+            if self._check(candidate, finished.evaluated):
                 if self._already_found:
                     text = render_program(candidate)
                     if text in self._already_found:

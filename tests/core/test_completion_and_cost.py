@@ -133,9 +133,9 @@ class TestSketchCompletion:
         run = completer.start(build_sketch("filter"))
         stepped = []
         while not run.exhausted:
-            program = run.step()
-            if program is not None:
-                stepped.append(repr(program))
+            finished = run.step()
+            if finished is not None:
+                stepped.append(repr(finished.sketch))
         engine2 = DeductionEngine(inputs=[STUDENTS], output=ADULTS)
         completer2 = SketchCompleter(engine2)
         pulled = [repr(p) for p in completer2.fill_sketch(build_sketch("filter"))]
