@@ -12,6 +12,7 @@ Regenerate the full table with::
 
 import pytest
 
+from repro.api import sum_counters
 from repro.baselines import (
     FIGURE16_CONFIGS,
     override_config,
@@ -63,17 +64,21 @@ def test_figure16_summary(capsys):
     assert runs["spec2"].solved >= runs["no-deduction"].solved
     # The tier-1 prescreen must decide a majority of the deduction queries it
     # sweeps on the subset (the ISSUE 4 acceptance bar is >= 50%).
-    decided = sum(outcome.prescreen_decided for outcome in runs["spec2"].outcomes)
-    fallback = sum(outcome.prescreen_fallback for outcome in runs["spec2"].outcomes)
+    spec2 = _totals(runs["spec2"])
+    decided, fallback = spec2["prescreen_decided"], spec2["prescreen_fallback"]
     assert decided > 0
     assert decided >= fallback, (decided, fallback)
     # The columnar comparison fast path must actually fire on the subset.
-    assert sum(outcome.compare_fastpath_hits for outcome in runs["spec2"].outcomes) > 0
-    assert sum(outcome.tables_built for outcome in runs["spec2"].outcomes) > 0
+    assert spec2["compare_fastpath_hits"] > 0
+    assert spec2["tables_built"] > 0
 
 
 def _outcomes(run):
     return [(o.benchmark, o.solved, o.program) for o in run.outcomes]
+
+
+def _totals(run):
+    return sum_counters(o.counters for o in run.outcomes)
 
 
 def test_prescreen_ablation_smoke(capsys):
@@ -91,20 +96,19 @@ def test_prescreen_ablation_smoke(capsys):
         subset, spec2_no_prescreen_config, timeout=BENCH_TIMEOUT,
         label="spec2-no-prescreen",
     )
-    decided = sum(o.prescreen_decided for o in tiered.outcomes)
-    fallback = sum(o.prescreen_fallback for o in tiered.outcomes)
+    tiered_totals, plain_totals = _totals(tiered), _totals(plain)
+    decided = tiered_totals["prescreen_decided"]
+    fallback = tiered_totals["prescreen_fallback"]
     with capsys.disabled():
         print(
             f"\nprescreen: decided={decided} fallback={fallback} "
-            f"smt={sum(o.smt_calls for o in tiered.outcomes)} | "
-            f"no-prescreen: smt={sum(o.smt_calls for o in plain.outcomes)}"
+            f"smt={tiered_totals['smt_calls']} | "
+            f"no-prescreen: smt={plain_totals['smt_calls']}"
         )
     assert _outcomes(tiered) == _outcomes(plain)
     assert decided >= fallback, (decided, fallback)
-    assert sum(o.smt_calls for o in tiered.outcomes) < sum(
-        o.smt_calls for o in plain.outcomes
-    )
-    assert all(o.prescreen_decided == 0 for o in plain.outcomes)
+    assert tiered_totals["smt_calls"] < plain_totals["smt_calls"]
+    assert all(o.counters["prescreen_decided"] == 0 for o in plain.outcomes)
 
 
 def test_oe_ablation_smoke(capsys):
@@ -121,20 +125,19 @@ def test_oe_ablation_smoke(capsys):
     plain = run_suite(
         subset, spec2_no_oe_config, timeout=BENCH_TIMEOUT, label="spec2-no-oe"
     )
-    oe_merged = sum(o.oe_merged for o in merged.outcomes)
+    merged_totals, plain_totals = _totals(merged), _totals(plain)
+    oe_merged = merged_totals["oe_merged"]
     with capsys.disabled():
         print(
-            f"\noe: candidates={sum(o.oe_candidates for o in merged.outcomes)} "
+            f"\noe: candidates={merged_totals['oe_candidates']} "
             f"merged={oe_merged} "
-            f"partial={sum(o.partial_programs for o in merged.outcomes)} | "
-            f"no-oe: partial={sum(o.partial_programs for o in plain.outcomes)}"
+            f"partial={merged_totals['partial_programs']} | "
+            f"no-oe: partial={plain_totals['partial_programs']}"
         )
     assert _outcomes(merged) == _outcomes(plain)
     assert oe_merged > 0
-    assert sum(o.partial_programs for o in merged.outcomes) <= sum(
-        o.partial_programs for o in plain.outcomes
-    )
-    assert all(o.oe_candidates == 0 for o in plain.outcomes)
+    assert merged_totals["partial_programs"] <= plain_totals["partial_programs"]
+    assert all(o.counters["oe_candidates"] == 0 for o in plain.outcomes)
 
 
 def test_cdcl_ablation_smoke(capsys):
@@ -157,15 +160,14 @@ def test_cdcl_ablation_smoke(capsys):
         timeout=BENCH_TIMEOUT,
         label="spec2-no-cdcl-no-prescreen",
     )
+    cdcl_totals, plain_totals = _totals(cdcl), _totals(plain)
     with capsys.disabled():
         print(
-            f"\ncdcl: smt={sum(o.smt_calls for o in cdcl.outcomes)} "
-            f"prunes={sum(o.lemma_prunes for o in cdcl.outcomes)} "
-            f"mining_solves={sum(o.lemma_mining_solves for o in cdcl.outcomes)} | "
-            f"no-cdcl: smt={sum(o.smt_calls for o in plain.outcomes)}"
+            f"\ncdcl: smt={cdcl_totals['smt_calls']} "
+            f"prunes={cdcl_totals['lemma_prunes']} "
+            f"mining_solves={cdcl_totals['lemma_mining_solves']} | "
+            f"no-cdcl: smt={plain_totals['smt_calls']}"
         )
     assert _outcomes(cdcl) == _outcomes(plain)
-    assert sum(o.lemma_prunes for o in cdcl.outcomes) > 0
-    assert sum(o.smt_calls for o in cdcl.outcomes) < sum(
-        o.smt_calls for o in plain.outcomes
-    )
+    assert cdcl_totals["lemma_prunes"] > 0
+    assert cdcl_totals["smt_calls"] < plain_totals["smt_calls"]

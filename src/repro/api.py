@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .components.errors import PRUNABLE_ERRORS
 from .core.abstraction import SpecLevel
@@ -78,10 +78,30 @@ LIBRARIES = {
     "sql": sql_library,
 }
 
+#: Schema keys measured by a clock rather than counted: they differ run to
+#: run, so deterministic views (``--json`` rows, determinism gates) drop them.
+CLOCK_COUNTERS = ("active_seconds",)
+
 #: Kernel steps per scheduling slice: the default ``max_steps`` of
 #: :meth:`SynthesisSession.advance`, and the slice the service's scheduler
 #: grants each session per round-robin pass.
 DEFAULT_SLICE_STEPS = 64
+
+
+def sum_counters(
+    dicts: Iterable[Dict[str, float]], totals: Optional[Dict[str, float]] = None
+) -> Dict[str, float]:
+    """Add counter dicts (:meth:`SynthesisSession.counters`) key by key.
+
+    Every view that totals the schema -- ``--stats``, ``--json``,
+    ``pruning``, ``/metrics`` -- goes through here.  *totals*, when given,
+    is updated in place and returned.
+    """
+    totals = {} if totals is None else totals
+    for counters in dicts:
+        for name, value in counters.items():
+            totals[name] = totals.get(name, 0) + value
+    return totals
 
 
 class RequestError(ValueError):
@@ -402,6 +422,8 @@ class SynthesisSession:
         self._steps_before = 0
         self._active_before = 0.0
         self._frontier_peak = 0
+        #: Execution counters of the kernels ``add_example`` replaced.
+        self._execution_before: Dict[str, int] = {}
         self._resumes = 0
         with self.context.active():
             self._morpheus = Morpheus(
@@ -571,6 +593,9 @@ class SynthesisSession:
             ]
             needed = self._target - self.validated_count
             payload["k"] = max(0, needed)
+            # The old kernel's counting window closes here, after the
+            # revalidation above; the successor opens its own.
+            sum_counters([kernel.execution_window()], self._execution_before)
             self._kernel = SearchKernel.restore(
                 payload,
                 self._examples[0],
@@ -608,9 +633,15 @@ class SynthesisSession:
 
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, float]:
-        """The session's cumulative (resume-surviving) search counters."""
+        """The session's counters: the one schema every counter view reads.
+
+        One flat dict, counted over one window: from the end of each search
+        kernel's construction (example tables are fingerprinted and cached
+        per process, so counting their set-up would depend on what ran
+        before) to now, summed across :meth:`add_example` resumes.  The
+        hot paths only increment plain attributes; the names live here.
+        """
         stats = self._stats
-        execution = self.context.execution
         kernel = self._kernel
         return {
             "steps": self.steps,
@@ -636,11 +667,9 @@ class SynthesisSession:
             "prescreen_fallback": stats.deduction.prescreen_fallback,
             "lemma_prunes": stats.deduction.lemma_prunes,
             "lemmas_learned": stats.deduction.lemmas_learned,
-            "tables_built": execution.tables_built,
-            "cells_interned": execution.cells_interned,
-            "fingerprint_hits": execution.fingerprint_hits,
-            "exec_cache_hits": execution.exec_cache.hits,
-            "compare_fastpath_hits": execution.compare_fastpath_hits,
+            "lemma_mining_solves": stats.deduction.lemma_mining_solves,
+            # The execution counters, named by ExecutionStats.counters().
+            **sum_counters([self._execution_before, kernel.execution_window()]),
         }
 
     def state(self) -> SessionState:

@@ -49,8 +49,8 @@ calls, prescreen decisions, lemma prunes, lemmas learned), the
 concrete-execution counter table (tables built, cells interned, cache and
 comparison fast-path hits) and the search-kernel counter table (partial
 programs, OE candidates/merged, frontier peak), and ``--json FILE``
-additionally writes the per-task outcomes (wall time, prune counts,
-prescreen/OE/exec-cache counters) as machine-readable JSON.
+additionally writes the per-task outcomes (wall time, prune rate and
+every counter of ``SynthesisSession.counters()``) as machine-readable JSON.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--json", metavar="FILE", default=None,
-        help="also write the per-task outcomes (wall time, prune counts, "
-             "prescreen/OE/exec-cache counters) as machine-readable JSON "
+        help="also write the per-task outcomes (wall time, prune rate and "
+             "every session counter) as machine-readable JSON "
              "(figure16 and figure17 only)",
     )
     parser.add_argument(

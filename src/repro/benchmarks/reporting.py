@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import statistics
+from collections import defaultdict
 from typing import Dict, List, Optional, Sequence
 
+from ..api import sum_counters
 from .r_suite import CATEGORY_COUNTS, CATEGORY_DESCRIPTIONS
 from .runner import Figure18Row, SuiteRun
 
@@ -105,6 +107,11 @@ def figure18_table(rows: Sequence[Figure18Row]) -> str:
     return "\n".join(lines)
 
 
+def _totals(run: SuiteRun) -> Dict[str, int]:
+    """The run's counters summed over its outcomes (0 for a counter never seen)."""
+    return sum_counters((outcome.counters for outcome in run.outcomes), defaultdict(int))
+
+
 def _prescreen_hit_rate(decided: int, fallback: int) -> str:
     """The prescreen hit-rate cell: deterministic (counters only), rendered
     with fixed precision so serial and ``--jobs N`` tables stay byte-identical."""
@@ -134,19 +141,19 @@ def deduction_summary_table(runs: Dict[str, SuiteRun]) -> str:
         "\tPrescreen hit-rate\tLemma prunes\tLemmas learned\tMining solves"
     ]
     for label, run in runs.items():
-        decided = sum(outcome.prescreen_decided for outcome in run.outcomes)
-        fallback = sum(outcome.prescreen_fallback for outcome in run.outcomes)
+        totals = _totals(run)
+        decided, fallback = totals["prescreen_decided"], totals["prescreen_fallback"]
         lines.append(
             "\t".join(
                 [
                     label,
-                    str(sum(outcome.smt_calls for outcome in run.outcomes)),
+                    str(totals["smt_calls"]),
                     str(decided),
                     str(fallback),
                     _prescreen_hit_rate(decided, fallback),
-                    str(sum(outcome.lemma_prunes for outcome in run.outcomes)),
-                    str(sum(outcome.lemmas_learned for outcome in run.outcomes)),
-                    str(sum(outcome.lemma_mining_solves for outcome in run.outcomes)),
+                    str(totals["lemma_prunes"]),
+                    str(totals["lemmas_learned"]),
+                    str(totals["lemma_mining_solves"]),
                 ]
             )
         )
@@ -170,15 +177,16 @@ def execution_summary_table(runs: Dict[str, SuiteRun]) -> str:
         "\tExec-cache hits\tCompare fast-path"
     ]
     for label, run in runs.items():
+        totals = _totals(run)
         lines.append(
             "\t".join(
                 [
                     label,
-                    str(sum(outcome.tables_built for outcome in run.outcomes)),
-                    str(sum(outcome.cells_interned for outcome in run.outcomes)),
-                    str(sum(outcome.fingerprint_hits for outcome in run.outcomes)),
-                    str(sum(outcome.exec_cache_hits for outcome in run.outcomes)),
-                    str(sum(outcome.compare_fastpath_hits for outcome in run.outcomes)),
+                    str(totals["tables_built"]),
+                    str(totals["cells_interned"]),
+                    str(totals["fingerprint_hits"]),
+                    str(totals["exec_cache_hits"]),
+                    str(totals["compare_fastpath_hits"]),
                 ]
             )
         )
@@ -203,18 +211,19 @@ def search_summary_table(runs: Dict[str, SuiteRun]) -> str:
         "\tOE merge-rate\tFrontier peak"
     ]
     for label, run in runs.items():
-        candidates = sum(outcome.oe_candidates for outcome in run.outcomes)
-        merged = sum(outcome.oe_merged for outcome in run.outcomes)
+        totals = _totals(run)
+        candidates, merged = totals["oe_candidates"], totals["oe_merged"]
         rate = "-" if candidates == 0 else f"{100.0 * merged / candidates:.1f}%"
+        peak = max((outcome.counters["frontier_peak"] for outcome in run.outcomes), default=0)
         lines.append(
             "\t".join(
                 [
                     label,
-                    str(sum(outcome.partial_programs for outcome in run.outcomes)),
+                    str(totals["partial_programs"]),
                     str(candidates),
                     str(merged),
                     rate,
-                    str(max((outcome.frontier_peak for outcome in run.outcomes), default=0)),
+                    str(peak),
                 ]
             )
         )
@@ -224,9 +233,9 @@ def search_summary_table(runs: Dict[str, SuiteRun]) -> str:
 def outcome_record(outcome) -> Dict:
     """One benchmark outcome as a JSON-ready dict (the ``--json`` rows).
 
-    Everything the perf trajectory needs per task: wall time, prune counts,
-    and the prescreen / lemma / execution-cache counters.  Counter fields are
-    deterministic; ``elapsed`` is wall clock.
+    The task's identity, wall time, program and prune rate, then every
+    deterministic counter of the session schema under its own name.
+    Counter fields are deterministic; ``elapsed_s`` is wall clock.
     """
     return {
         "benchmark": outcome.benchmark,
@@ -237,24 +246,16 @@ def outcome_record(outcome) -> Dict:
         "program": outcome.program,
         "program_size": outcome.program_size,
         "prune_rate": round(outcome.prune_rate, 4),
-        "smt_calls": outcome.smt_calls,
-        "prescreen_decided": outcome.prescreen_decided,
-        "prescreen_fallback": outcome.prescreen_fallback,
-        "partial_programs": outcome.partial_programs,
-        "oe_candidates": outcome.oe_candidates,
-        "oe_merged": outcome.oe_merged,
-        "frontier_peak": outcome.frontier_peak,
-        "lemma_prunes": outcome.lemma_prunes,
-        "lemmas_learned": outcome.lemmas_learned,
-        "lemma_mining_solves": outcome.lemma_mining_solves,
-        "tables_built": outcome.tables_built,
-        "cells_interned": outcome.cells_interned,
-        "fingerprint_hits": outcome.fingerprint_hits,
-        "exec_cache_hits": outcome.exec_cache_hits,
-        "compare_fastpath_hits": outcome.compare_fastpath_hits,
-        "sibling_batches": outcome.sibling_batches,
-        "batched_fills": outcome.batched_fills,
+        **outcome.counters,
     }
+
+
+#: The counters ``suite_runs_json`` totals per configuration.
+RUN_COUNTERS = (
+    "smt_calls", "prescreen_decided", "prescreen_fallback",
+    "partial_programs", "oe_candidates", "oe_merged",
+    "sibling_batches", "batched_fills",
+)
 
 
 def suite_runs_json(runs: Dict[str, SuiteRun]) -> Dict:
@@ -265,28 +266,18 @@ def suite_runs_json(runs: Dict[str, SuiteRun]) -> Dict:
     """
     payload: Dict = {}
     for label, run in runs.items():
-        decided = sum(o.prescreen_decided for o in run.outcomes)
-        fallback = sum(o.prescreen_fallback for o in run.outcomes)
-        oe_candidates = sum(o.oe_candidates for o in run.outcomes)
-        oe_merged = sum(o.oe_merged for o in run.outcomes)
+        totals = _totals(run)
+        decided, fallback = totals["prescreen_decided"], totals["prescreen_fallback"]
+        candidates, merged = totals["oe_candidates"], totals["oe_merged"]
         payload[label] = {
             "solved": run.solved,
             "total": run.total,
             "wall_total_s": round(sum(o.elapsed for o in run.outcomes), 4),
-            "smt_calls": sum(o.smt_calls for o in run.outcomes),
-            "prescreen_decided": decided,
-            "prescreen_fallback": fallback,
+            **{name: totals[name] for name in RUN_COUNTERS},
             "prescreen_hit_rate": (
                 round(decided / (decided + fallback), 4) if decided + fallback else None
             ),
-            "partial_programs": sum(o.partial_programs for o in run.outcomes),
-            "oe_candidates": oe_candidates,
-            "oe_merged": oe_merged,
-            "oe_merge_rate": (
-                round(oe_merged / oe_candidates, 4) if oe_candidates else None
-            ),
-            "sibling_batches": sum(o.sibling_batches for o in run.outcomes),
-            "batched_fills": sum(o.batched_fills for o in run.outcomes),
+            "oe_merge_rate": round(merged / candidates, 4) if candidates else None,
             "outcomes": [outcome_record(o) for o in run.outcomes],
         }
     return payload

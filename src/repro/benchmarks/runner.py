@@ -14,6 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..api import CLOCK_COUNTERS, SynthesisRequest, create_session, sum_counters
 from ..baselines.configurations import ALL_FIGURE17_CONFIGS, FIGURE16_CONFIGS
 from ..baselines.lambda2 import Lambda2Synthesizer
 from ..baselines.sql_synthesizer import SqlSynthesizer
@@ -40,44 +41,11 @@ class BenchmarkOutcome:
     #: on the outcome so ablation and determinism harnesses can assert that
     #: configurations agree on *what* was synthesized, not just how fast.
     program: Optional[str] = None
-    #: Deduction SMT ``check()`` calls issued during the run.
-    smt_calls: int = 0
-    #: Hypotheses rejected by the lemma store without an SMT query.
-    lemma_prunes: int = 0
-    #: Blocking lemmas mined from deduction unsat cores.
-    lemmas_learned: int = 0
-    #: Incremental-session solves spent mining/minimizing those cores.  Far
-    #: cheaper per call than a full ``check()`` (propagation-only deletion
-    #: probes), but reported so a CDCL-vs-ablation comparison of ``smt_calls``
-    #: never hides the mining investment.
-    lemma_mining_solves: int = 0
-    #: Deduction queries decided UNSAT by the tier-1 interval prescreen
-    #: (no formula built, no solver run) vs handed to the SMT tier.
-    prescreen_decided: int = 0
-    prescreen_fallback: int = 0
-    #: Candidate hole fillings tried during sketch completion, and the
-    #: observational-equivalence store's share of the dedup: states offered
-    #: to the store vs states merged into an earlier representative (the
-    #: ``--no-oe`` ablation reports ``oe_candidates = oe_merged = 0``).
-    partial_programs: int = 0
-    oe_candidates: int = 0
-    oe_merged: int = 0
-    #: Peak number of simultaneously pending search-frontier states.
-    frontier_peak: int = 0
-    #: Concrete-execution counters (deterministic: each task runs in its own
-    #: session context with a fresh intern pool and counters, so serial and
-    #: ``--jobs N`` runs report identical values).
-    tables_built: int = 0
-    cells_interned: int = 0
-    fingerprint_hits: int = 0
-    exec_cache_hits: int = 0
-    compare_fastpath_hits: int = 0
-    #: Batched sibling-hypothesis evaluation: groups of sibling hole fills
-    #: whose partial evaluations were executed through one batched component
-    #: call, and the total fills evaluated that way.  Deterministic (a pure
-    #: function of the completion order).
-    sibling_batches: int = 0
-    batched_fills: int = 0
+    #: The session's deterministic counters: :meth:`SynthesisSession.counters`
+    #: without its clock keys (``repro.api.CLOCK_COUNTERS``).  Each task
+    #: runs in its own session context with a fresh intern pool and counter
+    #: block, so serial and ``--jobs N`` runs report identical values.
+    counters: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -141,15 +109,14 @@ def run_benchmark(
     independence is what makes serial and ``--jobs N`` harness runs report
     byte-identical programs and counters.
     """
-    from ..api import SynthesisRequest, create_session
-
     request = SynthesisRequest.from_tables(
         benchmark.inputs, benchmark.output, config=config
     )
-    result = create_session(request, library=library).solve()
-    deduction = result.stats.deduction
-    execution = result.stats.execution
-    completion = result.stats.completion
+    session = create_session(request, library=library)
+    result = session.solve()
+    counters = session.counters()
+    for name in CLOCK_COUNTERS:
+        del counters[name]
     return BenchmarkOutcome(
         benchmark=benchmark.name,
         category=benchmark.category,
@@ -159,23 +126,7 @@ def run_benchmark(
         program_size=result.size,
         prune_rate=result.stats.prune_rate,
         program=result.render() if result.solved else None,
-        smt_calls=deduction.smt_calls,
-        lemma_prunes=deduction.lemma_prunes,
-        lemmas_learned=deduction.lemmas_learned,
-        lemma_mining_solves=deduction.lemma_mining_solves,
-        prescreen_decided=deduction.prescreen_decided,
-        prescreen_fallback=deduction.prescreen_fallback,
-        partial_programs=completion.partial_programs,
-        oe_candidates=completion.oe_candidates,
-        oe_merged=completion.oe_merged,
-        frontier_peak=result.stats.frontier_peak,
-        tables_built=execution.tables_built,
-        cells_interned=execution.cells_interned,
-        fingerprint_hits=execution.fingerprint_hits,
-        exec_cache_hits=execution.exec_cache.hits,
-        compare_fastpath_hits=execution.compare_fastpath_hits,
-        sibling_batches=completion.sibling_batches,
-        batched_fills=completion.batched_fills,
+        counters=counters,
     )
 
 
@@ -385,6 +336,14 @@ def run_figure18(
 # ----------------------------------------------------------------------
 # Pruning statistics (Section 9, "Impact of partial evaluation")
 # ----------------------------------------------------------------------
+#: The counters ``run_pruning_statistics`` totals over the suite, in order.
+PRUNING_COUNTERS = (
+    "smt_calls", "lemma_prunes", "lemmas_learned", "lemma_mining_solves",
+    "prescreen_decided", "prescreen_fallback",
+    "partial_programs", "oe_candidates", "oe_merged",
+)
+
+
 def run_pruning_statistics(
     timeout: float = 20.0,
     suite: Optional[BenchmarkSuite] = None,
@@ -407,29 +366,11 @@ def run_pruning_statistics(
         )
     run = run_suite(suite, factory, timeout=timeout, label=label, jobs=jobs)
     rates = [outcome.prune_rate for outcome in run.outcomes if outcome.prune_rate > 0]
-    return {
+    totals = sum_counters(outcome.counters for outcome in run.outcomes)
+    report = {
         "mean_prune_rate": statistics.mean(rates) if rates else 0.0,
         "median_prune_rate": statistics.median(rates) if rates else 0.0,
         "benchmarks": float(len(rates)),
-        "smt_calls": float(sum(outcome.smt_calls for outcome in run.outcomes)),
-        "lemma_prunes": float(sum(outcome.lemma_prunes for outcome in run.outcomes)),
-        "lemmas_learned": float(
-            sum(outcome.lemmas_learned for outcome in run.outcomes)
-        ),
-        "lemma_mining_solves": float(
-            sum(outcome.lemma_mining_solves for outcome in run.outcomes)
-        ),
-        "prescreen_decided": float(
-            sum(outcome.prescreen_decided for outcome in run.outcomes)
-        ),
-        "prescreen_fallback": float(
-            sum(outcome.prescreen_fallback for outcome in run.outcomes)
-        ),
-        "partial_programs": float(
-            sum(outcome.partial_programs for outcome in run.outcomes)
-        ),
-        "oe_candidates": float(
-            sum(outcome.oe_candidates for outcome in run.outcomes)
-        ),
-        "oe_merged": float(sum(outcome.oe_merged for outcome in run.outcomes)),
     }
+    report.update((name, float(totals.get(name, 0))) for name in PRUNING_COUNTERS)
+    return report

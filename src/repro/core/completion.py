@@ -80,7 +80,6 @@ class CompletionStats:
 
     partial_programs: int = 0
     pruned_partial: int = 0
-    complete_programs: int = 0
     #: Of :attr:`pruned_partial`, how many the tier-1 interval prescreen
     #: decided (the completer's per-hole fills are the bulk deduction
     #: traffic, so this is where most of the prescreen's saving lands).
@@ -94,17 +93,6 @@ class CompletionStats:
     sibling_batches: int = 0
     #: Individual hole fillings executed inside those groups.
     batched_fills: int = 0
-
-    def merge(self, other: "CompletionStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.partial_programs += other.partial_programs
-        self.pruned_partial += other.pruned_partial
-        self.complete_programs += other.complete_programs
-        self.pruned_by_prescreen += other.pruned_by_prescreen
-        self.oe_candidates += other.oe_candidates
-        self.oe_merged += other.oe_merged
-        self.sibling_batches += other.sibling_batches
-        self.batched_fills += other.batched_fills
 
 
 @dataclass
@@ -372,7 +360,6 @@ class CompletionRun:
         if frame.position == len(self._order):
             if not self._finishes:
                 return None
-            completer.stats.complete_programs += 1
             # The program itself is evaluated at CHECK, not here: a step
             # budget may end the search between the two.
             return frame

@@ -117,11 +117,6 @@ class DeductionStats:
         return self.verdict_cache.misses
 
     @property
-    def cache_lookups(self) -> int:
-        """Total number of verdict-cache probes."""
-        return self.verdict_cache.lookups
-
-    @property
     def cache_hit_rate(self) -> float:
         """Fraction of deduction queries answered from the verdict memo."""
         return self.verdict_cache.hit_rate
@@ -144,22 +139,6 @@ class DeductionStats:
         if self.cores_extracted == 0:
             return 0.0
         return self.core_size_total / self.cores_extracted
-
-    def merge(self, other: "DeductionStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.smt_calls += other.smt_calls
-        self.hypotheses_checked += other.hypotheses_checked
-        self.hypotheses_rejected += other.hypotheses_rejected
-        self.evaluation_failures += other.evaluation_failures
-        self.prescreen_decided += other.prescreen_decided
-        self.prescreen_fallback += other.prescreen_fallback
-        self.lemma_prunes += other.lemma_prunes
-        self.lemmas_learned += other.lemmas_learned
-        self.cores_extracted += other.cores_extracted
-        self.core_size_total += other.core_size_total
-        self.lemma_mining_solves += other.lemma_mining_solves
-        self.verdict_cache.merge(other.verdict_cache)
-        self.abstraction_cache.merge(other.abstraction_cache)
 
 
 @dataclass

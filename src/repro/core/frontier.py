@@ -402,9 +402,18 @@ class SearchKernel:
         # is what keeps the per-run execution counters byte-identical across
         # schedulers and repeat runs.
         self.solver_cache_baseline = formula_cache_stats().snapshot()
-        self.execution_baseline = execution_stats().snapshot()
+        self._execution = execution_stats()
+        self._execution_baseline = self._execution.counters()
 
     # ------------------------------------------------------------------
+    def execution_window(self) -> Dict[str, int]:
+        """The execution counters this kernel's window has counted so far."""
+        baseline = self._execution_baseline
+        return {
+            name: value - baseline[name]
+            for name, value in self._execution.counters().items()
+        }
+
     @property
     def solved(self) -> bool:
         """True once at least one program passed CHECK."""

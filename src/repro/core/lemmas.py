@@ -79,15 +79,6 @@ class LemmaStoreStats:
     #: Lookups answered "blocked" (each one saved an SMT query).
     prunes: int = 0
 
-    def merge(self, other: "LemmaStoreStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.learned += other.learned
-        self.subsumed += other.subsumed
-        self.retired += other.retired
-        self.overflow += other.overflow
-        self.lookups += other.lookups
-        self.prunes += other.prunes
-
 
 @dataclass
 class LemmaStore:

@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..dataframe.profiling import ExecutionStats, execution_stats
 from ..dataframe.table import Table
 from ..engine.cache import CacheStats
 from ..smt.solver import formula_cache_stats
@@ -145,9 +144,6 @@ class SynthesisStats:
     completion: CompletionStats = field(default_factory=CompletionStats)
     #: This run's slice of the process-wide SMT formula-cache activity.
     solver_cache: CacheStats = field(default_factory=CacheStats)
-    #: This run's slice of the concrete-execution counters (tables built,
-    #: cells interned, fingerprint/exec-cache hits, comparison fast paths).
-    execution: ExecutionStats = field(default_factory=ExecutionStats)
 
     @property
     def prune_rate(self) -> float:
@@ -155,76 +151,6 @@ class SynthesisStats:
         if self.completion.partial_programs == 0:
             return 0.0
         return self.completion.pruned_partial / self.completion.partial_programs
-
-    @property
-    def deduction_cache_hit_rate(self) -> float:
-        """Fraction of deduction queries answered by the verdict memo."""
-        return self.deduction.cache_hit_rate
-
-    @property
-    def solver_cache_hit_rate(self) -> float:
-        """Fraction of SMT checks answered by the formula cache during this run."""
-        return self.solver_cache.hit_rate
-
-    @property
-    def lemma_prunes(self) -> int:
-        """Hypotheses rejected by the lemma store without an SMT query."""
-        return self.deduction.lemma_prunes
-
-    @property
-    def lemmas_learned(self) -> int:
-        """Blocking lemmas mined from deduction unsat cores this run."""
-        return self.deduction.lemmas_learned
-
-    @property
-    def smt_calls(self) -> int:
-        """Deduction SMT ``check()`` calls issued this run."""
-        return self.deduction.smt_calls
-
-    @property
-    def prescreen_decided(self) -> int:
-        """Deduction queries decided by the tier-1 interval prescreen."""
-        return self.deduction.prescreen_decided
-
-    @property
-    def prescreen_fallback(self) -> int:
-        """Deduction queries the prescreen handed to the SMT tier."""
-        return self.deduction.prescreen_fallback
-
-    @property
-    def prescreen_hit_rate(self) -> float:
-        """Fraction of prescreened queries decided without the solver."""
-        return self.deduction.prescreen_hit_rate
-
-    @property
-    def oe_candidates(self) -> int:
-        """Completion states offered to the observational-equivalence store."""
-        return self.completion.oe_candidates
-
-    @property
-    def oe_merged(self) -> int:
-        """Completion states merged into an earlier OE representative."""
-        return self.completion.oe_merged
-
-    @property
-    def tables_built(self) -> int:
-        """Tables constructed while executing candidate programs this run."""
-        return self.execution.tables_built
-
-    @property
-    def cells_interned(self) -> int:
-        """Cell values deduplicated against the intern pool this run."""
-        return self.execution.cells_interned
-
-    @property
-    def compare_fastpath_hits(self) -> int:
-        """Output comparisons decided by the digest fast path this run."""
-        return self.execution.compare_fastpath_hits
-
-    @property
-    def exec_cache_hit_rate(self) -> float:
-        """Fraction of component executions answered from the execution memo."""
-        return self.execution.exec_cache.hit_rate
 
 
 @dataclass
@@ -348,18 +274,15 @@ class Morpheus:
     def finalize(self, kernel: SearchKernel, elapsed: Optional[float] = None) -> SynthesisResult:
         """Package a (driven) kernel's state into a :class:`SynthesisResult`.
 
-        The kernel's construction-time baselines attribute a slice of the
-        process-wide solver-cache and execution counters to this run, so the
-        counters are identical whether the kernel ran standalone or inside
-        an isolated :class:`~repro.engine.context.TaskContext`.
+        The kernel's construction-time baseline attributes a slice of the
+        process-wide solver-cache counters to this run, so they are
+        identical whether the kernel ran standalone or inside an isolated
+        :class:`~repro.engine.context.TaskContext`.
         """
         stats = kernel.stats
         stats.frontier_peak = kernel.frontier.peak
         stats.solver_cache = (
             formula_cache_stats().snapshot().since(kernel.solver_cache_baseline)
-        )
-        stats.execution = (
-            execution_stats().snapshot().since(kernel.execution_baseline)
         )
         # Warm-start tier: export the run's mined lemmas to the attached
         # knowledge base, if any, and commit its pending facts to disk.

@@ -4,9 +4,9 @@ The deduction stack already reports its work through
 :class:`~repro.engine.cache.CacheStats`; this module gives the *concrete*
 side -- table construction, value interning, fingerprinting, component
 execution and output comparison -- the same treatment.  A single
-process-wide :class:`ExecutionStats` instance accumulates counters; callers
-that need a per-run slice snapshot it before the run and diff afterwards
-(the same ``snapshot()``/``since()`` discipline the SMT formula cache uses).
+process-wide :class:`ExecutionStats` instance accumulates counters; a search
+kernel reads :meth:`ExecutionStats.counters` when it opens its counting
+window and reports the change since (see ``SearchKernel.execution_window``).
 
 All counters are deterministic for a fixed synthesis problem, provided the
 problem starts from an empty intern pool and zeroed counters.  Every
@@ -20,6 +20,7 @@ serial and ``--jobs N`` runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict
 
 from ..engine.cache import CacheStats
 
@@ -43,63 +44,18 @@ class ExecutionStats:
     #: Hit/miss accounting of the fingerprint-keyed component-execution memo.
     exec_cache: CacheStats = field(default_factory=CacheStats)
 
-    @property
-    def fingerprint_lookups(self) -> int:
-        """Total number of ``fingerprint()`` calls."""
-        return self.fingerprint_hits + self.fingerprint_misses
-
-    @property
-    def exec_cache_hits(self) -> int:
-        """Component executions answered from the fingerprint-keyed memo."""
-        return self.exec_cache.hits
-
-    def merge(self, other: "ExecutionStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.tables_built += other.tables_built
-        self.cells_interned += other.cells_interned
-        self.fingerprint_hits += other.fingerprint_hits
-        self.fingerprint_misses += other.fingerprint_misses
-        self.compare_fastpath_hits += other.compare_fastpath_hits
-        self.compare_fastpath_misses += other.compare_fastpath_misses
-        self.exec_cache.merge(other.exec_cache)
-
-    def snapshot(self) -> "ExecutionStats":
-        """An independent copy (for per-run slicing)."""
-        copy = ExecutionStats(
-            self.tables_built,
-            self.cells_interned,
-            self.fingerprint_hits,
-            self.fingerprint_misses,
-            self.compare_fastpath_hits,
-            self.compare_fastpath_misses,
-            self.exec_cache.snapshot(),
-        )
-        return copy
-
-    def since(self, baseline: "ExecutionStats") -> "ExecutionStats":
-        """The delta between this snapshot and an earlier *baseline*."""
-        return ExecutionStats(
-            self.tables_built - baseline.tables_built,
-            self.cells_interned - baseline.cells_interned,
-            self.fingerprint_hits - baseline.fingerprint_hits,
-            self.fingerprint_misses - baseline.fingerprint_misses,
-            self.compare_fastpath_hits - baseline.compare_fastpath_hits,
-            self.compare_fastpath_misses - baseline.compare_fastpath_misses,
-            self.exec_cache.since(baseline.exec_cache),
-        )
-
-    def clear(self) -> None:
-        """Reset every counter to zero."""
-        self.tables_built = 0
-        self.cells_interned = 0
-        self.fingerprint_hits = 0
-        self.fingerprint_misses = 0
-        self.compare_fastpath_hits = 0
-        self.compare_fastpath_misses = 0
-        self.exec_cache.clear()
+    def counters(self) -> Dict[str, int]:
+        """The counters a run reports, under their names in the session schema."""
+        return {
+            "tables_built": self.tables_built,
+            "cells_interned": self.cells_interned,
+            "fingerprint_hits": self.fingerprint_hits,
+            "exec_cache_hits": self.exec_cache.hits,
+            "compare_fastpath_hits": self.compare_fastpath_hits,
+        }
 
 
-#: The process-wide counter instance (sliced per run via snapshot/since).
+#: The process-wide counter instance (a run counts the change over its window).
 _EXECUTION_STATS = ExecutionStats()
 
 

@@ -40,14 +40,8 @@ class CacheStats:
         """Fraction of probes answered from the cache (0.0 when never probed)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-
     def snapshot(self) -> "CacheStats":
-        """An independent copy (for merging into per-run statistics)."""
+        """An independent copy (the baseline of a per-run slice)."""
         return CacheStats(self.hits, self.misses, self.evictions)
 
     def since(self, baseline: "CacheStats") -> "CacheStats":

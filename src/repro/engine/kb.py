@@ -110,15 +110,6 @@ class KBStats:
         """Fraction of probes answered from the KB (0.0 when never probed)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 6),
-        }
-
 
 # ----------------------------------------------------------------------
 # Canonical token hashing (the key side of every fact)

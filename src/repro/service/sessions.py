@@ -36,10 +36,10 @@ import os
 import threading
 import time
 import uuid
-from collections import deque
+from collections import defaultdict, deque
 from typing import Deque, Dict, List, Optional
 
-from ..api import DEFAULT_SLICE_STEPS, SynthesisRequest, SynthesisSession
+from ..api import DEFAULT_SLICE_STEPS, SynthesisRequest, SynthesisSession, sum_counters
 from ..engine.context import TaskContext
 
 _log = logging.getLogger(__name__)
@@ -240,6 +240,10 @@ class SessionStore:
         self._stop = threading.Event()
         self.sessions_created = 0
         self.sessions_expired = 0
+        #: Counters of the sessions the TTL sweep removed, so the
+        #: ``*_total`` metrics never go backwards.  Guarded by the registry
+        #: lock.
+        self._expired_counters: Dict[str, float] = {}
         self._scheduler = threading.Thread(
             target=self._schedule, name="synthesis-scheduler", daemon=True
         )
@@ -316,36 +320,27 @@ class SessionStore:
     def metrics(self) -> dict:
         with self._registry_lock:
             sessions = list(self._sessions.values())
+            totals = defaultdict(int, self._expired_counters)
         live = [s for s in sessions if not s.expired]
-        totals: Dict[str, float] = {}
-        for session in live:
-            for key, value in session.session.counters().items():
-                totals[key] = totals.get(key, 0) + value
-        steps = totals.get("steps", 0)
-        smt = totals.get("smt_calls", 0)
-        prescreen = totals.get("prescreen_decided", 0)
-        oe_candidates = totals.get("oe_candidates", 0)
-        exec_hits = totals.get("exec_cache_hits", 0)
+        sum_counters((session.session.counters() for session in live), totals)
+        prescreen = totals["prescreen_decided"]
+        oe_candidates = totals["oe_candidates"]
         metrics = {
             "sessions_active": sum(1 for s in live if not s.settled),
             "sessions_live": len(live),
             "sessions_created_total": self.sessions_created,
             "sessions_expired_total": self.sessions_expired,
             "rate_limited_total": self.bucket.denied,
-            "kernel_steps_total": steps,
-            "resumes_total": int(totals.get("resumes", 0)),
-            "smt_calls_total": int(smt),
+            "kernel_steps_total": totals["steps"],
+            "resumes_total": int(totals["resumes"]),
+            "smt_calls_total": int(totals["smt_calls"]),
             "prescreen_decided_total": int(prescreen),
             "prescreen_hit_rate": (
-                prescreen / (prescreen + totals.get("prescreen_fallback", 0))
-                if prescreen
-                else 0.0
+                prescreen / (prescreen + totals["prescreen_fallback"]) if prescreen else 0.0
             ),
-            "oe_merged_total": int(totals.get("oe_merged", 0)),
-            "oe_merge_rate": (
-                totals.get("oe_merged", 0) / oe_candidates if oe_candidates else 0.0
-            ),
-            "exec_cache_hits_total": int(exec_hits),
+            "oe_merged_total": int(totals["oe_merged"]),
+            "oe_merge_rate": totals["oe_merged"] / oe_candidates if oe_candidates else 0.0,
+            "exec_cache_hits_total": int(totals["exec_cache_hits"]),
         }
         if self.kb is not None:
             stats = self.kb.stats
@@ -422,6 +417,9 @@ class SessionStore:
                 session.expired = True
                 self.sessions_expired += 1
                 del self._sessions[session.id]
+            sum_counters(
+                (session.session.counters() for session in stale), self._expired_counters
+            )
         for session in stale:
             # An expired session is gone from every lookup path, so its
             # persistence file would be unreachable garbage: remove it

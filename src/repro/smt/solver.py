@@ -151,28 +151,6 @@ class IncrementalStats:
     #: Times the session hit :data:`SESSION_CLAUSE_LIMIT` and was rebuilt.
     recycles: int = 0
 
-    def merge(self, other: "IncrementalStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.checks += other.checks
-        self.sat_solves += other.sat_solves
-        self.formulas_encoded += other.formulas_encoded
-        self.formulas_reused += other.formulas_reused
-        self.theory_conflicts += other.theory_conflicts
-        self.theory_core_checks += other.theory_core_checks
-        self.recycles += other.recycles
-
-    def snapshot(self) -> "IncrementalStats":
-        """An independent copy (for computing per-call deltas)."""
-        return IncrementalStats(
-            self.checks,
-            self.sat_solves,
-            self.formulas_encoded,
-            self.formulas_reused,
-            self.theory_conflicts,
-            self.theory_core_checks,
-            self.recycles,
-        )
-
 
 class _Session:
     """Persistent incremental state behind :meth:`Solver.check_assumptions`."""

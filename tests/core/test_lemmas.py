@@ -142,13 +142,3 @@ class TestEngineIntegration:
         assert cdcl.stats.lemma_prunes > 0
         assert cdcl.stats.smt_calls < plain.stats.smt_calls
 
-    def test_stats_merge_accumulates_lemma_counters(self):
-        first = DeductionEngine(inputs=[T1], output=T1, prescreen=False)
-        second = DeductionEngine(inputs=[T1], output=T1, prescreen=False)
-        first.deduce(build_chain("select"))
-        second.deduce(build_chain("select"))
-        merged = first.stats
-        learned = merged.lemmas_learned
-        merged.merge(second.stats)
-        assert merged.lemmas_learned == learned + second.stats.lemmas_learned
-        assert merged.lemma_mining_solves >= second.stats.lemma_mining_solves

@@ -252,12 +252,12 @@ class TestAblationDifferential:
             (o.benchmark, o.solved, o.program) for o in run.outcomes
         ]
         assert programs(merged) == programs(plain)
-        assert sum(o.oe_merged for o in merged.outcomes) > 0
-        assert all(o.oe_candidates == 0 for o in plain.outcomes)
-        assert all(o.oe_merged == 0 for o in plain.outcomes)
+        assert sum(o.counters["oe_merged"] for o in merged.outcomes) > 0
+        assert all(o.counters["oe_candidates"] == 0 for o in plain.outcomes)
+        assert all(o.counters["oe_merged"] == 0 for o in plain.outcomes)
         # Merging skips duplicated completion work, never adds any.
-        assert sum(o.partial_programs for o in merged.outcomes) <= sum(
-            o.partial_programs for o in plain.outcomes
+        assert sum(o.counters["partial_programs"] for o in merged.outcomes) <= sum(
+            o.counters["partial_programs"] for o in plain.outcomes
         )
 
     def test_oe_counters_surface_through_synthesis_stats(self):
@@ -265,11 +265,12 @@ class TestAblationDifferential:
         example = Example.make(benchmark.inputs, benchmark.output)
         result = synthesize(example.inputs, example.output, config=SynthesisConfig(timeout=30))
         assert result.solved
-        assert result.stats.oe_candidates > 0
-        assert result.stats.oe_merged > 0
-        assert result.stats.oe_merged <= result.stats.oe_candidates
+        completion = result.stats.completion
+        assert completion.oe_candidates > 0
+        assert completion.oe_merged > 0
+        assert completion.oe_merged <= completion.oe_candidates
         plain = synthesize(
             example.inputs, example.output, config=SynthesisConfig(timeout=30, oe=False)
         )
-        assert plain.stats.oe_candidates == 0
+        assert plain.stats.completion.oe_candidates == 0
         assert plain.render() == result.render()

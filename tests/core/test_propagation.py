@@ -370,16 +370,6 @@ class TestEngineCounters:
         engine.stats.prescreen_fallback = 1
         assert engine.stats.prescreen_hit_rate == 0.75
 
-    def test_stats_merge_accumulates_prescreen_counters(self):
-        from repro.core.deduction import DeductionStats
-
-        first, second = DeductionStats(), DeductionStats()
-        first.prescreen_decided, first.prescreen_fallback = 2, 1
-        second.prescreen_decided, second.prescreen_fallback = 5, 3
-        first.merge(second)
-        assert first.prescreen_decided == 7
-        assert first.prescreen_fallback == 4
-
 
 def test_table_attribute_vector_matches_engine_memo():
     engine = DeductionEngine(inputs=[T1], output=T2)

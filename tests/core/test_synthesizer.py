@@ -114,10 +114,10 @@ class TestConfigurations:
         )
         assert tiered.solved and plain.solved
         assert tiered.render() == plain.render()
-        assert tiered.stats.prescreen_decided > 0
-        assert 0.0 < tiered.stats.prescreen_hit_rate <= 1.0
-        assert plain.stats.prescreen_decided == 0
-        assert plain.stats.prescreen_fallback == 0
+        assert tiered.stats.deduction.prescreen_decided > 0
+        assert 0.0 < tiered.stats.deduction.prescreen_hit_rate <= 1.0
+        assert plain.stats.deduction.prescreen_decided == 0
+        assert plain.stats.deduction.prescreen_fallback == 0
         # The prescreen's pruning shows up inside sketch completion too.
         assert tiered.stats.completion.pruned_by_prescreen > 0
         assert (

@@ -14,11 +14,6 @@ class TestCacheStats:
         assert stats.lookups == 4
         assert stats.hit_rate == pytest.approx(0.75)
 
-    def test_merge_accumulates(self):
-        stats = CacheStats(hits=1, misses=2, evictions=3)
-        stats.merge(CacheStats(hits=10, misses=20, evictions=30))
-        assert (stats.hits, stats.misses, stats.evictions) == (11, 22, 33)
-
     def test_since_returns_delta(self):
         baseline = CacheStats(hits=5, misses=5, evictions=1)
         later = CacheStats(hits=9, misses=6, evictions=1)

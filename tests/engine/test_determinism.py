@@ -26,7 +26,15 @@ def fast_suite():
 
 
 def deterministic_fingerprint(run):
-    """Every outcome field that must be identical across schedulers."""
+    """Every outcome field that must be identical across schedulers.
+
+    The counters are the whole session schema minus its clock keys: SMT
+    calls, lemma and prescreen activity, the completion worklist, OE-store
+    and frontier counters (pure functions of the search order, which the
+    kernel keeps identical across schedulers), and the execution counters
+    (every task runs in its own session context with a fresh intern pool
+    and counter block).
+    """
     return [
         (
             outcome.benchmark,
@@ -35,33 +43,7 @@ def deterministic_fingerprint(run):
             outcome.solved,
             outcome.program_size,
             outcome.program,
-            outcome.smt_calls,
-            outcome.lemma_prunes,
-            outcome.lemmas_learned,
-            # Tier-1 prescreen counters: pure functions of the (deterministic)
-            # query sequence, so they too must match byte for byte.
-            outcome.prescreen_decided,
-            outcome.prescreen_fallback,
-            # Search-kernel counters: completion worklist size, OE-store
-            # activity and frontier peak are pure functions of the search
-            # order, which the kernel keeps identical across schedulers.
-            outcome.partial_programs,
-            outcome.oe_candidates,
-            outcome.oe_merged,
-            outcome.frontier_peak,
-            # Concrete-execution counters: every task runs in its own
-            # session context (fresh intern pool and counters), so these
-            # must match byte for byte too.
-            outcome.tables_built,
-            outcome.cells_interned,
-            outcome.fingerprint_hits,
-            outcome.exec_cache_hits,
-            outcome.compare_fastpath_hits,
-            # Batched sibling evaluation counters: pure functions of the
-            # completion order, so they too must match byte for byte across
-            # schedulers.
-            outcome.sibling_batches,
-            outcome.batched_fills,
+            outcome.counters,
         )
         for outcome in run.outcomes
     ]
@@ -75,16 +57,14 @@ def test_jobs4_suite_is_byte_identical_to_serial_with_cdcl():
     )
     assert deterministic_fingerprint(parallel) == deterministic_fingerprint(serial)
     # The tier-1 prescreen actually ran (this is not a vacuous comparison).
-    assert sum(outcome.prescreen_decided for outcome in serial.outcomes) > 0
+    assert sum(outcome.counters["prescreen_decided"] for outcome in serial.outcomes) > 0
 
 
 def test_round_robin_sessions_agree_with_the_harness():
     # The service's scheduling -- every session advanced one default slice
     # per round-robin pass, all in one process -- must find the harness's
-    # programs, with counters identical to dedicated whole-task sessions.
-    # (Session counters cover the whole session context, a slightly wider
-    # window than the kernel-scoped outcome fields, so they are compared
-    # session to session.)
+    # programs, with counters identical to dedicated whole-task sessions and
+    # to the harness's outcome counters (one schema, one counting window).
     suite = fast_suite()
     config = FIGURE16_CONFIGS["spec2"](TIMEOUT)
     serial = run_suite(suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2")
@@ -107,9 +87,7 @@ def test_round_robin_sessions_agree_with_the_harness():
         assert actual.candidates[0].program == outcome.program
         counters, reference = actual.counters(), expected.counters()
         del counters["active_seconds"], reference["active_seconds"]
-        assert counters == reference
-        assert counters["prescreen_decided"] == outcome.prescreen_decided
-        assert counters["partial_programs"] == outcome.partial_programs
+        assert counters == reference == outcome.counters
 
 
 def test_jobs4_is_byte_identical_to_serial_without_oe():
@@ -123,7 +101,7 @@ def test_jobs4_is_byte_identical_to_serial_without_oe():
         suite, spec2_no_oe_config, timeout=TIMEOUT, label="spec2-no-oe", jobs=4
     )
     assert deterministic_fingerprint(parallel) == deterministic_fingerprint(serial)
-    assert all(outcome.oe_candidates == 0 for outcome in serial.outcomes)
+    assert all(outcome.counters["oe_candidates"] == 0 for outcome in serial.outcomes)
 
 
 def test_jobs4_is_byte_identical_to_serial_without_prescreen():
@@ -142,8 +120,8 @@ def test_jobs4_is_byte_identical_to_serial_without_prescreen():
         jobs=4,
     )
     assert deterministic_fingerprint(parallel) == deterministic_fingerprint(serial)
-    assert sum(outcome.lemmas_learned for outcome in serial.outcomes) > 0
-    assert all(outcome.prescreen_decided == 0 for outcome in serial.outcomes)
+    assert sum(outcome.counters["lemmas_learned"] for outcome in serial.outcomes) > 0
+    assert all(outcome.counters["prescreen_decided"] == 0 for outcome in serial.outcomes)
 
 
 def test_cdcl_and_ablation_agree_on_programs_across_schedulers():
@@ -154,4 +132,4 @@ def test_cdcl_and_ablation_agree_on_programs_across_schedulers():
     plain = run_suite(suite, spec2_no_cdcl_config, timeout=TIMEOUT, label="spec2")
     programs = lambda run: [(o.benchmark, o.solved, o.program) for o in run.outcomes]  # noqa: E731
     assert programs(cdcl) == programs(plain)
-    assert all(outcome.lemmas_learned == 0 for outcome in plain.outcomes)
+    assert all(outcome.counters["lemmas_learned"] == 0 for outcome in plain.outcomes)

@@ -280,11 +280,8 @@ class TestColdVsWarmDifferential:
     #: Per-outcome fields a warm start must reproduce exactly (the search
     #: trajectory).  ``tables_built`` and ``cells_interned`` are left out:
     #: the warm run skips the table constructions the KB answered.
-    TRAJECTORY_FIELDS = (
-        "benchmark",
-        "solved",
-        "program",
-        "program_size",
+    TRAJECTORY_FIELDS = ("benchmark", "solved", "program", "program_size")
+    TRAJECTORY_COUNTERS = (
         "smt_calls",
         "lemma_prunes",
         "lemmas_learned",
@@ -320,6 +317,7 @@ class TestColdVsWarmDifferential:
         def trajectory(run):
             return [
                 tuple(getattr(outcome, field) for field in self.TRAJECTORY_FIELDS)
+                + tuple(outcome.counters[name] for name in self.TRAJECTORY_COUNTERS)
                 for outcome in run.outcomes
                 if outcome.benchmark in solved_both
             ]

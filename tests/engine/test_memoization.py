@@ -87,7 +87,7 @@ class TestVerdictMemo:
         result = synthesize(inputs, output, config=SynthesisConfig(timeout=30.0))
         assert result.solved
         assert result.stats.deduction.cache_hits > 0
-        assert result.stats.deduction_cache_hit_rate > 0.0
+        assert result.stats.deduction.cache_hit_rate > 0.0
 
 
 class TestAbstractionCache:
@@ -158,4 +158,4 @@ class TestFormulaCache:
         # The second run replays the first run's queries against the warm
         # process-wide cache, so its per-run delta must show hits.
         assert second.stats.solver_cache.hits > 0
-        assert second.stats.solver_cache_hit_rate > 0.0
+        assert second.stats.solver_cache.hit_rate > 0.0

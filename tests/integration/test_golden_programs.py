@@ -56,6 +56,6 @@ def test_cdcl_saves_solver_work_on_the_golden_subset():
     with_cdcl = 0
     without = 0
     for name in GOLDEN_PROGRAMS:
-        with_cdcl += synthesize_benchmark(name, cdcl=True).stats.smt_calls
-        without += synthesize_benchmark(name, cdcl=False).stats.smt_calls
+        with_cdcl += synthesize_benchmark(name, cdcl=True).stats.deduction.smt_calls
+        without += synthesize_benchmark(name, cdcl=False).stats.deduction.smt_calls
     assert with_cdcl <= without

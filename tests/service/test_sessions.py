@@ -250,6 +250,26 @@ class TestTTL:
             store.close()
 
 
+    def test_totals_survive_expiry(self):
+        # /metrics used to sum only live sessions, so a TTL expiry took the
+        # expired session's work out of every *_total counter.
+        store = SessionStore(ttl=None, rate=1000, burst=1000)
+        try:
+            session = store.create(filter_request())
+            assert wait_until(lambda: session.session.finished)
+            before = store.metrics()
+            assert before["kernel_steps_total"] > 0
+            assert before["exec_cache_hits_total"] > 0
+            store.ttl = 0.05
+            assert wait_until(lambda: session.expired, timeout=10.0)
+            after = store.metrics()
+            assert after["sessions_live"] == 0
+            for name, value in before.items():
+                if name.endswith("_total"):
+                    assert after[name] >= value, (name, value, after[name])
+        finally:
+            store.close()
+
     def test_expiry_deletes_the_persisted_file(self, tmp_path):
         # The TTL sweep used to drop expired sessions from memory but leave
         # <persist_dir>/<id>.json behind forever; expiry must remove it.

@@ -97,5 +97,5 @@ def test_one_cache_lookup_per_smt_call(monkeypatch):
     benchmark = r_benchmark_suite().get("c3_exam_gather_unite_spread")
     outcome = run_benchmark(benchmark, spec2_config(timeout=30))
     assert outcome.solved
-    assert outcome.smt_calls > 0
-    assert len(lookups) == outcome.smt_calls
+    assert outcome.counters["smt_calls"] > 0
+    assert len(lookups) == outcome.counters["smt_calls"]
