@@ -21,17 +21,15 @@ dataclasses are the wire format of the HTTP service (:mod:`repro.service`).
 
 from .core import (
     Example,
-    Morpheus,
     SpecLevel,
     SynthesisConfig,
     SynthesisResult,
     sql_library,
     standard_library,
-    synthesize,
 )
 from .dataframe import Table, tables_equivalent, tables_match_for_synthesis
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 #: Facade APIs re-exported lazily from :mod:`repro.api` (the facade imports
 #: the synthesizer and the engine context, so an eager import here would be
@@ -50,7 +48,6 @@ _API_EXPORTS = frozenset(
 __all__ = [
     "CandidateProgram",
     "Example",
-    "Morpheus",
     "SessionState",
     "SpecLevel",
     "SynthesisConfig",
@@ -63,7 +60,6 @@ __all__ = [
     "solve",
     "sql_library",
     "standard_library",
-    "synthesize",
     "tables_equivalent",
     "tables_match_for_synthesis",
 ]

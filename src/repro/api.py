@@ -2,13 +2,14 @@
 
 Every consumer-facing path -- the HTTP service (:mod:`repro.service`), the
 benchmark runner (:mod:`repro.benchmarks.runner`) and the example scripts --
-goes through this module instead of constructing :class:`repro.core.Morpheus`
-directly.  The facade owns three things:
+goes through this module.  :class:`SynthesisSession` is the only code that
+builds, drives and finishes a :class:`~repro.core.frontier.SearchKernel`.
+The facade owns three things:
 
 * **Typed request/response dataclasses** with ``to_json()``/``from_json()``
   (:class:`SynthesisRequest`, :class:`SynthesisResult`,
-  :class:`CandidateProgram`, :class:`SessionState`), so table-JSON
-  (de)serialisation lives in exactly one place.
+  :class:`CandidateProgram`, :class:`SessionState`), so table, example and
+  config (de)serialisation lives in exactly one place.
 * **Interactive sessions** (:class:`SynthesisSession` via
   :func:`create_session`): an anytime search that can be advanced in bounded
   slices, streamed for candidates, *suspended and resumed* when the caller
@@ -35,9 +36,10 @@ suspended frontier via :meth:`~repro.core.frontier.SearchKernel.suspend` /
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 from .components.errors import PRUNABLE_ERRORS
 from .core.abstraction import SpecLevel
@@ -52,7 +54,6 @@ from .core.hypothesis import (
 from .core.library import sql_library, standard_library
 from .core.synthesizer import (
     Example,
-    Morpheus,
     SynthesisConfig,
     SynthesisStats,
 )
@@ -145,6 +146,29 @@ def table_from_json(payload: dict) -> Table:
         raise RequestError(f"invalid table payload: {error}") from error
 
 
+def example_to_json(example: Example) -> dict:
+    """A JSON-able description of *example* (its input tables and output)."""
+    return {
+        "inputs": [table_to_json(table) for table in example.inputs],
+        "output": table_to_json(example.output),
+    }
+
+
+def example_from_json(payload: dict) -> Example:
+    """Rebuild an :class:`Example` from :func:`example_to_json` output."""
+    if not isinstance(payload, dict):
+        raise RequestError("example payload must be an object")
+    inputs = payload.get("inputs")
+    if not isinstance(inputs, list) or not inputs:
+        raise RequestError("example payload needs a non-empty 'inputs' list")
+    if "output" not in payload:
+        raise RequestError("example payload is missing 'output'")
+    return Example(
+        tuple(table_from_json(table) for table in inputs),
+        table_from_json(payload["output"]),
+    )
+
+
 def config_to_json(config: SynthesisConfig) -> dict:
     """The configuration's knobs as a JSON-able dict (enums by value)."""
     payload = {f.name: getattr(config, f.name) for f in fields(config)}
@@ -152,8 +176,40 @@ def config_to_json(config: SynthesisConfig) -> dict:
     return payload
 
 
+#: Each knob's declared type (``Optional[...]`` knobs also accept null).
+_KNOB_TYPES = get_type_hints(SynthesisConfig)
+
+
+def _check_knob(name: str, value) -> None:
+    """Reject a knob value of the wrong type, non-finite, or negative."""
+    expected = _KNOB_TYPES[name]
+    if value is None and type(None) in get_args(expected):
+        return
+    kind = get_args(expected)[0] if get_args(expected) else expected
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise RequestError(f"config knob {name!r} must be true or false, got {value!r}")
+        return
+    if kind in (int, float):
+        allowed = int if kind is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            noun = "an integer" if kind is int else "a number"
+            raise RequestError(f"config knob {name!r} must be {noun}, got {value!r}")
+        if not math.isfinite(value) or value < 0:
+            raise RequestError(
+                f"config knob {name!r} must be finite and non-negative, got {value!r}"
+            )
+
+
 def config_from_json(payload: dict) -> SynthesisConfig:
-    """Rebuild a :class:`SynthesisConfig`; unknown knobs raise :class:`RequestError`."""
+    """Rebuild a :class:`SynthesisConfig`; bad knobs raise :class:`RequestError`.
+
+    Unknown knobs, values of the wrong type (``"7"`` for a count, ``"no"``
+    for a switch), non-finite numbers (``json`` parses ``NaN``) and negative
+    numbers are all rejected here, before a session is created.
+    """
+    if not isinstance(payload, dict):
+        raise RequestError("config payload must be an object")
     known = {f.name for f in fields(SynthesisConfig)}
     unknown = sorted(set(payload) - known)
     if unknown:
@@ -164,52 +220,16 @@ def config_from_json(payload: dict) -> SynthesisConfig:
             knobs["spec_level"] = SpecLevel(knobs["spec_level"])
         except ValueError as error:
             raise RequestError(f"unknown spec_level: {error}") from error
-    try:
-        return SynthesisConfig(**knobs)
-    except TypeError as error:
-        raise RequestError(f"invalid config payload: {error}") from error
-
-
-@dataclass(frozen=True)
-class ExamplePayload:
-    """One input-output example as submitted by a client."""
-
-    inputs: Tuple[Table, ...]
-    output: Table
-
-    @staticmethod
-    def make(inputs: Sequence[Table], output: Table) -> "ExamplePayload":
-        return ExamplePayload(tuple(inputs), output)
-
-    def to_example(self) -> Example:
-        return Example(self.inputs, self.output)
-
-    def to_json(self) -> dict:
-        return {
-            "inputs": [table_to_json(table) for table in self.inputs],
-            "output": table_to_json(self.output),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ExamplePayload":
-        if not isinstance(payload, dict):
-            raise RequestError("example payload must be an object")
-        inputs = payload.get("inputs")
-        if not isinstance(inputs, list) or not inputs:
-            raise RequestError("example payload needs a non-empty 'inputs' list")
-        if "output" not in payload:
-            raise RequestError("example payload is missing 'output'")
-        return cls(
-            tuple(table_from_json(table) for table in inputs),
-            table_from_json(payload["output"]),
-        )
+    for name, value in knobs.items():
+        _check_knob(name, value)
+    return SynthesisConfig(**knobs)
 
 
 @dataclass(frozen=True)
 class SynthesisRequest:
     """A typed synthesis request (what ``POST /v1/sessions`` accepts)."""
 
-    examples: Tuple[ExamplePayload, ...]
+    examples: Tuple[Example, ...]
     config: SynthesisConfig = field(default_factory=SynthesisConfig)
     library: str = "standard"
 
@@ -230,7 +250,7 @@ class SynthesisRequest:
         if knobs:
             config = replace(config, **knobs)
         return SynthesisRequest(
-            (ExamplePayload.make(inputs, output),), config=config, library=library
+            (Example.make(inputs, output),), config=config, library=library
         )
 
     def component_library(self):
@@ -243,7 +263,7 @@ class SynthesisRequest:
 
     def to_json(self) -> dict:
         return {
-            "examples": [example.to_json() for example in self.examples],
+            "examples": [example_to_json(example) for example in self.examples],
             "config": config_to_json(self.config),
             "library": self.library,
         }
@@ -262,7 +282,7 @@ class SynthesisRequest:
                 f"unknown library {library!r} (expected one of {sorted(LIBRARIES)})"
             )
         return cls(
-            tuple(ExamplePayload.from_json(example) for example in examples),
+            tuple(example_from_json(example) for example in examples),
             config=config_from_json(config) if config is not None else SynthesisConfig(),
             library=library,
         )
@@ -411,9 +431,7 @@ class SynthesisSession:
         # session's context; None inherits the process default, if any.
         self.context = TaskContext(kb=kb)
         self.status = STATUS_CREATED
-        self._examples: List[Example] = [
-            payload.to_example() for payload in request.examples
-        ]
+        self._examples: List[Example] = list(request.examples)
         self._target = max(1, request.config.top_k)
         self._stats = SynthesisStats()
         self._candidates: List[CandidateProgram] = []
@@ -426,19 +444,10 @@ class SynthesisSession:
         self._execution_before: Dict[str, int] = {}
         self._resumes = 0
         with self.context.active():
-            self._morpheus = Morpheus(
-                library=library if library is not None else request.component_library(),
-                config=request.config,
-                _sanctioned=True,
-            )
+            self._library = library if library is not None else request.component_library()
             started = time.perf_counter()
             self._kernel = SearchKernel(
-                self._examples[0],
-                self._morpheus.config,
-                self._morpheus.library,
-                self._morpheus.cost_model,
-                self._stats,
-                k=self._target,
+                self._examples[0], request.config, self._library, self._stats, k=self._target
             )
             self._kernel.active_seconds += time.perf_counter() - started
 
@@ -480,27 +489,37 @@ class SynthesisSession:
         return self._resumes
 
     # ------------------------------------------------------------------
-    def advance(self, max_steps: int = DEFAULT_SLICE_STEPS) -> bool:
+    def advance(self, max_steps: Optional[int] = DEFAULT_SLICE_STEPS) -> bool:
         """Run one bounded scheduling slice; True when the session finished.
 
         The per-session budget (``config.timeout``) is charged against
         *active* time -- the seconds this session's own steps consumed --
         so many sessions sharing one scheduler neither starve nor subsidise
-        one another.
+        one another.  ``max_steps=None`` lifts the slice limit: the session
+        runs until it finishes (what :meth:`solve` does).
         """
         if self.finished:
             return True
+        budget = self.request.config.timeout
+        step_budget = self.request.config.max_steps
         with self.context.active():
-            budget = self.request.config.timeout
-            remaining = None if budget is None else budget - self.active_seconds
-            step_budget = self.request.config.max_steps
-            if step_budget is not None:
-                max_steps = min(max_steps, step_budget - self.steps)
-            if (remaining is None or remaining > 0) and max_steps > 0:
-                deadline = None if remaining is None else time.monotonic() + remaining
-                self._kernel.run(deadline=deadline, max_steps=max_steps)
-            self._drain()
-            self._update_status()
+            while True:
+                remaining = None if budget is None else budget - self.active_seconds
+                steps = max_steps
+                if step_budget is not None:
+                    left = step_budget - self.steps
+                    steps = left if steps is None else min(steps, left)
+                if (remaining is None or remaining > 0) and (steps is None or steps > 0):
+                    deadline = None if remaining is None else time.monotonic() + remaining
+                    self._kernel.run(deadline=deadline, max_steps=steps)
+                self._drain()
+                self._update_status()
+                # Without a slice limit, keep going: the kernel stops early
+                # when a candidate fails a later example (the drain widened
+                # its quota) or when its deadline fires a hair before the
+                # active clock reaches the budget.
+                if max_steps is not None or self.finished:
+                    break
         if self.finished and self.context.kb is not None:
             # The search's facts reach disk when it finishes (write-behind).
             self.context.kb.flush()
@@ -564,7 +583,7 @@ class SynthesisSession:
         return tables_match_for_synthesis(actual, example.output)
 
     # ------------------------------------------------------------------
-    def add_example(self, example: Union[ExamplePayload, Example, tuple]) -> SessionState:
+    def add_example(self, example: Example) -> SessionState:
         """Add a distinguishing example and *resume* the suspended search.
 
         The kernel is suspended (frontier snapshot at hypothesis granularity,
@@ -576,18 +595,17 @@ class SynthesisSession:
         monotonically, and the solution quota is recomputed from the
         candidates that still validate.
         """
-        coerced = self._coerce(example)
         with self.context.active():
             kernel = self._kernel
             payload = kernel.suspend()
             self._steps_before += kernel.steps_taken
             self._active_before += kernel.active_seconds
             self._frontier_peak = max(self._frontier_peak, kernel.frontier.peak)
-            self._examples.append(coerced)
+            self._examples.append(example)
             self._candidates = [
                 replace(
                     candidate,
-                    validated=candidate.validated and self._passes(program, coerced),
+                    validated=candidate.validated and self._passes(program, example),
                 )
                 for candidate, program in zip(self._candidates, self._programs)
             ]
@@ -599,9 +617,8 @@ class SynthesisSession:
             self._kernel = SearchKernel.restore(
                 payload,
                 self._examples[0],
-                self._morpheus.config,
-                self._morpheus.library,
-                self._morpheus.cost_model,
+                self.request.config,
+                self._library,
                 self._stats,
                 oe_store=kernel.oe_store,
             )
@@ -621,15 +638,6 @@ class SynthesisSession:
         """
         with self.context.active():
             return self._kernel.snapshot()
-
-    @staticmethod
-    def _coerce(example) -> Example:
-        if isinstance(example, Example):
-            return example
-        if isinstance(example, ExamplePayload):
-            return example.to_example()
-        inputs, output = example
-        return Example.make(inputs, output)
 
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, float]:
@@ -692,54 +700,30 @@ class SynthesisSession:
 
     # ------------------------------------------------------------------
     def solve(self) -> CoreSynthesisResult:
-        """Drive the session to completion; return the stats-rich core result.
+        """Drive the session until it finishes; return the stats-rich core result.
 
-        Single-example sessions reproduce ``Morpheus.synthesize`` exactly
-        (same wall-clock deadline handling, same counter windows -- the
-        benchmark harness diffs these byte-for-byte between serial and
-        ``--jobs N`` runs);
-        multi-example sessions keep searching until a candidate passes every
-        example or the budget expires.
+        This is :meth:`advance` without a slice limit, so the budgets are the
+        same ones: a session already advanced part of the way only gets what
+        is left of its active-time and step budgets, and a finished session
+        just reports its result.  ``elapsed`` is the wall time of this call.
+        The result lists the programs consistent with *every* example, in
+        discovery order.
         """
         started = time.monotonic()
-        timeout = self.request.config.timeout
-        deadline = started + timeout if timeout is not None else None
-        step_budget = self.request.config.max_steps
-        with self.context.active():
-            while True:
-                remaining_steps = (
-                    None if step_budget is None else step_budget - self.steps
-                )
-                if remaining_steps is not None and remaining_steps <= 0:
-                    break
-                self._kernel.run(deadline=deadline, max_steps=remaining_steps)
-                self._drain()
-                if self.validated_count >= self._target or self._kernel.exhausted:
-                    break
-                if deadline is not None and time.monotonic() > deadline:
-                    break
-                if step_budget is not None and self.steps >= step_budget:
-                    break
-            self._update_status()
-            if self.status == STATUS_SEARCHING:
-                # The only way out of the loop while still searching is the
-                # wall-clock deadline (active time may lag wall time).
-                self.status = STATUS_TIMEOUT
-            result = self._morpheus.finalize(
-                self._kernel, elapsed=time.monotonic() - started
-            )
-        if len(self._examples) > 1:
-            # The core result reports programs consistent with *every*
-            # example, not just the primary one the kernel enumerates on.
-            validated = [
-                program
-                for candidate, program in zip(self._candidates, self._programs)
-                if candidate.validated
-            ]
-            result.programs = validated
-            result.program = validated[0] if validated else None
-            result.solved = bool(validated)
-        return result
+        self.advance(max_steps=None)
+        programs = [
+            program
+            for candidate, program in zip(self._candidates, self._programs)
+            if candidate.validated
+        ]
+        return CoreSynthesisResult(
+            solved=bool(programs),
+            program=programs[0] if programs else None,
+            elapsed=time.monotonic() - started,
+            stats=self._stats,
+            config=self.request.config,
+            programs=programs,
+        )
 
 
 def create_session(

@@ -36,6 +36,8 @@ class BenchmarkOutcome:
     solved: bool
     elapsed: float
     program_size: Optional[int] = None
+    #: Share of partial programs pruned before completion
+    #: (``pruned_partial / partial_programs`` of the counters below).
     prune_rate: float = 0.0
     #: The synthesized program's rendered source (None when unsolved).  Kept
     #: on the outcome so ablation and determinism harnesses can assert that
@@ -117,6 +119,7 @@ def run_benchmark(
     counters = session.counters()
     for name in CLOCK_COUNTERS:
         del counters[name]
+    partial = counters["partial_programs"]
     return BenchmarkOutcome(
         benchmark=benchmark.name,
         category=benchmark.category,
@@ -124,7 +127,7 @@ def run_benchmark(
         solved=result.solved,
         elapsed=result.elapsed,
         program_size=result.size,
-        prune_rate=result.stats.prune_rate,
+        prune_rate=counters["pruned_partial"] / partial if partial else 0.0,
         program=result.render() if result.solved else None,
         counters=counters,
     )

@@ -165,8 +165,8 @@ class DeductionEngine:
     #: Bound on incremental-session solves spent mining cores this run.
     mining_budget: int = LEMMA_MINING_BUDGET
     #: Warm-start tier (:class:`repro.engine.kb.KBView`): a disk-backed,
-    #: library-version-keyed store of executions, attribute vectors and
-    #: mined lemmas shared across runs.  ``None`` keeps every tier local.
+    #: library-version-keyed store of executions and attribute vectors
+    #: shared across runs.  ``None`` keeps every tier local.
     kb_view: Optional[object] = None
     stats: DeductionStats = field(default_factory=DeductionStats)
 
@@ -190,14 +190,10 @@ class DeductionEngine:
         #: Identity of this example's baseline in the warm-start tier
         #: (attribute vectors depend on it through newCols/newVals).
         self._baseline_digest = None
-        self._kb_task_key = None
         if self.kb_view is not None:
             from ..engine.kb import baseline_digest
 
             self._baseline_digest = baseline_digest(self.inputs)
-            self._kb_task_key = self.kb_view.task_key(
-                self.inputs, self.output, self.level
-            )
         #: LRU-bounded memo of abstraction formulas (hits/misses are surfaced
         #: through ``stats.abstraction_cache``).
         self._abstraction = AbstractionCache(stats=self.stats.abstraction_cache)
@@ -218,19 +214,6 @@ class DeductionEngine:
         )
         if self.cdcl and self.lemma_store is None:
             self.lemma_store = LemmaStore()
-        # Lemma warm start is an opt-in tier: lemmas rest on one example's
-        # formula, so imports are restricted to the byte-identical task key
-        # (same input/output fingerprints, same spec level) -- under which
-        # they are sound but shift work between the store and the solver.
-        if (
-            self.cdcl
-            and self.lemma_store is not None
-            and self.kb_view is not None
-            and self.kb_view.reuse_lemmas
-        ):
-            self.lemma_store.import_entries(
-                self.kb_view.get_lemmas(self._kb_task_key)
-            )
         #: Ground attribute vectors of the example tables, precomputed for
         #: the tier-1 prescreen (the output's ``group`` stays symbolic there,
         #: exactly as in the example formula).
@@ -633,24 +616,6 @@ class DeductionEngine:
         parts.append((node.node_id, "c", node.component.name))
         for child in node.table_children:
             self._collect_verdict_parts(child, evaluated, parts)
-
-    # ------------------------------------------------------------------
-    def export_kb_facts(self) -> None:
-        """Flush the run's mined lemmas and pending facts to the KB.
-
-        Called once when a search finalizes.  Executions and attribute
-        vectors stream into the KB's write-behind as they are computed;
-        lemmas are a task-scoped blob, exported at the end so one merged
-        write covers the run.  The flush then commits all of them, so the
-        facts reach disk even if the KB is never closed.
-        """
-        if self.kb_view is None:
-            return
-        if self.cdcl and self.lemma_store is not None and len(self.lemma_store):
-            self.kb_view.put_lemmas(
-                self._kb_task_key, self.lemma_store.export_entries()
-            )
-        self.kb_view.kb.flush()
 
     # ------------------------------------------------------------------
     def batch_evaluate_fills(

@@ -1,11 +1,10 @@
 """The explicit search frontier and the anytime search kernel.
 
 Algorithm 1 of the paper interleaves hypothesis ranking, sketch completion
-and checking in one recursive loop; the original ``Morpheus.synthesize``
-reproduced that shape, so the enumeration state was implicit in the Python
-call stack -- it could not be paused, resumed, interleaved fairly across
-tasks, or deduplicated across sketches.  This module makes that state
-explicit:
+and checking in one recursive loop.  Written as a recursion, the enumeration
+state would be implicit in the Python call stack -- it could not be paused,
+resumed, interleaved fairly across tasks, or deduplicated across sketches.
+This module makes that state explicit:
 
 * :class:`Frontier` -- the priority frontier of pending search states.  It
   has two lanes: a cost-ordered heap of **hypothesis** states (the worklist
@@ -28,7 +27,8 @@ explicit:
   exhaustion.  Kernels are cheap to hold suspended: a service can run many
   of them round-robin (see :class:`repro.service.sessions.SessionStore`)
   and a suspended kernel serialises its resume state with
-  :meth:`SearchKernel.snapshot`.
+  :meth:`SearchKernel.snapshot`.  :class:`repro.api.SynthesisSession` is
+  the one owner that builds, drives and finishes a kernel.
 
 Resume-state contract
 ---------------------
@@ -58,7 +58,6 @@ from ..components.errors import PRUNABLE_ERRORS
 from ..dataframe.compare import tables_match_for_synthesis
 from ..dataframe.profiling import execution_stats
 from ..engine.kb import current_kb
-from ..smt.solver import formula_cache_stats
 from .completion import (
     CompletionBudgetExceeded,
     CompletionRun,
@@ -66,7 +65,7 @@ from .completion import (
     SketchCompleter,
 )
 from .component import Component
-from .cost import CostModel
+from .cost import CostModel, UniformCostModel
 from .deduction import DeductionEngine
 from .hypothesis import (
     Apply,
@@ -328,7 +327,6 @@ class SearchKernel:
         example,
         config,
         library,
-        cost_model: CostModel,
         stats,
         k: int = 1,
     ) -> None:
@@ -363,8 +361,10 @@ class SearchKernel:
             stats=stats.completion,
             oe_store=self.oe_store,
         )
-        self.frontier = Frontier(cost_model)
-        self._cost_model = cost_model
+        #: The hypothesis ranking: a pure function of ``config``.
+        model_class = CostModel if config.ngram_ranking else UniformCostModel
+        self.cost_model = model_class(size_weight=config.size_weight)
+        self.frontier = Frontier(self.cost_model)
         #: ``(size, component sequence) -> priority``: refinements of
         #: different parents often share both, and the cost model is pure.
         self._priorities: Dict[Tuple[int, Tuple[str, ...]], Tuple[float, int]] = {}
@@ -394,14 +394,14 @@ class SearchKernel:
         self.frontier.push_hypothesis(initial, self._tiebreak)
         self._tiebreak += 1
         self.stats.hypotheses_enqueued += 1
-        # Baselines for slicing the process-wide counters: taken *after* the
-        # engine construction above, so the example-table fingerprinting the
-        # constructor performs -- whose hit/miss split depends on whether the
-        # (process-cached) example tables were fingerprinted by an earlier
-        # run -- stays outside this run's counting window.  That exclusion
-        # is what keeps the per-run execution counters byte-identical across
-        # schedulers and repeat runs.
-        self.solver_cache_baseline = formula_cache_stats().snapshot()
+        # The baseline for slicing the process-wide execution counters: taken
+        # *after* the engine construction above, so the example-table
+        # fingerprinting the constructor performs -- whose hit/miss split
+        # depends on whether the (process-cached) example tables were
+        # fingerprinted by an earlier run -- stays outside this run's
+        # counting window.  That exclusion is what keeps the per-run
+        # execution counters byte-identical across schedulers and repeat
+        # runs.
         self._execution = execution_stats()
         self._execution_baseline = self._execution.counters()
 
@@ -595,7 +595,7 @@ class SearchKernel:
                 key = (size, template.sequence(hole_index, component.name))
                 priority = priorities.get(key)
                 if priority is None:
-                    priority = priorities[key] = self._cost_model.priority(*key)
+                    priority = priorities[key] = self.cost_model.priority(*key)
                 self.frontier.push_refinement(
                     priority, self._tiebreak, Refinement(hypothesis, hole, component, first_id)
                 )
@@ -659,14 +659,6 @@ class SearchKernel:
             ),
         }
 
-    def export_kb_facts(self) -> None:
-        """Export this search's task-scoped facts and flush the knowledge base.
-
-        A no-op without an attached KB view.  Called by the facade when a
-        search finalizes; safe to call more than once (exports merge).
-        """
-        self.engine.export_kb_facts()
-
     def suspend(self) -> dict:
         """Snapshot the kernel and withdraw its in-flight OE admissions.
 
@@ -696,7 +688,6 @@ class SearchKernel:
         example,
         config,
         library,
-        cost_model: CostModel,
         stats,
         oe_store: Optional[OEStore] = None,
     ) -> "SearchKernel":
@@ -734,13 +725,13 @@ class SearchKernel:
                 f"snapshot is missing required keys {missing} (stale or corrupt payload)"
             )
         remaining = payload.get("k", 1)
-        kernel = cls(example, config, library, cost_model, stats, k=max(1, remaining))
+        kernel = cls(example, config, library, stats, k=max(1, remaining))
         # A snapshot taken after the quota was met stores a remaining quota
         # of 0: the restored kernel is immediately done rather than hunting
         # for an extra, unrequested program.
         kernel.k = remaining
         # Drop the fresh initial state; the snapshot holds the real frontier.
-        kernel.frontier = Frontier(cost_model)
+        kernel.frontier = Frontier(kernel.cost_model)
         kernel._visited = set(payload["visited"])
         kernel._tiebreak = payload["tiebreak"]
         kernel._node_counter = payload["node_counter"]

@@ -42,28 +42,6 @@ def _sort_key(descriptor: Descriptor) -> Tuple[str, Tuple, str]:
     return (kind, tuple(path), repr(descriptor[2:]))
 
 
-def encode_descriptor(descriptor: Descriptor) -> list:
-    """A JSON-able encoding of one descriptor (tuples become lists)."""
-    kind, path = descriptor[0], descriptor[1]
-    if kind == "eval":
-        return [kind, list(path), list(descriptor[2])]
-    # "spec" carries a component name, "bind" an input index or None --
-    # both JSON-native already.
-    return [kind, list(path), descriptor[2]]
-
-
-def decode_descriptor(encoded) -> Descriptor:
-    """Invert :func:`encode_descriptor` back to the in-memory tuple form."""
-    kind, path, payload = encoded
-    if kind == "eval":
-        return (kind, tuple(path), tuple(int(value) for value in payload))
-    if kind == "spec":
-        return (kind, tuple(path), str(payload))
-    if kind == "bind":
-        return (kind, tuple(path), None if payload is None else int(payload))
-    raise ValueError(f"unknown descriptor kind {kind!r}")
-
-
 @dataclass
 class LemmaStoreStats:
     """Counters describing one lemma store's activity."""
@@ -149,42 +127,6 @@ class LemmaStore:
                     del self._by_key[key]
         self._count -= removed
         return removed
-
-    # ------------------------------------------------------------------
-    def export_entries(self) -> List[list]:
-        """Every stored lemma as a JSON-able entry (sorted, deterministic).
-
-        Transport format for the warm-start knowledge base: each lemma is a
-        sorted list of encoded descriptors (see :func:`encode_descriptor`).
-        """
-        entries = [
-            sorted(
-                (encode_descriptor(descriptor) for descriptor in lemma),
-                key=lambda encoded: repr(encoded),
-            )
-            for lemma in self.lemmas()
-        ]
-        entries.sort(key=lambda entry: repr(entry))
-        return entries
-
-    def import_entries(self, entries) -> int:
-        """Re-learn previously exported lemmas; returns how many were stored.
-
-        Only valid for the *same* synthesis task the entries were exported
-        from (lemmas rest on the example formula) -- the knowledge base
-        enforces this by keying exports on the task's table fingerprints.
-        Malformed entries are skipped, not raised: a KB written by a newer
-        schema must degrade to a cold start.
-        """
-        imported = 0
-        for entry in entries:
-            try:
-                descriptors = [decode_descriptor(encoded) for encoded in entry]
-            except (ValueError, TypeError, IndexError):
-                continue
-            if descriptors and self.add(descriptors):
-                imported += 1
-        return imported
 
     # ------------------------------------------------------------------
     def blocks(self, descriptors: FrozenSet[Descriptor]) -> bool:

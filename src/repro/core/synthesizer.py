@@ -1,17 +1,10 @@
-"""The top-level synthesis algorithm (Section 5, Algorithm 1 of the paper).
+"""The data types of one synthesis task (Section 5 of the paper).
 
-:class:`Morpheus` is now a thin configuration shell around the
-:class:`~repro.core.frontier.SearchKernel`: the kernel holds an explicit
-priority frontier of hypothesis / sketch / partial-program states, exposes an
-anytime ``step()`` / ``run(deadline)`` API with serialisable resume state,
-and deduplicates partial programs through the observational-equivalence
-store (:mod:`repro.core.oe`).  The frontier pops in exactly the cost order
-the original recursive loop explored, so the first synthesized program is
-unchanged -- but the search can now be paused, resumed, interleaved fairly
-across tasks (see :class:`repro.service.sessions.SessionStore`), and
-continued past the first solution: ``synthesize(k=...)`` enumerates the top
-``k`` distinct programs -- alternative generalisations of the same example,
-in discovery (cost) order.
+:class:`Example` is an input-output example, :class:`SynthesisConfig` the
+knobs of Algorithm 1, and :class:`SynthesisStats` / :class:`SynthesisResult`
+what a finished search reports.  The search itself is the anytime
+:class:`~repro.core.frontier.SearchKernel`; :class:`repro.api.SynthesisSession`
+is the one owner that builds, drives and finishes it.
 
 Ablations used by the evaluation harness are exposed through
 :class:`SynthesisConfig`: deduction on/off, Spec 1 vs Spec 2, partial
@@ -21,24 +14,14 @@ observational-equivalence merging on/off (``--no-oe``).
 
 from __future__ import annotations
 
-import os
-import sys
-import time
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..dataframe.table import Table
-from ..engine.cache import CacheStats
-from ..smt.solver import formula_cache_stats
 from .abstraction import SpecLevel
 from .completion import CompletionStats
-from .component import ComponentLibrary
-from .cost import CostModel, UniformCostModel
 from .deduction import DeductionStats
-from .frontier import SearchKernel
 from .hypothesis import Hypothesis, hypothesis_size, render_program
-from .library import standard_library
 
 
 @dataclass(frozen=True)
@@ -103,7 +86,7 @@ class SynthesisConfig:
     #: unlimited).  Bounds the damage of a single sketch with a huge
     #: first-order argument space.
     completion_budget: Optional[int] = 6000
-    #: How many distinct solutions ``synthesize`` collects before stopping
+    #: How many distinct solutions a search collects before stopping
     #: (the frontier no longer unwinds after the first, so enumeration simply
     #: continues).  Solutions are distinct *programs* -- alternative
     #: generalisations that may coincide on the example's own output; the
@@ -138,19 +121,8 @@ class SynthesisStats:
     sketches_generated: int = 0
     sketches_rejected: int = 0
     programs_checked: int = 0
-    #: Peak number of simultaneously pending frontier states.
-    frontier_peak: int = 0
     deduction: DeductionStats = field(default_factory=DeductionStats)
     completion: CompletionStats = field(default_factory=CompletionStats)
-    #: This run's slice of the process-wide SMT formula-cache activity.
-    solver_cache: CacheStats = field(default_factory=CacheStats)
-
-    @property
-    def prune_rate(self) -> float:
-        """Fraction of partially-filled sketches pruned before completion."""
-        if self.completion.partial_programs == 0:
-            return 0.0
-        return self.completion.pruned_partial / self.completion.partial_programs
 
 
 @dataclass
@@ -180,132 +152,3 @@ class SynthesisResult:
     def size(self) -> Optional[int]:
         """Number of components in the synthesized program."""
         return hypothesis_size(self.program) if self.program is not None else None
-
-
-#: Root directory of the installed ``repro`` package, for frame filtering.
-_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _caller_stacklevel(default: int = 2) -> int:
-    """The ``warnings.warn`` stacklevel of the first frame outside ``repro``.
-
-    ``stacklevel=2`` is only right when user code calls ``Morpheus(...)``
-    directly; through an internal wrapper (or a subclass ``super().__init__``
-    defined inside the package) it would attribute the warning to library
-    code.  Walking the stack until the first non-package frame pins the
-    warning to the user's own line in every case.
-    """
-    level = default
-    try:
-        frame = sys._getframe(default)
-    except ValueError:
-        return default
-    while frame is not None:
-        filename = os.path.abspath(frame.f_code.co_filename)
-        if not filename.startswith(_PACKAGE_DIR + os.sep):
-            return level
-        frame = frame.f_back
-        level += 1
-    return default
-
-
-class Morpheus:
-    """Example-driven synthesizer for table transformation programs.
-
-    .. deprecated::
-        Direct ``Morpheus(...)`` construction is deprecated in favour of the
-        typed facade: :func:`repro.api.create_session` (interactive sessions)
-        or :func:`repro.api.solve` (one-shot).  The class itself remains the
-        internal engine behind the facade; ``_sanctioned=True`` marks those
-        internal construction sites and suppresses the warning.
-    """
-
-    def __init__(
-        self,
-        library: Optional[ComponentLibrary] = None,
-        config: Optional[SynthesisConfig] = None,
-        *,
-        _sanctioned: bool = False,
-    ) -> None:
-        if not _sanctioned:
-            warnings.warn(
-                "Direct Morpheus(...) construction is deprecated; use "
-                "repro.api.create_session() (interactive) or repro.api.solve() "
-                "(one-shot) instead -- see README 'Migrating to repro.api'.",
-                DeprecationWarning,
-                stacklevel=_caller_stacklevel(),
-            )
-        self.library = library if library is not None else standard_library()
-        self.config = config if config is not None else SynthesisConfig()
-        if self.config.ngram_ranking:
-            self.cost_model: CostModel = CostModel(size_weight=self.config.size_weight)
-        else:
-            self.cost_model = UniformCostModel(size_weight=self.config.size_weight)
-
-    # ------------------------------------------------------------------
-    def kernel(self, example: Example, k: Optional[int] = None) -> SearchKernel:
-        """Build the anytime search kernel for *example*.
-
-        Direct kernel access is the service-grade API: callers may ``step()``
-        it, ``run()`` it against successive deadlines, interleave many
-        kernels in one process, or snapshot/restore the search position.
-        ``Morpheus.synthesize`` is a convenience wrapper that drives the
-        kernel to completion under the configured timeout.
-        """
-        return SearchKernel(
-            example,
-            self.config,
-            self.library,
-            self.cost_model,
-            SynthesisStats(),
-            k=k if k is not None else self.config.top_k,
-        )
-
-    def synthesize(self, example: Example, k: Optional[int] = None) -> SynthesisResult:
-        """Algorithm 1: search for (up to *k*) programs consistent with *example*."""
-        started = time.monotonic()
-        deadline = (
-            started + self.config.timeout if self.config.timeout is not None else None
-        )
-        kernel = self.kernel(example, k=k)
-        kernel.run(deadline=deadline, max_steps=self.config.max_steps)
-        return self.finalize(kernel, elapsed=time.monotonic() - started)
-
-    def finalize(self, kernel: SearchKernel, elapsed: Optional[float] = None) -> SynthesisResult:
-        """Package a (driven) kernel's state into a :class:`SynthesisResult`.
-
-        The kernel's construction-time baseline attributes a slice of the
-        process-wide solver-cache counters to this run, so they are
-        identical whether the kernel ran standalone or inside an isolated
-        :class:`~repro.engine.context.TaskContext`.
-        """
-        stats = kernel.stats
-        stats.frontier_peak = kernel.frontier.peak
-        stats.solver_cache = (
-            formula_cache_stats().snapshot().since(kernel.solver_cache_baseline)
-        )
-        # Warm-start tier: export the run's mined lemmas to the attached
-        # knowledge base, if any, and commit its pending facts to disk.
-        kernel.export_kb_facts()
-        program = kernel.solutions[0] if kernel.solutions else None
-        return SynthesisResult(
-            solved=program is not None,
-            program=program,
-            elapsed=elapsed if elapsed is not None else kernel.active_seconds,
-            stats=stats,
-            config=self.config,
-            programs=list(kernel.solutions),
-        )
-
-
-def synthesize(
-    inputs: Sequence[Table],
-    output: Table,
-    library: Optional[ComponentLibrary] = None,
-    config: Optional[SynthesisConfig] = None,
-    k: Optional[int] = None,
-) -> SynthesisResult:
-    """One-call convenience API: synthesize a program from input/output tables."""
-    return Morpheus(library, config, _sanctioned=True).synthesize(
-        Example.make(inputs, output), k=k
-    )

@@ -40,22 +40,6 @@ class CacheStats:
         """Fraction of probes answered from the cache (0.0 when never probed)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def snapshot(self) -> "CacheStats":
-        """An independent copy (the baseline of a per-run slice)."""
-        return CacheStats(self.hits, self.misses, self.evictions)
-
-    def since(self, baseline: "CacheStats") -> "CacheStats":
-        """The delta between this snapshot and an earlier *baseline*.
-
-        Used to attribute a slice of a process-wide cache's activity (for
-        example the SMT formula cache) to one synthesis run.
-        """
-        return CacheStats(
-            self.hits - baseline.hits,
-            self.misses - baseline.misses,
-            self.evictions - baseline.evictions,
-        )
-
     def clear(self) -> None:
         """Reset all counters to zero."""
         self.hits = 0

@@ -1,9 +1,9 @@
 """Disk-backed cross-run knowledge base (the warm-start cache tier).
 
 Every synthesis run re-derives facts that content-hash fingerprints make
-stable *across processes*: concrete component executions, Spec-2 attribute
-vectors and mined blocking lemmas.  :class:`KnowledgeBase` persists those facts in one sqlite
-file so a later run -- another process, another day, another replica serving
+stable *across processes*: concrete component executions and Spec-2
+attribute vectors.  :class:`KnowledgeBase` persists those facts in one
+sqlite file so a later run -- another process, another day, another replica serving
 the same traffic -- starts warm instead of cold.  This is the memoized-facts
 pattern of cloud-scale interprocedural analysis applied to Morpheus-style
 synthesis: facts keyed by content hashes survive the process that computed
@@ -34,19 +34,15 @@ Safety tiers
   trajectory -- programs, verdicts and every search counter -- is
   byte-identical to a cold run.  These are consulted whenever a KB is
   attached.
-* **Lemmas** rest on one example's formula: they are exported per task key
-  (input/output fingerprints + spec level) and re-imported only for the
-  *identical* task, and only when the KB was opened with
-  ``reuse_lemmas=True``.  Imported lemmas are sound (they block only
-  infeasible hypotheses, so synthesized programs are unchanged) but they
-  shift work between the lemma store and the SMT tier, so the
-  counter-differential harness keeps them off.
+* **Lemmas** are not persisted: they rest on one example's formula, and a
+  search's lemma store lives and dies with its deduction engine.
 * **OE representatives** are not persisted: a fresh search that merged a
   state against a previous run's representative would skip exploring it --
   the previous run's solutions are not in this run's frontier, so the merge
-  argument does not apply.  The ``oe`` scope of :class:`KBView` is no
-  longer written by any search; it stays only because the benchmark's
-  tracer (``perfbench/tracer.py``) wraps its accessors by name.
+  argument does not apply.
+* The task-scoped ``lemmas`` and ``oe`` scopes of :class:`KBView` are
+  therefore written by no search; their accessors stay only because the
+  benchmark's tracer (``perfbench/tracer.py``) wraps them by name.
 
 Concurrency: one :class:`KnowledgeBase` may be shared by many
 :class:`~repro.engine.context.TaskContext`\\ s (threads) -- its in-process
@@ -227,8 +223,6 @@ class KnowledgeBase:
 
     *version_salt* is mixed into every key digest -- tests use it to
     simulate a library/version bump without rebuilding component objects.
-    *reuse_lemmas* opts searches into importing previously mined lemmas for
-    byte-identical task keys (see the module docstring's safety tiers).
     """
 
     def __init__(
@@ -236,14 +230,12 @@ class KnowledgeBase:
         path: str,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         version_salt: bytes = b"",
-        reuse_lemmas: bool = False,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.path = path
         self.max_entries = max_entries
         self.version_salt = version_salt
-        self.reuse_lemmas = reuse_lemmas
         self.stats = KBStats()
         self._lock = threading.Lock()
         #: (scope, key) -> decoded fact, least recently used first.
@@ -443,10 +435,6 @@ class KBView:
         self.kb = kb
         self._prefix = digest_tokens(SCHEMA_VERSION, kb.version_salt, library_hash)
 
-    @property
-    def reuse_lemmas(self) -> bool:
-        return self.kb.reuse_lemmas
-
     def _digest(self, *tokens) -> bytes:
         return digest_tokens(self._prefix, *tokens)
 
@@ -480,7 +468,8 @@ class KBView:
             _encode_json,
         )
 
-    # -- per-task fact blobs (lemmas, the unused ``oe`` scope) ---------
+    # -- per-task fact blobs: no search uses them; they stay because the
+    # benchmark's tracer wraps get/put_lemmas and get/put_oe_entries --------
     def task_key(self, inputs, output, level) -> bytes:
         """The fingerprint-derived identity of one synthesis task."""
         return self._digest(
@@ -491,11 +480,11 @@ class KBView:
         )
 
     def get_lemmas(self, task_key: bytes) -> list:
-        """Previously mined lemma entries for this exact task (may be [])."""
+        """Entries stored under the task's ``lemmas`` scope (no search reads it)."""
         return self._get_json_list("lemmas", task_key)
 
     def put_lemmas(self, task_key: bytes, entries: list) -> None:
-        """Merge mined lemma entries into the task's stored set."""
+        """Merge entries into the task's ``lemmas`` scope (no search calls this)."""
         self._merge_json_list("lemmas", task_key, entries, MAX_LEMMAS_PER_TASK)
 
     def get_oe_entries(self, task_key: bytes) -> list:

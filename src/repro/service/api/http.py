@@ -40,7 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ...api import ExamplePayload, RequestError, SynthesisRequest
+from ...api import RequestError, SynthesisRequest, example_from_json
 from ..sessions import RateLimited, SessionStore, UnknownSession
 
 DEFAULT_PORT = 8642
@@ -165,7 +165,7 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
             return
         match = _SESSION_ROUTE.match(url.path)
         if match and match.group(2) == "/examples":
-            example = self.store.deserialize(ExamplePayload.from_json, self._read_json())
+            example = self.store.deserialize(example_from_json, self._read_json())
             session = self.store.add_example(match.group(1), example)
             self._send_json(200, session.state_json())
             return

@@ -204,8 +204,8 @@ class SessionStore:
     orphan per expired session forever.
 
     *kb_path* (optional) opens a shared warm-start knowledge base
-    (:mod:`repro.engine.kb`): new sessions reuse executions, attribute
-    vectors and mined lemmas persisted by earlier runs of the same tasks.
+    (:mod:`repro.engine.kb`): new sessions reuse executions and attribute
+    vectors persisted by earlier runs of the same tasks.
     """
 
     def __init__(
@@ -221,14 +221,14 @@ class SessionStore:
         self.persist_dir = persist_dir
         #: Warm-start knowledge base shared by every session: a new session
         #: for a previously seen task reuses the corpus of persisted
-        #: executions, attribute vectors and mined lemmas (the kernel
-        #: stepping is serialised on the work lock, and the KB itself is
-        #: thread-safe, so one handle serves all sessions).
+        #: executions and attribute vectors (the kernel stepping is
+        #: serialised on the work lock, and the KB itself is thread-safe, so
+        #: one handle serves all sessions).
         self.kb = None
         if kb_path is not None:
             from ..engine.kb import KnowledgeBase
 
-            self.kb = KnowledgeBase(kb_path, reuse_lemmas=True)
+            self.kb = KnowledgeBase(kb_path)
         self._sessions: Dict[str, ServiceSession] = {}
         self._registry_lock = threading.Lock()
         #: Serialises all TaskContext-active work (see the module docstring).

@@ -7,7 +7,8 @@ The tests pin the counters (batching actually engages) and the invariance
 (disabling batching changes nothing observable).
 """
 
-from repro.core import SynthesisConfig, synthesize
+from repro.api import SynthesisRequest, create_session
+from repro.core import SynthesisConfig
 from repro.core import completion
 from repro.dataframe import Table
 
@@ -19,7 +20,8 @@ COUNTS = Table(["region", "n"], [["west", 3], ["north", 1]])
 
 
 def run(config=None):
-    return synthesize([ORDERS], COUNTS, config=config or SynthesisConfig(timeout=30))
+    config = config or SynthesisConfig(timeout=30)
+    return create_session(SynthesisRequest.from_tables([ORDERS], COUNTS, config=config)).solve()
 
 
 def test_sibling_batching_engages_and_counts():

@@ -2,11 +2,13 @@
 
 import itertools
 
-from repro.core import Example, Morpheus, SynthesisConfig, standard_library, synthesize
+from repro.api import SynthesisRequest, create_session
+from repro.core import Example, SynthesisConfig, SynthesisStats, standard_library
 from repro.core.cost import CostModel
 from repro.core.frontier import (
     Frontier,
     HypothesisState,
+    SearchKernel,
     SketchState,
     decode_hypothesis,
     encode_hypothesis,
@@ -27,14 +29,30 @@ STUDENTS = Table(["name", "age", "gpa"],
 ADULTS = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
 
 
-def engine(timeout=20):
-    """The internal engine, for tests that drive its search kernel directly.
+def kernel_for(example, k=1, timeout=20):
+    """A search kernel for tests that drive it directly, built as a session builds it."""
+    return SearchKernel(
+        example, SynthesisConfig(timeout=timeout), standard_library(), SynthesisStats(), k=k
+    )
 
-    The kernel is not part of the public facade, so these tests build the
-    engine the way the facade does rather than through the deprecated
-    public constructor.
-    """
-    return Morpheus(config=SynthesisConfig(timeout=timeout), _sanctioned=True)
+
+def restore(payload, example, timeout=20, **kwargs):
+    """``SearchKernel.restore`` under the configuration ``kernel_for`` uses."""
+    return SearchKernel.restore(
+        payload, example, SynthesisConfig(timeout=timeout), standard_library(),
+        SynthesisStats(), **kwargs
+    )
+
+
+def solve_session(inputs, output, config):
+    """Drive one session to completion; the session and its core result."""
+    session = create_session(SynthesisRequest.from_tables(inputs, output, config=config))
+    return session, session.solve()
+
+
+def solve(example, **knobs):
+    """The core result of one session over *example* (20 s budget)."""
+    return solve_session(example.inputs, example.output, SynthesisConfig(timeout=20, **knobs))[1]
 
 
 def build_hypothesis(*names):
@@ -104,25 +122,22 @@ class TestSearchKernel:
         return Example.make([STUDENTS], ADULTS)
 
     def test_run_finds_the_same_program_as_synthesize(self):
-        morpheus = engine()
-        result = morpheus.synthesize(self.example())
-        kernel = morpheus.kernel(self.example())
+        result = solve(self.example())
+        kernel = kernel_for(self.example())
         kernel.run()
         assert kernel.solved
         assert kernel.solutions[0] == result.program
 
     def test_anytime_stepping_reaches_the_same_program(self):
-        morpheus = engine()
-        reference = morpheus.synthesize(self.example())
-        kernel = morpheus.kernel(self.example())
+        reference = solve(self.example())
+        kernel = kernel_for(self.example())
         # Drive the kernel in small slices, as an interleaving service would.
         while kernel.run(max_steps=7):
             pass
         assert kernel.solutions[0] == reference.program
 
     def test_step_advances_one_state_at_a_time(self):
-        morpheus = engine()
-        kernel = morpheus.kernel(self.example())
+        kernel = kernel_for(self.example())
         steps = 0
         while not kernel.done and steps < 100_000:
             kernel.step()
@@ -137,9 +152,8 @@ class TestSearchKernel:
         # finds the same program as an uninterrupted search.
         import time
 
-        morpheus = engine()
-        reference = morpheus.synthesize(self.example())
-        kernel = morpheus.kernel(self.example())
+        reference = solve(self.example())
+        kernel = kernel_for(self.example())
         # An already-expired deadline: the first completion step raises
         # CompletionTimeout, which must re-push the interrupted state.
         assert kernel.run(deadline=time.monotonic() - 1.0)
@@ -159,9 +173,8 @@ class TestSearchKernel:
         from repro.core.completion import CompletionTimeout
         from repro.core.hypothesis import render_program
 
-        morpheus = engine()
-        reference = morpheus.synthesize(self.example())
-        kernel = morpheus.kernel(self.example())
+        reference = solve(self.example())
+        kernel = kernel_for(self.example())
         steps = 0
         while not kernel.done and steps < 100_000:
             if steps % 5 == 4:
@@ -177,21 +190,14 @@ class TestSearchKernel:
         assert render_program(kernel.solutions[0]) == reference.render()
 
     def test_snapshot_restore_resumes_to_the_same_program(self):
-        morpheus = engine()
-        reference = morpheus.synthesize(self.example())
+        reference = solve(self.example())
 
-        kernel = morpheus.kernel(self.example())
+        kernel = kernel_for(self.example())
         kernel.run(max_steps=5)
         assert not kernel.solved  # interrupted mid-search
         payload = kernel.snapshot()
 
-        from repro.core.frontier import SearchKernel
-        from repro.core.synthesizer import SynthesisStats
-
-        restored = SearchKernel.restore(
-            payload, self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(),
-        )
+        restored = restore(payload, self.example())
         restored.run()
         assert restored.solved
         assert restored.solutions[0] == reference.program
@@ -201,24 +207,18 @@ class TestSearchKernel:
         # still in flight: the restored kernel re-runs that expansion and
         # re-finds the first program, which must not consume the remaining
         # top-k quota -- the caller already holds it.
-        from repro.core.frontier import SearchKernel
         from repro.core.hypothesis import render_program
-        from repro.core.synthesizer import SynthesisStats
 
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
         example = Example.make([STUDENTS], output)
-        morpheus = engine()
-        reference = morpheus.synthesize(example, k=2)
+        reference = solve(example, top_k=2)
         assert len(reference.programs) == 2
 
-        kernel = morpheus.kernel(example, k=2)
+        kernel = kernel_for(example, k=2)
         while not kernel.solutions:
             kernel.step()
         payload = kernel.snapshot()
-        restored = SearchKernel.restore(
-            payload, example, morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(),
-        )
+        restored = restore(payload, example)
         restored.run()
         combined = [render_program(kernel.solutions[0])] + [
             render_program(program) for program in restored.solutions
@@ -227,17 +227,10 @@ class TestSearchKernel:
         assert combined == reference.render_all()
 
     def test_snapshot_of_a_solved_kernel_restores_to_done(self):
-        from repro.core.frontier import SearchKernel
-        from repro.core.synthesizer import SynthesisStats
-
-        morpheus = engine()
-        kernel = morpheus.kernel(self.example())
+        kernel = kernel_for(self.example())
         kernel.run()
         assert kernel.solved
-        restored = SearchKernel.restore(
-            kernel.snapshot(), self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(),
-        )
+        restored = restore(kernel.snapshot(), self.example())
         assert restored.done  # quota already met; no extra program is hunted
         assert restored.run() is False
         assert restored.solutions == []
@@ -245,8 +238,7 @@ class TestSearchKernel:
     def test_snapshot_is_json_serialisable(self):
         import json
 
-        morpheus = engine()
-        kernel = morpheus.kernel(self.example())
+        kernel = kernel_for(self.example())
         kernel.run(max_steps=5)
         payload = json.loads(json.dumps(kernel.snapshot()))
         assert payload["version"] == 1
@@ -258,16 +250,13 @@ class TestSearchKernel:
         # accept them and resume exactly where the search stopped.
         import json
 
-        from repro.core.frontier import SearchKernel
         from repro.core.hypothesis import render_program
-        from repro.core.synthesizer import SynthesisStats
 
-        morpheus = engine(timeout=None)
-        uninterrupted = morpheus.kernel(self.example())
+        uninterrupted = kernel_for(self.example(), timeout=None)
         uninterrupted.run()
         assert uninterrupted.solved
 
-        kernel = morpheus.kernel(self.example())
+        kernel = kernel_for(self.example(), timeout=None)
         # Stop at a hypothesis boundary, where nothing is re-expanded.
         while kernel.steps_taken < 5 or kernel.frontier.has_continuations:
             kernel.step()
@@ -279,10 +268,7 @@ class TestSearchKernel:
             entry["rank"] = [1, [2.5, 2], [0, 0], entry["tiebreak"]]
         payload["lower_bound"] = [[2.5, 2], [1, [1.0, 1], [0, 0], 3]]
 
-        restored = SearchKernel.restore(
-            payload, self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(),
-        )
+        restored = restore(payload, self.example(), timeout=None)
         restored.run()
         assert [render_program(p) for p in restored.solutions] == [
             render_program(p) for p in uninterrupted.solutions
@@ -291,8 +277,8 @@ class TestSearchKernel:
 
     def test_frontier_peak_is_reported(self):
         example = self.example()
-        result = synthesize(example.inputs, example.output, config=SynthesisConfig(timeout=20))
-        assert result.stats.frontier_peak > 0
+        session, _ = solve_session(example.inputs, example.output, SynthesisConfig(timeout=20))
+        assert session.counters()["frontier_peak"] > 0
 
 
 class TestTopK:
@@ -300,7 +286,7 @@ class TestTopK:
         # Selecting two of three columns has several observationally distinct
         # solutions (select variants, negative selects, ...).
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
-        result = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=20), k=3)
+        _, result = solve_session([STUDENTS], output, SynthesisConfig(timeout=20, top_k=3))
         assert result.solved
         assert 1 <= len(result.programs) <= 3
         rendered = result.render_all()
@@ -310,8 +296,8 @@ class TestTopK:
 
     def test_first_solution_is_independent_of_k(self):
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
-        single = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=20))
-        multi = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=20, top_k=3))
+        _, single = solve_session([STUDENTS], output, SynthesisConfig(timeout=20))
+        _, multi = solve_session([STUDENTS], output, SynthesisConfig(timeout=20, top_k=3))
         assert multi.program == single.program
         assert multi.programs[0] == multi.program
 
@@ -324,18 +310,10 @@ class TestSnapshotValidation:
         return Example.make([STUDENTS], ADULTS)
 
     def restore(self, payload):
-        from repro.core.frontier import SearchKernel
-        from repro.core.synthesizer import SynthesisStats
-
-        morpheus = engine()
-        return SearchKernel.restore(
-            payload, self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(),
-        )
+        return restore(payload, self.example())
 
     def snapshot(self):
-        morpheus = engine()
-        kernel = morpheus.kernel(self.example())
+        kernel = kernel_for(self.example())
         kernel.run(max_steps=5)
         return kernel.snapshot()
 
@@ -403,27 +381,21 @@ class TestSuspendResume:
         return Example.make([STUDENTS], output)
 
     def build(self, k=3):
-        morpheus = engine()
-        return morpheus, morpheus.kernel(self.example(), k=k)
+        return kernel_for(self.example(), k=k)
 
     def test_suspended_kernel_resumes_to_the_same_programs(self):
-        from repro.core.frontier import SearchKernel
         from repro.core.hypothesis import render_program
-        from repro.core.synthesizer import SynthesisStats
 
-        morpheus, reference = self.build()
+        reference = self.build()
         reference.run()
         expected = [render_program(p) for p in reference.solutions]
 
-        morpheus2, kernel = self.build()
+        kernel = self.build()
         while not kernel.solutions:
             kernel.step()
         found = [render_program(p) for p in kernel.solutions]
         payload = kernel.suspend()
-        restored = SearchKernel.restore(
-            payload, self.example(), morpheus2.config, morpheus2.library,
-            morpheus2.cost_model, SynthesisStats(), oe_store=kernel.oe_store,
-        )
+        restored = restore(payload, self.example(), oe_store=kernel.oe_store)
         restored.run()
         assert found + [render_program(p) for p in restored.solutions] == expected
 
@@ -432,21 +404,16 @@ class TestSuspendResume:
         # not a copy), and the representatives the suspended search fully
         # explored stay in it -- an observationally equal state offered
         # after the resume merges instead of being re-enumerated.
-        from repro.core.frontier import SearchKernel
         from repro.core.oe import OEStore
-        from repro.core.synthesizer import SynthesisStats
 
-        morpheus, kernel = self.build()
+        kernel = self.build()
         while not (kernel.solutions and kernel.frontier.has_continuations):
             kernel.step()
         payload = kernel.suspend()
         assert len(kernel.oe_store) > 0  # fully-explored representatives survive
         surviving = set(kernel.oe_store._representatives)
 
-        restored = SearchKernel.restore(
-            payload, self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(), oe_store=kernel.oe_store,
-        )
+        restored = restore(payload, self.example(), oe_store=kernel.oe_store)
         assert restored.oe_store is kernel.oe_store
         assert restored.completer.oe_store is kernel.oe_store
         # A pre-suspend state re-offered post-resume merges with the carry...
@@ -462,7 +429,7 @@ class TestSuspendResume:
         # successor's re-expansion is not wrongly suppressed.
         from repro.core.frontier import CompletionState
 
-        morpheus, kernel = self.build()
+        kernel = self.build()
         while not (kernel.solutions and kernel.frontier.has_continuations):
             kernel.step()
         pending_admits = sum(
@@ -475,17 +442,11 @@ class TestSuspendResume:
         assert len(kernel.oe_store) == before - pending_admits
 
     def test_steps_taken_counts_this_kernels_work_only(self):
-        from repro.core.frontier import SearchKernel
-        from repro.core.synthesizer import SynthesisStats
-
-        morpheus, kernel = self.build(k=1)
+        kernel = self.build(k=1)
         assert kernel.steps_taken == 0
         kernel.run(max_steps=5)
         assert kernel.steps_taken == 5
-        restored = SearchKernel.restore(
-            kernel.suspend(), self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(), oe_store=kernel.oe_store,
-        )
+        restored = restore(kernel.suspend(), self.example(), oe_store=kernel.oe_store)
         assert restored.steps_taken == 0  # accumulating across kernels is the caller's job
         restored.run(max_steps=3)
         assert restored.steps_taken == 3

@@ -15,7 +15,7 @@ import itertools
 import pytest
 
 from repro.benchmarks import r_benchmark_suite
-from repro.core import Example, Morpheus, SynthesisConfig
+from repro.core import Example, SynthesisConfig, standard_library
 from repro.core.completion import CompletionTimeout
 from repro.core.frontier import (
     HypothesisState,
@@ -50,19 +50,15 @@ TASKS = (
 def make_kernel(name, kernel_class=SearchKernel):
     benchmark = r_benchmark_suite().get(name)
     clear_formula_cache()
-    morpheus = Morpheus(config=SynthesisConfig(timeout=30), _sanctioned=True)
     example = Example.make(benchmark.inputs, benchmark.output)
-    if kernel_class is SearchKernel:
-        return morpheus.kernel(example), morpheus
-    kernel = kernel_class(
-        example, morpheus.config, morpheus.library, morpheus.cost_model, SynthesisStats()
+    return kernel_class(
+        example, SynthesisConfig(timeout=30), standard_library(), SynthesisStats()
     )
-    return kernel, morpheus
 
 
 def popped_parents(name, limit=60):
     """The first *limit* hypotheses a real search pops, in pop order."""
-    kernel, morpheus = make_kernel(name)
+    kernel = make_kernel(name)
     parents = []
     pop = kernel.frontier.pop
 
@@ -75,7 +71,7 @@ def popped_parents(name, limit=60):
     kernel.frontier.pop = recording_pop
     while len(parents) < limit and kernel.run(max_steps=50):
         pass
-    return parents, morpheus
+    return parents, kernel
 
 
 class EagerKernel(SearchKernel):
@@ -104,9 +100,9 @@ class EagerKernel(SearchKernel):
 
 @pytest.mark.parametrize("name", TASKS)
 def test_template_values_match_the_eager_tree(name):
-    parents, morpheus = popped_parents(name)
+    parents, kernel = popped_parents(name)
     assert len(parents) > 10
-    cost_model = morpheus.cost_model
+    cost_model = kernel.cost_model
     checked = 0
     for parent in parents:
         template = RefinementTemplate(parent)
@@ -114,7 +110,7 @@ def test_template_values_match_the_eager_tree(name):
         assert template.size == hypothesis_size(parent)
         first_id = 1 + max(node.node_id for node in iter_nodes(parent))
         for hole_index, hole in enumerate(template.holes):
-            for component in morpheus.library:
+            for component in kernel.library:
                 ids = itertools.count(first_id)
                 eager = refine(parent, hole, component, ids.__next__)
                 size = template.size + 1
@@ -145,8 +141,8 @@ def test_template_values_match_the_eager_tree(name):
 
 @pytest.mark.parametrize("name", TASKS)
 def test_lazy_search_matches_the_eager_fan_out(name):
-    lazy, _ = make_kernel(name)
-    eager, _ = make_kernel(name, EagerKernel)
+    lazy = make_kernel(name)
+    eager = make_kernel(name, EagerKernel)
     for _ in range(40):
         lazy.run(max_steps=25)
         eager.run(max_steps=25)
@@ -199,11 +195,11 @@ def interrupt_fan_out(kernel, after, holes=1):
 @pytest.mark.parametrize("holes, after", [(1, 0), (1, 4), (1, 10), (2, 11), (2, 15)])
 def test_deadline_mid_fan_out_keeps_node_ids(holes, after):
     name = "c4_summary_then_spread"
-    reference, _ = make_kernel(name)
+    reference = make_kernel(name)
     assert reference.run() is False
     assert reference.solved
 
-    kernel, _ = make_kernel(name)
+    kernel = make_kernel(name)
     countdown = interrupt_fan_out(kernel, after, holes)
     assert kernel.run() is True  # stopped by the injected expiry
     assert countdown["fired"]
@@ -218,7 +214,7 @@ def test_deadline_mid_fan_out_keeps_node_ids(holes, after):
 
 
 def test_interrupted_refine_state_resumes_where_it_stopped():
-    kernel, _ = make_kernel("c2_orders_count_by_region")
+    kernel = make_kernel("c2_orders_count_by_region")
     interrupt_fan_out(kernel, 3)
     with pytest.raises(CompletionTimeout):
         while True:

@@ -23,7 +23,8 @@ import pytest
 
 from repro.benchmarks import r_benchmark_suite, run_suite
 from repro.baselines import spec2_config, spec2_no_oe_config
-from repro.core import Example, OEStore, SynthesisConfig, standard_library, synthesize
+from repro.api import SynthesisRequest, create_session
+from repro.core import Example, OEStore, SynthesisConfig, standard_library
 from repro.core.completion import SketchCompleter
 from repro.core.deduction import DeductionEngine
 from repro.core.hypothesis import (
@@ -263,14 +264,17 @@ class TestAblationDifferential:
     def test_oe_counters_surface_through_synthesis_stats(self):
         benchmark = r_benchmark_suite().get("c3_exam_gather_unite_spread")
         example = Example.make(benchmark.inputs, benchmark.output)
-        result = synthesize(example.inputs, example.output, config=SynthesisConfig(timeout=30))
+
+        def solve(config):
+            request = SynthesisRequest((example,), config=config)
+            return create_session(request).solve()
+
+        result = solve(SynthesisConfig(timeout=30))
         assert result.solved
         completion = result.stats.completion
         assert completion.oe_candidates > 0
         assert completion.oe_merged > 0
         assert completion.oe_merged <= completion.oe_candidates
-        plain = synthesize(
-            example.inputs, example.output, config=SynthesisConfig(timeout=30, oe=False)
-        )
+        plain = solve(SynthesisConfig(timeout=30, oe=False))
         assert plain.stats.completion.oe_candidates == 0
         assert plain.render() == result.render()

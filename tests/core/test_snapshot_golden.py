@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.benchmarks import r_benchmark_suite
-from repro.core import Example, Morpheus, SynthesisConfig
+from repro.core import Example, SearchKernel, SynthesisConfig, SynthesisStats, standard_library
 from repro.smt.solver import clear_formula_cache
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "kernel_snapshots.json.gz"
@@ -41,8 +41,12 @@ def record_snapshots(name):
     """``{steps: encoded snapshot}`` for one task's checkpoints."""
     benchmark = r_benchmark_suite().get(name)
     clear_formula_cache()
-    morpheus = Morpheus(config=SynthesisConfig(timeout=30), _sanctioned=True)
-    kernel = morpheus.kernel(Example.make(benchmark.inputs, benchmark.output))
+    kernel = SearchKernel(
+        Example.make(benchmark.inputs, benchmark.output),
+        SynthesisConfig(timeout=30),
+        standard_library(),
+        SynthesisStats(),
+    )
     taken = 0
     snapshots = {}
     for steps in CHECKPOINTS[name]:

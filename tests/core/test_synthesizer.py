@@ -1,18 +1,30 @@
 """Tests for the top-level synthesis algorithm (Algorithm 1)."""
 
+from repro.api import SynthesisRequest, create_session
 from repro.core import (
     Example,
     SpecLevel,
     SynthesisConfig,
     sql_library,
     standard_library,
-    synthesize,
 )
 from repro.dataframe import Table, tables_match_for_synthesis
 from repro.core.hypothesis import evaluate
 
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
+
+
+def solve_session(inputs, output, config, library=None):
+    """Drive one session to completion; the session and its core result."""
+    request = SynthesisRequest.from_tables(inputs, output, config=config)
+    session = create_session(request, library=library)
+    return session, session.solve()
+
+
+def solve(inputs, output, config, library=None):
+    """The core result (program, elapsed, stats) of one finished session."""
+    return solve_session(inputs, output, config, library=library)[1]
 
 
 def check_result(result, example):
@@ -25,27 +37,27 @@ def check_result(result, example):
 class TestSimpleTasks:
     def test_filter_task(self):
         output = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
-        result = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=20))
+        result = solve([STUDENTS], output, SynthesisConfig(timeout=20))
         check_result(result, Example.make([STUDENTS], output))
         assert result.size == 1
 
     def test_select_task(self):
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
-        result = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=20))
+        result = solve([STUDENTS], output, SynthesisConfig(timeout=20))
         check_result(result, Example.make([STUDENTS], output))
 
     def test_count_task(self):
         table = Table(["city", "person"],
                       [["austin", "a"], ["austin", "b"], ["waco", "c"]])
         output = Table(["city", "n"], [["austin", 2], ["waco", 1]])
-        result = synthesize([table], output, config=SynthesisConfig(timeout=30))
+        result = solve([table], output, SynthesisConfig(timeout=30))
         check_result(result, Example.make([table], output))
 
     def test_join_task(self):
         left = Table(["id", "x"], [[1, "a"], [2, "b"], [3, "c"]])
         right = Table(["id", "y"], [[1, 10], [2, 30], [3, 40]])
         output = Table(["id", "x", "y"], [[1, "a", 10], [2, "b", 30], [3, "c", 40]])
-        result = synthesize([left, right], output, config=SynthesisConfig(timeout=30))
+        result = solve([left, right], output, SynthesisConfig(timeout=30))
         check_result(result, Example.make([left, right], output))
 
     def test_gather_task(self):
@@ -53,21 +65,21 @@ class TestSimpleTasks:
         from repro.components import gather
 
         output = gather(wide, "quarter", "sales", ["q1", "q2"])
-        result = synthesize([wide], output, config=SynthesisConfig(timeout=30))
+        result = solve([wide], output, SynthesisConfig(timeout=30))
         check_result(result, Example.make([wide], output))
 
     def test_unsolvable_task_reports_failure(self):
         # The output values cannot be produced from the input by any program
         # in the language within the budget.
         output = Table(["name"], [["Zoe"]])
-        result = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=3, max_size=2))
+        result = solve([STUDENTS], output, SynthesisConfig(timeout=3, max_size=2))
         assert not result.solved
         assert result.program is None
         assert result.render() == "<no program found>"
 
     def test_timeout_is_respected(self):
         output = Table(["name"], [["Zoe"]])
-        result = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=1.0, max_size=3))
+        result = solve([STUDENTS], output, SynthesisConfig(timeout=1.0, max_size=3))
         assert result.elapsed < 10
 
     def test_timeout_is_honored_inside_refinement_fanout(self):
@@ -83,11 +95,11 @@ class TestSimpleTasks:
                     yield from self._components
 
         output = Table(["name"], [["Zoe"]])
-        result = synthesize(
+        result = solve(
             [STUDENTS],
             output,
+            SynthesisConfig(timeout=0.5),
             library=EndlessLibrary(standard_library()),
-            config=SynthesisConfig(timeout=0.5),
         )
         assert not result.solved
         assert result.elapsed < 10
@@ -108,9 +120,9 @@ class TestConfigurations:
 
         benchmark = r_benchmark_suite().get("c2_orders_count_by_region")
         table, output = benchmark.inputs[0], benchmark.output
-        tiered = synthesize([table], output, config=SynthesisConfig(timeout=30))
-        plain = synthesize(
-            [table], output, config=SynthesisConfig(timeout=30, prescreen=False)
+        tiered = solve([table], output, SynthesisConfig(timeout=30))
+        plain = solve(
+            [table], output, SynthesisConfig(timeout=30, prescreen=False)
         )
         assert tiered.solved and plain.solved
         assert tiered.render() == plain.render()
@@ -127,17 +139,17 @@ class TestConfigurations:
 
     def test_no_deduction_still_solves_simple_tasks(self):
         output = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
-        result = synthesize(
-            [STUDENTS], output, config=SynthesisConfig(timeout=20, deduction=False)
+        result = solve(
+            [STUDENTS], output, SynthesisConfig(timeout=20, deduction=False)
         )
         assert result.solved
         assert result.stats.deduction.smt_calls == 0
 
     def test_spec1_solves_simple_tasks(self):
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
-        result = synthesize(
+        result = solve(
             [STUDENTS], output,
-            config=SynthesisConfig(timeout=20, spec_level=SpecLevel.SPEC1),
+            SynthesisConfig(timeout=20, spec_level=SpecLevel.SPEC1),
         )
         assert result.solved
 
@@ -145,9 +157,9 @@ class TestConfigurations:
         table = Table(["city", "person"],
                       [["austin", "a"], ["austin", "b"], ["waco", "c"]])
         output = Table(["city", "n"], [["austin", 2], ["waco", 1]])
-        with_deduction = synthesize([table], output, config=SynthesisConfig(timeout=30))
-        without = synthesize(
-            [table], output, config=SynthesisConfig(timeout=30, deduction=False)
+        with_deduction = solve([table], output, SynthesisConfig(timeout=30))
+        without = solve(
+            [table], output, SynthesisConfig(timeout=30, deduction=False)
         )
         assert with_deduction.solved and without.solved
         assert (
@@ -156,25 +168,26 @@ class TestConfigurations:
 
     def test_restricted_library(self):
         output = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
-        result = synthesize(
-            [STUDENTS], output, library=sql_library(), config=SynthesisConfig(timeout=20)
+        result = solve(
+            [STUDENTS], output, SynthesisConfig(timeout=20), library=sql_library()
         )
         assert result.solved
 
     def test_stats_are_populated(self):
         output = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
-        result = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=20))
+        session, result = solve_session([STUDENTS], output, SynthesisConfig(timeout=20))
         stats = result.stats
         assert stats.hypotheses_expanded >= 1
         assert stats.hypotheses_enqueued >= stats.hypotheses_expanded
         assert stats.sketches_generated >= 1
-        assert 0.0 <= stats.prune_rate <= 1.0
+        counters = session.counters()
+        assert 0 <= counters["pruned_partial"] <= counters["partial_programs"]
 
 
 class TestRendering:
     def test_render_uses_input_names(self):
         output = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
-        result = synthesize([STUDENTS], output, config=SynthesisConfig(timeout=20))
+        result = solve([STUDENTS], output, SynthesisConfig(timeout=20))
         text = result.render(["students"])
         assert "students" in text
         assert text.startswith("df1 =")

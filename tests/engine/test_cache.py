@@ -14,18 +14,6 @@ class TestCacheStats:
         assert stats.lookups == 4
         assert stats.hit_rate == pytest.approx(0.75)
 
-    def test_since_returns_delta(self):
-        baseline = CacheStats(hits=5, misses=5, evictions=1)
-        later = CacheStats(hits=9, misses=6, evictions=1)
-        delta = later.since(baseline)
-        assert (delta.hits, delta.misses, delta.evictions) == (4, 1, 0)
-
-    def test_snapshot_is_independent(self):
-        stats = CacheStats(hits=1)
-        copy = stats.snapshot()
-        stats.hits += 1
-        assert copy.hits == 1
-
 
 class TestLRUCache:
     def test_get_counts_hits_and_misses(self):

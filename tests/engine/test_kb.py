@@ -10,7 +10,6 @@ from repro.benchmarks import r_benchmark_suite, run_suite
 from repro.core import SpecLevel
 from repro.core.hypothesis import EvaluationFailure
 from repro.core.library import standard_library
-from repro.core.lemmas import LemmaStore, decode_descriptor, encode_descriptor
 from repro.dataframe import Table
 from repro.dataframe.profiling import ExecutionStats, install_execution_stats
 from repro.engine import TaskContext
@@ -476,29 +475,3 @@ class TestConcurrentAccess:
         assert second.stats.hits > 0
         second.close()
         first.close()
-
-
-class TestLemmaAndOETransport:
-    def test_descriptor_codec_roundtrip(self):
-        descriptors = [
-            ("eval", (0, 1), (3, 2, 0, 1, 4)),
-            ("spec", (0,), "select"),
-            ("bind", (1,), None),
-            ("bind", (2,), 1),
-        ]
-        for descriptor in descriptors:
-            assert decode_descriptor(encode_descriptor(descriptor)) == descriptor
-        with pytest.raises(ValueError):
-            decode_descriptor(["mystery", [0], 1])
-
-    def test_lemma_store_export_import(self):
-        store = LemmaStore()
-        store.add([("spec", (0,), "select"), ("bind", (1,), 0)])
-        store.add([("eval", (0,), (1, 2, 3, 4, 5))])
-        entries = store.export_entries()
-        assert entries == store.export_entries()  # deterministic
-        restored = LemmaStore()
-        assert restored.import_entries(entries) == 2
-        assert set(restored.lemmas()) == set(store.lemmas())
-        # Malformed entries degrade to a cold start, never an error.
-        assert restored.import_entries([[["mystery", [0], 1]], "junk"]) == 0

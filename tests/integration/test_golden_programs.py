@@ -11,7 +11,8 @@ outcome fails loudly.
 import pytest
 
 from repro.benchmarks import r_benchmark_suite
-from repro.core import SynthesisConfig, synthesize
+from repro.api import SynthesisRequest, create_session
+from repro.core import SynthesisConfig
 from repro.smt.solver import clear_formula_cache
 
 #: name -> exact rendered program (the golden output of the seed synthesizer).
@@ -33,7 +34,8 @@ def synthesize_benchmark(name, cdcl):
     benchmark = r_benchmark_suite().get(name)
     clear_formula_cache()
     config = SynthesisConfig(timeout=30, cdcl=cdcl)
-    return synthesize(benchmark.inputs, benchmark.output, config=config)
+    request = SynthesisRequest.from_tables(benchmark.inputs, benchmark.output, config=config)
+    return create_session(request).solve()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))

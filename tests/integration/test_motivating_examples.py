@@ -8,7 +8,7 @@ checked against the executor so the examples stay correct.
 
 import pytest
 
-from repro import SynthesisConfig, Table, synthesize
+from repro import SynthesisConfig, SynthesisRequest, Table, create_session
 from repro.components import arrange, filter_rows, gather, group_by, inner_join, mutate, spread, summarise, unite
 from repro.dataframe import tables_match_for_synthesis
 
@@ -64,9 +64,15 @@ class TestReferencePipelines:
         assert tables_match_for_synthesis(df5, EX3_OUTPUT)
 
 
+def solve_example(inputs, output, timeout):
+    """Drive one session over the example to completion; its core result."""
+    config = SynthesisConfig(timeout=timeout)
+    return create_session(SynthesisRequest.from_tables(inputs, output, config=config)).solve()
+
+
 class TestSynthesis:
     def test_example1_is_synthesized(self):
-        result = synthesize([EX1_INPUT], EX1_OUTPUT, config=SynthesisConfig(timeout=60))
+        result = solve_example([EX1_INPUT], EX1_OUTPUT, timeout=60)
         assert result.solved
         assert result.size == 3
         names = [line.split("=")[1].strip().split("(")[0] for line in result.render().splitlines()]
@@ -74,11 +80,11 @@ class TestSynthesis:
 
     @pytest.mark.slow
     def test_example2_is_synthesized(self):
-        result = synthesize([FLIGHTS], EX2_OUTPUT, config=SynthesisConfig(timeout=120))
+        result = solve_example([FLIGHTS], EX2_OUTPUT, timeout=120)
         assert result.solved
         assert result.size >= 3
 
     @pytest.mark.slow
     def test_example3_is_synthesized(self):
-        result = synthesize([POSITIONS, SPEEDS], EX3_OUTPUT, config=SynthesisConfig(timeout=400))
+        result = solve_example([POSITIONS, SPEEDS], EX3_OUTPUT, timeout=400)
         assert result.solved

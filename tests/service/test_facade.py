@@ -1,15 +1,12 @@
 """Tests for the sanctioned facade: repro.api."""
 
 import json
-import sys
-import warnings
 
 import pytest
 
 from repro import Table
 from repro.api import (
     CandidateProgram,
-    ExamplePayload,
     RequestError,
     SessionState,
     SynthesisRequest,
@@ -17,11 +14,12 @@ from repro.api import (
     config_from_json,
     config_to_json,
     create_session,
+    example_to_json,
     solve,
     table_from_json,
     table_to_json,
 )
-from repro.core import Morpheus, SynthesisConfig, synthesize
+from repro.core import Apply, Example, SynthesisConfig, render_program
 
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
@@ -82,7 +80,7 @@ class TestRequestJson:
     def test_unknown_library_raises(self):
         with pytest.raises(RequestError, match="library"):
             SynthesisRequest.from_json(
-                {"examples": [ExamplePayload.make([STUDENTS], ADULTS).to_json()],
+                {"examples": [example_to_json(Example.make([STUDENTS], ADULTS))],
                  "library": "pandas"}
             )
 
@@ -90,15 +88,46 @@ class TestRequestJson:
         with pytest.raises(RequestError, match="examples"):
             SynthesisRequest.from_json({"examples": []})
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
+            ("timeout", "x"),
+            ("timeout", -1),
+            ("max_steps", "7"),
+            ("max_steps", 2.5),
+            ("max_steps", -3),
+            ("max_size", "3"),
+            ("max_size", True),
+            ("completion_budget", -1),
+            ("top_k", None),
+            ("size_weight", float("nan")),
+            ("deduction", "no"),
+            ("oe", 1),
+        ],
+    )
+    def test_bad_knob_values_raise(self, knob, value):
+        with pytest.raises(RequestError, match=knob):
+            config_from_json({knob: value})
+
+    def test_nan_from_a_json_body_is_rejected(self):
+        body = json.dumps(
+            {"examples": [example_to_json(Example.make([STUDENTS], ADULTS))],
+             "config": {"timeout": float("nan")}}
+        )
+        assert "NaN" in body  # json.dumps/json.loads both allow it
+        with pytest.raises(RequestError, match="timeout"):
+            SynthesisRequest.from_json(json.loads(body))
+
+    def test_good_knob_values_pass(self):
+        knobs = {"timeout": None, "max_steps": 0, "size_weight": 2, "deduction": False}
+        config = config_from_json(knobs)
+        assert (config.timeout, config.max_steps, config.size_weight) == (None, 0, 2)
+        assert config.deduction is False
+
 
 class TestOneShotSolve:
-    def test_matches_the_legacy_synthesize_entry_point(self):
-        legacy = synthesize([STUDENTS], ADULTS, config=SynthesisConfig(timeout=20))
-        result = solve(filter_request())
-        assert result.solved
-        assert result.status == "done"
-        assert result.program == legacy.render()
-
     def test_result_json_round_trip(self):
         result = solve(filter_request())
         restored = SynthesisResult.from_json(json.loads(json.dumps(result.to_json())))
@@ -132,6 +161,33 @@ class TestSessionLifecycle:
         solved = create_session(filter_request()).solve()
         assert sliced.candidates[0].program == solved.render()
 
+    def test_solve_on_a_finished_session_only_collects_its_result(self):
+        session = create_session(filter_request())
+        while not session.advance(max_steps=8):
+            pass
+        steps = session.steps
+        result = session.solve()
+        assert session.steps == steps  # no step taken
+        assert result.solved
+        assert isinstance(result.program, Apply)  # the drained program tree
+        assert render_program(result.program) == session.candidates[0].program
+
+    def test_solve_after_advance_charges_one_time_budget(self):
+        # An output no program produces: the search runs until its budget.
+        budget = 1.5
+        request = SynthesisRequest.from_tables(
+            [STUDENTS], Table(["name"], [["Zoe"]]), timeout=budget
+        )
+        session = create_session(request)
+        while session.active_seconds < budget / 2:
+            assert not session.advance(max_steps=16)
+        spent = session.active_seconds
+        result = session.solve()
+        assert session.status == "timeout"
+        # solve() gets what is left of the budget, not a fresh one.
+        assert result.elapsed < budget - spent + 0.4
+        assert session.active_seconds < budget + 0.4
+
     def test_state_json_round_trip(self):
         session = create_session(filter_request())
         session.advance(max_steps=64)
@@ -141,7 +197,7 @@ class TestSessionLifecycle:
 
 
 class TestAddExample:
-    DISTINGUISHER = ExamplePayload.make(
+    DISTINGUISHER = Example.make(
         [Table(["name", "age", "gpa"], [["Zoe", 8, 3.5], ["Max", 20, 2.0]])],
         Table(["name", "age", "gpa"], [["Max", 20, 2.0]]),
     )
@@ -182,7 +238,7 @@ class TestAddExample:
 
         cold = create_session(
             SynthesisRequest(
-                (ExamplePayload.make([STUDENTS], ADULTS), self.DISTINGUISHER),
+                (Example.make([STUDENTS], ADULTS), self.DISTINGUISHER),
                 config=SynthesisConfig(timeout=20),
             )
         )
@@ -196,34 +252,10 @@ class TestAddExample:
         # An example the current candidate already satisfies: nothing is
         # invalidated and the met quota ends the session.
         session.add_example(
-            ExamplePayload.make(
+            Example.make(
                 [Table(["name", "age", "gpa"], [["Alice", 8, 4.0], ["Max", 20, 2.0]])],
                 Table(["name", "age", "gpa"], [["Max", 20, 2.0]]),
             )
         )
         assert session.candidates[0].validated
         assert session.status == "done"
-
-
-class TestDeprecation:
-    def test_direct_morpheus_construction_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            Morpheus()
-            warned_at = sys._getframe().f_lineno - 1
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "repro.api.create_session" in str(w.message)
-        ]
-        assert deprecations
-        # The warning must point at the caller's own line, not somewhere
-        # inside core/synthesizer.py -- that is what makes it actionable.
-        assert deprecations[0].filename == __file__
-        assert deprecations[0].lineno == warned_at
-
-    def test_sanctioned_paths_do_not_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            solve(SynthesisRequest.from_tables([EMPLOYEES], HEADCOUNT, timeout=20))
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]

@@ -128,6 +128,20 @@ class TestEndpoints:
             assert "unknown config knobs" in body["error"]
             assert knob in body["error"]
 
+    def test_bad_knob_values_are_400(self, server):
+        # NaN passes json.loads; the strings used to fail inside the scheduler.
+        for knob, value in (
+            ("timeout", float("nan")),
+            ("timeout", "x"),
+            ("max_steps", "7"),
+            ("max_size", "3"),
+            ("deduction", "no"),
+        ):
+            payload = dict(FILTER_REQUEST, config={knob: value})
+            status, body = post(server, "/v1/sessions", payload)
+            assert status == 400, (knob, value)
+            assert knob in body["error"]
+
     def test_invalid_json_body_is_400(self, server):
         request = urllib.request.Request(
             base_url(server) + "/v1/sessions",

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from repro import Table
-from repro.api import ExamplePayload, SynthesisRequest
+from repro import Example, Table
+from repro.api import SynthesisRequest
 from repro.service import (
     RateLimited,
     ServiceSession,
@@ -96,7 +96,7 @@ class TestSessionStore:
         steps_before = session.session.steps
         store.add_example(
             session.id,
-            ExamplePayload.make(
+            Example.make(
                 [Table(["name", "age", "gpa"], [["Zoe", 8, 3.5], ["Max", 20, 2.0]])],
                 Table(["name", "age", "gpa"], [["Max", 20, 2.0]]),
             ),
@@ -216,7 +216,7 @@ class TestEnrollmentRace:
                     injected.append(True)
                     store.add_example(
                         session.id,
-                        ExamplePayload.make(
+                        Example.make(
                             [Table(["name", "age", "gpa"],
                                    [["Zoe", 8, 3.5], ["Max", 20, 2.0]])],
                             Table(["name", "age", "gpa"],
@@ -349,7 +349,7 @@ class TestPersistence:
             assert wait_until(lambda: session.session.finished)
             store.add_example(
                 session.id,
-                ExamplePayload.make(
+                Example.make(
                     [Table(["name", "age", "gpa"], [["Zoe", 8, 3.5], ["Max", 20, 2.0]])],
                     Table(["name", "age", "gpa"], [["Max", 20, 2.0]]),
                 ),
