@@ -12,10 +12,9 @@ The facade owns three things:
   config (de)serialisation lives in exactly one place.
 * **Interactive sessions** (:class:`SynthesisSession` via
   :func:`create_session`): an anytime search that can be advanced in bounded
-  slices, streamed for candidates, *suspended and resumed* when the caller
-  adds a distinguishing example -- the frontier position, the
-  observational-equivalence store and every search counter carry over
-  instead of restarting.
+  slices, streamed for candidates, and continued when the caller adds a
+  distinguishing example -- one kernel serves the session for its whole
+  life, so nothing restarts and every counter keeps counting.
 * **One-shot solving** (:func:`solve`), the request-in/result-out wrapper
   both the CLI-free quickstart path and the service's synchronous mode use.
 
@@ -28,10 +27,11 @@ because any program consistent with every example is in particular
 consistent with the first.  Later examples act as **validators**: every
 program the kernel surfaces is executed against them, candidates that fail
 are reported (``validated=False``) but do not consume the solution quota,
-and the search simply continues.  Adding an example therefore never restarts
-the search -- it revalidates the existing candidates and resumes the
-suspended frontier via :meth:`~repro.core.frontier.SearchKernel.suspend` /
-:meth:`~repro.core.frontier.SearchKernel.restore`.
+and the search simply continues.  Adding an example therefore never touches
+the kernel's search: it revalidates the existing candidates and raises the
+kernel's quota by the validated programs still missing.  A kernel that met
+its quota keeps every pending state, so the raised quota continues exactly
+the search an uninterrupted kernel would have run.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .core.library import sql_library, standard_library
 from .core.synthesizer import (
     Example,
     SynthesisConfig,
-    SynthesisStats,
 )
 from .core.synthesizer import SynthesisResult as CoreSynthesisResult
 from .dataframe.cells import CellType
@@ -411,11 +410,11 @@ class SynthesisSession:
 
     The session owns a :class:`~repro.engine.context.TaskContext` (private
     intern pool, execution counters and formula cache) and a
-    :class:`~repro.core.frontier.SearchKernel` that is constructed, stepped,
-    suspended and restored strictly inside that context.  It is
-    single-threaded by design: the service serialises all stepping onto one
-    scheduler thread, which grants each session one :meth:`advance` slice
-    per round-robin pass.
+    :class:`~repro.core.frontier.SearchKernel` that is constructed and
+    stepped strictly inside that context, and kept for the session's whole
+    life.  It is single-threaded by design: the service serialises all
+    stepping onto one scheduler thread, which grants each session one
+    :meth:`advance` slice per round-robin pass.
 
     Lifecycle: ``created`` -> ``searching`` -> ``done`` (quota of validated
     programs met) | ``exhausted`` (frontier drained) | ``timeout`` (active
@@ -433,21 +432,15 @@ class SynthesisSession:
         self.status = STATUS_CREATED
         self._examples: List[Example] = list(request.examples)
         self._target = max(1, request.config.top_k)
-        self._stats = SynthesisStats()
         self._candidates: List[CandidateProgram] = []
         self._programs: List[Hypothesis] = []
         self._drained = 0
-        self._steps_before = 0
-        self._active_before = 0.0
-        self._frontier_peak = 0
-        #: Execution counters of the kernels ``add_example`` replaced.
-        self._execution_before: Dict[str, int] = {}
         self._resumes = 0
         with self.context.active():
             self._library = library if library is not None else request.component_library()
             started = time.perf_counter()
             self._kernel = SearchKernel(
-                self._examples[0], request.config, self._library, self._stats, k=self._target
+                self._examples[0], request.config, self._library, k=self._target
             )
             self._kernel.active_seconds += time.perf_counter() - started
 
@@ -475,17 +468,17 @@ class SynthesisSession:
 
     @property
     def active_seconds(self) -> float:
-        """Seconds of kernel work charged to this session (across resumes)."""
-        return self._active_before + self._kernel.active_seconds
+        """Seconds of kernel work charged to this session."""
+        return self._kernel.active_seconds
 
     @property
     def steps(self) -> int:
-        """Kernel steps taken by this session (across resumes)."""
-        return self._steps_before + self._kernel.steps_taken
+        """Kernel steps taken by this session."""
+        return self._kernel.steps_taken
 
     @property
     def resumes(self) -> int:
-        """How many times the frontier was suspended and restored."""
+        """How many examples were added after the session was created."""
         return self._resumes
 
     # ------------------------------------------------------------------
@@ -584,23 +577,14 @@ class SynthesisSession:
 
     # ------------------------------------------------------------------
     def add_example(self, example: Example) -> SessionState:
-        """Add a distinguishing example and *resume* the suspended search.
+        """Add a distinguishing example and continue the same search.
 
-        The kernel is suspended (frontier snapshot at hypothesis granularity,
-        in-flight OE admissions withdrawn), existing candidates are
-        revalidated against the new example, and a successor kernel is
-        restored onto the same frontier position, observational-equivalence
-        store and counter block.  Nothing is re-enumerated: states the
-        suspended search already merged stay merged, the counters continue
-        monotonically, and the solution quota is recomputed from the
-        candidates that still validate.
+        Existing candidates are revalidated against the new example, and the
+        kernel's quota is raised by the validated programs still missing.
+        The kernel itself is untouched: its frontier, its
+        observational-equivalence store and its counters carry on.
         """
         with self.context.active():
-            kernel = self._kernel
-            payload = kernel.suspend()
-            self._steps_before += kernel.steps_taken
-            self._active_before += kernel.active_seconds
-            self._frontier_peak = max(self._frontier_peak, kernel.frontier.peak)
             self._examples.append(example)
             self._candidates = [
                 replace(
@@ -609,28 +593,14 @@ class SynthesisSession:
                 )
                 for candidate, program in zip(self._candidates, self._programs)
             ]
-            needed = self._target - self.validated_count
-            payload["k"] = max(0, needed)
-            # The old kernel's counting window closes here, after the
-            # revalidation above; the successor opens its own.
-            sum_counters([kernel.execution_window()], self._execution_before)
-            self._kernel = SearchKernel.restore(
-                payload,
-                self._examples[0],
-                self.request.config,
-                self._library,
-                self._stats,
-                oe_store=kernel.oe_store,
-            )
-            # The successor kernel's solution list starts empty; the session
-            # keeps the already-drained candidates itself.
-            self._drained = 0
+            kernel = self._kernel
+            kernel.k = len(kernel.solutions) + max(0, self._target - self.validated_count)
             self._resumes += 1
             self._update_status()
         return self.state()
 
     def snapshot_payload(self) -> dict:
-        """The kernel's JSON-able resume state (see ``SearchKernel.snapshot``).
+        """The kernel's JSON-able search position (see ``SearchKernel.snapshot``).
 
         Read-only -- the session keeps running.  Must not be called while
         another thread is stepping the session (the service's work lock
@@ -643,19 +613,19 @@ class SynthesisSession:
     def counters(self) -> Dict[str, float]:
         """The session's counters: the one schema every counter view reads.
 
-        One flat dict, counted over one window: from the end of each search
+        One flat dict, counted over one window: from the end of the search
         kernel's construction (example tables are fingerprinted and cached
         per process, so counting their set-up would depend on what ran
-        before) to now, summed across :meth:`add_example` resumes.  The
-        hot paths only increment plain attributes; the names live here.
+        before) to now.  The hot paths only increment plain attributes; the
+        names live here.
         """
-        stats = self._stats
         kernel = self._kernel
+        stats = kernel.stats
         return {
             "steps": self.steps,
             "resumes": self._resumes,
             "active_seconds": round(self.active_seconds, 6),
-            "frontier_peak": max(self._frontier_peak, kernel.frontier.peak),
+            "frontier_peak": kernel.frontier.peak,
             "hypotheses_expanded": stats.hypotheses_expanded,
             "hypotheses_enqueued": stats.hypotheses_enqueued,
             "sketches_generated": stats.sketches_generated,
@@ -677,7 +647,7 @@ class SynthesisSession:
             "lemmas_learned": stats.deduction.lemmas_learned,
             "lemma_mining_solves": stats.deduction.lemma_mining_solves,
             # The execution counters, named by ExecutionStats.counters().
-            **sum_counters([self._execution_before, kernel.execution_window()]),
+            **kernel.execution_window(),
         }
 
     def state(self) -> SessionState:
@@ -720,7 +690,7 @@ class SynthesisSession:
             solved=bool(programs),
             program=programs[0] if programs else None,
             elapsed=time.monotonic() - started,
-            stats=self._stats,
+            stats=self._kernel.stats,
             config=self.request.config,
             programs=programs,
         )

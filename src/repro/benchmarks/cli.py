@@ -38,7 +38,7 @@ invalidates stale entries via the version-hash keying.
 ``serve`` boots the synthesis HTTP service (``repro.service``) instead of
 running a benchmark: submit input-output examples over ``POST
 /v1/sessions``, stream candidate programs, and add distinguishing examples
-that resume the suspended search.  ``--port``/``--host`` pick the bind
+that continue the running search.  ``--port``/``--host`` pick the bind
 address, ``--ttl`` the idle-session expiry, ``--rate``/``--burst`` the
 token-bucket rate limit, ``--persist-dir`` enables JSON-file persistence
 of frontier snapshots, and ``--kb PATH`` warm-starts every new session

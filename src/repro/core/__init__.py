@@ -24,7 +24,7 @@ from .arguments import (
 from .component import Component, ComponentLibrary, ValueParam
 from .cost import CostModel, NGramModel, UniformCostModel, default_ngram_model
 from .deduction import DeductionEngine, DeductionStats
-from .frontier import Frontier, SearchKernel, SnapshotError, SnapshotVersionError
+from .frontier import Frontier, SearchKernel
 from .hypothesis import (
     Apply,
     Hole,
@@ -74,8 +74,6 @@ __all__ = [
     "OEStore",
     "Predicate",
     "SearchKernel",
-    "SnapshotError",
-    "SnapshotVersionError",
     "SPECIFICATIONS",
     "SpecLevel",
     "TRANSFERS",

@@ -24,25 +24,27 @@ This module makes that state explicit:
 * :class:`SearchKernel` -- the anytime search engine: ``step()`` processes
   one frontier state (at most one deduction query or one candidate hole
   filling), ``run(deadline)`` steps until a deadline, a solution quota, or
-  exhaustion.  Kernels are cheap to hold suspended: a service can run many
-  of them round-robin (see :class:`repro.service.sessions.SessionStore`)
-  and a suspended kernel serialises its resume state with
-  :meth:`SearchKernel.snapshot`.  :class:`repro.api.SynthesisSession` is
-  the one owner that builds, drives and finishes a kernel.
+  exhaustion.  Kernels are cheap to hold between slices: a service can run
+  many of them round-robin (see :class:`repro.service.sessions.SessionStore`).
+  :class:`repro.api.SynthesisSession` is the one owner that builds, drives
+  and finishes a kernel, and it keeps one kernel for its whole life.
 
-Resume-state contract
----------------------
+Quota contract
+--------------
 
-``snapshot()`` captures the search *position* at hypothesis granularity: the
-pending hypothesis lane (as component-name trees), the duplicate-detection
-signatures, the tie-break and node-id counters, and the hypothesis whose
-expansion was in flight.  Continuation states (in-progress sketch
-completions) are deliberately **not** captured -- they hold live argument
-iterators -- so ``restore()`` re-expands the in-flight hypothesis from
-scratch.  Resuming therefore repeats at most one hypothesis expansion;
-everything before and after is identical, and the restored kernel finds the
-same first program the uninterrupted kernel would have found (memo caches
-start cold, so only timing and cache counters differ).
+A kernel stops when it holds ``k`` solutions, but it drops no search state
+to get there: the completion run that surfaced the last solution is
+re-pushed like any other unfinished run.  Raising ``k`` on a stopped kernel
+therefore continues exactly the search an uninterrupted kernel with the
+larger quota would have run -- same programs, same order, same counters.
+
+``snapshot()`` describes the search *position* at hypothesis granularity:
+the pending hypothesis lane (as component-name trees), the
+duplicate-detection signatures, the tie-break and node-id counters, and the
+hypothesis whose expansion is in flight.  Continuation states (in-progress
+sketch completions) hold live argument iterators and are not captured.  The
+search is deterministic, so a lost session is re-created from its request
+rather than decoded from a snapshot.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from .component import Component
 from .cost import CostModel, UniformCostModel
 from .deduction import DeductionEngine
 from .hypothesis import (
-    Apply,
     EvaluationFailure,
     Hole,
     Hypothesis,
@@ -81,27 +82,11 @@ from .hypothesis import (
     refine,
 )
 from .oe import OEStore
+from .synthesizer import SynthesisStats
 from .types import Type
 
 #: Snapshot format version (bump on incompatible changes).
 SNAPSHOT_VERSION = 1
-
-#: Keys every version-1 snapshot must carry (``restore`` validates the set
-#: up front so stale or hand-edited payloads fail with a typed error).
-SNAPSHOT_REQUIRED_KEYS = ("version", "k", "tiebreak", "node_counter", "visited", "pending")
-
-
-class SnapshotError(ValueError):
-    """A resume-state payload could not be interpreted."""
-
-
-class SnapshotVersionError(SnapshotError):
-    """The snapshot's schema version (or shape) does not match this kernel.
-
-    Raised by :meth:`SearchKernel.restore` on a missing/mismatched ``version``
-    field or a payload missing required keys -- the typed alternative to the
-    raw ``KeyError`` a stale or corrupt snapshot used to produce.
-    """
 
 
 # ----------------------------------------------------------------------
@@ -258,14 +243,14 @@ def _built(entry: Union[Hypothesis, Refinement]) -> Hypothesis:
 
 
 # ----------------------------------------------------------------------
-# Hypothesis (de)serialisation for the resume state
+# Hypothesis serialisation for the snapshot
 # ----------------------------------------------------------------------
 def encode_hypothesis(hypothesis: Hypothesis) -> dict:
     """A JSON-able description of a worklist hypothesis.
 
     Worklist hypotheses are pure refinement trees -- their first-order holes
     are unfilled and their table holes unbound -- which is what keeps the
-    resume state plain data (component *names*, not component objects).
+    snapshot plain data (component *names*, not component objects).
     """
     if isinstance(hypothesis, Hole):
         return {
@@ -292,50 +277,28 @@ def encode_hypothesis(hypothesis: Hypothesis) -> dict:
     }
 
 
-def decode_hypothesis(payload: dict, library) -> Hypothesis:
-    """Rebuild a hypothesis from :func:`encode_hypothesis` output."""
-    if payload["kind"] == "hole":
-        return Hole(
-            payload["id"], Type(payload["type"]), binding=payload.get("binding")
-        )
-    component = library.by_name(payload["component"])
-    children = tuple(
-        decode_hypothesis(child, library) for child in payload["children"]
-    )
-    values = tuple(
-        Hole(value["id"], Type(value["type"])) for value in payload["values"]
-    )
-    return Apply(payload["id"], component, children, values)
-
-
 # ----------------------------------------------------------------------
 # The search kernel
 # ----------------------------------------------------------------------
 class SearchKernel:
-    """Anytime, resumable search engine for one synthesis problem.
+    """Anytime search engine for one synthesis problem.
 
     The kernel owns the deduction engine, the sketch completer, the
     observational-equivalence store and the frontier; ``step()`` advances
     the search by one state, ``run()`` drives it to a deadline, a solution
     quota (``k``) or exhaustion.  Found programs accumulate in
     :attr:`solutions` in discovery order (the first entry is byte-identical
-    to what the recursive Algorithm 1 returned).
+    to what the recursive Algorithm 1 returned).  Raising ``k`` on a kernel
+    that met its quota continues the same search (see the module docstring).
     """
 
-    def __init__(
-        self,
-        example,
-        config,
-        library,
-        stats,
-        k: int = 1,
-    ) -> None:
+    def __init__(self, example, config, library, k: int = 1) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.example = example
         self.config = config
         self.library = library
-        self.stats = stats
+        self.stats = stats = SynthesisStats()
         self.k = k
         # Warm-start tier: bind the active knowledge base (if any) to this
         # library's version hash, so facts persisted under a different
@@ -369,10 +332,6 @@ class SearchKernel:
         #: different parents often share both, and the cost model is pure.
         self._priorities: Dict[Tuple[int, Tuple[str, ...]], Tuple[float, int]] = {}
         self.solutions: List[Hypothesis] = []
-        #: Rendered programs a pre-restore kernel already found: re-finding
-        #: one (the re-expanded in-flight hypothesis repeats its completion
-        #: work) must not consume the remaining solution quota again.
-        self._already_found: set = set()
         self._deadline: Optional[float] = None
         self._visited: set = set()
         #: Plain int counters (not itertools.count) so ``snapshot()`` can
@@ -383,12 +342,8 @@ class SearchKernel:
         #: Active time spent inside ``run()``/``step()`` (the per-task clock
         #: when many kernels share one process).
         self.active_seconds = 0.0
-        #: Frontier states processed so far (one per ``step()`` call).  Not
-        #: part of the resume state -- like timing, it describes work done by
-        #: *this* kernel object, so a restored kernel counts from zero and
-        #: long-lived callers accumulate across kernels themselves.
+        #: Frontier states processed so far (one per ``step()`` call).
         self.steps_taken = 0
-        # The one eagerly built heap entry (``restore`` pushes the others).
         initial = initial_hypothesis()
         self._visited.add(hypothesis_signature(initial))
         self.frontier.push_hypothesis(initial, self._tiebreak)
@@ -540,19 +495,9 @@ class SearchKernel:
             candidate = finished.sketch
             self.stats.programs_checked += 1
             if self._check(candidate, finished.evaluated):
-                if self._already_found:
-                    text = render_program(candidate)
-                    if text in self._already_found:
-                        # A re-find of a pre-restore solution; the caller
-                        # already holds it.  Discard (each program surfaces
-                        # once per search) and keep looking.
-                        self._already_found.discard(text)
-                        if not state.run.exhausted:
-                            self.frontier.push_continuation(state)
-                        return
                 self.solutions.append(candidate)
-                if len(self.solutions) >= self.k:
-                    return
+        # Re-push even the run that just met the quota: raising ``k`` later
+        # must continue this sketch, not skip the rest of it.
         if not state.run.exhausted:
             self.frontier.push_continuation(state)
 
@@ -625,26 +570,20 @@ class SearchKernel:
         return tables_match_for_synthesis(actual, self.example.output)
 
     # ------------------------------------------------------------------
-    # Resume state
+    # Snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """The kernel's serialisable resume state (see the module docstring).
+        """The kernel's serialisable search position (see the module docstring).
 
         Read-only: the live kernel can keep running afterwards.  Found
         solutions are *not* captured as programs (complete programs carry
-        concrete argument objects) -- the caller keeps them.  The snapshot
-        stores the *remaining* solution quota plus the found programs'
-        rendered text, so a restored kernel searches for exactly the missing
-        count and does not let a re-found pre-snapshot program consume it.
+        concrete argument objects); the snapshot stores the *remaining*
+        solution quota plus the found programs' rendered text.
         """
         return {
             "version": SNAPSHOT_VERSION,
             "k": max(0, self.k - len(self.solutions)),
-            # Solutions found by this kernel, plus any pre-restore programs
-            # it has not re-found yet: a restored-then-suspended kernel must
-            # keep filtering them or a second resume would double-count.
-            "found": [render_program(program) for program in self.solutions]
-            + sorted(self._already_found),
+            "found": [render_program(program) for program in self.solutions],
             "tiebreak": self._tiebreak,
             "node_counter": self._node_counter,
             "visited": sorted(self._visited),
@@ -658,105 +597,6 @@ class SearchKernel:
                 else None
             ),
         }
-
-    def suspend(self) -> dict:
-        """Snapshot the kernel and withdraw its in-flight OE admissions.
-
-        The variant of :meth:`snapshot` for a caller that is about to stop
-        stepping *this* kernel object and hand its live
-        :class:`~repro.core.oe.OEStore` to a successor (see the ``oe_store``
-        parameter of :meth:`restore`).  Continuation states are not captured
-        by the snapshot, so the completion runs still pending on the
-        continuation lane may have admitted OE representatives whose subtrees
-        are not fully explored; carrying those keys over would wrongly
-        suppress the successor's re-exploration of the re-expanded in-flight
-        hypothesis.  ``suspend()`` releases exactly those admissions (fully
-        explored representatives stay, which is what spares the successor
-        from re-enumerating already-merged states).  The kernel must not be
-        stepped afterwards.
-        """
-        payload = self.snapshot()
-        for state in self.frontier.continuation_states():
-            if isinstance(state, CompletionState):
-                state.run.release()
-        return payload
-
-    @classmethod
-    def restore(
-        cls,
-        payload: dict,
-        example,
-        config,
-        library,
-        stats,
-        oe_store: Optional[OEStore] = None,
-    ) -> "SearchKernel":
-        """Rebuild a kernel from :meth:`snapshot` output.
-
-        The restored kernel continues from the captured position: the
-        in-flight hypothesis (if any) is re-expanded from scratch, then the
-        pending lane drains in its original order.
-
-        *oe_store* carries a live observational-equivalence store across an
-        in-process resume (the store's keys are not JSON-able, so it rides
-        outside the payload).  Pass the store of a kernel suspended with
-        :meth:`suspend` -- never one still being stepped -- so the restored
-        kernel skips the duplicate completion states its predecessor already
-        explored instead of starting the dedup from scratch.
-
-        Raises :class:`SnapshotVersionError` when the payload's schema
-        version is missing or unsupported, or when required keys are absent
-        (a stale or corrupt snapshot); malformed hypothesis encodings raise
-        :class:`SnapshotError`.
-        """
-        if not isinstance(payload, dict):
-            raise SnapshotError(
-                f"snapshot payload must be a dict, got {type(payload).__name__}"
-            )
-        version = payload.get("version")
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotVersionError(
-                f"unsupported snapshot version {version!r} "
-                f"(this kernel reads version {SNAPSHOT_VERSION})"
-            )
-        missing = [key for key in SNAPSHOT_REQUIRED_KEYS if key not in payload]
-        if missing:
-            raise SnapshotVersionError(
-                f"snapshot is missing required keys {missing} (stale or corrupt payload)"
-            )
-        remaining = payload.get("k", 1)
-        kernel = cls(example, config, library, stats, k=max(1, remaining))
-        # A snapshot taken after the quota was met stores a remaining quota
-        # of 0: the restored kernel is immediately done rather than hunting
-        # for an extra, unrequested program.
-        kernel.k = remaining
-        # Drop the fresh initial state; the snapshot holds the real frontier.
-        kernel.frontier = Frontier(kernel.cost_model)
-        kernel._visited = set(payload["visited"])
-        kernel._tiebreak = payload["tiebreak"]
-        kernel._node_counter = payload["node_counter"]
-        kernel._already_found = set(payload.get("found", ()))
-        kernel._in_flight = None
-        if oe_store is not None and kernel.oe_store is not None:
-            kernel.oe_store = oe_store
-            kernel.completer.oe_store = oe_store
-        # The in-flight hypothesis is re-expanded first: it carried the
-        # smallest priority when it was popped, and its refinements are not
-        # yet enqueued.  Older snapshots may also carry a per-entry "rank"
-        # and a top-level "lower_bound"; both were advisory and are ignored.
-        try:
-            entries = list(payload["pending"])
-            if payload.get("in_flight") is not None:
-                entries.append(payload["in_flight"])
-            for entry in entries:
-                kernel.frontier.push_hypothesis(
-                    decode_hypothesis(entry["hypothesis"], library), entry["tiebreak"]
-                )
-        except (KeyError, TypeError) as error:
-            raise SnapshotError(
-                f"snapshot pending lane is malformed: {error!r}"
-            ) from error
-        return kernel
 
 
 def _encode_entry(hypothesis: Hypothesis, tiebreak: int) -> dict:

@@ -9,7 +9,7 @@ a long-lived, multi-tenant process:
   slices kernel steps round-robin across live sessions.
 * :mod:`repro.service.api` -- the HTTP layer (stdlib ``http.server``, no
   external dependencies): submit examples, poll or stream candidates,
-  add distinguishing examples that *resume* the suspended search.
+  add distinguishing examples that continue the same search.
 
 Boot a server with ``repro-bench serve --port 8642`` or programmatically::
 

@@ -26,8 +26,8 @@ are the wire format):
     chunked newline-delimited JSON stream that emits each candidate as the
     search discovers it -- the anytime kernel made streamable.
 ``POST /v1/sessions/{id}/examples``
-    Add a distinguishing example.  The suspended frontier is *resumed* --
-    never restarted -- and the response carries the post-resume state with
+    Add a distinguishing example.  The session's search continues -- it
+    is never restarted -- and the response carries the new state with
     every prior candidate revalidated against the new example.
 """
 

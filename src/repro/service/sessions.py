@@ -5,14 +5,15 @@ scheduler thread.  The threading contract is strict and worth stating once:
 
 * A :class:`~repro.engine.context.TaskContext` isolates a session's search
   state by *swapping process-wide globals* while active, so any
-  context-active work -- constructing a kernel, stepping it, suspending and
-  restoring it -- must be serialised across the whole process.  The store
-  does this with one lock (``_work_lock``): the scheduler thread holds it
-  for the duration of each kernel slice, and HTTP worker threads hold it
-  for the (short) context-active parts of session creation,
-  ``add_example`` and request deserialisation (building a request's tables
-  mutates the installed counters and intern pool, so it runs through
-  :meth:`SessionStore.deserialize` under the lock in a scratch context).
+  context-active work -- constructing a kernel, stepping it, revalidating
+  candidates against a new example -- must be serialised across the whole
+  process.  The store does this with one lock (``_work_lock``): the
+  scheduler thread holds it for the duration of each kernel slice, and
+  HTTP worker threads hold it for the (short) context-active parts of
+  session creation, ``add_example`` and request deserialisation (building
+  a request's tables mutates the installed counters and intern pool, so it
+  runs through :meth:`SessionStore.deserialize` under the lock in a
+  scratch context).
 * Fairness across sessions comes from a round-robin rotation: every live
   session is enrolled in one deque, and each scheduler pass grants every
   enrolled session one slice of :data:`~repro.api.DEFAULT_SLICE_STEPS`
@@ -37,6 +38,7 @@ import threading
 import time
 import uuid
 from collections import defaultdict, deque
+from dataclasses import replace
 from typing import Deque, Dict, List, Optional
 
 from ..api import DEFAULT_SLICE_STEPS, SynthesisRequest, SynthesisSession, sum_counters
@@ -195,10 +197,10 @@ class SessionStore:
     """Registry + scheduler: the whole service state apart from HTTP plumbing.
 
     *persist_dir* (optional) enables JSON-file persistence: each session's
-    frontier snapshot and candidate list is written to
-    ``<persist_dir>/<id>.json`` whenever the session finishes, is suspended
-    by a new example, or the store shuts down -- a crash-recovery artifact
-    and an audit trail, readable back via :meth:`load_persisted`.  When the
+    request (every example so far), frontier snapshot and candidate list is
+    written to ``<persist_dir>/<id>.json`` whenever the session finishes,
+    gains a new example, or the store shuts down -- a crash-recovery
+    artifact and an audit trail, readable back via :meth:`load_persisted`.  When the
     TTL sweeper expires a session its file is *deleted*: the session is
     unreachable from every endpoint, so keeping the file would leak one
     orphan per expired session forever.
@@ -287,7 +289,7 @@ class SessionStore:
         return session
 
     def add_example(self, session_id: str, example) -> ServiceSession:
-        """Suspend, revalidate, resume -- then re-enroll if work remains."""
+        """Add an example (revalidate, raise the quota); re-enroll if work remains."""
         if not self.bucket.allow():
             raise RateLimited("request quota exceeded, retry later")
         session = self.get(session_id)
@@ -443,7 +445,11 @@ class SessionStore:
             payload = {
                 "id": session.id,
                 "status": session.status,
-                "request": session.session.request.to_json(),
+                # Every example, including those added after creation: the
+                # file must describe the whole task it names.
+                "request": replace(
+                    session.session.request, examples=session.session.examples
+                ).to_json(),
                 "state": session.session.state().to_json(),
                 "snapshot": snapshot,
             }

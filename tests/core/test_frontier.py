@@ -2,21 +2,25 @@
 
 import itertools
 
+import pytest
+
 from repro.api import SynthesisRequest, create_session
-from repro.core import Example, SynthesisConfig, SynthesisStats, standard_library
+from repro.benchmarks import r_benchmark_suite
+from repro.core import Example, SynthesisConfig, standard_library
 from repro.core.cost import CostModel
 from repro.core.frontier import (
+    CompletionState,
     Frontier,
     HypothesisState,
     SearchKernel,
     SketchState,
-    decode_hypothesis,
     encode_hypothesis,
 )
 from repro.core.hypothesis import (
     evaluate,
     initial_hypothesis,
     refine,
+    render_program,
     table_holes,
 )
 from repro.dataframe import Table, tables_match_for_synthesis
@@ -27,21 +31,12 @@ COMPONENTS = {component.name: component for component in LIBRARY}
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
 ADULTS = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
+NAME_GPA = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
 
 
 def kernel_for(example, k=1, timeout=20):
     """A search kernel for tests that drive it directly, built as a session builds it."""
-    return SearchKernel(
-        example, SynthesisConfig(timeout=timeout), standard_library(), SynthesisStats(), k=k
-    )
-
-
-def restore(payload, example, timeout=20, **kwargs):
-    """``SearchKernel.restore`` under the configuration ``kernel_for`` uses."""
-    return SearchKernel.restore(
-        payload, example, SynthesisConfig(timeout=timeout), standard_library(),
-        SynthesisStats(), **kwargs
-    )
+    return SearchKernel(example, SynthesisConfig(timeout=timeout), standard_library(), k=k)
 
 
 def solve_session(inputs, output, config):
@@ -102,19 +97,21 @@ class TestFrontier:
 
 
 class TestHypothesisSerialisation:
-    def test_roundtrip_preserves_structure(self):
+    def test_encoding_names_components_and_node_ids(self):
         hypothesis = build_hypothesis("gather", "spread")
         payload = encode_hypothesis(hypothesis)
-        restored = decode_hypothesis(payload, LIBRARY)
-        assert repr(restored) == repr(hypothesis)
+        assert payload["kind"] == "apply"
+        assert payload["id"] == hypothesis.node_id
+        # The last refinement fills the first one's table hole.
+        assert payload["component"] == "gather"
+        assert payload["children"][0]["component"] == "spread"
+        assert payload["children"][0]["children"][0]["kind"] == "hole"
 
-    def test_roundtrip_is_json_compatible(self):
+    def test_encoding_is_json_compatible(self):
         import json
 
-        hypothesis = build_hypothesis("group_by", "summarise")
-        payload = json.loads(json.dumps(encode_hypothesis(hypothesis)))
-        restored = decode_hypothesis(payload, LIBRARY)
-        assert repr(restored) == repr(hypothesis)
+        payload = encode_hypothesis(build_hypothesis("group_by", "summarise"))
+        assert json.loads(json.dumps(payload)) == payload
 
 
 class TestSearchKernel:
@@ -189,51 +186,13 @@ class TestSearchKernel:
         assert kernel.solved
         assert render_program(kernel.solutions[0]) == reference.render()
 
-    def test_snapshot_restore_resumes_to_the_same_program(self):
-        reference = solve(self.example())
-
-        kernel = kernel_for(self.example())
-        kernel.run(max_steps=5)
-        assert not kernel.solved  # interrupted mid-search
-        payload = kernel.snapshot()
-
-        restored = restore(payload, self.example())
-        restored.run()
-        assert restored.solved
-        assert restored.solutions[0] == reference.program
-
-    def test_snapshot_after_a_solution_does_not_double_count_on_restore(self):
-        # Snapshot taken after a solution was found but with the expansion
-        # still in flight: the restored kernel re-runs that expansion and
-        # re-finds the first program, which must not consume the remaining
-        # top-k quota -- the caller already holds it.
-        from repro.core.hypothesis import render_program
-
-        output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
-        example = Example.make([STUDENTS], output)
-        reference = solve(example, top_k=2)
-        assert len(reference.programs) == 2
-
-        kernel = kernel_for(example, k=2)
-        while not kernel.solutions:
-            kernel.step()
-        payload = kernel.snapshot()
-        restored = restore(payload, example)
-        restored.run()
-        combined = [render_program(kernel.solutions[0])] + [
-            render_program(program) for program in restored.solutions
-        ]
-        assert len(set(combined)) == len(combined)
-        assert combined == reference.render_all()
-
-    def test_snapshot_of_a_solved_kernel_restores_to_done(self):
+    def test_snapshot_of_a_solved_kernel_records_the_met_quota(self):
         kernel = kernel_for(self.example())
         kernel.run()
         assert kernel.solved
-        restored = restore(kernel.snapshot(), self.example())
-        assert restored.done  # quota already met; no extra program is hunted
-        assert restored.run() is False
-        assert restored.solutions == []
+        payload = kernel.snapshot()
+        assert payload["k"] == 0  # no program left to find
+        assert payload["found"] == [render_program(kernel.solutions[0])]
 
     def test_snapshot_is_json_serialisable(self):
         import json
@@ -243,37 +202,15 @@ class TestSearchKernel:
         payload = json.loads(json.dumps(kernel.snapshot()))
         assert payload["version"] == 1
         assert payload["pending"]
-
-    def test_restore_ignores_advisory_rank_fields(self):
-        # Snapshots written by older versions carry a
-        # per-entry "rank" and a top-level "lower_bound".  Restore must
-        # accept them and resume exactly where the search stopped.
-        import json
-
-        from repro.core.hypothesis import render_program
-
-        uninterrupted = kernel_for(self.example(), timeout=None)
-        uninterrupted.run()
-        assert uninterrupted.solved
-
-        kernel = kernel_for(self.example(), timeout=None)
-        # Stop at a hypothesis boundary, where nothing is re-expanded.
-        while kernel.steps_taken < 5 or kernel.frontier.has_continuations:
-            kernel.step()
-        assert not kernel.solved
-        payload = json.loads(json.dumps(kernel.snapshot()))
         assert "lower_bound" not in payload
         assert all("rank" not in entry for entry in payload["pending"])
-        for entry in payload["pending"]:
-            entry["rank"] = [1, [2.5, 2], [0, 0], entry["tiebreak"]]
-        payload["lower_bound"] = [[2.5, 2], [1, [1.0, 1], [0, 0], 3]]
 
-        restored = restore(payload, self.example(), timeout=None)
-        restored.run()
-        assert [render_program(p) for p in restored.solutions] == [
-            render_program(p) for p in uninterrupted.solutions
-        ]
-        assert kernel.steps_taken + restored.steps_taken == uninterrupted.steps_taken
+    def test_each_kernel_counts_into_its_own_stats(self):
+        first, second = kernel_for(self.example()), kernel_for(self.example())
+        assert first.stats is not second.stats
+        first.run(max_steps=5)
+        assert first.stats.hypotheses_expanded > 0
+        assert second.stats.hypotheses_expanded == 0
 
     def test_frontier_peak_is_reported(self):
         example = self.example()
@@ -305,148 +242,47 @@ class TestTopK:
         assert SynthesisConfig(oe=False).describe() == "spec2-no-oe"
         assert SynthesisConfig().describe() == "spec2"
 
-class TestSnapshotValidation:
-    def example(self):
-        return Example.make([STUDENTS], ADULTS)
+class TestRaisingTheQuota:
+    """Raising ``k`` on a live kernel continues the uninterrupted search."""
 
-    def restore(self, payload):
-        return restore(payload, self.example())
+    @staticmethod
+    def example(name):
+        if name == "students_name_gpa":
+            return Example.make([STUDENTS], NAME_GPA)
+        benchmark = r_benchmark_suite().get(name)
+        return Example.make(benchmark.inputs, benchmark.output)
 
-    def snapshot(self):
-        kernel = kernel_for(self.example())
-        kernel.run(max_steps=5)
-        return kernel.snapshot()
-
-    def test_wrong_version_raises_typed_error(self):
-        import pytest
-
-        from repro.core import SnapshotVersionError
-
-        payload = self.snapshot()
-        payload["version"] = 999
-        with pytest.raises(SnapshotVersionError, match="version 999"):
-            self.restore(payload)
-
-    def test_missing_version_raises_typed_error(self):
-        import pytest
-
-        from repro.core import SnapshotVersionError
-
-        payload = self.snapshot()
-        del payload["version"]
-        with pytest.raises(SnapshotVersionError):
-            self.restore(payload)
-
-    def test_missing_required_key_raises_typed_error_not_keyerror(self):
-        import pytest
-
-        from repro.core import SnapshotVersionError
-
-        for key in ("k", "tiebreak", "node_counter", "visited", "pending"):
-            payload = self.snapshot()
-            del payload[key]
-            with pytest.raises(SnapshotVersionError, match=key):
-                self.restore(payload)
-
-    def test_non_dict_payload_raises_snapshot_error(self):
-        import pytest
-
-        from repro.core import SnapshotError
-
-        with pytest.raises(SnapshotError, match="dict"):
-            self.restore([1, 2, 3])
-
-    def test_malformed_pending_lane_raises_snapshot_error(self):
-        import pytest
-
-        from repro.core import SnapshotError
-
-        payload = self.snapshot()
-        payload["pending"] = [{"tiebreak": 0, "hypothesis": {"bogus": True}}]
-        with pytest.raises(SnapshotError, match="pending"):
-            self.restore(payload)
-
-    def test_snapshot_error_is_a_value_error(self):
-        from repro.core import SnapshotError, SnapshotVersionError
-
-        assert issubclass(SnapshotVersionError, SnapshotError)
-        assert issubclass(SnapshotError, ValueError)
-
-
-class TestSuspendResume:
-    """suspend() + the oe_store carry: resume without re-exploring merged states."""
-
-    def example(self):
-        output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
-        return Example.make([STUDENTS], output)
-
-    def build(self, k=3):
-        return kernel_for(self.example(), k=k)
-
-    def test_suspended_kernel_resumes_to_the_same_programs(self):
-        from repro.core.hypothesis import render_program
-
-        reference = self.build()
+    @pytest.mark.parametrize("quotas", [(1, 2, 3), (1, 3)])
+    @pytest.mark.parametrize(
+        "name", ["students_name_gpa", "c2_orders_count_by_region", "c3_sensor_gather_separate"]
+    )
+    def test_raising_k_matches_an_uninterrupted_kernel(self, name, quotas):
+        example = self.example(name)
+        reference = kernel_for(example, k=3, timeout=None)
         reference.run()
-        expected = [render_program(p) for p in reference.solutions]
+        assert len(reference.solutions) == 3
 
-        kernel = self.build()
-        while not kernel.solutions:
-            kernel.step()
-        found = [render_program(p) for p in kernel.solutions]
-        payload = kernel.suspend()
-        restored = restore(payload, self.example(), oe_store=kernel.oe_store)
-        restored.run()
-        assert found + [render_program(p) for p in restored.solutions] == expected
-
-    def test_oe_carry_keeps_merged_states_merged(self):
-        # The carried store is adopted by the successor kernel (identity,
-        # not a copy), and the representatives the suspended search fully
-        # explored stay in it -- an observationally equal state offered
-        # after the resume merges instead of being re-enumerated.
-        from repro.core.oe import OEStore
-
-        kernel = self.build()
-        while not (kernel.solutions and kernel.frontier.has_continuations):
-            kernel.step()
-        payload = kernel.suspend()
-        assert len(kernel.oe_store) > 0  # fully-explored representatives survive
-        surviving = set(kernel.oe_store._representatives)
-
-        restored = restore(payload, self.example(), oe_store=kernel.oe_store)
-        assert restored.oe_store is kernel.oe_store
-        assert restored.completer.oe_store is kernel.oe_store
-        # A pre-suspend state re-offered post-resume merges with the carry...
-        key = next(iter(surviving))
-        assert restored.oe_store.admit(key) is False
-        # ...but would be re-explored from a fresh store (what a restore
-        # without the carry would do).
-        assert OEStore().admit(key) is True
-
-    def test_suspend_withdraws_pending_admissions(self):
-        # States still pending on the continuation lane are only partially
-        # explored; suspend() must withdraw their admissions so the
-        # successor's re-expansion is not wrongly suppressed.
-        from repro.core.frontier import CompletionState
-
-        kernel = self.build()
-        while not (kernel.solutions and kernel.frontier.has_continuations):
-            kernel.step()
-        pending_admits = sum(
-            len(state.run._admitted)
-            for state in kernel.frontier.continuation_states()
-            if isinstance(state, CompletionState)
+        kernel = kernel_for(example, k=1, timeout=None)
+        for k in quotas:
+            kernel.k = k
+            kernel.run()
+            assert len(kernel.solutions) == k
+        assert [render_program(p) for p in kernel.solutions] == [
+            render_program(p) for p in reference.solutions
+        ]
+        # Same search, step for step: nothing was dropped or re-explored.
+        assert kernel.steps_taken == reference.steps_taken
+        assert kernel.stats.programs_checked == reference.stats.programs_checked
+        assert (
+            kernel.stats.completion.partial_programs
+            == reference.stats.completion.partial_programs
         )
-        before = len(kernel.oe_store)
-        kernel.suspend()
-        assert len(kernel.oe_store) == before - pending_admits
+        assert len(kernel.frontier) == len(reference.frontier)
 
-    def test_steps_taken_counts_this_kernels_work_only(self):
-        kernel = self.build(k=1)
-        assert kernel.steps_taken == 0
-        kernel.run(max_steps=5)
-        assert kernel.steps_taken == 5
-        restored = restore(kernel.suspend(), self.example(), oe_store=kernel.oe_store)
-        assert restored.steps_taken == 0  # accumulating across kernels is the caller's job
-        restored.run(max_steps=3)
-        assert restored.steps_taken == 3
+    def test_the_run_that_meets_the_quota_stays_on_the_frontier(self):
+        kernel = kernel_for(self.example("students_name_gpa"))
+        kernel.run()
+        assert kernel.solved
+        top = kernel.frontier.continuation_states()[-1]
+        assert isinstance(top, CompletionState)
+        assert not top.run.exhausted

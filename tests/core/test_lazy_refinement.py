@@ -34,7 +34,6 @@ from repro.core.hypothesis import (
     refine,
     table_holes,
 )
-from repro.core.synthesizer import SynthesisStats
 from repro.smt.solver import clear_formula_cache
 
 #: R-suite tasks whose searches supply the parents under test: one and two
@@ -51,9 +50,7 @@ def make_kernel(name, kernel_class=SearchKernel):
     benchmark = r_benchmark_suite().get(name)
     clear_formula_cache()
     example = Example.make(benchmark.inputs, benchmark.output)
-    return kernel_class(
-        example, SynthesisConfig(timeout=30), standard_library(), SynthesisStats()
-    )
+    return kernel_class(example, SynthesisConfig(timeout=30), standard_library())
 
 
 def popped_parents(name, limit=60):

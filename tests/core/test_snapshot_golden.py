@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.benchmarks import r_benchmark_suite
-from repro.core import Example, SearchKernel, SynthesisConfig, SynthesisStats, standard_library
+from repro.core import Example, SearchKernel, SynthesisConfig, standard_library
 from repro.smt.solver import clear_formula_cache
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "kernel_snapshots.json.gz"
@@ -45,7 +45,6 @@ def record_snapshots(name):
         Example.make(benchmark.inputs, benchmark.output),
         SynthesisConfig(timeout=30),
         standard_library(),
-        SynthesisStats(),
     )
     taken = 0
     snapshots = {}

@@ -6,7 +6,7 @@ import pytest
 
 from repro import Table
 from repro.api import (
-    CandidateProgram,
+    CLOCK_COUNTERS,
     RequestError,
     SessionState,
     SynthesisRequest,
@@ -222,6 +222,27 @@ class TestAddExample:
         assert after["partial_programs"] >= before["partial_programs"]
         assert after["frontier_peak"] >= before["frontier_peak"]
 
+    def test_add_example_raises_the_live_kernels_quota(self):
+        session = self.run_to_first_candidate()
+        kernel = session._kernel
+        assert kernel.k == 1
+        session.add_example(self.DISTINGUISHER)
+        # One kernel for the session's life: the overfit candidate stays in
+        # its solution list, and the quota grows by the one still missing.
+        assert session._kernel is kernel
+        assert kernel.k == 2
+        assert session.status == "searching"
+
+    def test_resumes_count_the_examples_added_after_creation(self):
+        session = self.run_to_first_candidate()
+        for _ in range(2):
+            session.add_example(self.DISTINGUISHER)
+        # The quota is recomputed from the candidates, not raised per call.
+        assert session._kernel.k == 2
+        assert session.resumes == 2
+        assert session.counters()["resumes"] == 2
+        assert self.two_example_session().counters()["resumes"] == 0
+
     def test_revalidation_marks_overfit_candidates(self):
         session = self.run_to_first_candidate()
         assert session.candidates[0].validated
@@ -246,6 +267,40 @@ class TestAddExample:
             cold.advance(max_steps=64)
         cold_programs = [c.program for c in cold.candidates if c.validated]
         assert resumed[0] == cold_programs[0]
+
+    def two_example_session(self):
+        return create_session(
+            SynthesisRequest(
+                (Example.make([STUDENTS], ADULTS), self.DISTINGUISHER),
+                config=SynthesisConfig(timeout=20),
+            )
+        )
+
+    def test_cold_two_example_request_finds_the_primary_searchs_second_program(self):
+        # filter(age != 8) is the second program of the primary example's own
+        # search.  The completion run that surfaced the first (overfit) one
+        # must stay on the frontier, or the widened quota skips past it.
+        session = self.two_example_session()
+        while not session.finished and not session.validated_count:
+            session.advance(max_steps=64)
+        validated = [c.program for c in session.candidates if c.validated]
+        assert validated[0] == "df1 = filter(table1, age != 8)"
+        assert session.steps < 100
+
+    def test_added_example_continues_the_search_a_cold_session_runs(self):
+        session = self.run_to_first_candidate()
+        session.add_example(self.DISTINGUISHER)
+        session.solve()
+        cold = self.two_example_session()
+        cold.solve()
+        assert session.candidates == cold.candidates
+        # Every count agrees, step for step; only the resume itself differs.
+        ignored = {"resumes", *CLOCK_COUNTERS}
+        resumed, fresh = (
+            {name: value for name, value in s.counters().items() if name not in ignored}
+            for s in (session, cold)
+        )
+        assert resumed == fresh
 
     def test_consistent_extra_example_keeps_candidates_valid(self):
         session = self.run_to_first_candidate()

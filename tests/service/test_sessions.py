@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro import Example, Table
-from repro.api import SynthesisRequest
+from repro.api import SynthesisRequest, create_session
 from repro.service import (
     RateLimited,
     ServiceSession,
@@ -19,6 +19,11 @@ from repro.service import (
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
 ADULTS = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
+#: A second example that rules out the first program found for STUDENTS -> ADULTS.
+DISTINGUISHER = Example.make(
+    [Table(["name", "age", "gpa"], [["Zoe", 8, 3.5], ["Max", 20, 2.0]])],
+    Table(["name", "age", "gpa"], [["Max", 20, 2.0]]),
+)
 
 
 def filter_request(**knobs):
@@ -360,6 +365,35 @@ class TestPersistence:
                 assert "pending" in payload["snapshot"]
         finally:
             store.close()
+
+    def test_the_persisted_request_holds_every_example(self, tmp_path):
+        store = SessionStore(ttl=None, rate=1000, burst=1000, persist_dir=str(tmp_path))
+        try:
+            session = store.create(filter_request())
+            assert wait_until(lambda: session.session.finished)
+            store.add_example(session.id, DISTINGUISHER)
+            request = SynthesisRequest.from_json(store.load_persisted(session.id)["request"])
+            assert len(request.examples) == 2
+            assert request.examples == session.session.examples
+            assert request.config == session.session.request.config
+        finally:
+            store.close()
+
+    def test_the_persisted_request_rebuilds_the_session(self, tmp_path):
+        store = SessionStore(ttl=None, rate=1000, burst=1000, persist_dir=str(tmp_path))
+        try:
+            session = store.create(filter_request())
+            assert wait_until(lambda: session.session.finished)
+            store.add_example(session.id, DISTINGUISHER)
+            assert wait_until(lambda: session.session.finished, timeout=40.0)
+            request = SynthesisRequest.from_json(store.load_persisted(session.id)["request"])
+        finally:
+            store.close()
+        # The search is deterministic: the file's request alone re-creates
+        # the session's validated program.
+        rebuilt = create_session(request).solve()
+        live = [c.program for c in session.session.candidates if c.validated]
+        assert rebuilt.render() == live[0]
 
     def test_load_persisted_unknown_id_raises(self, tmp_path):
         store = SessionStore(ttl=None, persist_dir=str(tmp_path))
