@@ -168,6 +168,21 @@ def example_from_json(payload: dict) -> Example:
     )
 
 
+def check_input_counts(examples: Sequence[Example]) -> None:
+    """Reject examples whose number of input tables differs from the first's.
+
+    A program reads a fixed number of tables, so an example with more or
+    fewer inputs than the primary one could never validate it.
+    """
+    expected = len(examples[0].inputs)
+    for index, example in enumerate(examples[1:], 1):
+        if len(example.inputs) != expected:
+            raise RequestError(
+                f"example {index} has {len(example.inputs)} input tables, "
+                f"the primary example has {expected}"
+            )
+
+
 def config_to_json(config: SynthesisConfig) -> dict:
     """The configuration's knobs as a JSON-able dict (enums by value)."""
     payload = {f.name: getattr(config, f.name) for f in fields(config)}
@@ -280,8 +295,10 @@ class SynthesisRequest:
             raise RequestError(
                 f"unknown library {library!r} (expected one of {sorted(LIBRARIES)})"
             )
+        examples = tuple(example_from_json(example) for example in examples)
+        check_input_counts(examples)
         return cls(
-            tuple(example_from_json(example) for example in examples),
+            examples,
             config=config_from_json(config) if config is not None else SynthesisConfig(),
             library=library,
         )
@@ -425,6 +442,7 @@ class SynthesisSession:
     def __init__(self, request: SynthesisRequest, library=None, kb=None) -> None:
         if not request.examples:
             raise RequestError("a session needs at least one example")
+        check_input_counts(request.examples)
         self.request = request
         # *kb* attaches a warm-start knowledge base (repro.engine.kb) to the
         # session's context; None inherits the process default, if any.
@@ -582,8 +600,11 @@ class SynthesisSession:
         Existing candidates are revalidated against the new example, and the
         kernel's quota is raised by the validated programs still missing.
         The kernel itself is untouched: its frontier, its
-        observational-equivalence store and its counters carry on.
+        observational-equivalence store and its counters carry on.  An
+        example with the wrong number of input tables raises
+        :class:`RequestError` and leaves the session unchanged.
         """
+        check_input_counts((self._examples[0], example))
         with self.context.active():
             self._examples.append(example)
             self._candidates = [
@@ -598,16 +619,6 @@ class SynthesisSession:
             self._resumes += 1
             self._update_status()
         return self.state()
-
-    def snapshot_payload(self) -> dict:
-        """The kernel's JSON-able search position (see ``SearchKernel.snapshot``).
-
-        Read-only -- the session keeps running.  Must not be called while
-        another thread is stepping the session (the service's work lock
-        serialises the two).
-        """
-        with self.context.active():
-            return self._kernel.snapshot()
 
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, float]:

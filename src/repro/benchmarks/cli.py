@@ -40,9 +40,11 @@ running a benchmark: submit input-output examples over ``POST
 /v1/sessions``, stream candidate programs, and add distinguishing examples
 that continue the running search.  ``--port``/``--host`` pick the bind
 address, ``--ttl`` the idle-session expiry, ``--rate``/``--burst`` the
-token-bucket rate limit, ``--persist-dir`` enables JSON-file persistence
-of frontier snapshots, and ``--kb PATH`` warm-starts every new session
-from the shared knowledge base of past requests.
+token-bucket rate limit, ``--persist-dir DIR`` keeps each session's
+request (every example included) as a JSON file under ``DIR`` and replays
+those sessions under their ids when the server restarts, and ``--kb PATH``
+warm-starts every new session from the shared knowledge base of past
+requests.
 
 ``--stats`` appends the per-configuration deduction counter table (SMT
 calls, prescreen decisions, lemma prunes, lemmas learned), the
@@ -200,7 +202,8 @@ def main(argv=None) -> int:
     )
     service.add_argument(
         "--persist-dir", default=None, metavar="DIR",
-        help="serve: persist frontier snapshots as JSON files under DIR",
+        help="serve: keep each session's request as a JSON file under DIR "
+             "and re-create those sessions when the server restarts",
     )
     service.add_argument(
         "--verbose", action="store_true", help="serve: log every HTTP request"

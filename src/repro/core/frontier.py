@@ -20,7 +20,7 @@ This module makes that state explicit:
   The fan-out derives each child's signature, size, component sequence and
   priority from one walk of the parent and reserves exactly the node ids an
   eager :func:`~repro.core.hypothesis.refine` would draw; the frontier
-  builds the tree only when it pops the entry or a snapshot encodes it.
+  builds the tree only when it pops the entry.
 * :class:`SearchKernel` -- the anytime search engine: ``step()`` processes
   one frontier state (at most one deduction query or one candidate hole
   filling), ``run(deadline)`` steps until a deadline, a solution quota, or
@@ -38,13 +38,9 @@ re-pushed like any other unfinished run.  Raising ``k`` on a stopped kernel
 therefore continues exactly the search an uninterrupted kernel with the
 larger quota would have run -- same programs, same order, same counters.
 
-``snapshot()`` describes the search *position* at hypothesis granularity:
-the pending hypothesis lane (as component-name trees), the
-duplicate-detection signatures, the tie-break and node-id counters, and the
-hypothesis whose expansion is in flight.  Continuation states (in-progress
-sketch completions) hold live argument iterators and are not captured.  The
-search is deterministic, so a lost session is re-created from its request
-rather than decoded from a snapshot.
+The search is deterministic: a function of the example, the library and the
+configuration.  So nothing here serialises a kernel; a lost session is
+re-created from its request and searched again.
 """
 
 from __future__ import annotations
@@ -77,17 +73,12 @@ from .hypothesis import (
     evaluate,
     hypothesis_size,
     initial_hypothesis,
-    render_program,
     sketches,
     refine,
 )
 from .oe import OEStore
 from .synthesizer import SynthesisStats
 from .types import Type
-
-#: Snapshot format version (bump on incompatible changes).
-SNAPSHOT_VERSION = 1
-
 
 # ----------------------------------------------------------------------
 # Search states
@@ -181,11 +172,6 @@ class Frontier:
         """Number of hypotheses waiting in the cost-ordered lane."""
         return len(self._heap)
 
-    @property
-    def has_continuations(self) -> bool:
-        """True while an expansion's sketch/completion/refine states are pending."""
-        return bool(self._continuations)
-
     def _note_size(self) -> None:
         size = len(self)
         if size > self.peak:
@@ -228,7 +214,7 @@ class Frontier:
 
         Entries come back in canonical ``(priority, tiebreak)`` order -- the
         exact order ``pop()`` would drain them -- not raw heap-array order,
-        so the snapshot of a frontier is a pure function of its *contents*.
+        so the listing of a frontier is a pure function of its *contents*.
         """
         ordered = sorted(self._heap, key=lambda entry: (entry[0], entry[1]))
         return [(tiebreak, _built(entry)) for _, tiebreak, entry in ordered]
@@ -240,41 +226,6 @@ class Frontier:
 
 def _built(entry: Union[Hypothesis, Refinement]) -> Hypothesis:
     return entry.build() if type(entry) is Refinement else entry
-
-
-# ----------------------------------------------------------------------
-# Hypothesis serialisation for the snapshot
-# ----------------------------------------------------------------------
-def encode_hypothesis(hypothesis: Hypothesis) -> dict:
-    """A JSON-able description of a worklist hypothesis.
-
-    Worklist hypotheses are pure refinement trees -- their first-order holes
-    are unfilled and their table holes unbound -- which is what keeps the
-    snapshot plain data (component *names*, not component objects).
-    """
-    if isinstance(hypothesis, Hole):
-        return {
-            "kind": "hole",
-            "id": hypothesis.node_id,
-            "type": hypothesis.hole_type.value,
-            "binding": hypothesis.binding,
-        }
-    values = []
-    for hole in hypothesis.value_children:
-        if hole.value is not None:
-            raise ValueError(
-                "only worklist hypotheses (unfilled first-order holes) are serialisable"
-            )
-        values.append(
-            {"kind": "hole", "id": hole.node_id, "type": hole.hole_type.value}
-        )
-    return {
-        "kind": "apply",
-        "id": hypothesis.node_id,
-        "component": hypothesis.component.name,
-        "children": [encode_hypothesis(child) for child in hypothesis.table_children],
-        "values": values,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -334,11 +285,9 @@ class SearchKernel:
         self.solutions: List[Hypothesis] = []
         self._deadline: Optional[float] = None
         self._visited: set = set()
-        #: Plain int counters (not itertools.count) so ``snapshot()`` can
-        #: read them without consuming values from the live kernel.
+        #: The next tie-break and node id to hand out.
         self._tiebreak = 0
         self._node_counter = 1
-        self._in_flight: Optional[Tuple[Hypothesis, int]] = None
         #: Active time spent inside ``run()``/``step()`` (the per-task clock
         #: when many kernels share one process).
         self.active_seconds = 0.0
@@ -446,13 +395,11 @@ class SearchKernel:
                 # the remaining refinements from where the state stopped.
                 self.frontier.push_continuation(state)
                 raise
-            self._in_flight = None
 
     # ------------------------------------------------------------------
     def _expand_hypothesis(self, state: HypothesisState) -> None:
         """Lines 9-18 of Algorithm 1, decomposed into continuation states."""
         hypothesis = state.hypothesis
-        self._in_flight = (hypothesis, state.tiebreak)
         self.stats.hypotheses_expanded += 1
         feasible = self.engine.deduce(hypothesis)
         # The refinement fan-out runs after completion (it is pushed first,
@@ -568,40 +515,6 @@ class SearchKernel:
         except (EvaluationFailure, *PRUNABLE_ERRORS):
             return False
         return tables_match_for_synthesis(actual, self.example.output)
-
-    # ------------------------------------------------------------------
-    # Snapshot
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """The kernel's serialisable search position (see the module docstring).
-
-        Read-only: the live kernel can keep running afterwards.  Found
-        solutions are *not* captured as programs (complete programs carry
-        concrete argument objects); the snapshot stores the *remaining*
-        solution quota plus the found programs' rendered text.
-        """
-        return {
-            "version": SNAPSHOT_VERSION,
-            "k": max(0, self.k - len(self.solutions)),
-            "found": [render_program(program) for program in self.solutions],
-            "tiebreak": self._tiebreak,
-            "node_counter": self._node_counter,
-            "visited": sorted(self._visited),
-            "pending": [
-                _encode_entry(hypothesis, tiebreak)
-                for tiebreak, hypothesis in self.frontier.heap_entries()
-            ],
-            "in_flight": (
-                _encode_entry(*self._in_flight)
-                if self._in_flight is not None and self.frontier.has_continuations
-                else None
-            ),
-        }
-
-
-def _encode_entry(hypothesis: Hypothesis, tiebreak: int) -> dict:
-    """One pending-lane snapshot entry."""
-    return {"tiebreak": tiebreak, "hypothesis": encode_hypothesis(hypothesis)}
 
 
 def hypothesis_signature(hypothesis: Hypothesis) -> str:

@@ -4,9 +4,10 @@ The service turns the facade's interactive sessions (:mod:`repro.api`) into
 a long-lived, multi-tenant process:
 
 * :mod:`repro.service.sessions` -- the session store: an in-memory registry
-  with TTL expiry, a token-bucket rate limiter, optional JSON-file
-  persistence of frontier snapshots, and a background scheduler thread that
-  slices kernel steps round-robin across live sessions.
+  with TTL expiry, a token-bucket rate limiter, optional restart recovery
+  (each session's request is kept as a JSON file and replayed when a new
+  store starts), and a background scheduler thread that slices kernel
+  steps round-robin across live sessions.
 * :mod:`repro.service.api` -- the HTTP layer (stdlib ``http.server``, no
   external dependencies): submit examples, poll or stream candidates,
   add distinguishing examples that continue the same search.

@@ -22,7 +22,8 @@ are the wire format):
     The session's current :class:`~repro.api.SessionState`.
 ``GET  /v1/sessions/{id}/programs``
     Top-k candidates.  ``?wait=SECONDS`` blocks until at least ``?count=N``
-    candidates exist (or the session settles); ``?stream=1`` switches to a
+    candidates exist (or the session settles); a negative or malformed
+    ``count`` is ``400``.  ``?stream=1`` switches to a
     chunked newline-delimited JSON stream that emits each candidate as the
     search discovers it -- the anytime kernel made streamable.
 ``POST /v1/sessions/{id}/examples``
@@ -109,6 +110,8 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
             self._route_get()
         except UnknownSession as error:
             self._error(404, f"unknown session {error.args[0]!r}")
+        except RequestError as error:
+            self._error(400, str(error))
         except BrokenPipeError:
             self.close_connection = True
 
@@ -199,6 +202,9 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
     def _programs(self, session_id: str, query: dict) -> None:
         session = self.store.get(session_id)
         count = self._query_number(query, "count", None, int)
+        if count is not None and count < 0:
+            # A negative slice bound would drop candidates from the end.
+            raise RequestError(f"query parameter 'count' must be >= 0, got {count}")
         wait = self._query_number(query, "wait", None, float)
         if wait is not None:
             wait = max(0.0, min(wait, MAX_WAIT_SECONDS))

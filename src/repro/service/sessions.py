@@ -101,8 +101,10 @@ class ServiceSession:
     round-robin pass.
     """
 
-    def __init__(self, store: "SessionStore", session: SynthesisSession) -> None:
-        self.id = uuid.uuid4().hex[:16]
+    def __init__(
+        self, store: "SessionStore", session: SynthesisSession, session_id: Optional[str] = None
+    ) -> None:
+        self.id = session_id or uuid.uuid4().hex[:16]
         self.store = store
         self.session = session
         self.created_at = time.monotonic()
@@ -136,15 +138,12 @@ class ServiceSession:
             self.session.advance(max_steps=max_steps)
         with self.changed:
             self.changed.notify_all()
-        finished = False
         if self.session.finished:
             with self.store._registry_lock:
                 if self.session.finished:
                     self._enrolled = False
-                    finished = True
-        if finished:
-            self.store._persist(self)
-        return finished
+                    return True
+        return False
 
     def fail(self, error: Exception) -> None:
         """Take the session out of service after one of its slices raised."""
@@ -196,14 +195,16 @@ class ServiceSession:
 class SessionStore:
     """Registry + scheduler: the whole service state apart from HTTP plumbing.
 
-    *persist_dir* (optional) enables JSON-file persistence: each session's
-    request (every example so far), frontier snapshot and candidate list is
-    written to ``<persist_dir>/<id>.json`` whenever the session finishes,
-    gains a new example, or the store shuts down -- a crash-recovery
-    artifact and an audit trail, readable back via :meth:`load_persisted`.  When the
-    TTL sweeper expires a session its file is *deleted*: the session is
-    unreachable from every endpoint, so keeping the file would leak one
-    orphan per expired session forever.
+    *persist_dir* (optional) enables restart recovery.  Each session's file
+    ``<persist_dir>/<id>.json`` holds ``{id, request}``: the request with
+    every example so far.  It is written atomically when the session is
+    created and when it gains an example, the only two events that change
+    it.  The search is a deterministic function of the request, so a new
+    store re-creates every persisted session under its old id and enrolls
+    it in the rotation (:meth:`_replay`); a finished session searches again.
+    When the TTL sweeper expires a session its file is *deleted*: the
+    session is unreachable from every endpoint, so keeping the file would
+    leak one orphan per expired session forever.
 
     *kb_path* (optional) opens a shared warm-start knowledge base
     (:mod:`repro.engine.kb`): new sessions reuse executions and attribute
@@ -246,6 +247,8 @@ class SessionStore:
         #: ``*_total`` metrics never go backwards.  Guarded by the registry
         #: lock.
         self._expired_counters: Dict[str, float] = {}
+        if persist_dir is not None:
+            self._replay()
         self._scheduler = threading.Thread(
             target=self._schedule, name="synthesis-scheduler", daemon=True
         )
@@ -271,12 +274,10 @@ class SessionStore:
         """Create, register and enroll a session (raises :class:`RateLimited`)."""
         if not self.bucket.allow():
             raise RateLimited("session quota exceeded, retry later")
-        with self._work_lock:
-            session = ServiceSession(self, SynthesisSession(request, kb=self.kb))
-        with self._registry_lock:
-            self._sessions[session.id] = session
-            self.sessions_created += 1
-        self._enroll(session)
+        session = self._register(request)
+        # Written before the id is handed out, so no added example can race
+        # ahead of the file that should hold it.
+        self._persist(session)
         return session
 
     def get(self, session_id: str) -> ServiceSession:
@@ -295,21 +296,19 @@ class SessionStore:
         session = self.get(session_id)
         with self._work_lock:
             session.session.add_example(example)
-        self._persist(session)
+            # Under the work lock: of two concurrent additions, the file
+            # written last holds both examples.
+            self._persist(session)
         with session.changed:
             session.changed.notify_all()
         self._enroll(session)
         return session
 
     def close(self) -> None:
-        """Stop the scheduler, persist every live session, close the KB."""
+        """Stop the scheduler and close the KB (persisted files stay current)."""
         self._stop.set()
         self._wake.set()
         self._scheduler.join(timeout=5)
-        with self._registry_lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            self._persist(session)
         if self.kb is not None:
             self.kb.close()
 
@@ -432,37 +431,70 @@ class SessionStore:
                 session.changed.notify_all()
 
     # -- persistence ---------------------------------------------------
+    def _register(
+        self, request: SynthesisRequest, session_id: Optional[str] = None
+    ) -> ServiceSession:
+        """Build a session for *request*, add it to the registry and rotation."""
+        with self._work_lock:
+            session = ServiceSession(
+                self, SynthesisSession(request, kb=self.kb), session_id=session_id
+            )
+        with self._registry_lock:
+            self._sessions[session.id] = session
+            self.sessions_created += 1
+        self._enroll(session)
+        return session
+
+    def _replay(self) -> None:
+        """Re-create every session persisted under ``persist_dir``.
+
+        A file that cannot be read, parsed or replayed, or whose id does not
+        match its name, is skipped with a warning; so is a stray ``*.tmp``
+        left by a write that was cut short.  None of them stops the store
+        starting.
+        """
+        try:
+            names = sorted(os.listdir(self.persist_dir))
+        except FileNotFoundError:
+            return
+        except OSError as error:
+            _log.warning("cannot list persist dir %s: %s", self.persist_dir, error)
+            return
+        for name in names:
+            path = os.path.join(self.persist_dir, name)
+            session_id, suffix = os.path.splitext(name)
+            if suffix != ".json":
+                _log.warning("skipping %s: not a persisted session file", path)
+                continue
+            try:
+                with open(path) as handle:
+                    payload = json.load(handle)
+                if payload["id"] != session_id:
+                    raise ValueError(f"file holds id {payload['id']!r}")
+                request = self.deserialize(SynthesisRequest.from_json, payload["request"])
+                self._register(request, session_id=session_id)
+            except (OSError, ValueError, KeyError, TypeError) as error:
+                _log.warning("skipping persisted session %s: %s", path, error)
+            except Exception:
+                # One file that cannot be replayed must not keep the others down.
+                _log.exception("skipping persisted session %s", path)
+
     def _persist(self, session: ServiceSession) -> None:
+        """Write the session's file: its id and its request with every example."""
         if self.persist_dir is None:
             return
+        request = replace(session.session.request, examples=session.session.examples)
+        path = os.path.join(self.persist_dir, f"{session.id}.json")
+        tmp = f"{path}.tmp"
         try:
-            with self._work_lock:
-                snapshot = (
-                    None
-                    if session.session.finished or session.error is not None
-                    else session.session.snapshot_payload()
-                )
-            payload = {
-                "id": session.id,
-                "status": session.status,
-                # Every example, including those added after creation: the
-                # file must describe the whole task it names.
-                "request": replace(
-                    session.session.request, examples=session.session.examples
-                ).to_json(),
-                "state": session.session.state().to_json(),
-                "snapshot": snapshot,
-            }
             os.makedirs(self.persist_dir, exist_ok=True)
-            path = os.path.join(self.persist_dir, f"{session.id}.json")
-            tmp = f"{path}.tmp"
             with open(tmp, "w") as handle:
-                json.dump(payload, handle)
+                json.dump({"id": session.id, "request": request.to_json()}, handle)
             os.replace(tmp, path)
-        except OSError:
-            # Persistence is best-effort crash recovery; the live session
-            # is authoritative and must not die with the disk.
-            pass
+        except OSError as error:
+            # The live session is authoritative and must not die with the
+            # disk; it just will not survive a restart.
+            _log.warning("cannot persist session %s: %s", session.id, error)
 
     def _remove_persisted(self, session_id: str) -> None:
         """Delete a session's persistence file (and any stale temp file)."""
@@ -472,21 +504,10 @@ class SessionStore:
         for stale in (path, f"{path}.tmp"):
             try:
                 os.remove(stale)
-            except OSError:
-                # Never persisted, already removed, or the disk is gone --
-                # cleanup is best-effort either way.
+            except FileNotFoundError:
                 pass
-
-    def load_persisted(self, session_id: str) -> dict:
-        """Read back a persisted session file (raises :class:`UnknownSession`)."""
-        if self.persist_dir is None:
-            raise UnknownSession(session_id)
-        path = os.path.join(self.persist_dir, f"{session_id}.json")
-        try:
-            with open(path) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            raise UnknownSession(session_id) from None
+            except OSError as error:
+                _log.warning("cannot remove %s: %s", stale, error)
 
     def list_sessions(self) -> List[dict]:
         with self._registry_lock:

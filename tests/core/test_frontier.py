@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from snapshots import encode_hypothesis, watch
 
 from repro.api import SynthesisRequest, create_session
 from repro.benchmarks import r_benchmark_suite
@@ -14,7 +15,6 @@ from repro.core.frontier import (
     HypothesisState,
     SearchKernel,
     SketchState,
-    encode_hypothesis,
 )
 from repro.core.hypothesis import (
     evaluate,
@@ -188,9 +188,10 @@ class TestSearchKernel:
 
     def test_snapshot_of_a_solved_kernel_records_the_met_quota(self):
         kernel = kernel_for(self.example())
+        snapshot = watch(kernel)
         kernel.run()
         assert kernel.solved
-        payload = kernel.snapshot()
+        payload = snapshot()
         assert payload["k"] == 0  # no program left to find
         assert payload["found"] == [render_program(kernel.solutions[0])]
 
@@ -198,8 +199,9 @@ class TestSearchKernel:
         import json
 
         kernel = kernel_for(self.example())
+        snapshot = watch(kernel)
         kernel.run(max_steps=5)
-        payload = json.loads(json.dumps(kernel.snapshot()))
+        payload = json.loads(json.dumps(snapshot()))
         assert payload["version"] == 1
         assert payload["pending"]
         assert "lower_bound" not in payload

@@ -4,7 +4,7 @@
 sequence and priority from one walk of the parent (a
 :class:`~repro.core.frontier.RefinementTemplate`) and enqueues a
 :class:`~repro.core.frontier.Refinement` recipe; the tree is built with
-``refine()`` only when the frontier pops (or snapshots) it.  These tests
+``refine()`` only when the frontier pops (or lists) it.  These tests
 hold the template-derived values to the eagerly built trees, hold a lazy
 search to a reimplementation of the eager fan-out, and pin the node ids of a
 fan-out that a deadline interrupts.
@@ -13,6 +13,7 @@ fan-out that a deadline interrupts.
 import itertools
 
 import pytest
+from snapshots import watch
 
 from repro.benchmarks import r_benchmark_suite
 from repro.core import Example, SynthesisConfig, standard_library
@@ -140,6 +141,7 @@ def test_template_values_match_the_eager_tree(name):
 def test_lazy_search_matches_the_eager_fan_out(name):
     lazy = make_kernel(name)
     eager = make_kernel(name, EagerKernel)
+    lazy_snapshot, eager_snapshot = watch(lazy), watch(eager)
     for _ in range(40):
         lazy.run(max_steps=25)
         eager.run(max_steps=25)
@@ -151,7 +153,7 @@ def test_lazy_search_matches_the_eager_fan_out(name):
         assert lazy.frontier.peak == eager.frontier.peak
         if lazy.done:
             break
-    assert lazy.snapshot() == eager.snapshot()
+    assert lazy_snapshot() == eager_snapshot()
     assert [repr(program) for program in lazy.solutions] == [
         repr(program) for program in eager.solutions
     ]

@@ -1,11 +1,11 @@
-"""Golden resume-state payloads: ``SearchKernel.snapshot()`` at fixed steps.
+"""Golden search positions: a kernel's snapshot payload at fixed steps.
 
 The payloads in ``data/kernel_snapshots.json.gz`` were recorded with the
 search kernel that built every refinement tree when it was enqueued.  The
 kernel that enqueues refinement recipes and builds trees on pop must
 reproduce them byte for byte -- pending lane, visited signatures, tiebreak
-and node-id counters included -- because the snapshot is both the service's
-resume format and a complete description of the search position.
+and node-id counters included -- because the payload (built by
+``snapshots.watch``) is a complete description of the search position.
 
 Regenerate (only for a deliberate change of search order) with::
 
@@ -17,6 +17,7 @@ import json
 from pathlib import Path
 
 import pytest
+from snapshots import watch
 
 from repro.benchmarks import r_benchmark_suite
 from repro.core import Example, SearchKernel, SynthesisConfig, standard_library
@@ -46,12 +47,13 @@ def record_snapshots(name):
         SynthesisConfig(timeout=30),
         standard_library(),
     )
+    snapshot = watch(kernel)
     taken = 0
     snapshots = {}
     for steps in CHECKPOINTS[name]:
         kernel.run(max_steps=steps - taken)
         taken = steps
-        snapshots[str(steps)] = encode(kernel.snapshot())
+        snapshots[str(steps)] = encode(snapshot())
     return snapshots
 
 

@@ -19,6 +19,7 @@ from repro.api import (
     table_from_json,
     table_to_json,
 )
+from repro.benchmarks import r_benchmark_suite
 from repro.core import Apply, Example, SynthesisConfig, render_program
 
 STUDENTS = Table(["name", "age", "gpa"],
@@ -87,6 +88,22 @@ class TestRequestJson:
     def test_empty_examples_raise(self):
         with pytest.raises(RequestError, match="examples"):
             SynthesisRequest.from_json({"examples": []})
+
+    def test_examples_with_another_number_of_inputs_raise(self):
+        payload = {
+            "examples": [
+                example_to_json(Example.make([STUDENTS], ADULTS)),
+                example_to_json(Example.make([STUDENTS, EMPLOYEES], ADULTS)),
+            ]
+        }
+        with pytest.raises(RequestError, match="example 1 has 2 input tables"):
+            SynthesisRequest.from_json(payload)
+        with pytest.raises(RequestError, match="input tables"):
+            create_session(
+                SynthesisRequest(
+                    (Example.make([STUDENTS], ADULTS), Example.make([STUDENTS, STUDENTS], ADULTS))
+                )
+            )
 
     @pytest.mark.parametrize(
         "knob, value",
@@ -301,6 +318,20 @@ class TestAddExample:
             for s in (session, cold)
         )
         assert resumed == fresh
+
+    def test_example_with_another_number_of_inputs_leaves_the_session_unchanged(self):
+        # A 1-table example on a solved 2-table session used to raise
+        # IndexError during revalidation, after it had joined the examples.
+        benchmark = r_benchmark_suite().get("c5_orders_join_city")
+        session = create_session(
+            SynthesisRequest.from_tables(benchmark.inputs, benchmark.output, timeout=20)
+        )
+        session.solve()
+        before = session.state()
+        with pytest.raises(RequestError, match="input tables"):
+            session.add_example(Example.make([STUDENTS], ADULTS))
+        assert session.state() == before
+        assert session.resumes == 0
 
     def test_consistent_extra_example_keeps_candidates_valid(self):
         session = self.run_to_first_candidate()

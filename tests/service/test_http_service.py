@@ -187,6 +187,19 @@ class TestStreaming:
         assert lines[1]["candidates_sent"] == 1
         assert lines[1]["counters"]["steps"] > 0
 
+    def test_negative_or_malformed_count_is_400(self, server):
+        # A negative count used to slice the list from the end (-1 dropped
+        # the last candidate and answered 200), and a malformed one closed
+        # the connection without a response.
+        _, created = post(server, "/v1/sessions", dict(FILTER_REQUEST, config={"top_k": 2}))
+        for count in ("-1", "-5", "abc"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get(server, f"/v1/sessions/{created['id']}/programs?count={count}")
+            assert excinfo.value.code == 400
+            assert "count" in json.loads(excinfo.value.read())["error"]
+        status, state = get(server, f"/v1/sessions/{created['id']}/programs?count=0")
+        assert status == 200 and state["candidates"] == []
+
     def test_polling_with_wait_blocks_until_candidates(self, server):
         _, created = post(server, "/v1/sessions", FILTER_REQUEST)
         status, state = get(
@@ -226,6 +239,30 @@ class TestResume:
             cold.advance(max_steps=64)
         cold_validated = [c.program for c in cold.candidates if c.validated]
         assert validated[0] == cold_validated[0]
+
+
+class TestInputCounts:
+    JOIN = SynthesisRequest.from_tables([EMPLOYEES, HEADCOUNT], EMPLOYEES, timeout=20)
+
+    def test_create_with_mismatched_examples_is_400(self, server):
+        payload = dict(FILTER_REQUEST)
+        payload["examples"] = FILTER_REQUEST["examples"] + self.JOIN.to_json()["examples"]
+        status, body = post(server, "/v1/sessions", payload)
+        assert status == 400
+        assert "input tables" in body["error"]
+
+    def test_adding_a_mismatched_example_is_400_and_changes_nothing(self, server):
+        # It used to close the connection with no response and keep the
+        # example, so every later revalidation failed too.
+        _, created = post(server, "/v1/sessions", self.JOIN.to_json())
+        before = wait_for_status(server, created["id"])
+        assert before["status"] == "done"
+        status, body = post(server, f"/v1/sessions/{created['id']}/examples", DISTINGUISHER)
+        assert status == 400
+        assert "input tables" in body["error"]
+        _, after = get(server, f"/v1/sessions/{created['id']}")
+        assert after["examples"] == 1
+        assert after["candidates"] == before["candidates"]
 
 
 class TestSchedulerFaults:

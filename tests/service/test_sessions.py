@@ -1,8 +1,10 @@
 """Tests for the session store: scheduler, TTL, rate limiting, persistence."""
 
 import json
+import logging
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -330,41 +332,54 @@ class TestKnowledgeBase:
             reopened.close()
 
 
+def persisted(tmp_path, session_id):
+    """The persisted file of *session_id*, parsed."""
+    return json.loads((tmp_path / f"{session_id}.json").read_text())
+
+
+def drive_to_finish(session):
+    while not session.finished:
+        session.advance(max_steps=64)
+    return session
+
+
 class TestPersistence:
-    def test_finished_sessions_are_written_to_disk(self, tmp_path):
+    def test_create_writes_the_file(self, tmp_path):
+        # Written before the session takes a step: a store killed right
+        # after answering the create still has the file.
+        store = SessionStore(ttl=None, rate=1000, burst=1000, persist_dir=str(tmp_path))
+        store._stop.set()
+        store._wake.set()
+        store._scheduler.join(timeout=5)
+        try:
+            session = store.create(filter_request())
+            assert session.session.steps == 0
+            assert persisted(tmp_path, session.id)["id"] == session.id
+        finally:
+            store.close()
+        assert os.path.exists(tmp_path / f"{session.id}.json")
+
+    def test_the_file_is_the_request(self, tmp_path):
         store = SessionStore(ttl=None, rate=1000, burst=1000, persist_dir=str(tmp_path))
         try:
             session = store.create(filter_request())
             assert wait_until(lambda: session.session.finished)
-            path = tmp_path / f"{session.id}.json"
-            assert wait_until(path.exists)
-            payload = json.loads(path.read_text())
-            assert payload["id"] == session.id
-            assert payload["status"] == "done"
-            assert payload["state"]["candidates"]
-            assert payload["snapshot"] is None  # finished: no frontier left to resume
-            assert store.load_persisted(session.id) == payload
+            payload = persisted(tmp_path, session.id)
+            assert sorted(payload) == ["id", "request"]
+            assert SynthesisRequest.from_json(payload["request"]) == session.session.request
         finally:
             store.close()
 
-    def test_suspension_persists_the_frontier_snapshot(self, tmp_path):
+    def test_finishing_does_not_rewrite_the_file(self, tmp_path):
         store = SessionStore(ttl=None, rate=1000, burst=1000, persist_dir=str(tmp_path))
         try:
             session = store.create(filter_request())
+            path = tmp_path / f"{session.id}.json"
+            written = path.stat().st_mtime_ns, path.read_bytes()
             assert wait_until(lambda: session.session.finished)
-            store.add_example(
-                session.id,
-                Example.make(
-                    [Table(["name", "age", "gpa"], [["Zoe", 8, 3.5], ["Max", 20, 2.0]])],
-                    Table(["name", "age", "gpa"], [["Max", 20, 2.0]]),
-                ),
-            )
-            payload = store.load_persisted(session.id)
-            if payload["snapshot"] is not None:  # unless the resume already finished
-                assert payload["snapshot"]["version"] == 1
-                assert "pending" in payload["snapshot"]
         finally:
             store.close()
+        assert (path.stat().st_mtime_ns, path.read_bytes()) == written
 
     def test_the_persisted_request_holds_every_example(self, tmp_path):
         store = SessionStore(ttl=None, rate=1000, burst=1000, persist_dir=str(tmp_path))
@@ -372,7 +387,7 @@ class TestPersistence:
             session = store.create(filter_request())
             assert wait_until(lambda: session.session.finished)
             store.add_example(session.id, DISTINGUISHER)
-            request = SynthesisRequest.from_json(store.load_persisted(session.id)["request"])
+            request = SynthesisRequest.from_json(persisted(tmp_path, session.id)["request"])
             assert len(request.examples) == 2
             assert request.examples == session.session.examples
             assert request.config == session.session.request.config
@@ -386,7 +401,7 @@ class TestPersistence:
             assert wait_until(lambda: session.session.finished)
             store.add_example(session.id, DISTINGUISHER)
             assert wait_until(lambda: session.session.finished, timeout=40.0)
-            request = SynthesisRequest.from_json(store.load_persisted(session.id)["request"])
+            request = SynthesisRequest.from_json(persisted(tmp_path, session.id)["request"])
         finally:
             store.close()
         # The search is deterministic: the file's request alone re-creates
@@ -395,16 +410,70 @@ class TestPersistence:
         live = [c.program for c in session.session.candidates if c.validated]
         assert rebuilt.render() == live[0]
 
-    def test_load_persisted_unknown_id_raises(self, tmp_path):
-        store = SessionStore(ttl=None, persist_dir=str(tmp_path))
+    def test_a_restarted_store_replays_every_session_under_its_id(self, tmp_path):
+        store = SessionStore(ttl=None, rate=1000, burst=1000, persist_dir=str(tmp_path))
         try:
+            plain = store.create(filter_request())
+            extended = store.create(filter_request())
+            assert wait_until(lambda: extended.session.finished)
+            store.add_example(extended.id, DISTINGUISHER)
+            requests = {
+                session.id: replace(session.session.request, examples=session.session.examples)
+                for session in (plain, extended)
+            }
+        finally:
+            store.close()
+        restarted = SessionStore(ttl=None, rate=1000, burst=1000, persist_dir=str(tmp_path))
+        try:
+            assert sorted(s["id"] for s in restarted.list_sessions()) == sorted(requests)
+            assert restarted.metrics()["sessions_created_total"] == 2
+            for session_id, request in requests.items():
+                replayed = restarted.get(session_id)
+                assert wait_until(lambda: replayed.session.finished, timeout=40.0)
+                cold = drive_to_finish(create_session(request))
+                assert replayed.session.candidates == cold.candidates
+                assert replayed.session.examples == request.examples
+        finally:
+            restarted.close()
+
+    def test_unknown_id_after_a_restart_raises(self, tmp_path):
+        store = SessionStore(ttl=None, persist_dir=str(tmp_path / "never-written"))
+        try:
+            assert store.list_sessions() == []
             with pytest.raises(UnknownSession):
-                store.load_persisted("missing")
+                store.get("missing")
         finally:
             store.close()
 
-    def test_close_persists_live_sessions(self, tmp_path):
+    def test_replay_skips_unreadable_files_with_a_warning(self, tmp_path, caplog):
         store = SessionStore(ttl=None, rate=1000, burst=1000, persist_dir=str(tmp_path))
-        session = store.create(filter_request())
-        store.close()
-        assert os.path.exists(tmp_path / f"{session.id}.json")
+        try:
+            good = store.create(filter_request())
+        finally:
+            store.close()
+        (tmp_path / "0bad.json").write_text("{not json")
+        (tmp_path / "1bad.json").write_text(json.dumps({"id": "1bad", "request": {}}))
+        (tmp_path / "2bad.json").write_text(json.dumps({"id": "other", "request": {}}))
+        (tmp_path / f"{good.id}.json.tmp").write_text("{cut short")
+        with caplog.at_level(logging.WARNING, logger="repro.service.sessions"):
+            restarted = SessionStore(ttl=None, persist_dir=str(tmp_path))
+        try:
+            assert [s["id"] for s in restarted.list_sessions()] == [good.id]
+            skipped = " ".join(record.getMessage() for record in caplog.records)
+            for name in ("0bad.json", "1bad.json", "2bad.json", f"{good.id}.json.tmp"):
+                assert name in skipped
+        finally:
+            restarted.close()
+
+    def test_a_failed_write_is_logged_and_the_session_lives_on(self, tmp_path, caplog):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        with caplog.at_level(logging.WARNING, logger="repro.service.sessions"):
+            store = SessionStore(ttl=None, rate=1000, burst=1000, persist_dir=str(blocker))
+            try:
+                session = store.create(filter_request())
+                assert wait_until(lambda: session.session.finished)
+                assert session.session.candidates
+            finally:
+                store.close()
+        assert any(session.id in record.getMessage() for record in caplog.records)
