@@ -13,14 +13,7 @@ Regenerate the full table with::
 import pytest
 
 from repro.api import sum_counters
-from repro.baselines import (
-    FIGURE16_CONFIGS,
-    override_config,
-    spec2_config,
-    spec2_no_cdcl_config,
-    spec2_no_oe_config,
-    spec2_no_prescreen_config,
-)
+from repro.baselines import FIGURE16_CONFIGS, spec2_config, spec2_no_oe_config
 from repro.benchmarks import (
     deduction_summary_table,
     execution_summary_table,
@@ -28,8 +21,10 @@ from repro.benchmarks import (
     r_benchmark_suite,
     run_benchmark,
     run_figure16,
+    run_pruning_statistics,
     run_suite,
 )
+from repro.core import deduction
 from conftest import BENCH_FULL, BENCH_TIMEOUT, REPRESENTATIVE_BENCHMARKS
 
 SUITE = r_benchmark_suite()
@@ -81,21 +76,30 @@ def _totals(run):
     return sum_counters(o.counters for o in run.outcomes)
 
 
-def test_prescreen_ablation_smoke(capsys):
-    """Prescreen vs --no-prescreen on the Figure 16 subset: same programs, less work.
+def _without_prescreen(patch):
+    """Send every deduction query past the tier-1 prescreen."""
+    patch.setattr(deduction, "prescreen_infeasible", lambda *args: False)
 
-    The acceptance bar for the tier-1 interval prescreen (ISSUE 4): with the
-    prescreen enabled the run must decide >= 50% of its deduction queries
-    without the solver, issue *fewer* SMT ``check()`` calls than the
-    ablation, and synthesize byte-identical programs with identical
-    solve/fail outcomes.
+
+def _without_lemma_mining(patch):
+    """Learn no lemmas: plain Algorithm 2."""
+    patch.setattr(deduction.DeductionEngine, "_mine_lemma", lambda *args: None)
+
+
+def test_prescreen_ablation_smoke(capsys, monkeypatch):
+    """Prescreen vs no prescreen on the Figure 16 subset: same programs, less work.
+
+    The acceptance bar for the tier-1 interval prescreen: with the prescreen
+    running the run must decide >= 50% of its deduction queries without the
+    solver, issue *fewer* SMT ``check()`` calls than a run with the
+    prescreen patched out, and synthesize byte-identical programs with
+    identical solve/fail outcomes.
     """
     subset = SUITE.subset(names=NAMES)
     tiered = run_suite(subset, spec2_config, timeout=BENCH_TIMEOUT, label="spec2")
-    plain = run_suite(
-        subset, spec2_no_prescreen_config, timeout=BENCH_TIMEOUT,
-        label="spec2-no-prescreen",
-    )
+    with monkeypatch.context() as patch:
+        _without_prescreen(patch)
+        plain = run_suite(subset, spec2_config, timeout=BENCH_TIMEOUT, label="spec2")
     tiered_totals, plain_totals = _totals(tiered), _totals(plain)
     decided = tiered_totals["prescreen_decided"]
     fallback = tiered_totals["prescreen_fallback"]
@@ -140,26 +144,22 @@ def test_oe_ablation_smoke(capsys):
     assert all(o.counters["oe_candidates"] == 0 for o in plain.outcomes)
 
 
-def test_cdcl_ablation_smoke(capsys):
-    """CDCL vs --no-cdcl on the Figure 16 subset: same outcomes, less work.
+def test_cdcl_ablation_smoke(capsys, monkeypatch):
+    """CDCL vs no lemma mining on the Figure 16 subset: same outcomes, less work.
 
-    The acceptance bar for conflict-driven lemma learning: with CDCL enabled
+    The acceptance bar for conflict-driven lemma learning: with mining on
     the run must report lemma prunes, issue *fewer* SMT ``check()`` calls
-    than the ablation, and synthesize byte-identical programs with identical
-    solve/fail outcomes.  Both sides run without the tier-1 prescreen, which
-    otherwise absorbs the easy conflicts before any lemma can be mined.
+    than a run with ``_mine_lemma`` patched out, and synthesize
+    byte-identical programs with identical solve/fail outcomes.  Both sides
+    run with the tier-1 prescreen patched out, since it otherwise absorbs
+    the easy conflicts before any lemma can be mined.
     """
     subset = SUITE.subset(names=NAMES)
-    cdcl = run_suite(
-        subset, spec2_no_prescreen_config, timeout=BENCH_TIMEOUT,
-        label="spec2-no-prescreen",
-    )
-    plain = run_suite(
-        subset,
-        override_config(spec2_no_cdcl_config, prescreen=False),
-        timeout=BENCH_TIMEOUT,
-        label="spec2-no-cdcl-no-prescreen",
-    )
+    _without_prescreen(monkeypatch)
+    cdcl = run_suite(subset, spec2_config, timeout=BENCH_TIMEOUT, label="spec2")
+    with monkeypatch.context() as patch:
+        _without_lemma_mining(patch)
+        plain = run_suite(subset, spec2_config, timeout=BENCH_TIMEOUT, label="spec2")
     cdcl_totals, plain_totals = _totals(cdcl), _totals(plain)
     with capsys.disabled():
         print(
@@ -171,3 +171,22 @@ def test_cdcl_ablation_smoke(capsys):
     assert _outcomes(cdcl) == _outcomes(plain)
     assert cdcl_totals["lemma_prunes"] > 0
     assert cdcl_totals["smt_calls"] < plain_totals["smt_calls"]
+
+
+def test_lemma_counters_are_live_in_the_pruning_report(monkeypatch):
+    """The pruning report's lemma counters fire on a Figure 16 subset.
+
+    With the tier-1 prescreen running, the interval sweep absorbs the easy
+    conflicts before any lemma can be mined, so it is patched out and the
+    liveness check runs against the SMT-only pipeline.
+    """
+    _without_prescreen(monkeypatch)
+    stats = run_pruning_statistics(
+        timeout=BENCH_TIMEOUT,
+        suite=SUITE.subset(names=[
+            "c4_spread_then_difference", "c5_join_filter_large_orders", "c8_split_then_count",
+        ]),
+    )
+    assert stats["lemma_prunes"] > 0, stats
+    assert stats["lemmas_learned"] > 0, stats
+    assert stats["prescreen_decided"] == 0, stats

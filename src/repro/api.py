@@ -220,7 +220,8 @@ def config_from_json(payload: dict) -> SynthesisConfig:
 
     Unknown knobs, values of the wrong type (``"7"`` for a count, ``"no"``
     for a switch), non-finite numbers (``json`` parses ``NaN``) and negative
-    numbers are all rejected here, before a session is created.
+    numbers are all rejected here, before a session is created, and so is a
+    ``top_k`` below 1 (a session collects at least one program).
     """
     if not isinstance(payload, dict):
         raise RequestError("config payload must be an object")
@@ -236,6 +237,8 @@ def config_from_json(payload: dict) -> SynthesisConfig:
             raise RequestError(f"unknown spec_level: {error}") from error
     for name, value in knobs.items():
         _check_knob(name, value)
+    if knobs.get("top_k", 1) < 1:
+        raise RequestError(f"config knob 'top_k' must be at least 1, got {knobs['top_k']!r}")
     return SynthesisConfig(**knobs)
 
 
@@ -449,7 +452,7 @@ class SynthesisSession:
         self.context = TaskContext(kb=kb)
         self.status = STATUS_CREATED
         self._examples: List[Example] = list(request.examples)
-        self._target = max(1, request.config.top_k)
+        self._target = request.config.top_k
         self._candidates: List[CandidateProgram] = []
         self._programs: List[Hypothesis] = []
         self._drained = 0

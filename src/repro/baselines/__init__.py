@@ -17,14 +17,10 @@ from .configurations import (
     spec1_no_partial_eval_config,
     override_config,
     spec2_config,
-    spec2_no_cdcl_config,
     spec2_no_oe_config,
     spec2_no_partial_eval_config,
-    spec2_no_prescreen_config,
     with_top_k,
-    without_cdcl,
     without_oe,
-    without_prescreen,
 )
 from .lambda2 import Lambda2Synthesizer
 from .sql_synthesizer import SqlQuery, SqlSynthesizer
@@ -41,12 +37,8 @@ __all__ = [
     "spec1_config",
     "spec1_no_partial_eval_config",
     "spec2_config",
-    "spec2_no_cdcl_config",
     "spec2_no_oe_config",
     "spec2_no_partial_eval_config",
-    "spec2_no_prescreen_config",
     "with_top_k",
-    "without_cdcl",
     "without_oe",
-    "without_prescreen",
 ]

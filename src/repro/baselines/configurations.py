@@ -57,16 +57,6 @@ def full_morpheus_config(timeout: Optional[float] = 60.0) -> SynthesisConfig:
     return spec2_config(timeout)
 
 
-def spec2_no_cdcl_config(timeout: Optional[float] = 60.0) -> SynthesisConfig:
-    """Spec 2 deduction without conflict-driven lemma learning (``--no-cdcl``)."""
-    return SynthesisConfig(spec_level=SpecLevel.SPEC2, cdcl=False, **_base(timeout))
-
-
-def spec2_no_prescreen_config(timeout: Optional[float] = 60.0) -> SynthesisConfig:
-    """Spec 2 deduction without the tier-1 interval prescreen (``--no-prescreen``)."""
-    return SynthesisConfig(spec_level=SpecLevel.SPEC2, prescreen=False, **_base(timeout))
-
-
 def spec2_no_oe_config(timeout: Optional[float] = 60.0) -> SynthesisConfig:
     """Spec 2 deduction without observational-equivalence merging (``--no-oe``)."""
     return SynthesisConfig(spec_level=SpecLevel.SPEC2, oe=False, **_base(timeout))
@@ -89,16 +79,6 @@ def _with_overrides(configurations: Dict, **overrides) -> Dict:
         label: override_config(factory, **overrides)
         for label, factory in configurations.items()
     }
-
-
-def without_cdcl(configurations: Dict) -> Dict:
-    """Disable conflict-driven lemma learning in every configuration."""
-    return _with_overrides(configurations, cdcl=False)
-
-
-def without_prescreen(configurations: Dict) -> Dict:
-    """Disable the tier-1 interval prescreen in every configuration."""
-    return _with_overrides(configurations, prescreen=False)
 
 
 def without_oe(configurations: Dict) -> Dict:

@@ -4,8 +4,6 @@ Examples::
 
     python -m repro.benchmarks.cli figure16 --timeout 20
     python -m repro.benchmarks.cli figure16 --timeout 20 --jobs 4
-    python -m repro.benchmarks.cli figure16 --timeout 20 --no-cdcl --stats
-    python -m repro.benchmarks.cli figure16 --timeout 20 --no-prescreen --stats
     python -m repro.benchmarks.cli figure16 --timeout 20 --no-oe --stats
     python -m repro.benchmarks.cli figure16 --timeout 20 --json figure16.json
     python -m repro.benchmarks.cli figure16 --tasks 'c[12]_' --timeout 10
@@ -23,10 +21,9 @@ name matches the regex (combinable with ``--categories``/``--names``), and
 ``--list-tasks`` prints the selected benchmark names without running
 anything -- the single-task iteration loop.
 
-``--no-cdcl`` disables conflict-driven lemma learning, ``--no-prescreen``
-the tier-1 interval prescreen, and ``--no-oe`` the observational-equivalence
-store in every Morpheus configuration (ablation baselines; verdicts and
-synthesized programs are unchanged, only the amount of work moves).
+``--no-oe`` disables the observational-equivalence store in every Morpheus
+configuration (an ablation baseline; the first synthesized program is
+unchanged, only the amount of duplicated completion work moves).
 ``--top-k K`` keeps each task's search running until ``K`` distinct
 programs are found (the reported tables still describe the first).
 
@@ -67,9 +64,7 @@ from ..baselines.configurations import (
     FIGURE16_CONFIGS,
     override_config,
     with_top_k,
-    without_cdcl,
     without_oe,
-    without_prescreen,
 )
 from .r_suite import r_benchmark_suite
 from .reporting import (
@@ -95,6 +90,13 @@ def _progress(outcome) -> None:
 
 def _subset(args, parser):
     suite = r_benchmark_suite()
+    for option, requested, known in (
+        ("--names", args.names, suite.names()),
+        ("--categories", args.categories, [benchmark.category for benchmark in suite]),
+    ):
+        unknown = [value for value in requested or () if value not in known]
+        if unknown:
+            parser.error(f"{option}: unknown value(s): {' '.join(unknown)}")
     if args.categories or args.names:
         suite = suite.subset(names=args.names or None, categories=args.categories or None)
     if args.tasks:
@@ -122,19 +124,6 @@ def main(argv=None) -> int:
              "(1 = serial; solve/fail outcomes match the serial run unless "
              "per-task solve times approach --timeout while workers "
              "oversubscribe the CPUs)",
-    )
-    parser.add_argument(
-        "--no-cdcl", action="store_true",
-        help="disable conflict-driven lemma learning in every Morpheus "
-             "configuration (ablation; labels are left unchanged so the "
-             "tables line up against a default run)",
-    )
-    parser.add_argument(
-        "--no-prescreen", action="store_true",
-        help="disable the tier-1 interval prescreen in every Morpheus "
-             "configuration, sending every deduction query straight to the "
-             "SMT stack (ablation; labels are left unchanged so the tables "
-             "line up against a default run)",
     )
     parser.add_argument(
         "--no-oe", action="store_true",
@@ -239,14 +228,10 @@ def main(argv=None) -> int:
         parser.error("--json is only available for figure16 and figure17")
     if args.kb and args.figure not in ("figure16", "figure17"):
         parser.error("--kb is only available for figure16, figure17 and serve")
-    if args.figure == "legend" and (args.no_cdcl or args.no_prescreen or args.no_oe):
+    if args.figure == "legend" and args.no_oe:
         parser.error("ablation flags do not apply to the legend")
 
     def configured(configurations):
-        if args.no_cdcl:
-            configurations = without_cdcl(configurations)
-        if args.no_prescreen:
-            configurations = without_prescreen(configurations)
         if args.no_oe:
             configurations = without_oe(configurations)
         if args.top_k != 1:
@@ -263,8 +248,6 @@ def main(argv=None) -> int:
                 "figure": args.figure,
                 "timeout_s": args.timeout,
                 "jobs": args.jobs,
-                "cdcl": not args.no_cdcl,
-                "prescreen": not args.no_prescreen,
                 "oe": not args.no_oe,
                 "top_k": args.top_k,
                 "runs": suite_runs_json(runs),
@@ -295,15 +278,10 @@ def main(argv=None) -> int:
         return emit(runs)
     if args.figure == "figure18":
         morpheus_config = None
-        if args.no_cdcl or args.no_prescreen or args.no_oe:
+        if args.no_oe:
             from .runner import _morpheus_config
 
-            morpheus_config = override_config(
-                _morpheus_config,
-                cdcl=not args.no_cdcl,
-                prescreen=not args.no_prescreen,
-                oe=not args.no_oe,
-            )
+            morpheus_config = override_config(_morpheus_config, oe=False)
         rows = run_figure18(
             timeout=args.timeout, r_suite=_subset(args, parser), jobs=args.jobs,
             morpheus_config=morpheus_config,
@@ -313,7 +291,6 @@ def main(argv=None) -> int:
     if args.figure == "pruning":
         statistics = run_pruning_statistics(
             timeout=args.timeout, suite=_subset(args, parser), jobs=args.jobs,
-            cdcl=not args.no_cdcl, prescreen=not args.no_prescreen,
             oe=not args.no_oe,
         )
         print(statistics)

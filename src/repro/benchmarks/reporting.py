@@ -126,11 +126,9 @@ def deduction_summary_table(runs: Dict[str, SuiteRun]) -> str:
 
     Complements the Figure 16/17 tables: the prescreen columns show how many
     deduction queries the tier-1 interval sweep decided before any formula
-    was built (``hit-rate`` = decided / prescreened), and with CDCL enabled
-    the lemma columns show how much solver work the conflict-driven lemma
-    store absorbed.  Comparing the ``SMT calls`` column against a
-    ``--no-prescreen`` / ``--no-cdcl`` run quantifies each saving.  ``Mining
-    solves`` is the price paid for lemmas -- incremental deletion probes,
+    was built (``hit-rate`` = decided / prescreened), and the lemma columns
+    show how much solver work the conflict-driven lemma store absorbed.
+    ``Mining solves`` is the price paid for lemmas -- incremental deletion probes,
     much cheaper apiece than a full check but reported so the comparison
     never hides the investment.  Only deterministic counters appear (no
     wall-clock values), so the table is byte-identical between serial and

@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import CLOCK_COUNTERS, SynthesisRequest, create_session, sum_counters
-from ..baselines.configurations import ALL_FIGURE17_CONFIGS, FIGURE16_CONFIGS
+from ..baselines.configurations import (
+    ALL_FIGURE17_CONFIGS,
+    FIGURE16_CONFIGS,
+    override_config,
+)
 from ..baselines.lambda2 import Lambda2Synthesizer
 from ..baselines.sql_synthesizer import SqlSynthesizer
 from ..core.library import sql_library
@@ -286,7 +290,7 @@ def run_figure18(
     """Compare Morpheus with the SQLSynthesizer (and lambda2) baselines.
 
     ``morpheus_config`` overrides the configuration factory used for the
-    Morpheus rows (the CLI passes the no-CDCL factory for ``--no-cdcl``);
+    Morpheus rows (the CLI passes the no-OE factory for ``--no-oe``);
     the baselines have no deduction engine and are unaffected.
     """
     r_suite = r_suite if r_suite is not None else r_benchmark_suite()
@@ -351,22 +355,13 @@ def run_pruning_statistics(
     timeout: float = 20.0,
     suite: Optional[BenchmarkSuite] = None,
     jobs: int = 1,
-    cdcl: bool = True,
-    prescreen: bool = True,
     oe: bool = True,
 ) -> Dict[str, float]:
     """Measure how many partial programs deduction prunes before completion."""
     suite = suite if suite is not None else r_benchmark_suite()
     factory, label = _morpheus_config, "spec2"
-    if not cdcl or not prescreen or not oe:
-        from ..baselines.configurations import override_config
-
-        factory = override_config(factory, cdcl=cdcl, prescreen=prescreen, oe=oe)
-        label += (
-            ("" if cdcl else "-no-cdcl")
-            + ("" if prescreen else "-no-prescreen")
-            + ("" if oe else "-no-oe")
-        )
+    if not oe:
+        factory, label = override_config(factory, oe=False), "spec2-no-oe"
     run = run_suite(suite, factory, timeout=timeout, label=label, jobs=jobs)
     rates = [outcome.prune_rate for outcome in run.outcomes if outcome.prune_rate > 0]
     totals = sum_counters(outcome.counters for outcome in run.outcomes)

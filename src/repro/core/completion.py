@@ -63,6 +63,10 @@ class CompletionTimeout(Exception):
 #: executions are wasted when the search stops mid-group.
 SIBLING_BATCH = 8
 
+#: Candidate hole fillings tried per sketch before it is abandoned: bounds
+#: the damage of a single sketch with a huge first-order argument space.
+COMPLETION_BUDGET = 6000
+
 
 class CompletionBudgetExceeded(Exception):
     """Raised when one sketch has used up its completion budget.
@@ -80,10 +84,6 @@ class CompletionStats:
 
     partial_programs: int = 0
     pruned_partial: int = 0
-    #: Of :attr:`pruned_partial`, how many the tier-1 interval prescreen
-    #: decided (the completer's per-hole fills are the bulk deduction
-    #: traffic, so this is where most of the prescreen's saving lands).
-    pruned_by_prescreen: int = 0
     #: Node-boundary states offered to the observational-equivalence store.
     oe_candidates: int = 0
     #: Of those, states merged into an earlier representative (the duplicate
@@ -143,7 +143,9 @@ class SketchCompleter:
 
     engine: DeductionEngine
     deadline: Optional[float] = None
-    budget: Optional[int] = None
+    #: Candidate hole fillings one sketch may try (see
+    #: :class:`CompletionBudgetExceeded`).
+    budget: int = COMPLETION_BUDGET
     stats: CompletionStats = field(default_factory=CompletionStats)
     #: Optional observational-equivalence store shared across every sketch
     #: of one synthesis run (``None`` disables merging -- the ``--no-oe``
@@ -161,8 +163,6 @@ class SketchCompleter:
             raise CompletionTimeout()
 
     def _charge_budget(self) -> None:
-        if self.budget is None:
-            return
         self._spent += 1
         if self._spent > self.budget:
             raise CompletionBudgetExceeded()
@@ -244,18 +244,14 @@ class SketchCompleter:
         ``learn=False``: per-hole fills come in bulk and mostly differ only
         in evaluated-table abstractions; they consult the lemma store (and
         the tier-1 prescreen) but are not worth a mining replay each.  The
-        prescreen counter delta attributes each prune to the tier that
-        decided it.  The frame's map is computed only when the engine reads
-        it, so without partial evaluation nothing runs here.
+        frame's map is computed only when the engine reads it, so without
+        partial evaluation nothing runs here.
         """
         engine = self.engine
         evaluated = self._evaluation(frame) if engine.use_partial_evaluation else None
-        decided_before = engine.stats.prescreen_decided
         if engine.deduce(frame.sketch, learn=False, evaluated=evaluated):
             return True
         self.stats.pruned_partial += 1
-        if engine.stats.prescreen_decided > decided_before:
-            self.stats.pruned_by_prescreen += 1
         return False
 
     def _context_table(self, frame: _Frame, node: Apply) -> Optional[Table]:

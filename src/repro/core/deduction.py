@@ -96,8 +96,6 @@ class DeductionStats:
     lemmas_learned: int = 0
     #: Unsat cores extracted from the incremental session.
     cores_extracted: int = 0
-    #: Sum of (minimized) core sizes, for the mean-core-size report.
-    core_size_total: int = 0
     #: Incremental-session solves spent mining and minimizing cores.
     lemma_mining_solves: int = 0
     #: Verdict-memo accounting: a hit means an entire SMT query was skipped.
@@ -122,23 +120,10 @@ class DeductionStats:
         return self.verdict_cache.hit_rate
 
     @property
-    def prescreen_queries(self) -> int:
-        """Queries that reached the tier-1 prescreen (decided + fallback)."""
-        return self.prescreen_decided + self.prescreen_fallback
-
-    @property
     def prescreen_hit_rate(self) -> float:
         """Fraction of prescreened queries decided without the solver."""
-        if self.prescreen_queries == 0:
-            return 0.0
-        return self.prescreen_decided / self.prescreen_queries
-
-    @property
-    def mean_core_size(self) -> float:
-        """Average size of the mined unsat cores (0.0 when none were mined)."""
-        if self.cores_extracted == 0:
-            return 0.0
-        return self.core_size_total / self.cores_extracted
+        queries = self.prescreen_decided + self.prescreen_fallback
+        return self.prescreen_decided / queries if queries else 0.0
 
 
 @dataclass
@@ -150,20 +135,6 @@ class DeductionEngine:
     level: SpecLevel = SpecLevel.SPEC2
     use_partial_evaluation: bool = True
     enabled: bool = True
-    #: Conflict-driven lemma learning: mine unsat cores into blocking lemmas
-    #: and consult the lemma store before building SMT queries.
-    cdcl: bool = True
-    #: Tier-1 interval prescreen: sweep each query with compiled attribute
-    #: propagation (:mod:`repro.core.propagation`) and answer UNSAT without
-    #: building a formula when some attribute box empties.  Conservative by
-    #: construction -- disabling it (the ``--no-prescreen`` ablation) changes
-    #: how much solver work runs, never a verdict.
-    prescreen: bool = True
-    #: The lemma store (created fresh per engine when not provided; lemmas
-    #: rest on the example formula and must never outlive the example).
-    lemma_store: Optional[LemmaStore] = None
-    #: Bound on incremental-session solves spent mining cores this run.
-    mining_budget: int = LEMMA_MINING_BUDGET
     #: Warm-start tier (:class:`repro.engine.kb.KBView`): a disk-backed,
     #: library-version-keyed store of executions and attribute vectors
     #: shared across runs.  ``None`` keeps every tier local.
@@ -212,8 +183,9 @@ class DeductionEngine:
         self._verdict_cache: "LRUCache[tuple, bool]" = LRUCache(
             maxsize=VERDICT_CACHE_SIZE, stats=self.stats.verdict_cache
         )
-        if self.cdcl and self.lemma_store is None:
-            self.lemma_store = LemmaStore()
+        #: Blocking lemmas mined from unsat cores (fresh per engine: lemmas
+        #: rest on the example formula and must never outlive the example).
+        self.lemma_store = LemmaStore()
         #: Ground attribute vectors of the example tables, precomputed for
         #: the tier-1 prescreen (the output's ``group`` stays symbolic there,
         #: exactly as in the example formula).
@@ -376,8 +348,8 @@ class DeductionEngine:
         which may reject (never accept) before the next one runs:
 
         1. partial evaluation (a complete subterm that fails to execute);
-        2. the conflict-driven lemma store (with CDCL enabled, consulted
-           first so path-keyed lemmas keep absorbing whole families);
+        2. the conflict-driven lemma store (consulted first so path-keyed
+           lemmas keep absorbing whole families);
         3. the verdict memo;
         4. the tier-1 interval prescreen -- compiled attribute propagation
            that decides ground-heavy queries without constructing a
@@ -417,12 +389,10 @@ class DeductionEngine:
         # Lemma pruning: mined conflicts are keyed by root-relative structure,
         # so they only apply to hypotheses rooted at node 0 (all of the
         # synthesizer's are; the guard keeps ad-hoc engine uses sound).
-        use_cdcl = (
-            self.cdcl and self.lemma_store is not None and hypothesis.node_id == 0
-        )
+        rooted = hypothesis.node_id == 0
         # The descriptor walk is only worth paying once there is a lemma that
         # could match (the store starts empty on every run).
-        if use_cdcl and len(self.lemma_store):
+        if rooted and len(self.lemma_store):
             descriptors, _ = self._lemma_parts(hypothesis, evaluated)
             if self.lemma_store.blocks(descriptors):
                 self.stats.lemma_prunes += 1
@@ -436,16 +406,15 @@ class DeductionEngine:
                 self.stats.hypotheses_rejected += 1
             return cached
 
-        if self.prescreen:
-            if prescreen_infeasible(
-                hypothesis, evaluated, self.table_attributes,
-                self._input_attributes, self._output_attributes, self.level,
-            ):
-                self.stats.prescreen_decided += 1
-                self.stats.hypotheses_rejected += 1
-                self._verdict_cache.put(cache_key, False)
-                return False
-            self.stats.prescreen_fallback += 1
+        if prescreen_infeasible(
+            hypothesis, evaluated, self.table_attributes,
+            self._input_attributes, self._output_attributes, self.level,
+        ):
+            self.stats.prescreen_decided += 1
+            self.stats.hypotheses_rejected += 1
+            self._verdict_cache.put(cache_key, False)
+            return False
+        self.stats.prescreen_fallback += 1
 
         # Residual solving (tier 2): one SMT check.  ``Solver.check`` probes
         # the process-wide formula cache first and stores what it decides.
@@ -461,7 +430,7 @@ class DeductionEngine:
         self._verdict_cache.put(cache_key, feasible)
         if not feasible:
             self.stats.hypotheses_rejected += 1
-            if use_cdcl and learn:
+            if rooted and learn:
                 self._mine_lemma(hypothesis, evaluated)
         return feasible
 
@@ -561,7 +530,7 @@ class DeductionEngine:
         store = self.lemma_store
         if store.maxsize is not None and len(store) >= store.maxsize:
             return
-        if self.stats.lemma_mining_solves >= self.mining_budget:
+        if self.stats.lemma_mining_solves >= LEMMA_MINING_BUDGET:
             return
         _, named = self._lemma_parts(hypothesis, evaluated, with_formulas=True)
         named[_NONNEG] = self._nonnegativity(self._query_node_ids(hypothesis))
@@ -585,7 +554,6 @@ class DeductionEngine:
             # timing; nothing is learned from it.
             if lemma and session.reason_unknown() != "timeout":
                 self.stats.cores_extracted += 1
-                self.stats.core_size_total += len(lemma)
                 if store.add(lemma):
                     self.stats.lemmas_learned += 1
         self.stats.lemma_mining_solves += (

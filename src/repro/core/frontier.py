@@ -262,8 +262,6 @@ class SearchKernel:
             level=config.spec_level,
             use_partial_evaluation=config.partial_evaluation,
             enabled=config.deduction,
-            cdcl=config.cdcl and config.deduction,
-            prescreen=config.prescreen and config.deduction,
             kb_view=kb_view,
             stats=stats.deduction,
         )
@@ -271,13 +269,12 @@ class SearchKernel:
         self.completer = SketchCompleter(
             self.engine,
             deadline=None,
-            budget=config.completion_budget,
             stats=stats.completion,
             oe_store=self.oe_store,
         )
         #: The hypothesis ranking: a pure function of ``config``.
         model_class = CostModel if config.ngram_ranking else UniformCostModel
-        self.cost_model = model_class(size_weight=config.size_weight)
+        self.cost_model = model_class()
         self.frontier = Frontier(self.cost_model)
         #: ``(size, component sequence) -> priority``: refinements of
         #: different parents often share both, and the cost model is pure.

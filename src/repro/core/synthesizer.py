@@ -41,23 +41,14 @@ class Example:
 class SynthesisConfig:
     """Knobs of the synthesis algorithm (defaults reproduce full Morpheus)."""
 
-    #: Use SMT-based deduction to reject hypotheses / partial programs.
+    #: Use deduction to reject hypotheses / partial programs: the lemma
+    #: store, the tier-1 interval prescreen and the SMT check, in that
+    #: order (see :meth:`~repro.core.deduction.DeductionEngine.deduce`).
     deduction: bool = True
     #: Which component specification to use for deduction.
     spec_level: SpecLevel = SpecLevel.SPEC2
     #: Use partial evaluation inside deduction.
     partial_evaluation: bool = True
-    #: Conflict-driven lemma learning: mine deduction unsat cores into
-    #: blocking lemmas that reject families of sibling hypotheses without
-    #: touching the solver.  Disable (the ``--no-cdcl`` ablation) to measure
-    #: plain Algorithm 2.
-    cdcl: bool = True
-    #: Tier-1 interval prescreen: decide ground-heavy deduction queries with
-    #: compiled attribute propagation before any formula is built.  Disable
-    #: (the ``--no-prescreen`` ablation) to send every query straight to the
-    #: SMT stack; verdicts (and synthesized programs) are identical either
-    #: way, only the work split changes.
-    prescreen: bool = True
     #: Observational-equivalence merging: collapse partial programs whose
     #: completed subtrees evaluate to fingerprint-identical tables onto the
     #: first-explored representative.  Disable (the ``--no-oe`` ablation) to
@@ -79,13 +70,6 @@ class SynthesisConfig:
     #: scheduler -- tests and CI use it where wall-clock budgets would flip
     #: solve/timeout on slow or single-core machines.
     max_steps: Optional[int] = None
-    #: Weight of program size in the hypothesis score (see CostModel).  Large
-    #: values approximate a strictly smallest-first search.
-    size_weight: float = 1.0
-    #: Maximum number of candidate hole fillings tried per sketch (None =
-    #: unlimited).  Bounds the damage of a single sketch with a huge
-    #: first-order argument space.
-    completion_budget: Optional[int] = 6000
     #: How many distinct solutions a search collects before stopping
     #: (the frontier no longer unwinds after the first, so enumeration simply
     #: continues).  Solutions are distinct *programs* -- alternative
@@ -103,10 +87,6 @@ class SynthesisConfig:
             name = "spec1" if self.spec_level is SpecLevel.SPEC1 else "spec2"
             if not self.partial_evaluation:
                 name += "-no-pe"
-            if not self.cdcl:
-                name += "-no-cdcl"
-            if not self.prescreen:
-                name += "-no-prescreen"
             if not self.oe:
                 name += "-no-oe"
         return name

@@ -51,3 +51,45 @@ class TestRemovedFlags:
             with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as excinfo:
                 cli.main(argv)
             assert excinfo.value.code == 2, argv
+
+    def test_deduction_ablation_flags_are_rejected(self):
+        # --no-cdcl / --no-prescreen switched off lemma learning and the
+        # interval prescreen; both now always run.
+        help_text = render_help()
+        for flag in ("--no-cdcl", "--no-prescreen"):
+            assert flag not in help_text
+            with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as excinfo:
+                cli.main(["figure16", flag])
+            assert excinfo.value.code == 2, flag
+
+
+class TestSubsetSelection:
+    def run_list_tasks(self, *argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(["figure16", "--list-tasks", *argv])
+            except SystemExit as exit_:
+                code = exit_.code
+        return code, stdout.getvalue(), stderr.getvalue()
+
+    def test_known_names_and_categories_are_listed(self):
+        code, stdout, _ = self.run_list_tasks(
+            "--categories", "C1", "--names", "c1_prices_long_to_wide"
+        )
+        assert code == 0
+        assert stdout.split("\t")[0] == "c1_prices_long_to_wide"
+
+    @pytest.mark.parametrize(
+        "argv, unknown",
+        [
+            (("--names", "c1_prices_long_to_wide", "no_such_task"), "no_such_task"),
+            (("--categories", "C99"), "C99"),
+            (("--categories", "C1", "C98", "--names", "c1_prices_long_to_wide"), "C98"),
+        ],
+    )
+    def test_unknown_values_are_usage_errors(self, argv, unknown):
+        code, stdout, stderr = self.run_list_tasks(*argv)
+        assert code == 2
+        assert stdout == ""
+        assert unknown in stderr

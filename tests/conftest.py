@@ -16,3 +16,24 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture
+def no_prescreen(monkeypatch):
+    """Send every deduction query past the tier-1 prescreen.
+
+    The prescreen only decides queries the SMT tier would reject anyway, so
+    patching it out changes how much solver work runs, never a verdict;
+    tests of the SMT tier and the lemma store use this to reach them.
+    """
+    from repro.core import deduction
+
+    monkeypatch.setattr(deduction, "prescreen_infeasible", lambda *args: False)
+
+
+@pytest.fixture
+def no_lemma_mining(monkeypatch):
+    """Learn no lemmas: every engine runs plain Algorithm 2."""
+    from repro.core.deduction import DeductionEngine
+
+    monkeypatch.setattr(DeductionEngine, "_mine_lemma", lambda *args: None)

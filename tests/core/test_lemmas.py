@@ -74,12 +74,13 @@ class TestLemmaStore:
         assert store.stats.learned == 1
 
 
+@pytest.mark.usefixtures("no_prescreen")
 class TestEngineIntegration:
     # These tests pin the tier-2 (CDCL) machinery in isolation: the tier-1
     # interval prescreen would decide the simple UNSAT chains below before
-    # any lemma could be mined, so it is disabled here.
+    # any lemma could be mined, so it is patched out here.
     def test_rejection_mines_a_lemma_and_blocks_the_replay(self):
-        engine = DeductionEngine(inputs=[T1], output=T1, prescreen=False)
+        engine = DeductionEngine(inputs=[T1], output=T1)
         hypothesis = build_chain("select")  # select must drop a column: UNSAT
         assert engine.deduce(hypothesis) is False
         assert engine.stats.lemmas_learned >= 1
@@ -88,7 +89,7 @@ class TestEngineIntegration:
         assert engine.stats.lemma_prunes == 1
 
     def test_learn_false_skips_mining_but_still_consults_the_store(self):
-        engine = DeductionEngine(inputs=[T1], output=T1, prescreen=False)
+        engine = DeductionEngine(inputs=[T1], output=T1)
         assert engine.deduce(build_chain("select"), learn=False) is False
         assert engine.stats.lemmas_learned == 0
         # Mine via a learning call (the verdict cache is cleared first: a
@@ -101,20 +102,12 @@ class TestEngineIntegration:
         assert engine.deduce(build_chain("select"), learn=False) is False
         assert engine.stats.lemma_prunes >= 1
 
-    def test_cdcl_disabled_engine_never_touches_lemma_state(self):
-        engine = DeductionEngine(inputs=[T1], output=T1, cdcl=False, prescreen=False)
-        assert engine.deduce(build_chain("select")) is False
-        assert engine.lemma_store is None
-        assert engine.stats.lemmas_learned == 0
-        assert engine.stats.lemma_prunes == 0
-        assert engine.stats.lemma_mining_solves == 0
-
     def test_lemma_generalizes_across_sibling_hypotheses(self):
         # mutate at the root must introduce values the (unchanged) output
         # table does not have, whatever its subtree computes: the mined core
         # is the root spec alone, so every deeper hypothesis keeping mutate
         # at the root is rejected without a new SMT call.
-        engine = DeductionEngine(inputs=[T1], output=T1, prescreen=False)
+        engine = DeductionEngine(inputs=[T1], output=T1)
         assert engine.deduce(build_chain("mutate")) is False
         assert frozenset({("spec", (), "mutate")}) in engine.lemma_store.lemmas()
         calls = engine.stats.smt_calls
@@ -123,12 +116,14 @@ class TestEngineIntegration:
         assert engine.stats.smt_calls == calls
         assert engine.stats.lemma_prunes == 2
 
-    def test_lemma_prunes_agree_with_monolithic_verdicts(self):
+    def test_lemma_prunes_agree_with_monolithic_verdicts(self, monkeypatch):
         # Soundness differential: every verdict of the CDCL engine (lemma
-        # prunes included) must coincide with the plain Algorithm 2 verdict.
+        # prunes included) must coincide with the plain Algorithm 2 verdict
+        # of an engine that mines nothing (so its lemma store stays empty).
         names = ["select", "filter", "mutate", "gather", "spread", "group_by"]
-        cdcl = DeductionEngine(inputs=[T1], output=T3, prescreen=False)
-        plain = DeductionEngine(inputs=[T1], output=T3, cdcl=False, prescreen=False)
+        cdcl = DeductionEngine(inputs=[T1], output=T3)
+        plain = DeductionEngine(inputs=[T1], output=T3)
+        monkeypatch.setattr(plain, "_mine_lemma", lambda *args: None)
         hypotheses = [build_chain(name) for name in names]
         hypotheses += [
             build_chain(first, second)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import SynthesisRequest, create_session
 from repro.benchmarks import r_benchmark_suite
-from repro.core import standard_library
+from repro.core import deduction, standard_library
 from repro.core.arguments import ColumnRef, Constant, Predicate
 from repro.core.hypothesis import (
     EvaluationFailure,
@@ -37,14 +37,14 @@ from repro.engine.kb import KnowledgeBase
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 COMPONENTS = {component.name: component for component in standard_library()}
 
-#: (task, config knobs): a c3 and a c5 batch task, a hard task cut to a step
-#: budget, and a run without the prescreen, which reaches lemma mining and
-#: the clausal SMT fast path.
+#: (task, config knobs, prescreen): a c3 and a c5 batch task, a hard task cut
+#: to a step budget, and a run with the prescreen patched out, which reaches
+#: lemma mining and the clausal SMT fast path.
 RUNS = (
-    ("c3_exam_gather_unite_spread", {}),
-    ("c5_join_filter_large_orders", {}),
-    ("c4_spread_counts_by_weekday", {"max_steps": 300}),
-    ("c5_join_filter_large_orders", {"prescreen": False}),
+    ("c3_exam_gather_unite_spread", {}, True),
+    ("c5_join_filter_large_orders", {}, True),
+    ("c4_spread_counts_by_weekday", {"max_steps": 300}, True),
+    ("c5_join_filter_large_orders", {}, False),
 )
 
 
@@ -62,19 +62,22 @@ def _describe(garbage) -> str:
     return "\n".join(f"{count:8d}  {kind}" for kind, count in kinds.most_common(25))
 
 
-def test_search_creates_no_cyclic_garbage():
+def test_search_creates_no_cyclic_garbage(monkeypatch):
     suite = r_benchmark_suite()
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        for name, knobs in RUNS:
+        for name, knobs, prescreen in RUNS:
             benchmark = suite.get(name)
             request = SynthesisRequest.from_tables(
                 benchmark.inputs, benchmark.output, top_k=1, timeout=60, **knobs
             )
-            session = create_session(request)
-            result = session.solve()
+            with monkeypatch.context() as patch:
+                if not prescreen:
+                    patch.setattr(deduction, "prescreen_infeasible", lambda *args: False)
+                session = create_session(request)
+                result = session.solve()
             assert result.solved or session.steps == knobs.get("max_steps")
             if result.program is not None:
                 render_program(result.program)

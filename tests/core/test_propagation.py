@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.core import SpecLevel, standard_library
+from repro.core import SpecLevel, deduction, standard_library
 from repro.core.abstraction import (
     ExampleBaseline,
     TableVars,
@@ -316,23 +316,28 @@ def test_prescreen_unsat_implies_solver_unsat_on_random_sketches(level):
     assert decided > 50, f"prescreen decided almost nothing ({decided})"
 
 
-def test_engine_verdicts_identical_with_and_without_prescreen():
+def test_engine_verdicts_identical_with_and_without_prescreen(monkeypatch):
     """The tiered ``deduce`` is an optimisation, not a semantics change."""
     rng = random.Random("differential")
     tiered = DeductionEngine(inputs=[T1], output=T2)
-    plain = DeductionEngine(inputs=[T1], output=T2, prescreen=False)
+    plain = DeductionEngine(inputs=[T1], output=T2)
     names = sorted(COMPONENTS)
-    checked = 0
-    for hypothesis in _random_hypotheses(rng, names, count=120):
-        for sketch in sketches(hypothesis, 1):
-            checked += 1
-            assert tiered.deduce(sketch) is plain.deduce(sketch), (
-                f"prescreen changed a verdict on {sketch!r}"
-            )
-    assert checked > 100
+    candidates = [
+        sketch
+        for hypothesis in _random_hypotheses(rng, names, count=120)
+        for sketch in sketches(hypothesis, 1)
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(deduction, "prescreen_infeasible", lambda *args: False)
+        verdicts = [plain.deduce(sketch) for sketch in candidates]
+    for sketch, verdict in zip(candidates, verdicts):
+        assert tiered.deduce(sketch) is verdict, (
+            f"prescreen changed a verdict on {sketch!r}"
+        )
+    assert len(candidates) > 100
     assert tiered.stats.prescreen_decided > 0
     assert plain.stats.prescreen_decided == 0
-    assert plain.stats.prescreen_fallback == 0
+    assert plain.stats.prescreen_fallback == plain.stats.smt_calls
     assert tiered.stats.smt_calls < plain.stats.smt_calls
 
 

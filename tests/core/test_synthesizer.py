@@ -111,31 +111,25 @@ class TestConfigurations:
         assert SynthesisConfig(spec_level=SpecLevel.SPEC1).describe() == "spec1"
         assert SynthesisConfig(deduction=False).describe() == "no-deduction"
         assert SynthesisConfig(partial_evaluation=False).describe() == "spec2-no-pe"
-        assert SynthesisConfig(prescreen=False).describe() == "spec2-no-prescreen"
 
-    def test_prescreen_counters_surface_through_synthesis_stats(self):
+    def test_prescreen_counters_surface_through_synthesis_stats(self, monkeypatch):
         # A task whose completion enumerates (and prunes) candidate hole
         # fillings, so the prescreen's share of the pruning is visible.
         from repro.benchmarks import r_benchmark_suite
+        from repro.core import deduction
 
         benchmark = r_benchmark_suite().get("c2_orders_count_by_region")
         table, output = benchmark.inputs[0], benchmark.output
         tiered = solve([table], output, SynthesisConfig(timeout=30))
-        plain = solve(
-            [table], output, SynthesisConfig(timeout=30, prescreen=False)
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(deduction, "prescreen_infeasible", lambda *args: False)
+            plain = solve([table], output, SynthesisConfig(timeout=30))
         assert tiered.solved and plain.solved
         assert tiered.render() == plain.render()
         assert tiered.stats.deduction.prescreen_decided > 0
         assert 0.0 < tiered.stats.deduction.prescreen_hit_rate <= 1.0
         assert plain.stats.deduction.prescreen_decided == 0
-        assert plain.stats.deduction.prescreen_fallback == 0
-        # The prescreen's pruning shows up inside sketch completion too.
-        assert tiered.stats.completion.pruned_by_prescreen > 0
-        assert (
-            tiered.stats.completion.pruned_by_prescreen
-            <= tiered.stats.completion.pruned_partial
-        )
+        assert tiered.stats.deduction.smt_calls < plain.stats.deduction.smt_calls
 
     def test_no_deduction_still_solves_simple_tasks(self):
         output = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])

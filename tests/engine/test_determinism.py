@@ -8,9 +8,10 @@ the conflict-driven engine adds.  ``elapsed`` is wall clock and necessarily
 excluded.
 """
 
-from repro.baselines import FIGURE16_CONFIGS, spec2_no_cdcl_config
+from repro.baselines import FIGURE16_CONFIGS
 from repro.api import SynthesisRequest, create_session
 from repro.benchmarks import r_benchmark_suite, run_suite
+from repro.core.deduction import DeductionEngine
 
 FAST_NAMES = [
     "c1_prices_long_to_wide",
@@ -104,32 +105,15 @@ def test_jobs4_is_byte_identical_to_serial_without_oe():
     assert all(outcome.counters["oe_candidates"] == 0 for outcome in serial.outcomes)
 
 
-def test_jobs4_is_byte_identical_to_serial_without_prescreen():
-    # With the prescreen ablated, every UNSAT query reaches the SMT tier and
-    # the CDCL machinery carries the pruning -- the lemma counters must stay
-    # deterministic across schedulers there too (and actually fire, which
-    # they rarely do with the prescreen absorbing the easy conflicts).
-    from repro.baselines import spec2_no_prescreen_config
-
-    suite = fast_suite()
-    serial = run_suite(
-        suite, spec2_no_prescreen_config, timeout=TIMEOUT, label="spec2-no-prescreen"
-    )
-    parallel = run_suite(
-        suite, spec2_no_prescreen_config, timeout=TIMEOUT, label="spec2-no-prescreen",
-        jobs=4,
-    )
-    assert deterministic_fingerprint(parallel) == deterministic_fingerprint(serial)
-    assert sum(outcome.counters["lemmas_learned"] for outcome in serial.outcomes) > 0
-    assert all(outcome.counters["prescreen_decided"] == 0 for outcome in serial.outcomes)
-
-
-def test_cdcl_and_ablation_agree_on_programs_across_schedulers():
+def test_cdcl_and_ablation_agree_on_programs_across_schedulers(monkeypatch):
     suite = fast_suite()
     cdcl = run_suite(
         suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2", jobs=4
     )
-    plain = run_suite(suite, spec2_no_cdcl_config, timeout=TIMEOUT, label="spec2")
+    # Serial, so the patch reaches the only engine that runs.
+    with monkeypatch.context() as patch:
+        patch.setattr(DeductionEngine, "_mine_lemma", lambda *args: None)
+        plain = run_suite(suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2")
     programs = lambda run: [(o.benchmark, o.solved, o.program) for o in run.outcomes]  # noqa: E731
     assert programs(cdcl) == programs(plain)
     assert all(outcome.counters["lemmas_learned"] == 0 for outcome in plain.outcomes)

@@ -45,9 +45,10 @@ class TestVerdictMemo:
         assert engine.stats.cache_misses >= 1
         assert engine.stats.smt_calls == smt_calls  # no new SMT work
 
-    def test_cached_rejection_still_counts_as_rejected(self):
+    def test_cached_rejection_still_counts_as_rejected(self, monkeypatch):
         # With lemma learning off, the second rejection is a verdict-cache hit.
-        engine = DeductionEngine(inputs=[T1], output=T1, cdcl=False)
+        engine = DeductionEngine(inputs=[T1], output=T1)
+        monkeypatch.setattr(engine, "_mine_lemma", lambda *args: None)
         hypothesis = build_chain("select")  # must drop a column: UNSAT
         assert engine.deduce(hypothesis) is False
         rejected = engine.stats.hypotheses_rejected
@@ -55,12 +56,12 @@ class TestVerdictMemo:
         assert engine.stats.hypotheses_rejected == rejected + 1
         assert engine.stats.cache_hits == 1
 
-    def test_lemma_store_answers_repeated_rejections_before_the_cache(self):
+    def test_lemma_store_answers_repeated_rejections_before_the_cache(self, no_prescreen):
         # With lemma learning on, the first rejection mines a blocking lemma,
         # and the replay is answered by the store without a cache probe.
-        # (Prescreen off: tier 1 would decide this chain before the SMT
-        # tier, and prescreen rejections deliberately skip lemma mining.)
-        engine = DeductionEngine(inputs=[T1], output=T1, prescreen=False)
+        # (Prescreen patched out: tier 1 would decide this chain before the
+        # SMT tier, and prescreen rejections deliberately skip lemma mining.)
+        engine = DeductionEngine(inputs=[T1], output=T1)
         hypothesis = build_chain("select")
         assert engine.deduce(hypothesis) is False
         assert engine.stats.lemmas_learned >= 1

@@ -3,9 +3,9 @@
 Conflict-driven lemma learning must never change *what* Morpheus
 synthesizes, only how much solver work it spends getting there.  These tests
 pin the rendered program text for a small Figure 16 subset, and additionally
-require the ``--no-cdcl`` ablation to produce byte-identical programs, so any
-unsound lemma (or ordering regression) that silently changes a synthesis
-outcome fails loudly.
+require a run that mines no lemmas (``DeductionEngine._mine_lemma`` patched
+to a no-op) to produce byte-identical programs, so any unsound lemma (or
+ordering regression) that silently changes a synthesis outcome fails loudly.
 """
 
 import pytest
@@ -13,6 +13,7 @@ import pytest
 from repro.benchmarks import r_benchmark_suite
 from repro.api import SynthesisRequest, create_session
 from repro.core import SynthesisConfig
+from repro.core.deduction import DeductionEngine
 from repro.smt.solver import clear_formula_cache
 
 #: name -> exact rendered program (the golden output of the seed synthesizer).
@@ -30,34 +31,37 @@ GOLDEN_PROGRAMS = {
 }
 
 
-def synthesize_benchmark(name, cdcl):
+def synthesize_benchmark(name):
     benchmark = r_benchmark_suite().get(name)
     clear_formula_cache()
-    config = SynthesisConfig(timeout=30, cdcl=cdcl)
+    config = SynthesisConfig(timeout=30)
     request = SynthesisRequest.from_tables(benchmark.inputs, benchmark.output, config=config)
     return create_session(request).solve()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
 def test_cdcl_reproduces_the_golden_program(name):
-    result = synthesize_benchmark(name, cdcl=True)
+    result = synthesize_benchmark(name)
     assert result.solved
     assert result.render() == GOLDEN_PROGRAMS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
-def test_no_cdcl_ablation_matches_the_golden_program(name):
-    result = synthesize_benchmark(name, cdcl=False)
+def test_without_lemma_mining_matches_the_golden_program(name, no_lemma_mining):
+    result = synthesize_benchmark(name)
     assert result.solved
     assert result.render() == GOLDEN_PROGRAMS[name]
+    assert result.stats.deduction.lemmas_learned == 0
 
 
-def test_cdcl_saves_solver_work_on_the_golden_subset():
+def test_cdcl_saves_solver_work_on_the_golden_subset(monkeypatch):
     """Across the subset, CDCL must not issue more SMT calls than plain
     deduction (per-benchmark counts can tie when the search is tiny)."""
     with_cdcl = 0
     without = 0
     for name in GOLDEN_PROGRAMS:
-        with_cdcl += synthesize_benchmark(name, cdcl=True).stats.deduction.smt_calls
-        without += synthesize_benchmark(name, cdcl=False).stats.deduction.smt_calls
+        with_cdcl += synthesize_benchmark(name).stats.deduction.smt_calls
+        with monkeypatch.context() as patch:
+            patch.setattr(DeductionEngine, "_mine_lemma", lambda *args: None)
+            without += synthesize_benchmark(name).stats.deduction.smt_calls
     assert with_cdcl <= without

@@ -117,9 +117,10 @@ class TestRequestJson:
             ("max_steps", -3),
             ("max_size", "3"),
             ("max_size", True),
-            ("completion_budget", -1),
+            ("max_size", -1),
             ("top_k", None),
-            ("size_weight", float("nan")),
+            ("top_k", 0),
+            ("timeout", float("-inf")),
             ("deduction", "no"),
             ("oe", 1),
         ],
@@ -138,9 +139,9 @@ class TestRequestJson:
             SynthesisRequest.from_json(json.loads(body))
 
     def test_good_knob_values_pass(self):
-        knobs = {"timeout": None, "max_steps": 0, "size_weight": 2, "deduction": False}
+        knobs = {"timeout": None, "max_steps": 0, "max_size": 2, "deduction": False}
         config = config_from_json(knobs)
-        assert (config.timeout, config.max_steps, config.size_weight) == (None, 0, 2)
+        assert (config.timeout, config.max_steps, config.max_size) == (None, 0, 2)
         assert config.deduction is False
 
 

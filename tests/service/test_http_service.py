@@ -128,6 +128,22 @@ class TestEndpoints:
             assert "unknown config knobs" in body["error"]
             assert knob in body["error"]
 
+    def test_removed_deduction_knobs_are_400(self, server):
+        # cdcl/prescreen switched lemma learning and the interval prescreen
+        # off, size_weight and completion_budget tuned the cost model and
+        # the per-sketch fill budget; all four are fixed now.
+        for knob, value in (
+            ("cdcl", False),
+            ("prescreen", False),
+            ("size_weight", 2.0),
+            ("completion_budget", 100),
+        ):
+            payload = dict(FILTER_REQUEST, config={"timeout": 20, knob: value})
+            status, body = post(server, "/v1/sessions", payload)
+            assert status == 400, knob
+            assert "unknown config knobs" in body["error"]
+            assert knob in body["error"]
+
     def test_bad_knob_values_are_400(self, server):
         # NaN passes json.loads; the strings used to fail inside the scheduler.
         for knob, value in (
@@ -135,6 +151,7 @@ class TestEndpoints:
             ("timeout", "x"),
             ("max_steps", "7"),
             ("max_size", "3"),
+            ("top_k", 0),
             ("deduction", "no"),
         ):
             payload = dict(FILTER_REQUEST, config={knob: value})
