@@ -447,9 +447,10 @@ class SynthesisSession:
             raise RequestError("a session needs at least one example")
         check_input_counts(request.examples)
         self.request = request
-        # *kb* attaches a warm-start knowledge base (repro.engine.kb) to the
-        # session's context; None inherits the process default, if any.
-        self.context = TaskContext(kb=kb)
+        #: The warm-start knowledge base (repro.engine.kb) the kernel reads
+        #: and writes; None runs the search without one.
+        self.kb = kb
+        self.context = TaskContext()
         self.status = STATUS_CREATED
         self._examples: List[Example] = list(request.examples)
         self._target = request.config.top_k
@@ -461,7 +462,7 @@ class SynthesisSession:
             self._library = library if library is not None else request.component_library()
             started = time.perf_counter()
             self._kernel = SearchKernel(
-                self._examples[0], request.config, self._library, k=self._target
+                self._examples[0], request.config, self._library, k=self._target, kb=kb
             )
             self._kernel.active_seconds += time.perf_counter() - started
 
@@ -534,9 +535,9 @@ class SynthesisSession:
                 # active clock reaches the budget.
                 if max_steps is not None or self.finished:
                     break
-        if self.finished and self.context.kb is not None:
+        if self.finished and self.kb is not None:
             # The search's facts reach disk when it finishes (write-behind).
-            self.context.kb.flush()
+            self.kb.flush()
         return self.finished
 
     def _update_status(self) -> None:
@@ -652,9 +653,6 @@ class SynthesisSession:
             "sibling_batches": stats.completion.sibling_batches,
             "batched_fills": stats.completion.batched_fills,
             "smt_calls": stats.deduction.smt_calls,
-            # Always 0 (residual sessions are gone); perfbench/worker.py reads both.
-            "smt_sessions": 0,
-            "smt_session_reuse": 0,
             "prescreen_decided": stats.deduction.prescreen_decided,
             "prescreen_fallback": stats.deduction.prescreen_fallback,
             "lemma_prunes": stats.deduction.lemma_prunes,
@@ -717,8 +715,9 @@ def create_session(
 
     *library* optionally overrides the component library object (the request
     names one of :data:`LIBRARIES` otherwise).  *kb* attaches a warm-start
-    :class:`~repro.engine.kb.KnowledgeBase` (None inherits the process
-    default installed via :func:`repro.engine.kb.set_default_kb`).
+    :class:`~repro.engine.kb.KnowledgeBase`: the search reuses the facts it
+    holds and writes its own back when it finishes.  ``kb=None`` (the
+    default) searches without one.
     """
     return SynthesisSession(request, library=library, kb=kb)
 

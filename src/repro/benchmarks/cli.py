@@ -27,11 +27,6 @@ unchanged, only the amount of duplicated completion work moves).
 ``--top-k K`` keeps each task's search running until ``K`` distinct
 programs are found (the reported tables still describe the first).
 
-``--kb PATH`` attaches the warm-start knowledge base (a sqlite file, see
-``repro.engine.kb``): persisted executions and attribute vectors from past
-runs are reused, new facts are written back, and a library change
-invalidates stale entries via the version-hash keying.
-
 ``serve`` boots the synthesis HTTP service (``repro.service``) instead of
 running a benchmark: submit input-output examples over ``POST
 /v1/sessions``, stream candidate programs, and add distinguishing examples
@@ -41,7 +36,10 @@ token-bucket rate limit, ``--persist-dir DIR`` keeps each session's
 request (every example included) as a JSON file under ``DIR`` and replays
 those sessions under their ids when the server restarts, and ``--kb PATH``
 warm-starts every new session from the shared knowledge base of past
-requests.
+requests (a sqlite file, see ``repro.engine.kb``: persisted executions and
+attribute vectors are reused, new facts are written back, and a library
+change invalidates stale entries via the version-hash keying).  ``--kb`` is
+a ``serve`` option only.
 
 ``--stats`` appends the per-configuration deduction counter table (SMT
 calls, prescreen decisions, lemma prunes, lemmas learned), the
@@ -163,14 +161,6 @@ def main(argv=None) -> int:
              "every session counter) as machine-readable JSON "
              "(figure16 and figure17 only)",
     )
-    parser.add_argument(
-        "--kb", metavar="PATH", default=None,
-        help="attach the warm-start knowledge base at PATH (a sqlite file, "
-             "created on first use): reuse persisted executions and "
-             "attribute vectors from past runs and write new facts back "
-             "(figure16, figure17 and serve; outcomes are unchanged, only "
-             "repeated work is skipped)",
-    )
     parser.add_argument("--categories", nargs="*", default=None, help="restrict to these categories")
     parser.add_argument("--names", nargs="*", default=None, help="restrict to these benchmark names")
     parser.add_argument("--quiet", action="store_true", help="suppress per-benchmark progress output")
@@ -195,6 +185,12 @@ def main(argv=None) -> int:
              "and re-create those sessions when the server restarts",
     )
     service.add_argument(
+        "--kb", metavar="PATH", default=None,
+        help="serve: warm-start every session from the knowledge base at PATH "
+             "(a sqlite file, created on first use) and write new facts back "
+             "(outcomes are unchanged, only repeated work is skipped)",
+    )
+    service.add_argument(
         "--verbose", action="store_true", help="serve: log every HTTP request"
     )
     args = parser.parse_args(argv)
@@ -211,6 +207,8 @@ def main(argv=None) -> int:
             persist_dir=args.persist_dir,
             kb_path=args.kb,
         )
+    if args.kb:
+        parser.error("--kb is only available for serve")
     progress = None if args.quiet else _progress
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -226,8 +224,6 @@ def main(argv=None) -> int:
         parser.error("--stats is only available for figure16 and figure17")
     if args.json and args.figure not in ("figure16", "figure17"):
         parser.error("--json is only available for figure16 and figure17")
-    if args.kb and args.figure not in ("figure16", "figure17"):
-        parser.error("--kb is only available for figure16, figure17 and serve")
     if args.figure == "legend" and args.no_oe:
         parser.error("ablation flags do not apply to the legend")
 
@@ -264,7 +260,6 @@ def main(argv=None) -> int:
         runs = run_figure16(
             timeout=args.timeout, suite=_subset(args, parser), progress=progress,
             jobs=args.jobs, configurations=configured(FIGURE16_CONFIGS),
-            kb_path=args.kb,
         )
         print(figure16_table(runs))
         return emit(runs)
@@ -272,7 +267,6 @@ def main(argv=None) -> int:
         runs = run_figure17(
             timeout=args.timeout, suite=_subset(args, parser), progress=progress,
             jobs=args.jobs, configurations=configured(ALL_FIGURE17_CONFIGS),
-            kb_path=args.kb,
         )
         print(figure17_table(runs))
         return emit(runs)

@@ -24,7 +24,7 @@ from ..baselines.lambda2 import Lambda2Synthesizer
 from ..baselines.sql_synthesizer import SqlSynthesizer
 from ..core.library import sql_library
 from ..core.synthesizer import SynthesisConfig
-from ..engine.pool import installed_kb, map_indexed, pool_initializer
+from ..engine.pool import map_indexed
 from .r_suite import r_benchmark_suite
 from .sql_suite import sql_benchmark_suite
 from .suite import Benchmark, BenchmarkSuite
@@ -146,7 +146,6 @@ def _run_pair(task):
 def run_pairs(
     pairs: Sequence[BenchmarkPair],
     jobs: int = 1,
-    kb_path: Optional[str] = None,
     progress: Optional[Callable[[BenchmarkOutcome], None]] = None,
 ) -> List[BenchmarkOutcome]:
     """Run every (benchmark, config, label, library) pair; outcomes in input order.
@@ -158,22 +157,12 @@ def run_pairs(
     approaches its wall-clock ``timeout`` can flip to a timeout when more
     workers run than there are CPU cores.)
 
-    ``kb_path`` attaches the warm-start knowledge base at that path
-    (:mod:`repro.engine.kb`) for this call only: installed in this process
-    and opened by each pool worker.  ``progress`` fires in this process once
-    per outcome, as it arrives.
+    ``progress`` fires in this process once per outcome, as it arrives.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     on_result = None if progress is None else (lambda _index, outcome: progress(outcome))
-    initializer, initargs = pool_initializer(kb_path)
-    # A serial run (or a pool skipped for a single pair) executes in this
-    # process, where no pool initializer fires.
-    with installed_kb(kb_path):
-        collected = map_indexed(
-            _run_pair, list(enumerate(pairs)), jobs,
-            on_result=on_result, initializer=initializer, initargs=initargs,
-        )
+    collected = map_indexed(_run_pair, list(enumerate(pairs)), jobs, on_result=on_result)
     return [collected[index] for index in range(len(pairs))]
 
 
@@ -185,19 +174,17 @@ def run_suite(
     library=None,
     progress: Optional[Callable[[BenchmarkOutcome], None]] = None,
     jobs: int = 1,
-    kb_path: Optional[str] = None,
 ) -> SuiteRun:
     """Run a whole suite under one configuration factory.
 
-    ``jobs`` and ``kb_path`` are passed to :func:`run_pairs`: the outcomes
-    are the serial ones, in suite order, whatever the worker count.  The
-    KB never changes outcomes, only how much work each search re-does.
+    ``jobs`` is passed to :func:`run_pairs`: the outcomes are the serial
+    ones, in suite order, whatever the worker count.
     """
     config = config_factory(timeout)
     resolved = label or config.describe()
     outcomes = run_pairs(
         [(benchmark, config, resolved, library) for benchmark in suite],
-        jobs=jobs, kb_path=kb_path, progress=progress,
+        jobs=jobs, progress=progress,
     )
     return SuiteRun(configuration=resolved, outcomes=outcomes)
 
@@ -208,7 +195,6 @@ def _run_matrix(
     timeout: float,
     progress: Optional[Callable[[BenchmarkOutcome], None]],
     jobs: int,
-    kb_path: Optional[str],
 ) -> Dict[str, SuiteRun]:
     """Run the whole benchmark x configuration grid through one :func:`run_pairs`.
 
@@ -220,7 +206,7 @@ def _run_matrix(
         config = factory(timeout)
         pairs.extend((benchmark, config, label, None) for benchmark in suite)
     runs = {label: SuiteRun(configuration=label) for label in configurations}
-    for outcome in run_pairs(pairs, jobs=jobs, kb_path=kb_path, progress=progress):
+    for outcome in run_pairs(pairs, jobs=jobs, progress=progress):
         runs[outcome.configuration].outcomes.append(outcome)
     return runs
 
@@ -234,12 +220,11 @@ def run_figure16(
     configurations: Optional[Dict[str, Callable]] = None,
     progress: Optional[Callable[[BenchmarkOutcome], None]] = None,
     jobs: int = 1,
-    kb_path: Optional[str] = None,
 ) -> Dict[str, SuiteRun]:
     """Run the Figure 16 experiment (No deduction / Spec 1 / Spec 2)."""
     suite = suite if suite is not None else r_benchmark_suite()
     configurations = configurations if configurations is not None else FIGURE16_CONFIGS
-    return _run_matrix(suite, configurations, timeout, progress, jobs, kb_path)
+    return _run_matrix(suite, configurations, timeout, progress, jobs)
 
 
 # ----------------------------------------------------------------------
@@ -251,14 +236,13 @@ def run_figure17(
     configurations: Optional[Dict[str, Callable]] = None,
     progress: Optional[Callable[[BenchmarkOutcome], None]] = None,
     jobs: int = 1,
-    kb_path: Optional[str] = None,
 ) -> Dict[str, SuiteRun]:
     """Run the Figure 17 experiment (deduction x partial evaluation grid)."""
     suite = suite if suite is not None else r_benchmark_suite()
     configurations = (
         configurations if configurations is not None else ALL_FIGURE17_CONFIGS
     )
-    return _run_matrix(suite, configurations, timeout, progress, jobs, kb_path)
+    return _run_matrix(suite, configurations, timeout, progress, jobs)
 
 
 # ----------------------------------------------------------------------

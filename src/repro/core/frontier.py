@@ -55,7 +55,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from ..components.errors import PRUNABLE_ERRORS
 from ..dataframe.compare import tables_match_for_synthesis
 from ..dataframe.profiling import execution_stats
-from ..engine.kb import current_kb
 from .completion import (
     CompletionBudgetExceeded,
     CompletionRun,
@@ -167,11 +166,6 @@ class Frontier:
     def __bool__(self) -> bool:
         return bool(self._heap) or bool(self._continuations)
 
-    @property
-    def pending_hypotheses(self) -> int:
-        """Number of hypotheses waiting in the cost-ordered lane."""
-        return len(self._heap)
-
     def _note_size(self) -> None:
         size = len(self)
         if size > self.peak:
@@ -243,7 +237,7 @@ class SearchKernel:
     that met its quota continues the same search (see the module docstring).
     """
 
-    def __init__(self, example, config, library, k: int = 1) -> None:
+    def __init__(self, example, config, library, k: int = 1, kb=None) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.example = example
@@ -251,10 +245,9 @@ class SearchKernel:
         self.library = library
         self.stats = stats = SynthesisStats()
         self.k = k
-        # Warm-start tier: bind the active knowledge base (if any) to this
+        # Warm-start tier: bind the knowledge base *kb* (if any) to this
         # library's version hash, so facts persisted under a different
         # component set are never found (invalidation by keying).
-        kb = current_kb()
         kb_view = kb.view(library.version_hash()) if kb is not None else None
         self.engine = DeductionEngine(
             inputs=example.inputs,

@@ -21,7 +21,6 @@ from typing import Sequence
 from ..components import dplyr, tidyr
 from ..components.errors import InvalidArgumentError
 from ..components.values import default_value_components
-from ..dataframe.table import Table
 from .arguments import Aggregation, ColumnList, ColumnRef, MutationExpr, Predicate, ValueArgument
 from .component import Component, ComponentLibrary, ValueParam
 from .types import Type
@@ -278,8 +277,3 @@ def sql_library() -> ComponentLibrary:
         "unite",
     )
     return standard_library(include_arrange=True).restricted_to(names)
-
-
-def gather_requires_two_columns(table: Table, columns: Sequence[str]) -> bool:
-    """True when gathering *columns* from *table* is well-formed (>= 2 columns)."""
-    return len(columns) >= 2 and len(columns) < table.n_cols

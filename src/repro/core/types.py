@@ -32,23 +32,3 @@ class Type(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
-
-#: Argument kinds that are filled during sketch completion rather than sketch
-#: generation: everything except TABLE.
-FIRST_ORDER_TYPES = (
-    Type.COLS,
-    Type.COL,
-    Type.PREDICATE,
-    Type.AGGREGATION,
-    Type.MUTATION,
-)
-
-
-def is_table_type(value_type: Type) -> bool:
-    """True for the ``tbl`` type."""
-    return value_type is Type.TABLE
-
-
-def is_first_order_type(value_type: Type) -> bool:
-    """True for every first-order (non-table) argument type."""
-    return value_type in FIRST_ORDER_TYPES

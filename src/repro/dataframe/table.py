@@ -591,12 +591,6 @@ class Table:
         order = sorted(range(self._n_rows), key=key)
         return self.take_rows(order)
 
-    def canonical_rows(self) -> Tuple[Tuple[CellValue, ...], ...]:
-        """Rows sorted into a canonical order (used for order-insensitive comparison)."""
-        return tuple(
-            sorted(self.rows, key=lambda row: tuple(value_sort_key(value) for value in row))
-        )
-
     # ------------------------------------------------------------------
     # Equality / rendering
     # ------------------------------------------------------------------

@@ -7,11 +7,13 @@ Four layers live here:
   satisfiability results.
 * :mod:`repro.engine.context` -- :class:`TaskContext`, the per-task bundle
   of swappable process-wide state (intern pool, execution counters, formula
-  cache, knowledge base) that every :class:`repro.api.SynthesisSession`
-  runs its search in, so a task's programs and counters do not depend on
-  what else ran in the process.
-* :mod:`repro.engine.kb` -- the sqlite warm-start knowledge base.
-* :mod:`repro.engine.pool` -- the worker-pool plumbing behind
+  cache) that every :class:`repro.api.SynthesisSession` runs its search in,
+  so a task's programs and counters do not depend on what else ran in the
+  process.
+* :mod:`repro.engine.kb` -- the sqlite warm-start knowledge base, which a
+  caller hands to a session (``create_session(request, kb=...)``) rather
+  than installing process-wide.
+* :mod:`repro.engine.pool` -- the index-preserving pool map behind
   ``--jobs N`` (:func:`repro.benchmarks.runner.run_pairs`).
 
 The context layer is imported lazily: :mod:`repro.core` and

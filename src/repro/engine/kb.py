@@ -44,17 +44,15 @@ Safety tiers
   therefore written by no search; their accessors stay only because the
   benchmark's tracer (``perfbench/tracer.py``) wraps them by name.
 
-Concurrency: one :class:`KnowledgeBase` may be shared by many
-:class:`~repro.engine.context.TaskContext`\\ s (threads) -- its in-process
-tier, pending writes and sqlite connection are guarded by one internal
-lock, and tier hits hand every context the same immutable table or
-never-raised failure -- and many *processes* may open the same file (WAL
+Concurrency: one :class:`KnowledgeBase` may be shared by many sessions
+(threads) -- its in-process tier, pending writes and sqlite connection are
+guarded by one internal lock, and tier hits hand every session the same
+immutable table or never-raised failure -- and many *processes* may open the same file (WAL
 journaling + a busy timeout).  Writes are behind: a process's facts reach
 the file when a batch fills, when a search finishes, and on ``close()`` or
-``len()``, so ``--jobs N`` workers and a second process see them without
-any handle being closed.  The KB only ever affects how much work a search
-performs, never its outcome, so ``--jobs N`` determinism is preserved no
-matter how entries race in.
+``len()``, so a second process sees them without any handle being closed.
+The KB only ever affects how much work a search performs, never its
+outcome, so results do not depend on how entries race in.
 """
 
 from __future__ import annotations
@@ -512,36 +510,6 @@ class KBView:
                 seen.add(marker)
                 merged.append(entry)
         self.kb.store(scope, key, merged[:cap], _encode_json)
-
-
-# ----------------------------------------------------------------------
-# The installed per-task handle
-# ----------------------------------------------------------------------
-_ACTIVE: Optional[KnowledgeBase] = None
-
-
-def install_kb(kb: Optional[KnowledgeBase]) -> Optional[KnowledgeBase]:
-    """Swap the active knowledge base; returns the previous one.
-
-    Mirrors ``install_intern_pool``/``install_execution_stats``: a
-    :class:`~repro.engine.context.TaskContext` installs its handle while
-    active, so kernels constructed inside the context pick it up without
-    any plumbing through the call stack.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = kb
-    return previous
-
-
-def current_kb() -> Optional[KnowledgeBase]:
-    """The active knowledge base (``None`` when warm-start is off)."""
-    return _ACTIVE
-
-
-def set_default_kb(kb: Optional[KnowledgeBase]) -> None:
-    """Set the process-default KB (inherited by new :class:`TaskContext`\\ s)."""
-    install_kb(kb)
 
 
 def baseline_digest(inputs) -> bytes:

@@ -63,6 +63,26 @@ class TestRemovedFlags:
             assert excinfo.value.code == 2, flag
 
 
+class TestKnowledgeBaseFlag:
+    @pytest.mark.parametrize("figure", ["figure16", "figure17"])
+    def test_kb_is_a_serve_option_only(self, figure, tmp_path):
+        # The warm-start knowledge base is attached by the service alone; a
+        # benchmark run given --kb is a usage error and opens no file.
+        path = tmp_path / "x.kb"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main([
+                    figure, "--kb", str(path), "--quiet", "--timeout", "5",
+                    "--names", "c1_prices_long_to_wide",
+                ])
+            except SystemExit as exit_:
+                code = exit_.code
+        assert code == 2
+        assert "--kb" in stderr.getvalue()
+        assert not path.exists()
+
+
 class TestSubsetSelection:
     def run_list_tasks(self, *argv):
         stdout, stderr = io.StringIO(), io.StringIO()

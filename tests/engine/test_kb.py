@@ -2,25 +2,25 @@
 
 import threading
 import time
+from dataclasses import astuple
 
 import pytest
 
+from repro.api import CLOCK_COUNTERS, SynthesisRequest, create_session
 from repro.baselines import spec2_config
-from repro.benchmarks import r_benchmark_suite, run_suite
+from repro.benchmarks import r_benchmark_suite
+from repro.benchmarks.runner import BenchmarkOutcome, SuiteRun
 from repro.core import SpecLevel
 from repro.core.hypothesis import EvaluationFailure
 from repro.core.library import standard_library
 from repro.dataframe import Table
 from repro.dataframe.profiling import ExecutionStats, install_execution_stats
-from repro.engine import TaskContext
 from repro.engine import kb as kb_module
 from repro.engine.kb import (
     KnowledgeBase,
     _serialize_result,
     baseline_digest,
-    current_kb,
     digest_tokens,
-    set_default_kb,
 )
 
 #: Fast benchmarks (each solves in well under a second, so the cold and
@@ -39,12 +39,28 @@ def fast_suite():
 
 
 def run_with(kb, suite):
-    """Run *suite* serially under spec2 with *kb* installed as the default."""
-    set_default_kb(kb)
-    try:
-        return run_suite(suite, spec2_config, timeout=TIMEOUT, label="spec2")
-    finally:
-        set_default_kb(None)
+    """Run *suite* serially under spec2, each task in a session attached to *kb*."""
+    config = spec2_config(TIMEOUT)
+    run = SuiteRun(configuration="spec2")
+    for benchmark in suite:
+        request = SynthesisRequest.from_tables(
+            benchmark.inputs, benchmark.output, config=config
+        )
+        session = create_session(request, kb=kb)
+        result = session.solve()
+        run.outcomes.append(
+            BenchmarkOutcome(
+                benchmark=benchmark.name,
+                category=benchmark.category,
+                configuration="spec2",
+                solved=result.solved,
+                elapsed=result.elapsed,
+                program_size=result.size,
+                program=result.render() if result.solved else None,
+                counters=session.counters(),
+            )
+        )
+    return run
 
 
 class TestKnowledgeBaseStore:
@@ -101,19 +117,6 @@ class TestKnowledgeBaseStore:
     def test_rejects_nonpositive_cap(self, tmp_path):
         with pytest.raises(ValueError):
             KnowledgeBase(str(tmp_path / "kb.sqlite"), max_entries=0)
-
-    def test_install_and_default(self, tmp_path):
-        kb = KnowledgeBase(str(tmp_path / "kb.sqlite"))
-        assert current_kb() is None
-        set_default_kb(kb)
-        try:
-            assert current_kb() is kb
-            assert TaskContext().kb is kb
-        finally:
-            set_default_kb(None)
-        assert current_kb() is None
-        assert TaskContext().kb is None
-        kb.close()
 
 
 class TestKBViewKeying:
@@ -350,83 +353,91 @@ class TestColdVsWarmDifferential:
         ] == [(o.benchmark, o.solved, o.program) for o in cold.outcomes]
 
 
-class TestRunSuiteKBScope:
-    """``run_suite(kb_path=...)`` installs its knowledge base for the call only."""
+class TestExplicitAttachment:
+    """A session reads and writes only the knowledge base it was handed."""
 
     @staticmethod
-    def entries(path):
+    def request(benchmark):
+        return SynthesisRequest.from_tables(
+            benchmark.inputs, benchmark.output, config=spec2_config(TIMEOUT)
+        )
+
+    @staticmethod
+    def deterministic(session):
+        counters = session.counters()
+        for name in CLOCK_COUNTERS:
+            del counters[name]
+        return counters
+
+    def test_kernel_binds_the_kb_it_is_given(self, tmp_path):
+        benchmark = fast_suite().get("c1_prices_long_to_wide")
+        library = standard_library()
+        kb = KnowledgeBase(str(tmp_path / "kb.sqlite"))
+        attached = create_session(self.request(benchmark), library=library, kb=kb)
+        view = attached._kernel.engine.kb_view
+        assert view.kb is kb
+        # Bound to this library's version: it finds what that view stores.
+        kb.view(library.version_hash()).put_execution(("k",), Table(["a"], [(1,)]))
+        assert view.get_execution(("k",)).rows == ((1,),)
+        plain = create_session(self.request(benchmark), library=library)
+        assert plain._kernel.engine.kb_view is None
+        kb.close()
+
+    def test_kb_less_session_beside_an_attached_one(self, tmp_path):
+        path = str(tmp_path / "kb.sqlite")
+        benchmark = fast_suite().get("c5_join_filter_large_orders")
+        populate = KnowledgeBase(path)
+        create_session(self.request(benchmark), kb=populate).solve()
+        populate.close()
+        dedicated = create_session(self.request(benchmark))
+        dedicated.solve()
+
         kb = KnowledgeBase(path)
-        try:
-            return len(kb)
-        finally:
+        attached = create_session(self.request(benchmark), kb=kb)
+        plain = create_session(self.request(benchmark))
+        slices = 0
+        while not (attached.finished and plain.finished):
+            attached.advance(8)
+            before = astuple(kb.stats)
+            plain.advance(8)
+            assert astuple(kb.stats) == before
+            slices += 1
+        assert slices > 1
+        assert kb.stats.hits > 0
+        assert plain.candidates == dedicated.candidates
+        assert self.deterministic(plain) == self.deterministic(dedicated)
+        assert attached.candidates == dedicated.candidates
+        kb.close()
+
+
+    def test_each_session_writes_only_its_own_kb(self, tmp_path):
+        benchmark = fast_suite().get("c2_orders_count_by_region")
+        paths = [str(tmp_path / "a.kb"), str(tmp_path / "b.kb")]
+        kbs = [KnowledgeBase(path) for path in paths]
+        sessions = [create_session(self.request(benchmark), kb=kb) for kb in kbs]
+        while not all(session.finished for session in sessions):
+            for session in sessions:
+                session.advance(8)
+        # A finished search flushes its own handle: a second handle on each
+        # file sees its facts while the first is still open.
+        readers = [KnowledgeBase(path) for path in paths]
+        assert len(readers[0]) == len(readers[1]) > 0
+        assert [kb.stats.hits for kb in kbs] == [0, 0]
+        for kb in (*readers, *kbs):
             kb.close()
-
-    def test_each_call_uses_its_own_kb_and_leaves_none_behind(self, tmp_path):
-        suite = r_benchmark_suite().subset(names=FAST_NAMES[:1])
-        first, second = str(tmp_path / "a.kb"), str(tmp_path / "b.kb")
-        run_suite(suite, spec2_config, timeout=TIMEOUT, kb_path=first)
-        assert current_kb() is None
-        first_entries = self.entries(first)
-        assert first_entries > 0  # closing the KB flushed its batched writes
-        run_suite(suite, spec2_config, timeout=TIMEOUT, kb_path=second)
-        assert current_kb() is None
-        assert self.entries(second) > 0
-        assert self.entries(first) == first_entries
-        run_suite(suite, spec2_config, timeout=TIMEOUT)
-        assert current_kb() is None
-        assert self.entries(first) == first_entries
-
-    def test_in_process_run_restores_the_default(self, tmp_path):
-        suite = r_benchmark_suite().subset(names=FAST_NAMES[:1])
-        default = KnowledgeBase(str(tmp_path / "default.kb"))
-        set_default_kb(default)
-        try:
-            run_suite(
-                suite, spec2_config, timeout=TIMEOUT, jobs=1,
-                kb_path=str(tmp_path / "run.kb"),
-            )
-            assert current_kb() is default
-        finally:
-            set_default_kb(None)
-        assert self.entries(str(tmp_path / "run.kb")) > 0
-        assert len(default) == 0
-        default.close()
-
-    def test_pool_run_writes_the_file_and_leaves_the_default(self, tmp_path):
-        # Each pool worker opens the file itself; the caller's process
-        # default must come back untouched, and the programs must be the
-        # serial ones.
-        suite = fast_suite()
-        serial = run_suite(suite, spec2_config, timeout=TIMEOUT)
-        default = KnowledgeBase(str(tmp_path / "default.kb"))
-        set_default_kb(default)
-        try:
-            pooled = run_suite(
-                suite, spec2_config, timeout=TIMEOUT, jobs=2,
-                kb_path=str(tmp_path / "pool.kb"),
-            )
-            assert current_kb() is default
-        finally:
-            set_default_kb(None)
-        assert [o.program for o in pooled.outcomes] == [o.program for o in serial.outcomes]
-        assert all(o.solved for o in pooled.outcomes)
-        assert self.entries(str(tmp_path / "pool.kb")) > 0
-        assert len(default) == 0
-        default.close()
 
 
 class TestConcurrentAccess:
-    def test_two_task_contexts_share_one_kb(self, tmp_path):
+    def test_two_threads_share_one_kb(self, tmp_path):
         kb = KnowledgeBase(str(tmp_path / "kb.sqlite"))
-        contexts = [TaskContext(kb=kb), TaskContext(kb=kb)]
-        assert all(context.kb is kb for context in contexts)
         library_hash = standard_library().version_hash()
+        views = [kb.view(library_hash), kb.view(library_hash)]
+        assert all(view.kb is kb for view in views)
         shared = Table(["s"], [(1,)])
         errors = []
 
-        def worker(context, offset):
+        def worker(view, offset):
             try:
-                view = context.kb.view(library_hash)
                 for i in range(100):
                     key = ("component", offset * 1000 + i)
                     view.put_execution(key, Table(["a"], [(i,)]))
@@ -441,8 +452,8 @@ class TestConcurrentAccess:
                 errors.append(error)
 
         threads = [
-            threading.Thread(target=worker, args=(context, index))
-            for index, context in enumerate(contexts)
+            threading.Thread(target=worker, args=(view, index))
+            for index, view in enumerate(views)
         ]
         for thread in threads:
             thread.start()
