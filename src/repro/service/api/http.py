@@ -30,6 +30,18 @@ are the wire format):
     Add a distinguishing example.  The session's search continues -- it
     is never restarted -- and the response carries the new state with
     every prior candidate revalidated against the new example.
+
+A POST body must carry a ``Content-Length``; without one (a chunked body,
+say) the answer is ``411`` and the connection closes, as it does after a
+``413``, because the unread body would otherwise be parsed as the next
+request.
+
+Responses are safe on keep-alive connections.  Every accepted socket has
+TCP_NODELAY, and a JSON response leaves in one write: status line, headers
+and body together.  A stream writes its head when it opens, each chunk in
+one write, and the final status chunk with the terminator.  Written as head
+then body with Nagle's algorithm on, the body would wait for the client to
+ACK the head, which a client delays by ~40 ms on a kept-open connection.
 """
 
 from __future__ import annotations
@@ -58,8 +70,25 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 _SESSION_ROUTE = re.compile(r"^/v1/sessions/([0-9a-f]{1,32})(/programs|/examples)?$")
 
 
-class PayloadTooLarge(ValueError):
+class UnreadBody(ValueError):
+    """The request body cannot be read, so the connection must close.
+
+    Left on the socket, the body would be parsed as the next request.
+    """
+
+    status = 400
+
+
+class PayloadTooLarge(UnreadBody):
     """The request body exceeds :data:`MAX_BODY_BYTES` (maps to HTTP 413)."""
+
+    status = 413
+
+
+class LengthRequired(UnreadBody):
+    """The request has no usable ``Content-Length`` (maps to HTTP 411)."""
+
+    status = 411
 
 
 class SynthesisHTTPServer(ThreadingHTTPServer):
@@ -80,6 +109,9 @@ class SynthesisHTTPServer(ThreadingHTTPServer):
 class SynthesisRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-synthesis"
+    #: TCP_NODELAY: a response's last write leaves without waiting for the
+    #: peer to ACK the one before.
+    disable_nagle_algorithm = True
 
     #: Quiet by default; the CLI flips this on with --verbose.
     verbose = False
@@ -93,16 +125,23 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     # -- response helpers ---------------------------------------------
-    def _send_json(self, status: int, payload: dict) -> None:
+    def _send_json(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if close:
+            # send_header also sets close_connection.
+            self.send_header("Connection", "close")
+        # end_headers() would write the head alone; the body joins its write.
+        if self.request_version == "HTTP/0.9":  # no head is sent
+            self.wfile.write(body)
+        else:
+            self._headers_buffer.append(b"\r\n" + body)
+            self.flush_headers()
 
-    def _error(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
+    def _error(self, status: int, message: str, close: bool = False) -> None:
+        self._send_json(status, {"error": message}, close=close)
 
     # -- routing -------------------------------------------------------
     def do_GET(self) -> None:
@@ -112,7 +151,7 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"unknown session {error.args[0]!r}")
         except RequestError as error:
             self._error(400, str(error))
-        except BrokenPipeError:
+        except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True
 
     def do_POST(self) -> None:
@@ -122,14 +161,14 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"unknown session {error.args[0]!r}")
         except RateLimited as error:
             self._error(429, str(error))
-        except PayloadTooLarge as error:
-            self._error(413, str(error))
-            # The unread body would be parsed as the next request.
-            self.close_connection = True
+        except UnreadBody as error:
+            self._error(error.status, str(error), close=True)
         except RequestError as error:
             self._error(400, str(error))
         except (ValueError, KeyError, TypeError) as error:
             self._error(400, f"malformed request: {error!r}")
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
 
     def _route_get(self) -> None:
         url = urlsplit(self.path)
@@ -175,8 +214,11 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
         self._error(404, f"no such endpoint: {url.path}")
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        declared = self.headers.get("Content-Length", "").strip()
+        if "Transfer-Encoding" in self.headers or not declared.isdecimal():
+            raise LengthRequired("the request body needs a Content-Length byte count")
+        length = int(declared)
+        if length == 0:
             raise RequestError("request body is required")
         if length > MAX_BODY_BYTES:
             raise PayloadTooLarge(
@@ -234,6 +276,8 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.send_header("Cache-Control", "no-store")
+        # The stream ends the connection (send_header sets close_connection).
+        self.send_header("Connection", "close")
         self.end_headers()
         budget = MAX_WAIT_SECONDS if wait is None else wait
         deadline = time.monotonic() + budget
@@ -242,7 +286,7 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
             while True:
                 candidates = session.session.candidates
                 while sent < len(candidates) and (count is None or sent < count):
-                    self._write_chunk(candidates[sent].to_json())
+                    self.wfile.write(self._chunk(candidates[sent].to_json()))
                     sent += 1
                 if count is not None and sent >= count:
                     break
@@ -258,22 +302,20 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
                 )
                 if not grew:
                     break
-            self._write_chunk(
-                {
-                    "status": session.status,
-                    "candidates_sent": sent,
-                    "counters": session.session.counters(),
-                }
-            )
-            self.wfile.write(b"0\r\n\r\n")
-        except BrokenPipeError:
+            final = {
+                "status": session.status,
+                "candidates_sent": sent,
+                "counters": session.session.counters(),
+            }
+            self.wfile.write(self._chunk(final) + b"0\r\n\r\n")
+        except (BrokenPipeError, ConnectionResetError):
             pass
-        self.close_connection = True
 
-    def _write_chunk(self, payload: dict) -> None:
+    @staticmethod
+    def _chunk(payload: dict) -> bytes:
+        """One NDJSON line framed as one HTTP chunk."""
         data = json.dumps(payload).encode("utf-8") + b"\n"
-        self.wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
-        self.wfile.flush()
+        return f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n"
 
 
 def make_server(

@@ -6,7 +6,11 @@ its own request, never on what else the process ran -- so per-session
 counters from a threaded server must be byte-identical to serial runs.
 """
 
+import contextlib
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -17,6 +21,7 @@ import pytest
 from repro import Table
 from repro.api import SynthesisRequest, SynthesisSession
 from repro.service import SessionStore, make_server
+from repro.service.api.http import SynthesisRequestHandler
 
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
@@ -82,6 +87,41 @@ def post(server, path, payload, timeout=60):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+@contextlib.contextmanager
+def keep_alive(server, timeout=30):
+    """One persistent HTTP/1.1 connection; use it with :func:`exchange`.
+
+    ``urllib`` asks for ``Connection: close`` on every request, so
+    :func:`get`/:func:`post` never see what a client that keeps its
+    connection open sees.
+    """
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=timeout)
+    try:
+        yield connection
+    finally:
+        connection.close()
+
+
+def exchange(connection, method, path, payload=None):
+    """One request on a :func:`keep_alive` connection: (status, JSON body)."""
+    body = None if payload is None else json.dumps(payload).encode()
+    headers = {} if body is None else {"Content-Type": "application/json"}
+    connection.request(method, path, body=body, headers=headers)
+    response = connection.getresponse()
+    return response.status, json.loads(response.read())
+
+
+def send_raw(server, data, timeout=10):
+    """Send raw bytes; return everything received until the server closes."""
+    received = b""
+    with socket.create_connection(server.server_address[:2], timeout=timeout) as sock:
+        sock.sendall(data)
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
 
 
 def wait_for_status(server, session_id, timeout=30.0):
@@ -182,6 +222,31 @@ class TestEndpoints:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 413
 
+    def test_chunked_body_is_411_and_closes_the_connection(self, server):
+        # A pipelined GET follows the chunked POST.  The unread body used to
+        # be parsed as the next request after a 400, and the GET was never
+        # answered on a connection that stayed open.
+        body = json.dumps(FILTER_REQUEST).encode()
+        received = send_raw(
+            server,
+            b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):X}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+            + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        assert received.startswith(b"HTTP/1.1 411 ")
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in received
+
+    def test_malformed_content_length_is_411(self, server):
+        for declared in ("-1", "abc"):
+            received = send_raw(
+                server,
+                b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {declared}\r\n\r\n".encode(),
+            )
+            assert received.startswith(b"HTTP/1.1 411 "), declared
+
     def test_session_round_trip(self, server):
         status, created = post(server, "/v1/sessions", FILTER_REQUEST)
         assert status == 201
@@ -190,6 +255,60 @@ class TestEndpoints:
         assert state["candidates"][0]["validated"]
         _, metrics = get(server, "/metrics")
         assert metrics["kernel_steps_total"] > 0
+
+
+class TestKeepAlive:
+    """Responses on a kept-open connection leave without waiting on an ACK."""
+
+    @pytest.fixture
+    def accepted(self, monkeypatch):
+        """Per accepted connection: its TCP_NODELAY flag and its write count."""
+        connections = []
+        setup = SynthesisRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            record = {
+                "nodelay": handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                ),
+                "writes": 0,
+            }
+            connections.append(record)
+            write = handler.wfile.write
+
+            def counted(data):
+                record["writes"] += 1
+                return write(data)
+
+            handler.wfile.write = counted
+
+        monkeypatch.setattr(SynthesisRequestHandler, "setup", recording_setup)
+        return connections
+
+    def test_accepted_socket_has_tcp_nodelay(self, server, accepted):
+        assert get(server, "/healthz") == (200, {"status": "ok"})
+        assert accepted and all(record["nodelay"] for record in accepted)
+
+    def test_each_json_response_is_one_write(self, server, accepted):
+        assert get(server, "/healthz")[0] == 200
+        assert post(server, "/v1/sessions", FILTER_REQUEST)[0] == 201
+        assert post(server, "/v1/sessions", {"examples": []})[0] == 400
+        with pytest.raises(urllib.error.HTTPError):
+            get(server, "/v1/sessions/deadbeef")
+        # One connection per urllib request, one response on each.
+        assert [record["writes"] for record in accepted] == [1, 1, 1, 1]
+
+    def test_sequential_requests_do_not_wait_on_delayed_acks(self, server):
+        # Head and body in two writes with Nagle on made each of these wait
+        # ~40 ms for the client's delayed ACK of the head.
+        with keep_alive(server) as connection:
+            rounds = []
+            for _ in range(20):
+                started = time.perf_counter()
+                assert exchange(connection, "GET", "/healthz") == (200, {"status": "ok"})
+                rounds.append(time.perf_counter() - started)
+        assert statistics.median(rounds) < 0.020, rounds
 
 
 class TestStreaming:
@@ -203,6 +322,23 @@ class TestStreaming:
         assert lines[0]["rank"] == 1 and lines[0]["program"]
         assert lines[1]["candidates_sent"] == 1
         assert lines[1]["counters"]["steps"] > 0
+
+    def test_stream_on_a_kept_open_connection(self, server):
+        with keep_alive(server) as connection:
+            status, created = exchange(connection, "POST", "/v1/sessions", FILTER_REQUEST)
+            assert status == 201
+            connection.request(
+                "GET", f"/v1/sessions/{created['id']}/programs?stream=1&count=1&wait=20"
+            )
+            response = connection.getresponse()
+            assert response.getheader("Transfer-Encoding") == "chunked"
+            lines = [json.loads(line) for line in response if line.strip()]
+            # The stream closes the connection; the client reconnects.
+            assert response.will_close
+            status, state = exchange(connection, "GET", f"/v1/sessions/{created['id']}")
+        assert [line.get("rank") for line in lines] == [1, None]
+        assert lines[0]["program"] and lines[1]["candidates_sent"] == 1
+        assert status == 200 and state["candidates"][0]["program"] == lines[0]["program"]
 
     def test_negative_or_malformed_count_is_400(self, server):
         # A negative count used to slice the list from the end (-1 dropped
