@@ -13,8 +13,10 @@ The facade owns three things:
 * **Interactive sessions** (:class:`SynthesisSession` via
   :func:`create_session`): an anytime search that can be advanced in bounded
   slices, streamed for candidates, and continued when the caller adds a
-  distinguishing example -- one kernel serves the session for its whole
-  life, so nothing restarts and every counter keeps counting.
+  distinguishing example -- one search serves the session for its whole
+  life, so nothing restarts and every counter keeps counting.  A settled
+  session can drop its kernel (:meth:`SynthesisSession.release`) and keep
+  its result; an example that reopens it replays the search first.
 * **One-shot solving** (:func:`solve`), the request-in/result-out wrapper
   both the CLI-free quickstart path and the service's synchronous mode use.
 
@@ -31,7 +33,9 @@ and the search simply continues.  Adding an example therefore never touches
 the kernel's search: it revalidates the existing candidates and raises the
 kernel's quota by the validated programs still missing.  A kernel that met
 its quota keeps every pending state, so the raised quota continues exactly
-the search an uninterrupted kernel would have run.
+the search an uninterrupted kernel would have run.  A released session
+rebuilds that kernel from the request: the search is deterministic, so the
+rebuilt kernel re-finds the drained programs at the same steps.
 """
 
 from __future__ import annotations
@@ -431,15 +435,21 @@ class SynthesisSession:
     The session owns a :class:`~repro.engine.context.TaskContext` (private
     intern pool, execution counters and formula cache) and a
     :class:`~repro.core.frontier.SearchKernel` that is constructed and
-    stepped strictly inside that context, and kept for the session's whole
-    life.  It is single-threaded by design: the service serialises all
-    stepping onto one scheduler thread, which grants each session one
-    :meth:`advance` slice per round-robin pass.
+    stepped strictly inside that context.  It is single-threaded by design:
+    the service serialises all stepping onto one scheduler thread, which
+    grants each session one :meth:`advance` slice per round-robin pass.
 
     Lifecycle: ``created`` -> ``searching`` -> ``done`` (quota of validated
     programs met) | ``exhausted`` (frontier drained) | ``timeout`` (active
-    budget spent).  :meth:`add_example` moves any of the finished states back
-    to ``searching`` when the surviving candidates no longer meet the quota.
+    budget spent).  :meth:`add_example` moves a finished session back to
+    ``searching`` when the surviving candidates no longer meet the quota and
+    budget and frontier remain, which is possible only from ``done``.
+
+    :meth:`release` drops the kernel and the context of a session that will
+    not search again and keeps its results and a snapshot of its counters;
+    the service releases every session that settles.  If an example reopens
+    a released session, :meth:`advance` builds a fresh kernel, which replays
+    the released steps uncharged before it searches anew.
     """
 
     def __init__(self, request: SynthesisRequest, library=None, kb=None) -> None:
@@ -450,7 +460,6 @@ class SynthesisSession:
         #: The warm-start knowledge base (repro.engine.kb) the kernel reads
         #: and writes; None runs the search without one.
         self.kb = kb
-        self.context = TaskContext()
         self.status = STATUS_CREATED
         self._examples: List[Example] = list(request.examples)
         self._target = request.config.top_k
@@ -458,13 +467,28 @@ class SynthesisSession:
         self._programs: List[Hypothesis] = []
         self._drained = 0
         self._resumes = 0
+        #: The search's counters when :meth:`release` dropped its kernel,
+        #: and whether that kernel was exhausted.
+        self._settled: Dict[str, float] = {}
+        self._settled_exhausted = False
+        #: Kernel steps a rebuilt kernel replays before it searches anew.
+        self._replay_to = 0
+        #: Added to the kernel's own counters to give the session's; None
+        #: while a rebuilt kernel replays (the session reports ``_settled``).
+        self._offset: Optional[Dict[str, float]] = {}
+        self.context = TaskContext()
         with self.context.active():
             self._library = library if library is not None else request.component_library()
-            started = time.perf_counter()
-            self._kernel = SearchKernel(
-                self._examples[0], request.config, self._library, k=self._target, kb=kb
-            )
-            self._kernel.active_seconds += time.perf_counter() - started
+            self._kernel: Optional[SearchKernel] = self._new_kernel(self._target)
+
+    def _new_kernel(self, k: int) -> SearchKernel:
+        started = time.perf_counter()
+        kernel = SearchKernel(
+            self._examples[0], self.request.config, self._library, k=k, kb=self.kb
+        )
+        kernel.active_seconds += time.perf_counter() - started
+        self._stats = kernel.stats
+        return kernel
 
     # ------------------------------------------------------------------
     @property
@@ -490,13 +514,24 @@ class SynthesisSession:
 
     @property
     def active_seconds(self) -> float:
-        """Seconds of kernel work charged to this session."""
-        return self._kernel.active_seconds
+        """Seconds of kernel work charged to this session (replays are free)."""
+        kernel, offset = self._kernel, self._offset
+        if kernel is None or offset is None:
+            return self._settled["active_seconds"]
+        return kernel.active_seconds + offset.get("active_seconds", 0.0)
 
     @property
     def steps(self) -> int:
-        """Kernel steps taken by this session."""
-        return self._kernel.steps_taken
+        """Kernel steps taken by this session, each counted once."""
+        kernel, offset = self._kernel, self._offset
+        if kernel is None or offset is None:
+            return self._settled["steps"]
+        return kernel.steps_taken + offset.get("steps", 0)
+
+    @property
+    def released(self) -> bool:
+        """True while the session holds no search kernel (see :meth:`release`)."""
+        return self._kernel is None
 
     @property
     def resumes(self) -> int:
@@ -515,10 +550,17 @@ class SynthesisSession:
         """
         if self.finished:
             return True
+        if self._kernel is None:
+            self._rebuild()
         budget = self.request.config.timeout
         step_budget = self.request.config.max_steps
         with self.context.active():
             while True:
+                if self._offset is None:
+                    self._replay(max_steps)
+                    if max_steps is not None:
+                        break
+                    continue
                 remaining = None if budget is None else budget - self.active_seconds
                 steps = max_steps
                 if step_budget is not None:
@@ -543,9 +585,10 @@ class SynthesisSession:
     def _update_status(self) -> None:
         budget = self.request.config.timeout
         step_budget = self.request.config.max_steps
+        kernel = self._kernel
         if self.validated_count >= self._target:
             self.status = STATUS_DONE
-        elif self._kernel.exhausted:
+        elif self._settled_exhausted if kernel is None else kernel.exhausted:
             self.status = STATUS_EXHAUSTED
         elif budget is not None and self.active_seconds >= budget:
             self.status = STATUS_TIMEOUT
@@ -563,7 +606,8 @@ class SynthesisSession:
             program = kernel.solutions[self._drained]
             self._drained += 1
             validated = all(
-                self._passes(program, example) for example in self._examples[1:]
+                self._passes(program, example, kernel.engine.execution_cache)
+                for example in self._examples[1:]
             )
             self._programs.append(program)
             self._candidates.append(
@@ -580,19 +624,17 @@ class SynthesisSession:
                 # kernel's own quota so the enumeration keeps going.
                 kernel.k += 1
 
-    def _passes(self, program: Hypothesis, example: Example) -> bool:
+    @staticmethod
+    def _passes(program: Hypothesis, example: Example, exec_cache) -> bool:
         """CHECK(p, E) against a validation example.
 
-        The fingerprint-keyed execution cache is shared (it keys on input
-        table content, so entries for different examples never collide); the
-        node-keyed evaluation memo is *not* -- it is only sound for the
-        primary example's inputs.
+        The kernel's fingerprint-keyed execution cache is shared (it keys on
+        input table content, so entries for different examples never
+        collide); the node-keyed evaluation memo is *not* -- it is only sound
+        for the primary example's inputs.
         """
         try:
-            actual = evaluate(
-                program, example.inputs,
-                exec_cache=self._kernel.engine.execution_cache,
-            )
+            actual = evaluate(program, example.inputs, exec_cache=exec_cache)
         except (EvaluationFailure, *PRUNABLE_ERRORS):
             return False
         return tables_match_for_synthesis(actual, example.output)
@@ -604,25 +646,82 @@ class SynthesisSession:
         Existing candidates are revalidated against the new example, and the
         kernel's quota is raised by the validated programs still missing.
         The kernel itself is untouched: its frontier, its
-        observational-equivalence store and its counters carry on.  An
-        example with the wrong number of input tables raises
-        :class:`RequestError` and leaves the session unchanged.
+        observational-equivalence store and its counters carry on.  A
+        released session revalidates in a scratch context; if its quota
+        reopens (possible only from ``done``), the next :meth:`advance`
+        rebuilds the kernel (see :meth:`release`).  An example with the
+        wrong number of input tables raises :class:`RequestError` and leaves
+        the session unchanged.
         """
         check_input_counts((self._examples[0], example))
-        with self.context.active():
+        kernel = self._kernel
+        context = self.context if kernel is not None else TaskContext()
+        exec_cache = kernel.engine.execution_cache if kernel is not None else None
+        with context.active():
             self._examples.append(example)
             self._candidates = [
                 replace(
                     candidate,
-                    validated=candidate.validated and self._passes(program, example),
+                    validated=candidate.validated
+                    and self._passes(program, example, exec_cache),
                 )
                 for candidate, program in zip(self._candidates, self._programs)
             ]
-            kernel = self._kernel
-            kernel.k = len(kernel.solutions) + max(0, self._target - self.validated_count)
+            if kernel is not None:
+                kernel.k = self._quota()
             self._resumes += 1
             self._update_status()
         return self.state()
+
+    def _quota(self) -> int:
+        """The kernel's solution quota: the drained programs plus those missing."""
+        return self._drained + max(0, self._target - self.validated_count)
+
+    # ------------------------------------------------------------------
+    def release(self) -> None:
+        """Drop the search kernel and its context; keep what the search found.
+
+        The request, examples, candidates, drained programs, status and a
+        snapshot of :meth:`counters` stay.  The search is a deterministic
+        function of the primary example, the library and the configuration,
+        so when an added example reopens the quota, :meth:`advance` builds a
+        fresh kernel and replays it, uncharged, to the step its release left
+        it at: it re-finds the drained solutions at the same steps, and
+        :meth:`_drain` skips them by index.  Until the replay gets there the
+        session reports the snapshot; after that its counters continue from
+        it.  Releasing a released session does nothing.
+        """
+        kernel = self._kernel
+        if kernel is None:
+            return
+        self._settled = self._search_counters()
+        self._settled_exhausted = kernel.exhausted
+        self._replay_to = max(self._replay_to, kernel.steps_taken)
+        self._kernel = None
+        self.context = None
+
+    def _rebuild(self) -> None:
+        """Build a kernel for a released session that searches again."""
+        self._offset = None
+        self.context = TaskContext()
+        with self.context.active():
+            self._kernel = self._new_kernel(self._quota())
+
+    def _replay(self, max_steps: Optional[int]) -> None:
+        """Step a rebuilt kernel towards the step its release left it at.
+
+        No deadline and no budget applies: the released kernel already paid
+        for these steps.  Once the kernel gets there (or, with nothing left
+        to search, stops short), the session's counters continue from the
+        snapshot.
+        """
+        kernel = self._kernel
+        left = self._replay_to - kernel.steps_taken
+        kernel.run(max_steps=left if max_steps is None else min(max_steps, left))
+        if kernel.steps_taken >= self._replay_to or kernel.done:
+            live = self._kernel_counters(kernel)
+            self._offset = {name: value - live[name] for name, value in self._settled.items()}
+            self._replay_to = 0
 
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, float]:
@@ -632,14 +731,30 @@ class SynthesisSession:
         kernel's construction (example tables are fingerprinted and cached
         per process, so counting their set-up would depend on what ran
         before) to now.  The hot paths only increment plain attributes; the
-        names live here.
+        names live here.  A released session reports the snapshot its
+        release took, so the counters never go backwards.
         """
-        kernel = self._kernel
+        counters = dict(self._search_counters())
+        counters["resumes"] = self._resumes
+        counters["active_seconds"] = round(counters["active_seconds"], 6)
+        return counters
+
+    def _search_counters(self) -> Dict[str, float]:
+        """The counters the search owns (all but ``resumes``), unrounded."""
+        kernel, offset = self._kernel, self._offset
+        if kernel is None or offset is None:
+            return self._settled
+        counters = self._kernel_counters(kernel)
+        for name, value in offset.items():
+            counters[name] += value
+        return counters
+
+    @staticmethod
+    def _kernel_counters(kernel: SearchKernel) -> Dict[str, float]:
         stats = kernel.stats
         return {
-            "steps": self.steps,
-            "resumes": self._resumes,
-            "active_seconds": round(self.active_seconds, 6),
+            "steps": kernel.steps_taken,
+            "active_seconds": kernel.active_seconds,
             "frontier_peak": kernel.frontier.peak,
             "hypotheses_expanded": stats.hypotheses_expanded,
             "hypotheses_enqueued": stats.hypotheses_enqueued,
@@ -702,7 +817,7 @@ class SynthesisSession:
             solved=bool(programs),
             program=programs[0] if programs else None,
             elapsed=time.monotonic() - started,
-            stats=self._kernel.stats,
+            stats=self._stats,
             config=self.request.config,
             programs=programs,
         )

@@ -27,7 +27,8 @@ This module makes that state explicit:
   exhaustion.  Kernels are cheap to hold between slices: a service can run
   many of them round-robin (see :class:`repro.service.sessions.SessionStore`).
   :class:`repro.api.SynthesisSession` is the one owner that builds, drives
-  and finishes a kernel, and it keeps one kernel for its whole life.
+  and finishes a kernel; a settled session may drop its kernel and, if an
+  example reopens it, rebuild and replay it.
 
 Quota contract
 --------------
@@ -40,7 +41,8 @@ larger quota would have run -- same programs, same order, same counters.
 
 The search is deterministic: a function of the example, the library and the
 configuration.  So nothing here serialises a kernel; a lost session is
-re-created from its request and searched again.
+re-created from its request and searched again, and a released one is
+replayed to the step it stopped at.
 """
 
 from __future__ import annotations

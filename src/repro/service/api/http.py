@@ -12,8 +12,9 @@ are the wire format):
     Liveness probe: ``{"status": "ok"}``, or ``503`` with
     ``{"status": "scheduler-down"}`` once the scheduler thread has died.
 ``GET  /metrics``
-    Service-wide counters: live/active session counts, kernel steps,
-    prescreen and observational-equivalence hit rates, rate-limit denials.
+    Service-wide counters: live/active session counts, ``kernels_live``
+    (live sessions still holding a search kernel), kernel steps, prescreen
+    and observational-equivalence hit rates, rate-limit denials.
 ``POST /v1/sessions``
     Create a session from a ``SynthesisRequest`` payload; ``201`` with the
     session id and initial state, ``400`` on malformed payloads, ``429``
@@ -28,8 +29,10 @@ are the wire format):
     search discovers it -- the anytime kernel made streamable.
 ``POST /v1/sessions/{id}/examples``
     Add a distinguishing example.  The session's search continues -- it
-    is never restarted -- and the response carries the new state with
-    every prior candidate revalidated against the new example.
+    is never restarted; a settled session, which released its kernel,
+    replays the search to where it stopped -- and the response carries the
+    new state with every prior candidate revalidated against the new
+    example.
 
 A POST body must carry a ``Content-Length``; without one (a chunked body,
 say) the answer is ``411`` and the connection closes, as it does after a

@@ -19,6 +19,14 @@ scheduler thread.  The threading contract is strict and worth stating once:
   enrolled session one slice of :data:`~repro.api.DEFAULT_SLICE_STEPS`
   kernel steps (:meth:`ServiceSession.advance`), dropping the ones that
   finish.
+* A session that settles -- ``done``, ``exhausted``, ``timeout`` or
+  ``failed`` -- keeps its result but not its search: once its readers are
+  woken, the scheduler releases its kernel and context under the work lock
+  (:meth:`~repro.api.SynthesisSession.release`), so the store holds no
+  kernel that will not run again and the cyclic collector does not walk
+  thousands of dead search objects per finished session.  An example that
+  reopens a released session rebuilds its kernel, which the rotation
+  replays to where it stopped before it searches on.
 * Everything else (the registry dict, the rate limiter, per-session
   condition variables for streaming readers) uses ordinary fine-grained
   locks and never blocks on kernel work.
@@ -129,6 +137,12 @@ class ServiceSession:
         keeps its rotation slot) or after ``_enrolled`` drops (and then
         enrolls a fresh task) -- never in between, which would strand a live
         session outside the rotation.
+
+        A session that settles is released (:meth:`SynthesisSession.release`)
+        after its readers are woken: released first, the kernel's
+        deallocation ran ahead of every waiting reader.  The release
+        re-checks under the work lock: an ``add_example`` that reopened the
+        session first keeps its kernel.
         """
         if self.expired:
             with self.store._registry_lock:
@@ -140,9 +154,11 @@ class ServiceSession:
             self.changed.notify_all()
         if self.session.finished:
             with self.store._registry_lock:
-                if self.session.finished:
-                    self._enrolled = False
-                    return True
+                if not self.session.finished:
+                    return False
+                self._enrolled = False
+            self._release()
+            return True
         return False
 
     def fail(self, error: Exception) -> None:
@@ -153,6 +169,13 @@ class ServiceSession:
             self._enrolled = False
         with self.changed:
             self.changed.notify_all()
+        self._release()
+
+    def _release(self) -> None:
+        """Drop the kernel of a session that left the rotation settled."""
+        with self.store._work_lock:
+            if self.settled:
+                self.session.release()
 
     # -- service-level views ------------------------------------------
     def touch(self) -> None:
@@ -329,6 +352,7 @@ class SessionStore:
         metrics = {
             "sessions_active": sum(1 for s in live if not s.settled),
             "sessions_live": len(live),
+            "kernels_live": sum(1 for s in live if not s.session.released),
             "sessions_created_total": self.sessions_created,
             "sessions_expired_total": self.sessions_expired,
             "rate_limited_total": self.bucket.denied,

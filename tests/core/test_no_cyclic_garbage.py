@@ -11,6 +11,7 @@ cycles on the search path".
 import ast
 import collections
 import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,31 @@ def test_shared_kb_tier_creates_no_cyclic_garbage(tmp_path, monkeypatch):
     assert failures
     assert all(failure.__traceback__ is None for failure in failures)
     kb.close()
+
+
+def test_release_frees_the_kernel_by_reference_counting():
+    # With the collector off, only reference counting can free the kernel:
+    # were it kept alive by cycles, releasing settled sessions would hand
+    # the same objects to the full collections the release is meant to
+    # shrink.
+    benchmark = r_benchmark_suite().get("c3_exam_gather_unite_spread")
+    request = SynthesisRequest.from_tables(
+        benchmark.inputs, benchmark.output, top_k=1, timeout=60
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        session = create_session(request)
+        session.solve()
+        kernel = weakref.ref(session._kernel)
+        engine = weakref.ref(session._kernel.engine)
+        session.release()
+        alive = [name for name, ref in (("SearchKernel", kernel), ("DeductionEngine", engine))
+                 if ref() is not None]
+    finally:
+        gc.enable()
+    assert session.released and session.candidates
+    assert not alive, f"released but still alive without the collector: {alive}"
 
 
 def _self_recursive_closures(path: Path):

@@ -21,6 +21,7 @@ from repro.api import (
 )
 from repro.benchmarks import r_benchmark_suite
 from repro.core import Apply, Example, SynthesisConfig, render_program
+from repro.dataframe.profiling import ExecutionStats
 
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
@@ -346,3 +347,129 @@ class TestAddExample:
         )
         assert session.candidates[0].validated
         assert session.status == "done"
+
+
+#: Counters that depend on how warm the execution caches are.  A released
+#: session revalidates its candidates in a scratch context, so its reopened
+#: search can differ from a kept kernel's in these by the revalidation's share.
+WARMTH_COUNTERS = (*ExecutionStats().counters(), "sibling_batches", "batched_fills")
+
+
+def nothing_matches(benchmark):
+    """An example no program meets: the task's inputs minus a row, a foreign output."""
+    first = benchmark.inputs[0]
+    inputs = (
+        Table(first.columns, first.rows[:-1], col_types=first.col_types),
+        *benchmark.inputs[1:],
+    )
+    return Example.make(inputs, Table(["nothing"], [["matches"]]))
+
+
+def search_counters(session):
+    ignored = {*CLOCK_COUNTERS, *WARMTH_COUNTERS}
+    return {name: value for name, value in session.counters().items() if name not in ignored}
+
+
+class TestRelease:
+    """A released session keeps its result, and an example that reopens it
+    replays the search to where it stopped, then continues it."""
+
+    #: (task, knobs, end status after the example): the filter task reopens
+    #: to a validated program; the R-suite tasks are given an example no
+    #: program meets, so they search on until the frontier or the step
+    #: budget runs out.
+    REOPENED = [
+        ("filter", {}, "done"),
+        ("c1_prices_long_to_wide", {"max_size": 2}, "exhausted"),
+        ("c5_join_filter_large_orders", {"max_steps": 3000}, "timeout"),
+    ]
+
+    def settled(self, task, knobs):
+        """A session of *task* run to ``done``, and the example that reopens it."""
+        if task == "filter":
+            request, example = filter_request(**knobs), TestAddExample.DISTINGUISHER
+        else:
+            benchmark = r_benchmark_suite().get(task)
+            request = SynthesisRequest.from_tables(
+                benchmark.inputs, benchmark.output, timeout=60, **knobs
+            )
+            example = nothing_matches(benchmark)
+        session = create_session(request)
+        while not session.advance(max_steps=64):
+            pass
+        assert session.status == "done"
+        return session, example
+
+    @staticmethod
+    def finish(session):
+        """Advance *session* to the end; its counters after every slice."""
+        samples = [session.counters()]
+        while not session.advance(max_steps=64):
+            samples.append(session.counters())
+        samples.append(session.counters())
+        return samples
+
+    @pytest.mark.parametrize("task, knobs, end", REOPENED)
+    def test_a_reopened_session_ends_as_a_kept_kernel_does(self, task, knobs, end):
+        kept, example = self.settled(task, knobs)
+        kept_state = kept.add_example(example)
+        self.finish(kept)
+
+        released, example = self.settled(task, knobs)
+        settled = released.counters()
+        released.release()
+        assert released.released
+        assert released.counters() == settled
+        state = released.add_example(example)
+        assert state.status == "searching"  # the quota reopened
+        assert state.candidates == kept_state.candidates
+        samples = self.finish(released)
+
+        assert released.status == kept.status == end
+        assert released.candidates == kept.candidates
+        assert search_counters(released) == search_counters(kept)
+        # The replay reports the snapshot; after it the counters continue.
+        assert samples[0] == {**settled, "resumes": 1}
+        for before, after in zip(samples, samples[1:]):
+            assert all(after[name] >= before[name] for name in before), (before, after)
+
+    @pytest.mark.parametrize(
+        "output, knobs, end",
+        [
+            # No program produces this output: the search runs dry or out
+            # of steps.
+            (Table(["name"], [["Zoe"]]), {"max_size": 1}, "exhausted"),
+            (Table(["name"], [["Zoe"]]), {"max_steps": 10}, "timeout"),
+            # The example the first program already meets keeps the quota.
+            (ADULTS, {}, "done"),
+        ],
+    )
+    def test_a_session_the_example_does_not_reopen_builds_no_kernel(self, output, knobs, end):
+        session = create_session(
+            SynthesisRequest.from_tables([STUDENTS], output, timeout=20, **knobs)
+        )
+        while not session.advance(max_steps=64):
+            pass
+        assert session.status == end
+        session.release()
+        session.add_example(
+            Example.make(
+                [Table(["name", "age", "gpa"], [["Alice", 8, 4.0], ["Max", 20, 2.0]])],
+                Table(["name", "age", "gpa"], [["Max", 20, 2.0]]),
+            )
+        )
+        assert session.status == end
+        assert session.advance()
+        assert session.released
+
+    def test_a_released_session_keeps_its_result(self):
+        session = create_session(filter_request())
+        expected = session.solve()
+        state = session.state()
+        session.release()
+        session.release()
+        assert session.state() == state
+        result = session.solve()
+        assert session.released
+        assert result.render() == expected.render()
+        assert result.stats is expected.stats

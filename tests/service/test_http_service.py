@@ -146,6 +146,7 @@ class TestEndpoints:
         status, metrics = get(server, "/metrics")
         assert status == 200
         assert metrics["sessions_live"] == 0
+        assert metrics["kernels_live"] == 0
         assert "kernel_steps_total" in metrics
 
     def test_unknown_session_is_404(self, server):
@@ -392,6 +393,37 @@ class TestResume:
             cold.advance(max_steps=64)
         cold_validated = [c.program for c in cold.candidates if c.validated]
         assert validated[0] == cold_validated[0]
+
+
+class TestKernelRelease:
+    def kernels_live_reaches_zero(self, server, timeout=10.0):
+        deadline = time.monotonic() + timeout
+        while get(server, "/metrics")[1]["kernels_live"] and time.monotonic() < deadline:
+            time.sleep(0.02)
+        return get(server, "/metrics")[1]["kernels_live"] == 0
+
+    def test_settled_sessions_free_their_kernels_and_resume(self, server):
+        _, created = post(server, "/v1/sessions", FILTER_REQUEST)
+        sid = created["id"]
+        first = wait_for_status(server, sid)
+        assert first["status"] == "done"
+        assert self.kernels_live_reaches_zero(server)
+
+        status, resumed = post(server, f"/v1/sessions/{sid}/examples", DISTINGUISHER)
+        assert status == 200
+        assert not resumed["candidates"][0]["validated"]
+        final = wait_for_status(server, sid, timeout=40.0)
+        assert final["status"] == "done"
+        assert [c["program"] for c in final["candidates"] if c["validated"]] == [
+            "df1 = filter(table1, age != 8)"
+        ]
+        # The replay re-ran the released steps without counting them again.
+        cold_payload = dict(FILTER_REQUEST)
+        cold_payload["examples"] = FILTER_REQUEST["examples"] + [DISTINGUISHER]
+        cold = SynthesisSession(SynthesisRequest.from_json(cold_payload))
+        cold.solve()
+        assert final["counters"]["steps"] == cold.steps
+        assert self.kernels_live_reaches_zero(server)
 
 
 class TestInputCounts:

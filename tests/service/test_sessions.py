@@ -189,6 +189,42 @@ class TestRotation:
         assert not session._enrolled
 
 
+class TestRelease:
+    def test_settled_sessions_hold_no_kernel(self, manual_store):
+        sessions = [manual_store.create(filter_request()) for _ in range(2)]
+        assert manual_store.metrics()["kernels_live"] == 2
+        while manual_store._rotate():
+            pass
+        assert all(s.session.status == "done" for s in sessions)
+        assert manual_store.metrics()["kernels_live"] == 0
+
+        # The example reopens the quota: the session's next slice rebuilds
+        # its kernel, which replays to where it stopped, searches on, and
+        # is released again when the session settles.
+        reopened = sessions[0]
+        manual_store.add_example(reopened.id, DISTINGUISHER)
+        assert reopened.session.status == "searching"
+        manual_store._rotate()
+        assert manual_store.metrics()["kernels_live"] == 1
+        while manual_store._rotate():
+            pass
+        assert reopened.session.finished
+        assert any(c.validated for c in reopened.session.candidates)
+        assert manual_store.metrics()["kernels_live"] == 0
+
+    def test_a_failed_session_holds_no_kernel(self, manual_store, monkeypatch):
+        broken = manual_store.create(filter_request())
+
+        def raising(max_steps=64):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(broken.session, "advance", raising)
+        manual_store._rotate()
+        assert broken.status == "failed"
+        assert broken.session.released
+        assert manual_store.metrics()["kernels_live"] == 0
+
+
 class TestEnrollmentRace:
     def test_resume_in_the_unenroll_gap_is_not_lost(self, manual_store):
         """A client adding an example right as the final slice ends must not
@@ -240,6 +276,40 @@ class TestEnrollmentRace:
         # The resumed search kept its rotation slot (or was re-enrolled)
         # and ran to completion instead of hanging in 'searching'.
         assert session.session.finished
+        assert any(c.validated for c in session.session.candidates)
+
+
+    def test_resume_in_the_release_gap_keeps_its_kernel(self, manual_store):
+        """An example added after the final slice woke the readers, but
+        before the scheduler releases the settled session, reopens the
+        kernel it still holds: the release must not drop it."""
+        store = manual_store
+        session = store.create(filter_request())
+        real_changed = session.changed
+        kernels = []
+
+        class InjectingCondition:
+            def __enter__(self):
+                return real_changed.__enter__()
+
+            def __exit__(self, *args):
+                return real_changed.__exit__(*args)
+
+            def notify_all(self):
+                real_changed.notify_all()
+                if session.session.finished and not kernels:
+                    kernels.append(session.session._kernel)
+                    store.add_example(session.id, DISTINGUISHER)
+
+        session.changed = InjectingCondition()
+        while not kernels:
+            store._rotate()
+        session.changed = real_changed
+        assert session.session._kernel is kernels[0]
+        assert session._enrolled and session.session.status == "searching"
+        while store._rotate():
+            pass
+        assert session.session.released
         assert any(c.validated for c in session.session.candidates)
 
 
