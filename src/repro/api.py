@@ -219,6 +219,19 @@ def _check_knob(name: str, value) -> None:
             )
 
 
+def check_config(config: SynthesisConfig) -> None:
+    """Reject a configuration whose knobs :func:`_check_knob` refuses.
+
+    A session runs this on its request's configuration, so a ``timeout`` of
+    NaN (which no budget comparison ever trips) fails at creation instead of
+    leaving the session searching forever; ``top_k`` must be at least 1.
+    """
+    for knob in fields(config):
+        _check_knob(knob.name, getattr(config, knob.name))
+    if config.top_k < 1:
+        raise RequestError(f"config knob 'top_k' must be at least 1, got {config.top_k!r}")
+
+
 def config_from_json(payload: dict) -> SynthesisConfig:
     """Rebuild a :class:`SynthesisConfig`; bad knobs raise :class:`RequestError`.
 
@@ -239,11 +252,9 @@ def config_from_json(payload: dict) -> SynthesisConfig:
             knobs["spec_level"] = SpecLevel(knobs["spec_level"])
         except ValueError as error:
             raise RequestError(f"unknown spec_level: {error}") from error
-    for name, value in knobs.items():
-        _check_knob(name, value)
-    if knobs.get("top_k", 1) < 1:
-        raise RequestError(f"config knob 'top_k' must be at least 1, got {knobs['top_k']!r}")
-    return SynthesisConfig(**knobs)
+    config = SynthesisConfig(**knobs)
+    check_config(config)
+    return config
 
 
 @dataclass(frozen=True)
@@ -456,6 +467,7 @@ class SynthesisSession:
         if not request.examples:
             raise RequestError("a session needs at least one example")
         check_input_counts(request.examples)
+        check_config(request.config)
         self.request = request
         #: The warm-start knowledge base (repro.engine.kb) the kernel reads
         #: and writes; None runs the search without one.

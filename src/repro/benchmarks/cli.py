@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -212,6 +213,8 @@ def main(argv=None) -> int:
     progress = None if args.quiet else _progress
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if not math.isfinite(args.timeout) or args.timeout <= 0:
+        parser.error(f"--timeout must be a finite number > 0, got {args.timeout}")
     if args.top_k < 1:
         parser.error(f"--top-k must be >= 1, got {args.top_k}")
     if args.list_tasks:

@@ -16,7 +16,9 @@ or interleave fairly with other work.  It is now an explicit worklist
 position in the bottom-up completion order, :meth:`CompletionRun.step`
 advances the search by exactly one frame (one candidate hole filling, one
 deduction query), and the frame stack is popped LIFO so programs are still
-produced in *exactly* the order the recursion produced them.
+produced in *exactly* the order the recursion produced them.  A step is
+also the only point where a search stops: the kernel checks its deadline
+before each one, never inside it, so a frame is always whole between steps.
 
 Each frame carries the partial-evaluation map of its sketch, computed once
 when first read and seeded from the parent frame's map: a hole fill
@@ -34,7 +36,7 @@ work behind the copy.  Merging never changes which program is found first
 
 from __future__ import annotations
 
-import time
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -50,10 +52,6 @@ from .hypothesis import (
 )
 from .inhabitation import enumerate_arguments
 from .oe import OEStore
-
-
-class CompletionTimeout(Exception):
-    """Raised when the per-task deadline expires during sketch completion."""
 
 
 #: How many sibling fillings of one hole are pre-executed as a group.  Each
@@ -119,21 +117,15 @@ class _Frame:
     #: Remaining unbound first-order holes of the current node (argument
     #: frames only).
     holes: Optional[Sequence[Hole]] = None
-    #: Lazy iterator over candidate arguments for ``holes[0]``.  ``None`` on
-    #: an argument frame marks a stale iterator (a deadline fired inside the
-    #: generator, which kills it); the frame rebuilds it on resume from
-    #: :attr:`consumed` -- the enumeration is deterministic, so skipping the
-    #: already-consumed prefix lands exactly on the in-flight candidate.
+    #: Lazy iterator over candidate arguments for ``holes[0]``.
     arguments: Optional[Iterator] = None
     #: The concrete table the holes are enumerated against.
     context_table: Optional[Table] = None
     #: True when filling ``holes[0]`` completes the whole program (the
     #: subsequent CHECK subsumes the deduction query).
     completes: bool = False
-    #: Arguments already pulled from the enumeration (for rebuilds).
-    consumed: int = 0
     #: Arguments pulled ahead of processing for batched sibling evaluation
-    #: (already counted in :attr:`consumed`; drained before the iterator).
+    #: (drained before the iterator).
     pending: List = field(default_factory=list)
 
 
@@ -142,7 +134,6 @@ class SketchCompleter:
     """Implements the FILLSKETCH procedure for one synthesis problem."""
 
     engine: DeductionEngine
-    deadline: Optional[float] = None
     #: Candidate hole fillings one sketch may try (see
     #: :class:`CompletionBudgetExceeded`).
     budget: int = COMPLETION_BUDGET
@@ -151,16 +142,6 @@ class SketchCompleter:
     #: of one synthesis run (``None`` disables merging -- the ``--no-oe``
     #: ablation).
     oe_store: Optional[OEStore] = None
-
-    def check_deadline(self) -> None:
-        """Raise :class:`CompletionTimeout` once the deadline has passed.
-
-        Called on every worklist step *and* threaded into the argument
-        enumerators, so a single huge ``enumerate_arguments`` space cannot
-        blow past the per-task budget between checks.
-        """
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise CompletionTimeout()
 
     def _charge_budget(self) -> None:
         self._spent += 1
@@ -192,8 +173,8 @@ class SketchCompleter:
                 if finished is not None:
                     yield finished.sketch
         finally:
-            # Any early exit -- budget, deadline, or the caller abandoning
-            # the generator -- leaves admitted states under-explored;
+            # Any early exit -- the budget, or the caller abandoning the
+            # generator -- leaves admitted states under-explored;
             # normal exhaustion keeps them (cross-sketch dedup is the point).
             if not run.exhausted:
                 run.release()
@@ -328,27 +309,16 @@ class CompletionRun:
         ``evaluated`` the partial-evaluation map the run carried to it: the
         seed for evaluating the program at CHECK.
 
-        Raises :class:`CompletionTimeout` when the deadline has expired and
-        :class:`CompletionBudgetExceeded` when this sketch has used up its
-        completion budget.
+        Raises :class:`CompletionBudgetExceeded` when this sketch has used
+        up its completion budget.
         """
-        completer = self.completer
-        completer.check_deadline()
         if not self._stack:
             return None
         frame = self._stack.pop()
-        try:
-            if frame.holes is not None:
-                self._advance_arguments(frame)
-                return None
-            return self._advance_node(frame)
-        except CompletionTimeout:
-            # The deadline fired mid-frame (inside the argument enumerator,
-            # before the frame was re-pushed): restore it so a resumed run
-            # continues exactly here.
-            if not (self._stack and self._stack[-1] is frame):
-                self._stack.append(frame)
-            raise
+        if frame.holes is not None:
+            self._advance_arguments(frame)
+            return None
+        return self._advance_node(frame)
 
     # ------------------------------------------------------------------
     def _advance_node(self, frame: _Frame) -> Optional[_Frame]:
@@ -383,30 +353,18 @@ class CompletionRun:
         completer = self.completer
         if frame.pending:
             argument = frame.pending.pop(0)
+        elif len(frame.holes) == 1 and SIBLING_BATCH > 1:
+            # Last hole of the node: sibling fillings differ only in this
+            # argument, so pull a group ahead and pre-execute it as a
+            # batch (results land in the execution cache).
+            self._prefetch_siblings(frame)
+            if not frame.pending:
+                return None
+            argument = frame.pending.pop(0)
         else:
-            if frame.arguments is None:
-                frame.arguments = self._rebuild_arguments(frame)
-            if len(frame.holes) == 1 and SIBLING_BATCH > 1:
-                # Last hole of the node: sibling fillings differ only in this
-                # argument, so pull a group ahead and pre-execute it as a
-                # batch (results land in the execution cache).
-                self._prefetch_siblings(frame)
-                if not frame.pending:
-                    return None
-                argument = frame.pending.pop(0)
-            else:
-                try:
-                    argument = next(frame.arguments, None)
-                except CompletionTimeout:
-                    # The deadline fired inside the enumeration generator,
-                    # which is dead now; mark it for a rebuild so a resumed
-                    # run re-enters the enumeration at the in-flight
-                    # candidate (step() re-pushes the frame).
-                    frame.arguments = None
-                    raise
-                if argument is None:
-                    return None
-                frame.consumed += 1
+            argument = next(frame.arguments, None)
+            if argument is None:
+                return None
         # Re-push the frame first so the candidate's subtree (pushed below,
         # popped first) is fully explored before the next argument -- the
         # LIFO discipline that reproduces the recursion's DFS order.
@@ -461,50 +419,15 @@ class CompletionRun:
         ):
             self._stack.append(frame)
 
-    def _enumerate(self, frame: _Frame) -> Iterator:
-        """The (deterministic) argument enumeration for ``frame.holes[0]``."""
-        completer = self.completer
-        node = _find_node(frame.sketch, self._order[frame.position])
-        param = completer._param_of(node, frame.holes[0])
-        return iter(
-            enumerate_arguments(
-                node.component, param, frame.context_table,
-                deadline_check=completer.check_deadline,
-            )
-        )
-
-    def _rebuild_arguments(self, frame: _Frame) -> Iterator:
-        """Recreate a stale enumeration, skipping the consumed prefix."""
-        iterator = self._enumerate(frame)
-        for _ in range(frame.consumed):
-            next(iterator)
-        return iterator
-
     def _prefetch_siblings(self, frame: _Frame) -> None:
         """Pull up to :data:`SIBLING_BATCH` candidates and pre-execute them.
 
-        The pulled candidates are parked in ``frame.pending`` (and counted in
-        ``frame.consumed``, so deadline rebuilds skip them correctly); the
-        group is handed to the deduction engine, which executes the fills
-        through the component's batched executor and primes the execution
-        cache.  A deadline firing mid-pull keeps the partial group pending --
-        those candidates are then processed unbatched, which computes the
-        same results.
+        The pulled candidates are parked in ``frame.pending``; the group is
+        handed to the deduction engine, which executes the fills through the
+        component's batched executor and primes the execution cache.
         """
         completer = self.completer
-        batch: List = []
-        try:
-            while len(batch) < SIBLING_BATCH:
-                candidate = next(frame.arguments, None)
-                if candidate is None:
-                    break
-                frame.consumed += 1
-                batch.append(candidate)
-        except CompletionTimeout:
-            frame.arguments = None
-            frame.pending = batch
-            raise
-        frame.pending = batch
+        frame.pending = batch = list(itertools.islice(frame.arguments, SIBLING_BATCH))
         if len(batch) < 2:
             return
         # The frame's map, even when only a seed, holds the node's table
@@ -524,7 +447,9 @@ class CompletionRun:
         frame.holes = holes
         frame.context_table = context_table
         frame.completes = len(holes) == 1 and len(unfilled_value_holes(frame.sketch)) == 1
-        frame.arguments = self._enumerate(frame)
+        node = _find_node(frame.sketch, self._order[frame.position])
+        param = self.completer._param_of(node, holes[0])
+        frame.arguments = iter(enumerate_arguments(node.component, param, context_table))
         self._stack.append(frame)
 
 

@@ -24,8 +24,10 @@ This module makes that state explicit:
 * :class:`SearchKernel` -- the anytime search engine: ``step()`` processes
   one frontier state (at most one deduction query or one candidate hole
   filling), ``run(deadline)`` steps until a deadline, a solution quota, or
-  exhaustion.  Kernels are cheap to hold between slices: a service can run
-  many of them round-robin (see :class:`repro.service.sessions.SessionStore`).
+  exhaustion.  The deadline is checked before each step and never inside
+  one, so every state is whole between steps.  Kernels are cheap to hold
+  between slices: a service can run many of them round-robin (see
+  :class:`repro.service.sessions.SessionStore`).
   :class:`repro.api.SynthesisSession` is the one owner that builds, drives
   and finishes a kernel; a settled session may drop its kernel and, if an
   example reopens it, rebuild and replay it.
@@ -57,12 +59,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from ..components.errors import PRUNABLE_ERRORS
 from ..dataframe.compare import tables_match_for_synthesis
 from ..dataframe.profiling import execution_stats
-from .completion import (
-    CompletionBudgetExceeded,
-    CompletionRun,
-    CompletionTimeout,
-    SketchCompleter,
-)
+from .completion import CompletionBudgetExceeded, CompletionRun, SketchCompleter
 from .component import Component
 from .cost import CostModel, UniformCostModel
 from .deduction import DeductionEngine
@@ -108,19 +105,9 @@ class CompletionState:
 
 @dataclass
 class RefineState:
-    """The refinement fan-out of one expanded hypothesis (runs last).
-
-    A deadline can interrupt the fan-out between two (hole, component)
-    pairs; the state then records where it stopped, so re-running it
-    continues there instead of reserving the earlier pairs' node ids again.
-    """
+    """The refinement fan-out of one expanded hypothesis (runs last)."""
 
     hypothesis: Hypothesis
-    #: The next (hole index, component index) pair to refine.
-    position: Tuple[int, int] = (0, 0)
-    #: First node id reserved for the pair at ``position``; ``None`` until
-    #: a deadline interrupts the fan-out, which starts at the node counter.
-    next_id: Optional[int] = None
 
 
 class Refinement(NamedTuple):
@@ -262,10 +249,7 @@ class SearchKernel:
         )
         self.oe_store = OEStore() if config.oe else None
         self.completer = SketchCompleter(
-            self.engine,
-            deadline=None,
-            stats=stats.completion,
-            oe_store=self.oe_store,
+            self.engine, stats=stats.completion, oe_store=self.oe_store
         )
         #: The hypothesis ranking: a pure function of ``config``.
         model_class = CostModel if config.ngram_ranking else UniformCostModel
@@ -326,9 +310,12 @@ class SearchKernel:
         return not self.frontier
 
     def set_deadline(self, deadline: Optional[float]) -> None:
-        """Set the wall-clock deadline consulted by ``run``/``step``."""
+        """Set the wall-clock deadline ``run`` checks before each step.
+
+        The deduction engine shares it, so an SMT query still in flight at
+        the deadline answers UNKNOWN rather than running on.
+        """
         self._deadline = deadline
-        self.completer.deadline = deadline
         self.engine.deadline = deadline
 
     def _expired(self) -> bool:
@@ -358,10 +345,7 @@ class SearchKernel:
                     break
                 if max_steps is not None and steps >= max_steps:
                     break
-                try:
-                    self.step()
-                except CompletionTimeout:
-                    break
+                self.step()
                 steps += 1
         finally:
             self.active_seconds += perf_counter() - started
@@ -380,13 +364,7 @@ class SearchKernel:
         elif isinstance(state, CompletionState):
             self._advance_completion(state)
         else:
-            try:
-                self._refine(state)
-            except CompletionTimeout:
-                # Deadline mid-fan-out: re-push so a resumed run finishes
-                # the remaining refinements from where the state stopped.
-                self.frontier.push_continuation(state)
-                raise
+            self._refine(state)
 
     # ------------------------------------------------------------------
     def _expand_hypothesis(self, state: HypothesisState) -> None:
@@ -424,12 +402,6 @@ class SearchKernel:
             # be allowed to run) and move on to the next state.
             state.run.release()
             return
-        except CompletionTimeout:
-            # The deadline fired before the step did any work (the run
-            # restored its in-flight frame); re-push so a later run() with
-            # a fresh deadline resumes this completion exactly here.
-            self.frontier.push_continuation(state)
-            raise
         if finished is not None:
             candidate = finished.sketch
             self.stats.programs_checked += 1
@@ -447,11 +419,6 @@ class SearchKernel:
         ids ``refine`` would draw for it, duplicates included.  A child that
         is not a duplicate is ranked from the parent's template and enqueued
         as a :class:`Refinement` recipe, built only if the frontier pops it.
-
-        The deadline is re-checked between pairs so a fan-out over a large
-        library cannot overshoot the budget; expiry raises with the resume
-        point recorded on *state*, so re-running the state enqueues exactly
-        the pairs it missed.
         """
         hypothesis = state.hypothesis
         template = RefinementTemplate(hypothesis)
@@ -460,16 +427,9 @@ class SearchKernel:
         size = template.size + 1
         visited = self._visited
         priorities = self._priorities
-        node_id = self._node_counter if state.next_id is None else state.next_id
-        first_hole, skip = state.position
-        for hole_index in range(first_hole, len(template.holes)):
-            hole = template.holes[hole_index]
-            components = itertools.islice(self.library, skip, None)
-            for component_index, component in enumerate(components, skip):
-                if self._expired():
-                    state.position = (hole_index, component_index)
-                    state.next_id = self._node_counter = node_id
-                    raise CompletionTimeout()
+        node_id = self._node_counter
+        for hole_index, hole in enumerate(template.holes):
+            for component in self.library:
                 first_id = node_id
                 node_id += component.arity
                 signature = template.signature(hole_index, call_signature(component))
@@ -485,7 +445,6 @@ class SearchKernel:
                 )
                 self._tiebreak += 1
                 self.stats.hypotheses_enqueued += 1
-            skip = 0
         self._node_counter = node_id
 
     def _check(self, candidate: Hypothesis, known: Optional[Dict[int, object]]) -> bool:

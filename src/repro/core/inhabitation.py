@@ -10,7 +10,8 @@ terms that can fill it.  Following the paper, the universe of constants is
   arithmetic expressions from the value transformers :math:`\\Lambda_v`.
 
 The functions below enumerate the normal forms of those terms for each
-argument kind of the built-in component library.
+argument kind of the built-in component library.  They are lazy generators,
+and the completer pulls one argument per search step.
 """
 
 from __future__ import annotations
@@ -135,30 +136,17 @@ def mutations(table: Table) -> Iterator[MutationExpr]:
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
-def _checked(iterator: Iterable, deadline_check) -> Iterator:
-    """Invoke *deadline_check* before producing each item of *iterator*.
-
-    The check runs inside the enumeration itself (not just at each consumer
-    pull), so a hole with a huge argument space -- ``mutations`` over many
-    numeric columns, predicates over a high-cardinality column -- cannot run
-    past the per-task deadline between two candidate fillings.
-    """
-    for item in iterator:
-        deadline_check()
-        yield item
-
-
 def enumerate_arguments(
-    component: Component, param: ValueParam, table: Table,
-    deadline_check=None,
+    component: Component, param: ValueParam, table: Table
 ) -> Iterable[ValueArgument]:
     """Inhabitants of *param* with respect to the concrete *table*.
 
     The component name determines which fragment of the type's inhabitants is
     meaningful (e.g. ``gather`` needs at least two columns and must leave one
-    identifier column behind).  *deadline_check* is an optional callable
-    raising when the caller's time budget has expired; it is consulted for
-    every enumerated argument.
+    identifier column behind).  The enumeration is lazy and has no deadline
+    of its own: the completer pulls at most one argument per search step (or
+    one sibling group of :data:`~repro.core.completion.SIBLING_BATCH`), and
+    the search stops only between steps.
     """
     names = list(table.columns)
     count = len(names)
@@ -189,7 +177,4 @@ def enumerate_arguments(
         iterator = mutations(table)
     else:  # pragma: no cover - defensive
         raise ValueError(f"cannot enumerate arguments of type {param.param_type}")
-
-    if deadline_check is not None:
-        iterator = _checked(iterator, deadline_check)
     return itertools.islice(iterator, MAX_INHABITANTS)

@@ -113,3 +113,21 @@ class TestSubsetSelection:
         assert code == 2
         assert stdout == ""
         assert unknown in stderr
+
+
+class TestTimeoutFlag:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_a_timeout_that_is_not_finite_and_positive_is_a_usage_error(self, value):
+        # A NaN budget never expires, and a budget of zero or less reports
+        # every task unsolved; both are usage errors before any task runs.
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main([
+                    "figure16", "--list-tasks", "--timeout", value,
+                    "--names", "c1_prices_long_to_wide",
+                ])
+            except SystemExit as exit_:
+                code = exit_.code
+        assert code == 2
+        assert "--timeout" in stderr.getvalue()

@@ -5,11 +5,7 @@ import itertools
 import pytest
 
 from repro.core import standard_library
-from repro.core.completion import (
-    CompletionBudgetExceeded,
-    CompletionTimeout,
-    SketchCompleter,
-)
+from repro.core.completion import CompletionBudgetExceeded, SketchCompleter
 from repro.core.cost import CostModel, NGramModel, UniformCostModel, default_ngram_model
 from repro.core.deduction import DeductionEngine
 from repro.core.hypothesis import (
@@ -80,49 +76,6 @@ class TestSketchCompletion:
         completer = SketchCompleter(engine, budget=3)
         with pytest.raises(CompletionBudgetExceeded):
             list(completer.fill_sketch(build_sketch("select", "filter")))
-
-    def test_deadline_is_enforced(self):
-        engine = DeductionEngine(inputs=[STUDENTS], output=NAMES_OF_ADULTS)
-        completer = SketchCompleter(engine, deadline=0.0)
-        with pytest.raises(CompletionTimeout):
-            list(completer.fill_sketch(build_sketch("select", "filter")))
-
-    def test_deadline_is_checked_inside_argument_enumeration(self):
-        # A single node with a huge first-order argument space (predicates
-        # over a wide, high-cardinality table) must notice an expired
-        # deadline between candidate fillings -- not only between hole
-        # fills.  The check threaded into enumerate_arguments bounds the
-        # damage to a handful of candidates.
-        from repro.core.inhabitation import enumerate_arguments
-
-        wide = Table(
-            [f"c{i}" for i in range(8)],
-            [[row * 31 + i for i in range(8)] for row in range(40)],
-        )
-        component = COMPONENTS["filter"]
-        param = component.value_params[0]
-        calls = []
-        full = list(enumerate_arguments(component, param, wide, deadline_check=lambda: calls.append(1)))
-        # Every enumerated argument passed through the deadline check.
-        assert len(calls) >= len(full) > 100
-
-        def expiring():
-            if len(calls) >= len(full) + 5:
-                raise CompletionTimeout()
-            calls.append(1)
-
-        with pytest.raises(CompletionTimeout):
-            list(enumerate_arguments(component, param, wide, deadline_check=expiring))
-
-    def test_deadline_is_checked_for_parameterless_nodes(self):
-        # inner_join has no first-order holes; its node-boundary deduction
-        # check must still observe the deadline.
-        engine = DeductionEngine(
-            inputs=[STUDENTS, STUDENTS], output=NAMES_OF_ADULTS
-        )
-        completer = SketchCompleter(engine, deadline=0.0)
-        with pytest.raises(CompletionTimeout):
-            list(completer.fill_sketch(build_sketch("inner_join", inputs=2)))
 
     def test_stepwise_run_yields_the_recursion_order(self):
         # The iterative worklist must surface complete programs in exactly

@@ -39,6 +39,16 @@ def kernel_for(example, k=1, timeout=20):
     return SearchKernel(example, SynthesisConfig(timeout=timeout), standard_library(), k=k)
 
 
+def kernel_counters(kernel):
+    """Every deterministic search counter of *kernel*, as a comparable dict."""
+    return {
+        "stats": repr(kernel.stats),
+        "node_counter": kernel._node_counter,
+        "tiebreak": kernel._tiebreak,
+        "peak": kernel.frontier.peak,
+    }
+
+
 def solve_session(inputs, output, config):
     """Drive one session to completion; the session and its core result."""
     session = create_session(SynthesisRequest.from_tables(inputs, output, config=config))
@@ -143,48 +153,43 @@ class TestSearchKernel:
         assert steps > 1
 
     def test_run_resumes_after_an_expired_deadline(self):
-        # A deadline firing mid-completion must not lose the in-flight
-        # state: a later run() with no deadline (which also clears the
-        # stale one) continues exactly where the bounded run stopped and
-        # finds the same program as an uninterrupted search.
+        # The deadline is checked before each step and never inside one: a
+        # run() whose deadline has already passed takes no step and leaves
+        # the frontier and every counter as they were.  A later run() with
+        # no deadline (which also clears the stale one) finds the program
+        # an uninterrupted search finds.
         import time
 
         reference = solve(self.example())
         kernel = kernel_for(self.example())
-        # An already-expired deadline: the first completion step raises
-        # CompletionTimeout, which must re-push the interrupted state.
+        kernel.run(max_steps=5)
+        pending, counters = len(kernel.frontier), kernel_counters(kernel)
         assert kernel.run(deadline=time.monotonic() - 1.0)
-        assert not kernel.solved
-        interrupted_pending = len(kernel.frontier)
-        assert interrupted_pending > 0
+        assert kernel.steps_taken == 5
+        assert len(kernel.frontier) == pending
+        assert kernel_counters(kernel) == counters
         assert kernel.run() is False  # clears the stale deadline and drains
         assert kernel.solutions[0] == reference.program
 
     def test_intermittent_timeouts_do_not_lose_search_states(self):
-        # Expire the deadline between (and inside) steps repeatedly: every
-        # interrupted state -- in-flight completion frames, half-done
-        # refinement fan-outs -- must be restored, so the search still finds
-        # the same program an uninterrupted run finds.
+        # Expired run() calls between steps are no-ops: the kernel ends
+        # with the program, the step count and the counters of a kernel
+        # that was never interrupted.
         import time
 
-        from repro.core.completion import CompletionTimeout
-        from repro.core.hypothesis import render_program
-
-        reference = solve(self.example())
+        reference = kernel_for(self.example())
+        reference.run()
         kernel = kernel_for(self.example())
         steps = 0
         while not kernel.done and steps < 100_000:
             if steps % 5 == 4:
-                kernel.set_deadline(time.monotonic() - 1.0)
-                try:
-                    kernel.step()
-                except CompletionTimeout:
-                    pass
-                kernel.set_deadline(None)
+                assert kernel.run(deadline=time.monotonic() - 1.0)
             kernel.step()
             steps += 1
         assert kernel.solved
-        assert render_program(kernel.solutions[0]) == reference.render()
+        assert kernel.solutions == reference.solutions
+        assert kernel.steps_taken == reference.steps_taken == steps
+        assert kernel_counters(kernel) == kernel_counters(reference)
 
     def test_snapshot_of_a_solved_kernel_records_the_met_quota(self):
         kernel = kernel_for(self.example())

@@ -6,8 +6,7 @@ sequence and priority from one walk of the parent (a
 :class:`~repro.core.frontier.Refinement` recipe; the tree is built with
 ``refine()`` only when the frontier pops (or lists) it.  These tests
 hold the template-derived values to the eagerly built trees, hold a lazy
-search to a reimplementation of the eager fan-out, and pin the node ids of a
-fan-out that a deadline interrupts.
+search to a reimplementation of the eager fan-out, node ids included.
 """
 
 import itertools
@@ -17,12 +16,10 @@ from snapshots import watch
 
 from repro.benchmarks import r_benchmark_suite
 from repro.core import Example, SynthesisConfig, standard_library
-from repro.core.completion import CompletionTimeout
 from repro.core.frontier import (
     HypothesisState,
     Refinement,
     RefinementTemplate,
-    RefineState,
     SearchKernel,
     call_signature,
     hypothesis_signature,
@@ -157,69 +154,3 @@ def test_lazy_search_matches_the_eager_fan_out(name):
     assert [repr(program) for program in lazy.solutions] == [
         repr(program) for program in eager.solutions
     ]
-
-
-def interrupt_fan_out(kernel, after, holes=1):
-    """Make ``_expired()`` fire once, after *after* (hole, component) pairs.
-
-    The expiry hits the first fan-out whose parent has at least *holes*
-    unbound table holes.
-    """
-    countdown = {"left": None, "fired": False}
-    refine_state = kernel._refine
-
-    def counting_refine(state):
-        if not countdown["fired"] and len(table_holes(state.hypothesis)) >= holes:
-            countdown["left"] = after
-        try:
-            return refine_state(state)
-        finally:
-            countdown["left"] = None
-
-    def expired():
-        if countdown["left"] is None:
-            return False
-        if countdown["left"] == 0:
-            countdown["left"] = None
-            countdown["fired"] = True
-            return True
-        countdown["left"] -= 1
-        return False
-
-    kernel._refine = counting_refine
-    kernel._expired = expired
-    return countdown
-
-
-@pytest.mark.parametrize("holes, after", [(1, 0), (1, 4), (1, 10), (2, 11), (2, 15)])
-def test_deadline_mid_fan_out_keeps_node_ids(holes, after):
-    name = "c4_summary_then_spread"
-    reference = make_kernel(name)
-    assert reference.run() is False
-    assert reference.solved
-
-    kernel = make_kernel(name)
-    countdown = interrupt_fan_out(kernel, after, holes)
-    assert kernel.run() is True  # stopped by the injected expiry
-    assert countdown["fired"]
-    assert not kernel.solved
-    interrupted = kernel.frontier.continuation_states()[-1]
-    assert isinstance(interrupted, RefineState)
-    assert interrupted.position == divmod(after, len(kernel.library))
-    assert kernel.run() is False
-    assert repr(kernel.solutions[0]) == repr(reference.solutions[0])
-    assert kernel._node_counter == reference._node_counter
-    assert kernel.stats.hypotheses_enqueued == reference.stats.hypotheses_enqueued
-
-
-def test_interrupted_refine_state_resumes_where_it_stopped():
-    kernel = make_kernel("c2_orders_count_by_region")
-    interrupt_fan_out(kernel, 3)
-    with pytest.raises(CompletionTimeout):
-        while True:
-            kernel.step()
-    state = kernel.frontier.continuation_states()[-1]
-    pushed = kernel.stats.hypotheses_enqueued
-    assert (state.position, state.next_id) == ((0, 3), kernel._node_counter)
-    kernel.step()  # the rest of the fan-out, once
-    assert kernel.stats.hypotheses_enqueued == pushed + len(kernel.library) - 3

@@ -6,7 +6,6 @@ from repro.core import (
     SpecLevel,
     SynthesisConfig,
     sql_library,
-    standard_library,
 )
 from repro.dataframe import Table, tables_match_for_synthesis
 from repro.core.hypothesis import evaluate
@@ -80,28 +79,6 @@ class TestSimpleTasks:
     def test_timeout_is_respected(self):
         output = Table(["name"], [["Zoe"]])
         result = solve([STUDENTS], output, SynthesisConfig(timeout=1.0, max_size=3))
-        assert result.elapsed < 10
-
-    def test_timeout_is_honored_inside_refinement_fanout(self):
-        # A library whose iteration never terminates: without the deadline
-        # check inside the refinement loop, a single hypothesis expansion
-        # would spin forever fanning out refinements.
-        class EndlessLibrary:
-            def __init__(self, components):
-                self._components = list(components)
-
-            def __iter__(self):
-                while True:
-                    yield from self._components
-
-        output = Table(["name"], [["Zoe"]])
-        result = solve(
-            [STUDENTS],
-            output,
-            SynthesisConfig(timeout=0.5),
-            library=EndlessLibrary(standard_library()),
-        )
-        assert not result.solved
         assert result.elapsed < 10
 
 

@@ -139,6 +139,24 @@ class TestRequestJson:
         with pytest.raises(RequestError, match="timeout"):
             SynthesisRequest.from_json(json.loads(body))
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"timeout": float("nan")},
+            {"timeout": float("inf")},
+            {"timeout": -1.0},
+            {"max_steps": -1},
+            {"top_k": 0},
+        ],
+    )
+    def test_a_session_rejects_a_bad_config(self, knobs):
+        # A config built in Python never passes through config_from_json; a
+        # NaN timeout trips no budget comparison, so a session created with
+        # one would search forever.
+        knob = next(iter(knobs))
+        with pytest.raises(RequestError, match=knob):
+            create_session(filter_request(**knobs))
+
     def test_good_knob_values_pass(self):
         knobs = {"timeout": None, "max_steps": 0, "max_size": 2, "deduction": False}
         config = config_from_json(knobs)
