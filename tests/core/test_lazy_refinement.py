@@ -6,10 +6,13 @@ sequence and priority from one walk of the parent (a
 :class:`~repro.core.frontier.Refinement` recipe; the tree is built with
 ``refine()`` only when the frontier pops (or lists) it.  These tests
 hold the template-derived values to the eagerly built trees, hold a lazy
-search to a reimplementation of the eager fan-out, node ids included.
+search to a reimplementation of the eager fan-out, node ids included, and
+hold a search that a deadline stops right after a fan-out to an
+uninterrupted one.
 """
 
 import itertools
+import time
 
 import pytest
 from snapshots import watch
@@ -154,3 +157,49 @@ def test_lazy_search_matches_the_eager_fan_out(name):
     assert [repr(program) for program in lazy.solutions] == [
         repr(program) for program in eager.solutions
     ]
+
+
+def expire_after_fan_out(kernel, nth, holes=1):
+    """Expire the kernel's deadline once, right after its *nth* fan-out.
+
+    Only fan-outs whose parent has at least *holes* unbound table holes
+    count.  The deadline is a real one, set in the past, so ``run()``
+    stops at the next step boundary exactly as a passed deadline does.
+    """
+    countdown = {"left": nth, "fired": False}
+    refine_state = kernel._refine
+
+    def counting_refine(state):
+        refine_state(state)
+        if countdown["fired"] or len(table_holes(state.hypothesis)) < holes:
+            return
+        countdown["left"] -= 1
+        if countdown["left"] == 0:
+            countdown["fired"] = True
+            kernel.set_deadline(time.monotonic() - 1.0)
+
+    kernel._refine = counting_refine
+    return countdown
+
+
+@pytest.mark.parametrize("holes, nth", [(1, 1), (1, 3), (1, 10), (2, 1), (2, 4)])
+def test_a_deadline_after_a_fan_out_keeps_node_ids(holes, nth):
+    name = "c4_summary_then_spread"
+    reference = make_kernel(name)
+    assert reference.run() is False
+    assert reference.solved
+
+    kernel = make_kernel(name)
+    countdown = expire_after_fan_out(kernel, nth, holes)
+    assert kernel.run() is True  # stopped by the expired deadline
+    assert countdown["fired"]
+    assert not kernel.solved
+    stopped = (kernel.steps_taken, kernel._node_counter, kernel.stats.hypotheses_enqueued)
+    # A run() whose deadline has passed takes no step.
+    assert kernel.run(deadline=time.monotonic() - 1.0) is True
+    assert (kernel.steps_taken, kernel._node_counter, kernel.stats.hypotheses_enqueued) == stopped
+    assert kernel.run() is False
+    assert repr(kernel.solutions[0]) == repr(reference.solutions[0])
+    assert kernel.steps_taken == reference.steps_taken
+    assert kernel._node_counter == reference._node_counter
+    assert kernel.stats.hypotheses_enqueued == reference.stats.hypotheses_enqueued
