@@ -128,6 +128,20 @@ class Component:
         return f"<Component {self.name}/{self.arity}>"
 
 
+def _function_identity(function) -> object:
+    """``(module, qualified name)`` of a component function, ``None`` if absent.
+
+    Both are plain strings, so the identity is the same in every process
+    whatever its hash seed.
+    """
+    if function is None:
+        return None
+    return (
+        getattr(function, "__module__", None),
+        getattr(function, "__qualname__", type(function).__qualname__),
+    )
+
+
 @dataclass(frozen=True)
 class ComponentLibrary:
     """The component set :math:`\\Lambda = \\Lambda_T \\cup \\Lambda_v` of a synthesis problem."""
@@ -154,14 +168,17 @@ class ComponentLibrary:
         )
 
     def version_hash(self) -> bytes:
-        """A content hash of the library's component signatures.
+        """A content hash of the library's components.
 
-        Covers every table transformer's name, arity and parameter signature
-        plus the value-transformer names -- the structural identity that
-        determines what a cached execution or specification fact *means*.
-        The warm-start knowledge base (:mod:`repro.engine.kb`) mixes this
-        hash into every key, so facts computed under a different library
-        version are never found rather than silently replayed.
+        Covers every table transformer's name, arity and parameter signature,
+        the identity (module and qualified name) of its executor, spec and
+        transfer, plus the value-transformer names -- what determines what a
+        cached execution, specification or verdict fact *means*.  The
+        warm-start knowledge base (:mod:`repro.engine.kb`) mixes this hash
+        into every key, so facts computed under a different library version
+        are never found rather than silently replayed.  The hash sees
+        functions by name only: editing a built-in's body needs a
+        :data:`repro.engine.kb.SCHEMA_VERSION` bump.
         """
         hasher = blake2b(digest_size=16)
         for component in self.table_transformers:
@@ -174,6 +191,9 @@ class ComponentLibrary:
                 hasher.update(b"\x00")
                 hasher.update(str(param.param_type.value).encode("utf-8"))
             hasher.update(b"\x02")
+            for function in (component.executor, component.spec, component.transfer):
+                hasher.update(repr(_function_identity(function)).encode("utf-8"))
+                hasher.update(b"\x00")
         for name in self.value_transformer_names:
             hasher.update(b"\x03")
             hasher.update(name.encode("utf-8"))

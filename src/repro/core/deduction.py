@@ -136,8 +136,9 @@ class DeductionEngine:
     use_partial_evaluation: bool = True
     enabled: bool = True
     #: Warm-start tier (:class:`repro.engine.kb.KBView`): a disk-backed,
-    #: library-version-keyed store of executions and attribute vectors
-    #: shared across runs.  ``None`` keeps every tier local.
+    #: library-version-keyed store of executions, attribute vectors and
+    #: deduction verdicts shared across runs.  ``None`` keeps every tier
+    #: local.
     kb_view: Optional[object] = None
     stats: DeductionStats = field(default_factory=DeductionStats)
 
@@ -158,13 +159,15 @@ class DeductionEngine:
         #: keyed by table fingerprint so structurally identical tables
         #: produced by different hypotheses share one entry.
         self._attribute_cache: Dict[bytes, tuple] = {}
-        #: Identity of this example's baseline in the warm-start tier
-        #: (attribute vectors depend on it through newCols/newVals).
-        self._baseline_digest = None
+        #: Identities of this example in the warm-start tier: its baseline
+        #: (attribute vectors depend on it through newCols/newVals) and the
+        #: ordered example (verdicts bind table holes to inputs by position).
+        self._baseline_digest = self._example_digest = None
         if self.kb_view is not None:
-            from ..engine.kb import baseline_digest
+            from ..engine.kb import baseline_digest, example_digest
 
             self._baseline_digest = baseline_digest(self.inputs)
+            self._example_digest = example_digest(self.inputs, self.output)
         #: LRU-bounded memo of abstraction formulas (hits/misses are surfaced
         #: through ``stats.abstraction_cache``).
         self._abstraction = AbstractionCache(stats=self.stats.abstraction_cache)
@@ -351,10 +354,13 @@ class DeductionEngine:
         2. the conflict-driven lemma store (consulted first so path-keyed
            lemmas keep absorbing whole families);
         3. the verdict memo;
-        4. the tier-1 interval prescreen -- compiled attribute propagation
+        4. the warm-start knowledge base's verdict facts, when a KB is
+           attached: a hit answers as the tier that decided it (its
+           counters, and lemma mining for an SMT rejection, are replayed);
+        5. the tier-1 interval prescreen -- compiled attribute propagation
            that decides ground-heavy queries without constructing a
            ``Formula`` (see :mod:`repro.core.propagation`);
-        5. one SMT check (tier 2), the only tier that can also *accept*.
+        6. one SMT check (tier 2), the only tier that can also *accept*.
 
         When *learn* is set, every tier-2 rejection is mined for a new lemma.
         Callers issuing bulk near-duplicate queries (the sketch completer's
@@ -406,33 +412,61 @@ class DeductionEngine:
                 self.stats.hypotheses_rejected += 1
             return cached
 
+        if self.kb_view is None:
+            feasible, tier = self._decide(hypothesis, evaluated)
+        else:
+            feasible, tier = self._recall_or_decide(hypothesis, evaluated, cache_key)
+        if tier == "prescreen":
+            self.stats.prescreen_decided += 1
+        else:
+            self.stats.prescreen_fallback += 1
+            self.stats.smt_calls += 1
+            if tier == "timeout":
+                # Cut short by the task deadline: accepting is sound, and since
+                # the verdict is memoised nowhere a resumed run asks again.
+                return True
+        self._verdict_cache.put(cache_key, feasible)
+        if not feasible:
+            self.stats.hypotheses_rejected += 1
+            if tier == "smt" and rooted and learn:
+                self._mine_lemma(hypothesis, evaluated)
+        return feasible
+
+    def _decide(
+        self, hypothesis: Hypothesis, evaluated: Dict[int, Table]
+    ) -> Tuple[bool, str]:
+        """``(feasible, deciding tier)`` from the prescreen, then one SMT check.
+
+        The tier is ``"prescreen"``, ``"smt"``, or ``"timeout"`` when the
+        task deadline cut the check short (then ``feasible`` is ``True``).
+        """
         if prescreen_infeasible(
             hypothesis, evaluated, self.table_attributes,
             self._input_attributes, self._output_attributes, self.level,
         ):
-            self.stats.prescreen_decided += 1
-            self.stats.hypotheses_rejected += 1
-            self._verdict_cache.put(cache_key, False)
-            return False
-        self.stats.prescreen_fallback += 1
-
+            return False, "prescreen"
         # Residual solving (tier 2): one SMT check.  ``Solver.check`` probes
         # the process-wide formula cache first and stores what it decides.
         solver = Solver()
         solver.add(self.build_query(hypothesis, evaluated))
         result = solver.check(deadline=self.deadline)
-        self.stats.smt_calls += 1
         if solver.reason_unknown() == "timeout":
-            # Cut short by the task deadline: accepting is sound, and since
-            # the verdict is memoised nowhere a resumed run asks again.
-            return True
-        feasible = result is not CheckResult.UNSAT
-        self._verdict_cache.put(cache_key, feasible)
-        if not feasible:
-            self.stats.hypotheses_rejected += 1
-            if rooted and learn:
-                self._mine_lemma(hypothesis, evaluated)
-        return feasible
+            return True, "timeout"
+        return result is not CheckResult.UNSAT, "smt"
+
+    def _recall_or_decide(
+        self, hypothesis: Hypothesis, evaluated: Dict[int, Table], cache_key: tuple
+    ) -> Tuple[bool, str]:
+        """:meth:`_decide` behind the knowledge base's verdict facts.
+
+        A decided verdict is written back; a deadline-cut one never is.
+        """
+        verdict = self.kb_view.get_verdict(self._example_digest, cache_key)
+        if verdict is None:
+            verdict = self._decide(hypothesis, evaluated)
+            if verdict[1] != "timeout":
+                self.kb_view.put_verdict(self._example_digest, cache_key, verdict)
+        return verdict
 
     # ------------------------------------------------------------------
     # Conflict-driven lemma learning

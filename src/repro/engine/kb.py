@@ -1,11 +1,12 @@
 """Disk-backed cross-run knowledge base (the warm-start cache tier).
 
 Every synthesis run re-derives facts that content-hash fingerprints make
-stable *across processes*: concrete component executions and Spec-2
-attribute vectors.  :class:`KnowledgeBase` persists those facts in one
-sqlite file so a later run -- another process, another day, another replica serving
-the same traffic -- starts warm instead of cold.  This is the memoized-facts
-pattern of cloud-scale interprocedural analysis applied to Morpheus-style
+stable *across processes*: concrete component executions, Spec-2
+attribute vectors and the deduction verdicts computed from them.
+:class:`KnowledgeBase` persists those facts in one sqlite file so a later
+run -- another process, another day, another replica serving the same
+traffic -- starts warm instead of cold.  This is the memoized-facts pattern
+of cloud-scale interprocedural analysis applied to Morpheus-style
 synthesis: facts keyed by content hashes survive the process that computed
 them, and reusing them yields the same verdicts as recomputing.
 
@@ -20,10 +21,13 @@ where the fact-specific tokens are content hashes (table fingerprints) plus
 the structural identity of the fact (component name, argument values, spec
 level, ...).  The **library version hash**
 (:meth:`repro.core.component.ComponentLibrary.version_hash`) covers every
-component's name, arity and parameter signature: changing a component's
-definition changes the hash, so facts computed under the old library are
-simply never *found* again -- stale entries are ignored, not silently
-replayed, and eventually fall out through LRU eviction.
+component's name, arity, parameter signature and the identity (module and
+qualified name) of its executor, spec and transfer: a library that swaps
+any of them in changes the hash, so facts computed under the old library
+are simply never *found* again -- stale entries are ignored, not silently
+replayed, and eventually fall out through LRU eviction.  Editing the *body*
+of a built-in executor, spec or transfer keeps every name and so needs a
+:data:`SCHEMA_VERSION` bump.
 
 Safety tiers
 ------------
@@ -34,6 +38,15 @@ Safety tiers
   trajectory -- programs, verdicts and every search counter -- is
   byte-identical to a cold run.  These are consulted whenever a KB is
   attached.
+* **Deduction verdicts** are ``(feasible, tier)`` facts keyed by the
+  example (input fingerprints *in order* -- a binding names an input by
+  position -- plus the output fingerprint) and the in-process verdict
+  memo's key.  A verdict fact is sound exactly when that memo is: both
+  assume the query is a function of the key.  A hit replays the deciding
+  tier's bookkeeping (``prescreen_decided``, or ``prescreen_fallback`` and
+  ``smt_calls``; lemma mining on an SMT rejection), so the search and its
+  counters match a cold run.  A check the deadline cut short is never
+  written.
 * **Lemmas** are not persisted: they rest on one example's formula, and a
   search's lemma store lives and dies with its deduction engine.
 * **OE representatives** are not persisted: a fresh search that merged a
@@ -62,9 +75,9 @@ import sqlite3
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..dataframe.cells import CellType
 from ..dataframe.profiling import ExecutionStats, install_execution_stats
@@ -72,7 +85,8 @@ from ..dataframe.table import Table
 
 #: Bumping this invalidates every existing KB file's entries (the digest
 #: prefix changes), e.g. when the serialisation format or the key encoding
-#: evolves.
+#: evolves, or when the body of a built-in executor, spec or transfer is
+#: edited (the library version hash sees only their names).
 SCHEMA_VERSION = 2
 
 #: Default size cap (rows) before LRU-by-last-used eviction kicks in.
@@ -94,6 +108,8 @@ class KBStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
+    #: ``hits`` split by scope (``exec``, ``attr``, ``verdict``, ...).
+    scope_hits: Dict[str, int] = field(default_factory=dict)
 
     @property
     def lookups(self) -> int:
@@ -178,6 +194,22 @@ def _decode_attributes(blob: bytes) -> Tuple[int, int, int, int, int]:
     if not (isinstance(vector, list) and len(vector) == 5):
         raise ValueError("not an attribute vector")
     return tuple(int(item) for item in vector)
+
+
+#: The tiers a verdict fact may name (a deadline-cut check is never stored).
+_VERDICT_TIERS = ("prescreen", "smt")
+
+
+def _decode_verdict(blob: bytes) -> Tuple[bool, str]:
+    verdict = json.loads(blob.decode("utf-8"))
+    if not (
+        isinstance(verdict, list)
+        and len(verdict) == 2
+        and isinstance(verdict[0], bool)
+        and verdict[1] in _VERDICT_TIERS
+    ):
+        raise ValueError("not a deduction verdict")
+    return verdict[0], verdict[1]
 
 
 def _decode_json_list(blob: bytes) -> list:
@@ -354,7 +386,10 @@ class KnowledgeBase:
 
     def _probed(self, slot: tuple, hit: bool) -> None:
         if hit:
-            self.stats.hits += 1
+            stats = self.stats
+            stats.hits += 1
+            scope = slot[0]
+            stats.scope_hits[scope] = stats.scope_hits.get(scope, 0) + 1
             self._stamp(slot)
         else:
             self.stats.misses += 1
@@ -466,6 +501,25 @@ class KBView:
             _encode_json,
         )
 
+    # -- deduction verdicts ------------------------------------------
+    def get_verdict(self, example: bytes, key: tuple) -> Optional[Tuple[bool, str]]:
+        """The persisted ``(feasible, tier)`` of one deduction query, or ``None``.
+
+        *example* is :func:`example_digest` of the engine's example and
+        *key* its verdict-memo key ``(level, partial evaluation, parts)``.
+        """
+        return self.kb.lookup("verdict", self._verdict_digest(example, key), _decode_verdict)
+
+    def put_verdict(self, example: bytes, key: tuple, verdict: Tuple[bool, str]) -> None:
+        """Persist the verdict the prescreen or the SMT tier decided."""
+        self.kb.store(
+            "verdict", self._verdict_digest(example, key), verdict, _encode_json
+        )
+
+    def _verdict_digest(self, example: bytes, key: tuple) -> bytes:
+        level, partial_evaluation, parts = key
+        return self._digest("verdict", example, level.value, partial_evaluation, parts)
+
     # -- per-task fact blobs: no search uses them; they stay because the
     # benchmark's tracer wraps get/put_lemmas and get/put_oe_entries --------
     def task_key(self, inputs, output, level) -> bytes:
@@ -516,4 +570,15 @@ def baseline_digest(inputs) -> bytes:
     """The identity of an example baseline (order-independent: it is a union)."""
     return digest_tokens(
         "baseline", tuple(sorted(table.fingerprint() for table in inputs))
+    )
+
+
+def example_digest(inputs, output) -> bytes:
+    """The identity of an example: input fingerprints *in order*, then the output.
+
+    Unlike :func:`baseline_digest` the order matters: a deduction query
+    binds table holes to inputs by position.
+    """
+    return digest_tokens(
+        "example", tuple(table.fingerprint() for table in inputs), output.fingerprint()
     )

@@ -14,7 +14,9 @@ are the wire format):
 ``GET  /metrics``
     Service-wide counters: live/active session counts, ``kernels_live``
     (live sessions still holding a search kernel), kernel steps, prescreen
-    and observational-equivalence hit rates, rate-limit denials.
+    and observational-equivalence hit rates, rate-limit denials, and with
+    ``--kb`` the knowledge base's hits (``kb_verdict_hits_total`` for
+    deduction verdicts), misses and size.
 ``POST /v1/sessions``
     Create a session from a ``SynthesisRequest`` payload; ``201`` with the
     session id and initial state, ``400`` on malformed payloads, ``429``

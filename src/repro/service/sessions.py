@@ -372,6 +372,7 @@ class SessionStore:
             metrics.update(
                 {
                     "kb_hits_total": stats.hits,
+                    "kb_verdict_hits_total": stats.scope_hits.get("verdict", 0),
                     "kb_misses_total": stats.misses,
                     "kb_stores_total": stats.stores,
                     "kb_hit_rate": round(stats.hit_rate, 6),

@@ -1,8 +1,13 @@
 """Tests for the warm-start knowledge base (repro.engine.kb)."""
 
+import os
+import sqlite3
+import subprocess
+import sys
 import threading
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +16,12 @@ from repro.baselines import spec2_config
 from repro.benchmarks import r_benchmark_suite
 from repro.benchmarks.runner import BenchmarkOutcome, SuiteRun
 from repro.core import SpecLevel
-from repro.core.hypothesis import EvaluationFailure
+from repro.core import deduction
+from repro.core.component import ComponentLibrary
+from repro.core.deduction import DeductionEngine
+from repro.core.hypothesis import EvaluationFailure, initial_hypothesis, refine
 from repro.core.library import standard_library
+from repro.core.specs import spec_true
 from repro.dataframe import Table
 from repro.dataframe.profiling import ExecutionStats, install_execution_stats
 from repro.engine import kb as kb_module
@@ -21,7 +30,9 @@ from repro.engine.kb import (
     _serialize_result,
     baseline_digest,
     digest_tokens,
+    example_digest,
 )
+from repro.smt.solver import CheckResult, Solver
 
 #: Fast benchmarks (each solves in well under a second, so the cold and
 #: warm phases both reach their deterministic end).
@@ -38,7 +49,7 @@ def fast_suite():
     return r_benchmark_suite().subset(names=FAST_NAMES)
 
 
-def run_with(kb, suite):
+def run_with(kb, suite, library=None):
     """Run *suite* serially under spec2, each task in a session attached to *kb*."""
     config = spec2_config(TIMEOUT)
     run = SuiteRun(configuration="spec2")
@@ -46,7 +57,7 @@ def run_with(kb, suite):
         request = SynthesisRequest.from_tables(
             benchmark.inputs, benchmark.output, config=config
         )
-        session = create_session(request, kb=kb)
+        session = create_session(request, library=library, kb=kb)
         result = session.solve()
         run.outcomes.append(
             BenchmarkOutcome(
@@ -187,6 +198,37 @@ class TestKBViewKeying:
         kb.put("attr", view._digest(b"fp", SpecLevel.SPEC2.value, base), b"[1, 2]")
         assert view.get_attributes(b"fp", SpecLevel.SPEC2, base) is None
         assert kb.stats.hits == 0 and kb.stats.misses == 2
+        kb.close()
+
+    def test_corrupt_verdict_behaves_like_a_miss(self, tmp_path):
+        kb = KnowledgeBase(str(tmp_path / "kb.sqlite"))
+        view = kb.view(b"lib")
+        example = example_digest([Table(["a"], [(1,)])], Table(["a"], [(1,)]))
+        key = (SpecLevel.SPEC2, True, ((0, "c", "filter"), (1, "x", None)))
+        view.put_verdict(example, key, (False, "smt"))
+        assert view.get_verdict(example, key) == (False, "smt")
+        digest = view._verdict_digest(example, key)
+        for blob in (b"not json", b"[false]", b'[0, "smt"]', b'[true, "timeout"]'):
+            kb.put("verdict", digest, blob)
+            assert view.get_verdict(example, key) is None
+        assert kb.stats.hits == 1 and kb.stats.misses == 4
+        assert kb.stats.scope_hits == {"verdict": 1}
+        kb.close()
+
+    def test_verdict_key_covers_level_flag_and_example_order(self, tmp_path):
+        kb = KnowledgeBase(str(tmp_path / "kb.sqlite"))
+        view = kb.view(b"lib")
+        a, b, out = Table(["x"], [(1,)]), Table(["y"], [("p",)]), Table(["x"], [(1,)])
+        parts = ((0, "c", "inner_join"), (1, "x", 0), (2, "x", 1))
+        view.put_verdict(example_digest([a, b], out), (SpecLevel.SPEC2, True, parts), (True, "smt"))
+        assert view.get_verdict(example_digest([a, b], out), (SpecLevel.SPEC2, True, parts))
+        for example, key in (
+            (example_digest([b, a], out), (SpecLevel.SPEC2, True, parts)),
+            (example_digest([a, b], out), (SpecLevel.SPEC1, True, parts)),
+            (example_digest([a, b], out), (SpecLevel.SPEC2, False, parts)),
+            (example_digest([a, b], out), (SpecLevel.SPEC2, True, parts[:1])),
+        ):
+            assert view.get_verdict(example, key) is None
         kb.close()
 
     def test_attribute_vector_roundtrip(self, tmp_path):
@@ -351,6 +393,160 @@ class TestColdVsWarmDifferential:
         assert [
             (o.benchmark, o.solved, o.program) for o in bumped.outcomes
         ] == [(o.benchmark, o.solved, o.program) for o in cold.outcomes]
+
+
+def verdict_rows(path):
+    """The ``verdict`` facts on disk in the KB file at *path*."""
+    with sqlite3.connect(path) as conn:
+        return conn.execute("SELECT COUNT(*) FROM facts WHERE scope = 'verdict'").fetchone()[0]
+
+
+class TestWarmVerdicts:
+    """Deduction verdicts are KB facts: a warm search repeats no deduction."""
+
+    def test_warm_run_runs_no_prescreen_and_no_solver(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "kb.sqlite")
+        cold_kb = KnowledgeBase(path)
+        cold = run_with(cold_kb, fast_suite())
+        cold_kb.close()
+        assert verdict_rows(path) > 0
+
+        calls = {"prescreen": 0, "check": 0}
+        prescreen, check = deduction.prescreen_infeasible, Solver.check
+
+        def counted_prescreen(*args, **kwargs):
+            calls["prescreen"] += 1
+            return prescreen(*args, **kwargs)
+
+        def counted_check(self, *args, **kwargs):
+            calls["check"] += 1
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(deduction, "prescreen_infeasible", counted_prescreen)
+        monkeypatch.setattr(Solver, "check", counted_check)
+        warm_kb = KnowledgeBase(path)
+        warm = run_with(warm_kb, fast_suite())
+        warm_kb.close()
+        assert calls == {"prescreen": 0, "check": 0}
+        assert warm_kb.stats.scope_hits["verdict"] > 0
+        assert [(o.program, o.counters["smt_calls"], o.counters["prescreen_decided"])
+                for o in warm.outcomes] == [
+            (o.program, o.counters["smt_calls"], o.counters["prescreen_decided"])
+            for o in cold.outcomes
+        ]
+        assert sum(o.counters["smt_calls"] for o in warm.outcomes) > 0
+
+    def test_warm_smt_rejections_still_mine_lemmas(self, tmp_path, no_prescreen):
+        # Without the prescreen every verdict is the SMT tier's, so the cold
+        # run mines lemmas; a warm run must mine the same ones from its KB
+        # answers, or its lemma prunes and the search after them diverge.
+        path = str(tmp_path / "kb.sqlite")
+        runs = []
+        for _phase in ("cold", "warm"):
+            kb = KnowledgeBase(path)
+            runs.append(run_with(kb, fast_suite()))
+            kb.close()
+        assert kb.stats.scope_hits["verdict"] > 0
+        names = ("steps", "smt_calls", "lemmas_learned", "lemma_mining_solves", "lemma_prunes")
+        cold, warm = (
+            [(o.program,) + tuple(o.counters[name] for name in names) for o in run.outcomes]
+            for run in runs
+        )
+        assert warm == cold
+        assert sum(row[names.index("lemmas_learned") + 1] for row in cold) > 0
+
+    def test_swapped_inputs_read_no_verdict(self, tmp_path):
+        benchmark = fast_suite().get("c5_join_filter_large_orders")
+        assert len(benchmark.inputs) == 2
+        swapped = replace(benchmark, inputs=tuple(reversed(benchmark.inputs)))
+        alone = run_with(None, [swapped]).outcomes[0]
+        kb = KnowledgeBase(str(tmp_path / "kb.sqlite"))
+        run_with(kb, [benchmark])
+        outcome = run_with(kb, [swapped]).outcomes[0]
+        # A binding names an input by position: the verdicts of one input
+        # order say nothing about the other, while executions still hit.
+        assert "verdict" not in kb.stats.scope_hits
+        assert kb.stats.scope_hits["exec"] > 0
+        assert outcome.solved and outcome.program == alone.program
+        kb.close()
+
+    def test_a_deadline_cut_check_writes_no_fact(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "kb.sqlite")
+        kb = KnowledgeBase(path)
+        view = kb.view(standard_library().version_hash())
+        inputs = [Table(["id", "age"], [(1, 8), (2, 18), (3, 12)])]
+        output = Table(["id", "age"], [(2, 18), (3, 12)])
+        filter_ = standard_library().by_name("filter")
+        # ``filter`` alone passes the prescreen and is accepted by the solver.
+        root = initial_hypothesis()
+        hypothesis = refine(root, root, filter_, lambda: 1)
+
+        class CutShort(Solver):
+            def check(self, deadline=None):
+                return CheckResult.UNKNOWN
+
+            def reason_unknown(self):
+                return "timeout"
+
+        monkeypatch.setattr(deduction, "Solver", CutShort)
+        engine = DeductionEngine(inputs=inputs, output=output, kb_view=view)
+        assert engine.deduce(hypothesis) is True
+        assert engine.stats.smt_calls == 1
+        kb.flush()
+        assert verdict_rows(path) == 0
+
+        monkeypatch.setattr(deduction, "Solver", Solver)
+        engine = DeductionEngine(inputs=inputs, output=output, kb_view=view)
+        assert engine.deduce(hypothesis) is True
+        kb.flush()
+        assert verdict_rows(path) == 1
+        kb.close()
+
+
+class TestLibraryVersionHash:
+    """The library hash covers what a fact means, not only signatures."""
+
+    @staticmethod
+    def with_filter_spec_true():
+        library = standard_library()
+        return ComponentLibrary(
+            tuple(
+                replace(component, spec=spec_true, transfer=None)
+                if component.name == "filter" else component
+                for component in library
+            ),
+            library.value_transformer_names,
+        )
+
+    def test_a_swapped_spec_changes_the_hash_and_reads_no_verdict(self, tmp_path):
+        custom = self.with_filter_spec_true()
+        assert custom.names() == standard_library().names()
+        assert custom.version_hash() != standard_library().version_hash()
+        suite = fast_suite().subset(names=["c5_join_filter_large_orders"])
+        kb = KnowledgeBase(str(tmp_path / "kb.sqlite"))
+        run_with(kb, suite)
+        assert kb.stats.hits == 0
+        outcome = run_with(kb, suite, library=custom).outcomes[0]
+        assert kb.stats.hits == 0
+        assert outcome.solved
+        kb.close()
+
+    def test_the_hash_does_not_depend_on_the_hash_seed(self):
+        script = (
+            "from repro.core.library import standard_library;"
+            "print(standard_library().version_hash().hex())"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        digests = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
+        assert digests == {standard_library().version_hash().hex()}
 
 
 class TestExplicitAttachment:

@@ -385,6 +385,24 @@ class TestKnowledgeBase:
         finally:
             store.close()
 
+    def test_a_repeated_task_reads_its_verdicts(self, tmp_path):
+        store = SessionStore(
+            ttl=None, rate=1000, burst=1000, kb_path=str(tmp_path / "service.kb")
+        )
+        try:
+            counters = []
+            for _ in range(2):
+                session = store.create(filter_request())
+                assert wait_until(lambda: session.session.finished)
+                counters.append(session.session.counters())
+            assert store.metrics()["kb_verdict_hits_total"] > 0
+            first, second = counters
+            for name in ("steps", "smt_calls", "prescreen_decided"):
+                assert second[name] == first[name], name
+            assert first["smt_calls"] + first["prescreen_decided"] > 0
+        finally:
+            store.close()
+
     def test_kb_survives_store_restarts(self, tmp_path):
         kb_path = str(tmp_path / "service.kb")
         store = SessionStore(ttl=None, rate=1000, burst=1000, kb_path=kb_path)
