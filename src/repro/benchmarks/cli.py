@@ -39,7 +39,8 @@ warm-starts every new session from the shared knowledge base of past
 requests (a sqlite file, see ``repro.engine.kb``: persisted executions and
 attribute vectors are reused, new facts are written back, and a library
 change invalidates stale entries via the version-hash keying).  ``--kb`` is
-a ``serve`` option only.
+a ``serve`` option only.  SIGTERM stops the server as SIGINT does: the
+knowledge base is flushed and closed, and the exit status is 0.
 
 ``--stats`` appends the per-configuration deduction counter table (SMT
 calls, prescreen decisions, lemma prunes, lemmas learned), the
@@ -56,6 +57,7 @@ import argparse
 import json
 import math
 import re
+import signal
 import sys
 
 from ..baselines.configurations import (
@@ -198,6 +200,9 @@ def main(argv=None) -> int:
     if args.figure == "serve":
         from ..service import serve
 
+        # serve() shuts down cleanly (closing the knowledge base) on
+        # KeyboardInterrupt; raise it on SIGTERM too, so `kill` is clean.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         return serve(
             host=args.host,
             port=args.port,

@@ -63,9 +63,14 @@ guarded by one internal lock, and tier hits hand every session the same
 immutable table or never-raised failure -- and many *processes* may open the same file (WAL
 journaling + a busy timeout).  Writes are behind: a process's facts reach
 the file when a batch fills, when a search finishes, and on ``close()`` or
-``len()``, so a second process sees them without any handle being closed.
-The KB only ever affects how much work a search performs, never its
-outcome, so results do not depend on how entries race in.
+``len()``; hit stamps wait for the next of those that writes a fact, or
+for ``close()``/``len()``.  A handle reads the rows that were on disk when
+it opened plus the facts it wrote itself: its key index answers any other
+probe as a miss without asking sqlite.  So a process opened later sees
+everything flushed before it opened, while a handle already open does not
+see facts another process flushes after that.  The KB only ever affects
+how much work a search performs, never its outcome, so results do not
+depend on how entries race in.
 """
 
 from __future__ import annotations
@@ -87,12 +92,12 @@ from ..dataframe.table import Table
 #: prefix changes), e.g. when the serialisation format or the key encoding
 #: evolves, or when the body of a built-in executor, spec or transfer is
 #: edited (the library version hash sees only their names).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Default size cap (rows) before LRU-by-last-used eviction kicks in.
 DEFAULT_MAX_ENTRIES = 200_000
 
-#: Pending puts and hit stamps that trigger a flush (one transaction).
+#: Pending new facts that trigger a flush (one transaction).
 FLUSH_BATCH = 1024
 
 #: Upper bounds on the per-task lemma / ``oe`` blobs (entries, not bytes).
@@ -140,13 +145,20 @@ def digest_tokens(*tokens) -> bytes:
 # Table / failure (de)serialisation (the value side of execution facts)
 # ----------------------------------------------------------------------
 def _serialize_result(result) -> bytes:
-    """Encode an execution result (table or ``EvaluationFailure``) as JSON."""
+    """Encode an execution result (table or ``EvaluationFailure``) as JSON.
+
+    A table is written column-wise, its shared column vectors as they are:
+    reading ``rows`` would build (and cache on the table) a row tuple per
+    row.  ``n_rows`` is explicit because a table with no columns has rows
+    no vector can carry.
+    """
     if isinstance(result, Table):
         payload = {
             "t": {
                 "columns": result.columns,
                 "col_types": [col_type.value for col_type in result.col_types],
-                "rows": result.rows,
+                "vectors": [result.column_values(name) for name in result.columns],
+                "n_rows": result.n_rows,
                 "group_cols": result.group_cols,
             }
         }
@@ -172,14 +184,19 @@ def _deserialize_result(blob: bytes):
     if "f" in payload:
         return EvaluationFailure(payload["f"])
     spec = payload["t"]
+    col_types = [CellType(value) for value in spec["col_types"]]
+    group_cols = tuple(spec["group_cols"])
     scratch = install_execution_stats(ExecutionStats())
     try:
-        table = Table(
-            spec["columns"],
-            [tuple(row) for row in spec["rows"]],
-            col_types=[CellType(value) for value in spec["col_types"]],
-            group_cols=tuple(spec["group_cols"]),
-        )
+        if spec["vectors"]:
+            table = Table.from_vectors(
+                spec["columns"], spec["vectors"], col_types=col_types, group_cols=group_cols
+            )
+        else:
+            # No vector carries the row count of a table without columns.
+            table = Table(
+                spec["columns"], [()] * spec["n_rows"], col_types=col_types, group_cols=group_cols
+            )
     finally:
         install_execution_stats(scratch)
     return table
@@ -246,10 +263,17 @@ class KnowledgeBase:
     In front of sqlite sits an in-process tier: ``(scope, key)`` -> the
     *decoded* fact (a table, a failure, an attribute tuple), LRU-bounded by
     ``max_entries`` too.  A repeat probe returns the shared object with no
-    SQL and no decoding.  Writes are behind: puts and hit stamps wait in a
-    pending map and reach disk in one transaction per :meth:`flush`, which
-    runs when :data:`FLUSH_BATCH` facts are pending, when a search finishes,
-    and on :meth:`close` and ``len()``.
+    SQL and no decoding.  Beside it sits the key index: the ``(scope,
+    key)`` of every row on disk when the file was opened, plus the rows
+    this handle has flushed since, minus those it evicted.  A probe runs a
+    ``SELECT`` only for a slot in the index; any other miss costs no SQL.
+
+    Writes are behind: puts wait in a pending map and reach disk in one
+    transaction per :meth:`flush`, which runs when :data:`FLUSH_BATCH` new
+    facts are pending, when a search finishes, and on :meth:`close` and
+    ``len()``.  Hit stamps wait in memory (one per fact) and ride with the
+    next of those transactions that writes a fact, or with :meth:`close`
+    and ``len()``: a handle that only reads commits nothing until then.
 
     *version_salt* is mixed into every key digest -- tests use it to
     simulate a library/version bump without rebuilding component objects.
@@ -291,25 +315,38 @@ class KnowledgeBase:
             self._conn.execute(
                 "CREATE INDEX IF NOT EXISTS facts_lru ON facts (last_used)"
             )
-            self._count = self._row_count()
+            #: (scope, key) of the rows on disk as this handle knows them.
+            self._keys: set = set(self._conn.execute("SELECT scope, key FROM facts"))
+            self._count = len(self._keys)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """Rows in the file, after flushing this handle's pending facts."""
+        """Rows in the file, after flushing this handle's pending facts and stamps."""
         with self._lock:
-            self._flush()
+            self._flush(force=True)
             self._count = self._row_count()
             return self._count
 
+    def entries(self) -> int:
+        """The facts this handle knows of, with no write and no scan of the file.
+
+        Rows counted at open (or by the last ``len()``), plus the rows this
+        handle inserted, minus those it evicted, plus pending facts not yet
+        on disk.
+        """
+        with self._lock:
+            keys = self._keys
+            return self._count + sum(1 for slot in self._blobs if slot not in keys)
+
     def flush(self) -> None:
-        """Commit every pending fact and ``last_used`` stamp to disk."""
+        """Commit the pending facts and the hit stamps; with no fact pending, do nothing."""
         with self._lock:
             self._flush()
 
     def close(self) -> None:
-        """Flush and close the connection (the object is dead afterwards)."""
+        """Flush facts and stamps and close the connection (the object is dead afterwards)."""
         with self._lock:
-            self._flush()
+            self._flush(force=True)
             self._conn.close()
 
     # -- the bytes API ---------------------------------------------------
@@ -369,11 +406,14 @@ class KnowledgeBase:
 
     def _read(self, slot: tuple) -> Optional[bytes]:
         blob = self._blobs.get(slot)
-        if blob is None:
+        if blob is None and slot in self._keys:
             row = self._conn.execute(
                 "SELECT value FROM facts WHERE scope = ? AND key = ?", slot
             ).fetchone()
-            if row is not None:
+            if row is None:
+                # Another handle evicted it since this one opened.
+                self._keys.discard(slot)
+            else:
                 blob = row[0]
         return blob
 
@@ -390,28 +430,27 @@ class KnowledgeBase:
             stats.hits += 1
             scope = slot[0]
             stats.scope_hits[scope] = stats.scope_hits.get(scope, 0) + 1
-            self._stamp(slot)
+            self._stamps[slot] = time.time()
         else:
             self.stats.misses += 1
 
     def _write(self, slot: tuple, blob: bytes) -> None:
         self._blobs[slot] = blob
         self.stats.stores += 1
-        self._stamp(slot)
-
-    def _stamp(self, slot: tuple) -> None:
         self._stamps[slot] = time.time()
-        if len(self._stamps) >= FLUSH_BATCH:
+        if len(self._blobs) >= FLUSH_BATCH:
             self._flush()
 
-    def _flush(self) -> None:
+    def _flush(self, force: bool = False) -> None:
         """One transaction: insert or update pending blobs, touch stamps, evict.
 
-        Costs O(pending): new rows are counted by the ``INSERT OR IGNORE``
-        itself, so the file is never re-counted here.  Rows other processes
-        add are counted when the KB is opened and on ``len()``.
+        Runs only when facts are pending, or with *force* when only hit
+        stamps are.  Costs O(pending): new rows are counted by the ``INSERT
+        OR IGNORE`` itself, so the file is never re-counted here.  Rows
+        other processes add are counted when the KB is opened and on
+        ``len()``.
         """
-        if not self._stamps:
+        if not (self._blobs or force and self._stamps):
             return
         stamps = self._stamps
         writes = [
@@ -441,11 +480,13 @@ class KnowledgeBase:
         except BaseException:
             conn.execute("ROLLBACK")
             raise
+        self._keys.update(self._blobs)
         self._blobs = {}
         self._stamps = {}
         self._count += inserted - len(evicted)
         self.stats.evictions += len(evicted)
         for scope, key in evicted:
+            self._keys.discard((scope, key))
             self._tier.pop((scope, key), None)
 
     # ------------------------------------------------------------------

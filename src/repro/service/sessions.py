@@ -257,6 +257,8 @@ class SessionStore:
             self.kb = KnowledgeBase(kb_path)
         self._sessions: Dict[str, ServiceSession] = {}
         self._registry_lock = threading.Lock()
+        #: Orders a session's file writes against the sweep's removal.
+        self._persist_lock = threading.Lock()
         #: Serialises all TaskContext-active work (see the module docstring).
         self._work_lock = threading.Lock()
         #: Sessions awaiting their next slice, in round-robin order.  Guarded
@@ -297,11 +299,7 @@ class SessionStore:
         """Create, register and enroll a session (raises :class:`RateLimited`)."""
         if not self.bucket.allow():
             raise RateLimited("session quota exceeded, retry later")
-        session = self._register(request)
-        # Written before the id is handed out, so no added example can race
-        # ahead of the file that should hold it.
-        self._persist(session)
-        return session
+        return self._register(request, persist=True)
 
     def get(self, session_id: str) -> ServiceSession:
         with self._registry_lock:
@@ -376,7 +374,7 @@ class SessionStore:
                     "kb_misses_total": stats.misses,
                     "kb_stores_total": stats.stores,
                     "kb_hit_rate": round(stats.hit_rate, 6),
-                    "kb_entries": len(self.kb),
+                    "kb_entries": self.kb.entries(),
                 }
             )
         return metrics
@@ -457,13 +455,23 @@ class SessionStore:
 
     # -- persistence ---------------------------------------------------
     def _register(
-        self, request: SynthesisRequest, session_id: Optional[str] = None
+        self,
+        request: SynthesisRequest,
+        session_id: Optional[str] = None,
+        persist: bool = False,
     ) -> ServiceSession:
-        """Build a session for *request*, add it to the registry and rotation."""
+        """Build a session for *request*, add it to the registry and rotation.
+
+        With *persist* its file is written first: before the session is
+        registered no sweep can expire it, and before its id is handed out
+        no added example can race ahead of the file that should hold it.
+        """
         with self._work_lock:
             session = ServiceSession(
                 self, SynthesisSession(request, kb=self.kb), session_id=session_id
             )
+        if persist:
+            self._persist(session)
         with self._registry_lock:
             self._sessions[session.id] = session
             self.sessions_created += 1
@@ -505,34 +513,43 @@ class SessionStore:
                 _log.exception("skipping persisted session %s", path)
 
     def _persist(self, session: ServiceSession) -> None:
-        """Write the session's file: its id and its request with every example."""
+        """Write the session's file: its id and its request with every example.
+
+        Under the persist lock, and not for an expired session: the sweep
+        sets ``expired`` before it removes the file under the same lock, so
+        an expired session never leaves a file behind.
+        """
         if self.persist_dir is None:
             return
         request = replace(session.session.request, examples=session.session.examples)
         path = os.path.join(self.persist_dir, f"{session.id}.json")
         tmp = f"{path}.tmp"
-        try:
-            os.makedirs(self.persist_dir, exist_ok=True)
-            with open(tmp, "w") as handle:
-                json.dump({"id": session.id, "request": request.to_json()}, handle)
-            os.replace(tmp, path)
-        except OSError as error:
-            # The live session is authoritative and must not die with the
-            # disk; it just will not survive a restart.
-            _log.warning("cannot persist session %s: %s", session.id, error)
+        with self._persist_lock:
+            if session.expired:
+                return
+            try:
+                os.makedirs(self.persist_dir, exist_ok=True)
+                with open(tmp, "w") as handle:
+                    json.dump({"id": session.id, "request": request.to_json()}, handle)
+                os.replace(tmp, path)
+            except OSError as error:
+                # The live session is authoritative and must not die with
+                # the disk; it just will not survive a restart.
+                _log.warning("cannot persist session %s: %s", session.id, error)
 
     def _remove_persisted(self, session_id: str) -> None:
         """Delete a session's persistence file (and any stale temp file)."""
         if self.persist_dir is None:
             return
         path = os.path.join(self.persist_dir, f"{session_id}.json")
-        for stale in (path, f"{path}.tmp"):
-            try:
-                os.remove(stale)
-            except FileNotFoundError:
-                pass
-            except OSError as error:
-                _log.warning("cannot remove %s: %s", stale, error)
+        with self._persist_lock:
+            for stale in (path, f"{path}.tmp"):
+                try:
+                    os.remove(stale)
+                except FileNotFoundError:
+                    pass
+                except OSError as error:
+                    _log.warning("cannot remove %s: %s", stale, error)
 
     def list_sessions(self) -> List[dict]:
         with self._registry_lock:

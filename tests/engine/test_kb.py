@@ -273,6 +273,220 @@ class TestKBViewKeying:
         kb.close()
 
 
+class TestTableBlobs:
+    """Execution results round-trip through their column-wise JSON blobs."""
+
+    @staticmethod
+    def roundtrip(result):
+        return kb_module._deserialize_result(_serialize_result(result))
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            Table(["region", "total"], [("west", 10), ("east", 7)], group_cols=("region",)),
+            Table(["name", "score", "note"],
+                  [("a", 1.5, None), ("b", None, "x y"), (None, -2.25, "")]),
+            Table.empty(["a", "b"]),
+            Table([], [(), ()]),
+        ],
+        ids=["grouped", "none-float-string", "empty", "no-columns"],
+    )
+    def test_a_table_round_trips(self, table):
+        restored = self.roundtrip(table)
+        assert (restored.columns, restored.col_types, restored.group_cols) == (
+            table.columns, table.col_types, table.group_cols
+        )
+        assert restored.n_rows == table.n_rows
+        assert restored.rows == table.rows
+        assert restored.fingerprint() == table.fingerprint()
+
+    def test_a_failure_round_trips(self):
+        restored = self.roundtrip(EvaluationFailure("no such column: x"))
+        assert isinstance(restored, EvaluationFailure)
+        assert str(restored) == "no such column: x"
+
+    def test_serialising_builds_no_row_tuples(self):
+        table = Table.from_vectors(["a", "b"], [(1, 2), ("x", "y")])
+        _serialize_result(table)
+        assert table._rows is None
+
+
+class CountingConnection:
+    """A sqlite connection that records the statements run through it."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.statements = []
+
+    def execute(self, sql, *args):
+        self.statements.append(sql)
+        return self._conn.execute(sql, *args)
+
+    def executemany(self, sql, *args):
+        self.statements.append(sql)
+        return self._conn.executemany(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def count(self, verb):
+        return sum(1 for sql in self.statements if sql.lstrip().upper().startswith(verb))
+
+
+def counted(kb):
+    """Route *kb*'s SQL through a :class:`CountingConnection` and return it."""
+    kb._conn = CountingConnection(kb._conn)
+    return kb._conn
+
+
+def last_used(path):
+    """``key -> last_used`` of every row in the KB file at *path*."""
+    with sqlite3.connect(path) as conn:
+        return dict(conn.execute("SELECT key, last_used FROM facts"))
+
+
+class TestKeyIndex:
+    """A probe asks sqlite only for a slot that can be on disk."""
+
+    def test_a_miss_for_a_slot_not_on_disk_runs_no_select(self, tmp_path):
+        path = str(tmp_path / "kb.sqlite")
+        writer = KnowledgeBase(path)
+        writer.put("exec", b"on-disk", b"v")
+        writer.close()
+        kb = KnowledgeBase(path)
+        sql = counted(kb)
+        assert kb.get("exec", b"absent") is None
+        assert kb.view(b"lib").get_execution(("absent",)) is None
+        assert sql.count("SELECT") == 0
+        assert kb.get("exec", b"on-disk") == b"v"
+        assert sql.count("SELECT") == 1
+        assert kb.stats.misses == 2 and kb.stats.hits == 1
+        kb.close()
+
+    def test_a_fact_on_disk_at_open_is_found_after_a_reopen(self, tmp_path):
+        path = str(tmp_path / "kb.sqlite")
+        kb = KnowledgeBase(path)
+        kb.view(b"lib").put_execution(("k",), Table(["a"], [(1,), (2,)]))
+        kb.put("attr", b"raw", b"[1, 2, 3, 4, 5]")
+        kb.close()
+        reopened = KnowledgeBase(path)
+        assert reopened.view(b"lib").get_execution(("k",)).rows == ((1,), (2,))
+        assert reopened.get("attr", b"raw") == b"[1, 2, 3, 4, 5]"
+        assert reopened.stats.hits == 2 and reopened.stats.misses == 0
+        reopened.close()
+
+    def test_a_row_another_handle_evicts_reads_as_a_miss(self, tmp_path):
+        path = str(tmp_path / "kb.sqlite")
+        writer = KnowledgeBase(path, max_entries=2)
+        for key in (b"k1", b"k2"):
+            writer.put("exec", key, b"v")
+            time.sleep(0.002)
+        writer.flush()
+        reader = KnowledgeBase(path)
+        writer.put("exec", b"k3", b"v")
+        assert len(writer) == 2 and writer.stats.evictions == 1
+        writer.close()
+        sql = counted(reader)
+        assert reader.get("exec", b"k1") is None
+        assert reader.get("exec", b"k1") is None
+        # The first miss asked sqlite and dropped the slot from the index.
+        assert sql.count("SELECT") == 1
+        assert reader.get("exec", b"k2") == b"v"
+        assert reader.stats.misses == 2 and reader.stats.hits == 1
+        reader.close()
+
+
+class TestDeferredStamps:
+    """A hit writes nothing until there is something to write."""
+
+    def test_a_read_only_pass_over_a_warm_kb_commits_nothing(self, tmp_path):
+        path = str(tmp_path / "kb.sqlite")
+        cold = KnowledgeBase(path)
+        run_with(cold, fast_suite())
+        cold.close()
+        warm = KnowledgeBase(path)
+        sql = counted(warm)
+        run_with(warm, fast_suite())
+        assert warm.stats.hits > 0 and warm.stats.stores == 0
+        assert sql.count("BEGIN") == 0
+        assert sql.count("INSERT") + sql.count("UPDATE") + sql.count("DELETE") == 0
+        warm.flush()
+        assert sql.count("BEGIN") == 0
+        warm.close()
+        # close() commits the stamps in one transaction.
+        assert sql.count("BEGIN") == 1
+
+    def test_hits_alone_never_fill_a_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kb_module, "FLUSH_BATCH", 2)
+        path = str(tmp_path / "kb.sqlite")
+        writer = KnowledgeBase(path)
+        for key in (b"a", b"b", b"c"):
+            writer.put("exec", key, b"v")
+        writer.close()
+        kb = KnowledgeBase(path)
+        sql = counted(kb)
+        for _ in range(3):
+            for key in (b"a", b"b", b"c"):
+                assert kb.get("exec", key) == b"v"
+        assert sql.count("BEGIN") == 0
+        # One stamp per distinct fact, however often it is hit.
+        assert len(kb._stamps) == 3
+        kb.put("exec", b"d", b"v")
+        assert sql.count("BEGIN") == 0
+        kb.put("exec", b"e", b"v")
+        assert sql.count("BEGIN") == 1 and kb._stamps == {}
+        kb.close()
+
+    def test_a_hit_stamp_reaches_disk_on_close_and_guides_eviction(self, tmp_path):
+        path = str(tmp_path / "kb.sqlite")
+        kb = KnowledgeBase(path, max_entries=3)
+        for key in (b"a", b"b", b"c"):
+            kb.put("exec", key, b"v")
+            time.sleep(0.002)
+        kb.close()
+        before = last_used(path)
+        reader = KnowledgeBase(path, max_entries=3)
+        assert reader.get("exec", b"a") == b"v"
+        assert last_used(path) == before
+        reader.close()
+        after = last_used(path)
+        assert after[b"a"] > before[b"c"]
+        # After a reopen the least recently used fact is "b", not "a".
+        kb = KnowledgeBase(path, max_entries=3)
+        kb.put("exec", b"d", b"v")
+        assert len(kb) == 3 and kb.stats.evictions == 1
+        assert kb.get("exec", b"b") is None
+        assert kb.get("exec", b"a") == b"v"
+        kb.close()
+
+
+class TestEntries:
+    """``entries()`` counts facts without writing to or scanning the file."""
+
+    def test_entries_count_pending_and_flushed_facts_without_sql(self, tmp_path):
+        path = str(tmp_path / "kb.sqlite")
+        kb = KnowledgeBase(path, max_entries=3)
+        sql = counted(kb)
+        assert kb.entries() == 0
+        kb.put("exec", b"a", b"v")
+        kb.put("exec", b"a", b"w")
+        kb.put("exec", b"b", b"v")
+        assert kb.entries() == 2
+        assert sql.statements == []
+        kb.flush()
+        kb.put("exec", b"a", b"x")  # pending, but already on disk
+        assert kb.entries() == 2
+        for key in (b"c", b"d"):
+            time.sleep(0.002)
+            kb.put("exec", key, b"v")
+        kb.flush()
+        assert kb.entries() == 3 == len(kb)
+        kb.close()
+        reopened = KnowledgeBase(path)
+        assert reopened.entries() == 3
+        reopened.close()
+
+
 class TestInProcessTier:
     def test_repeat_lookup_returns_the_shared_object(self, tmp_path, monkeypatch):
         path = str(tmp_path / "kb.sqlite")

@@ -364,6 +364,54 @@ class TestTTL:
             store.close()
 
 
+class TestPersistExpireRace:
+    """A sweep that runs between a session's change and its file write."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        # Sessions expire only when a test calls _sweep.
+        store = SessionStore(ttl=3600, rate=1000, burst=1000, persist_dir=str(tmp_path))
+        store._stop.set()
+        store._wake.set()
+        store._scheduler.join(timeout=5)
+        yield store
+        store.close()
+
+    @staticmethod
+    def sweep_before_each_write(store, monkeypatch):
+        persist = store._persist
+
+        def sweep_then_persist(session):
+            session.last_access -= 2 * store.ttl
+            store._sweep()
+            persist(session)
+
+        monkeypatch.setattr(store, "_persist", sweep_then_persist)
+
+    def test_create_writes_the_file_before_a_sweep_can_see_the_session(
+        self, store, tmp_path, monkeypatch
+    ):
+        self.sweep_before_each_write(store, monkeypatch)
+        session = store.create(filter_request())
+        assert not session.expired
+        assert store.get(session.id) is session
+        assert persisted(tmp_path, session.id)["id"] == session.id
+        # A later expiry still removes the file.
+        session.last_access -= 2 * store.ttl
+        store._sweep()
+        assert session.expired
+        assert os.listdir(tmp_path) == []
+
+    def test_an_example_added_to_an_expiring_session_writes_no_file(
+        self, store, tmp_path, monkeypatch
+    ):
+        session = store.create(filter_request())
+        self.sweep_before_each_write(store, monkeypatch)
+        store.add_example(session.id, DISTINGUISHER)
+        assert session.expired
+        assert os.listdir(tmp_path) == []
+
+
 class TestKnowledgeBase:
     def test_store_opens_a_shared_kb_and_reports_metrics(self, tmp_path):
         kb_path = str(tmp_path / "service.kb")
@@ -400,6 +448,22 @@ class TestKnowledgeBase:
             for name in ("steps", "smt_calls", "prescreen_decided"):
                 assert second[name] == first[name], name
             assert first["smt_calls"] + first["prescreen_decided"] > 0
+        finally:
+            store.close()
+
+    def test_metrics_run_no_sql(self, tmp_path):
+        store = SessionStore(
+            ttl=None, rate=1000, burst=1000, kb_path=str(tmp_path / "service.kb")
+        )
+        try:
+            session = store.create(filter_request())
+            assert wait_until(lambda: session.session.finished)
+            statements = []
+            store.kb._conn.set_trace_callback(statements.append)
+            entries = [store.metrics()["kb_entries"] for _ in range(3)]
+            assert entries[0] > 0 and len(set(entries)) == 1
+            assert statements == []
+            assert entries[0] == len(store.kb)
         finally:
             store.close()
 
