@@ -40,6 +40,7 @@ rebuilt kernel re-finds the drained programs at the same steps.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -55,6 +56,7 @@ from .core.hypothesis import (
     hypothesis_size,
     render_program,
 )
+from .core.component import ComponentLibrary
 from .core.library import sql_library, standard_library
 from .core.synthesizer import (
     Example,
@@ -81,6 +83,13 @@ LIBRARIES = {
     "standard": standard_library,
     "sql": sql_library,
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _library(name: str) -> ComponentLibrary:
+    """The library *name* selects, built once per process (it is immutable)."""
+    return LIBRARIES[name]()
+
 
 #: Schema keys measured by a clock rather than counted: they differ run to
 #: run, so deterministic views (``--json`` rows, determinism gates) drop them.
@@ -287,7 +296,7 @@ class SynthesisRequest:
 
     def component_library(self):
         try:
-            return LIBRARIES[self.library]()
+            return _library(self.library)
         except KeyError:
             raise RequestError(
                 f"unknown library {self.library!r} (expected one of {sorted(LIBRARIES)})"

@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..dataframe.cells import CellValue, value_sort_key
-from ..dataframe.table import Table
-from .errors import EvaluationError, InvalidArgumentError, PRUNABLE_ERRORS
+from ..dataframe.table import Table, carried_type, new_vector
+from .errors import EvaluationError, InvalidArgumentError, batch_outcomes
 from .values import AGGREGATORS, agg_count
 
 #: A predicate over a single row, given as ``{column: value}``.
@@ -87,15 +87,11 @@ def select(table: Table, columns: Sequence[str]) -> Table:
 
 
 def filter_rows(table: Table, predicate: RowPredicate) -> Table:
-    """Keep the rows satisfying *predicate*."""
-    kept = [
-        index for index in range(table.n_rows) if predicate(table.row_dict(index))
-    ]
-    if len(kept) == table.n_rows:
-        # The paper's spec requires a strictly smaller table (footnote 3):
-        # a filter that keeps everything is never needed for a minimal program.
-        raise EvaluationError("filter: predicate keeps every row")
-    return table.take_rows(kept)
+    """Keep the rows satisfying *predicate*.
+
+    A batch of one: the same kernel :func:`filter_rows_batch` runs per sibling.
+    """
+    return _FilterKernel(table).run(predicate)
 
 
 def filter_rows_batch(table: Table, predicates: Sequence[RowPredicate]) -> List[object]:
@@ -108,18 +104,25 @@ def filter_rows_batch(table: Table, predicates: Sequence[RowPredicate]) -> List[
     error that predicate raises under :func:`filter_rows` (same type, same
     message).
     """
-    rows = [table.row_dict(index) for index in range(table.n_rows)]
-    results: List[object] = []
-    for predicate in predicates:
-        try:
-            kept = [index for index, row in enumerate(rows) if predicate(row)]
-            if len(kept) == table.n_rows:
-                raise EvaluationError("filter: predicate keeps every row")
-            results.append(table.take_rows(kept))
-        except PRUNABLE_ERRORS as error:
-            # Drop the traceback: it references this frame, whose ``results`` holds the error.
-            results.append(error.with_traceback(None))
-    return results
+    return batch_outcomes(_FilterKernel(table).run, [(predicate,) for predicate in predicates])
+
+
+class _FilterKernel:
+    """``filter`` over one table; the per-row views are built once."""
+
+    __slots__ = ("table", "rows")
+
+    def __init__(self, table: Table) -> None:
+        self.table = table
+        self.rows = [table.row_dict(index) for index in range(table.n_rows)]
+
+    def run(self, predicate: RowPredicate) -> Table:
+        kept = [index for index, row in enumerate(self.rows) if predicate(row)]
+        if len(kept) == self.table.n_rows:
+            # The paper's spec requires a strictly smaller table (footnote 3):
+            # a filter that keeps everything is never needed for a minimal program.
+            raise EvaluationError("filter: predicate keeps every row")
+        return self.table.take_rows(kept)
 
 
 def group_by(table: Table, columns: Sequence[str]) -> Table:
@@ -169,13 +172,22 @@ def summarise(
             for _key, indices in groups
         ]
 
+    # The group-key columns are carried; the aggregates are new cells.
     out_columns = group_columns + [new_column]
     out_vectors = [
-        [key[position] for key in keys]
+        tuple(key[position] for key in keys)
         for position in range(len(group_columns))
     ]
-    out_vectors.append(aggregates)
-    result = Table.from_vectors(out_columns, out_vectors)
+    out_types = [
+        carried_type(vector, table.column_type(name))
+        for vector, name in zip(out_vectors, group_columns)
+    ]
+    aggregate_type, aggregate_cells = new_vector(aggregates)
+    out_vectors.append(aggregate_cells)
+    out_types.append(aggregate_type)
+    result = Table.from_canonical(
+        tuple(out_columns), tuple(out_types), tuple(out_vectors), (), len(keys)
+    )
     remaining_groups = group_columns[:-1]
     if remaining_groups:
         result = result.with_grouping(remaining_groups)
@@ -215,17 +227,24 @@ def inner_join(left: Table, right: Table) -> Table:
     if not left_indices:
         raise EvaluationError("inner_join: join result is empty")
 
+    # Every output cell is carried from one of the two tables.
     out_columns = list(left.columns) + right_extra
-    out_vectors = [
-        [vector[i] for i in left_indices]
-        for vector in (left.column_values(name) for name in left.columns)
+    sources = [
+        (vector, cell_type, left_indices)
+        for vector, cell_type in zip(left.vectors, left.col_types)
+    ] + [
+        (right.column_values(name), right.column_type(name), right_indices)
+        for name in right_extra
     ]
-    out_vectors.extend(
-        [vector[i] for i in right_indices]
-        for vector in (right.column_values(name) for name in right_extra)
-    )
-    return Table.from_vectors(
-        out_columns, out_vectors, group_cols=surviving_group_cols(left, out_columns)
+    out_vectors = []
+    out_types = []
+    for vector, cell_type, indices in sources:
+        cells = tuple([vector[i] for i in indices])
+        out_vectors.append(cells)
+        out_types.append(carried_type(cells, cell_type))
+    return Table.from_canonical(
+        tuple(out_columns), tuple(out_types), tuple(out_vectors),
+        surviving_group_cols(left, out_columns), len(left_indices),
     )
 
 

@@ -7,6 +7,8 @@ so all executor errors derive from a single base class the synthesizer can
 catch in one place.
 """
 
+from typing import Callable, Iterable, List
+
 from ..dataframe.errors import DataFrameError
 
 
@@ -26,3 +28,20 @@ class EvaluationError(ComponentError):
 #: its inputs (as opposed to a bug in the executor).  The synthesizer treats
 #: any of these as "prune this candidate".
 PRUNABLE_ERRORS = (ComponentError, DataFrameError, ZeroDivisionError)
+
+
+def batch_outcomes(run: Callable[..., object], calls: Iterable[tuple]) -> List[object]:
+    """``run(*call)`` for each call: its result, or the prunable error it raised.
+
+    The error contract of every batched executor: errors are returned, not
+    raised, so one failing sibling does not mask the rest, and each is
+    stripped of its traceback -- the traceback references this frame, whose
+    ``results`` holds the error, a cycle only the cyclic collector frees.
+    """
+    results: List[object] = []
+    for call in calls:
+        try:
+            results.append(run(*call))
+        except PRUNABLE_ERRORS as error:
+            results.append(error.with_traceback(None))
+    return results

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from ..components.errors import PRUNABLE_ERRORS
+from ..components.errors import batch_outcomes
 from ..dataframe.table import Table
 from ..smt.terms import Formula
 from .abstraction import SpecLevel, TableVars
@@ -108,14 +108,9 @@ class Component:
         """
         if self.batch_executor is not None:
             return self.batch_executor(tables, argument_lists, fresh_prefix)
-        results = []
-        for arguments in argument_lists:
-            try:
-                results.append(self.executor(tables, arguments, fresh_prefix))
-            except PRUNABLE_ERRORS as error:
-                # Drop the traceback: it references this frame, whose ``results`` holds the error.
-                results.append(error.with_traceback(None))
-        return results
+        return batch_outcomes(
+            self.executor, [(tables, arguments, fresh_prefix) for arguments in argument_lists]
+        )
 
     def render_r(self, table_args: Sequence[str], arguments: Sequence[ValueArgument]) -> str:
         """Render a call to this component as R source text."""
@@ -148,6 +143,8 @@ class ComponentLibrary:
 
     table_transformers: Tuple[Component, ...]
     value_transformer_names: Tuple[str, ...] = ()
+    #: :meth:`version_hash`, computed on first use (the library is immutable).
+    _version_hash: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def by_name(self, name: str) -> Component:
         """Look up a table transformer by name."""
@@ -180,6 +177,8 @@ class ComponentLibrary:
         functions by name only: editing a built-in's body needs a
         :data:`repro.engine.kb.SCHEMA_VERSION` bump.
         """
+        if self._version_hash is not None:
+            return self._version_hash
         hasher = blake2b(digest_size=16)
         for component in self.table_transformers:
             hasher.update(component.name.encode("utf-8"))
@@ -197,7 +196,8 @@ class ComponentLibrary:
         for name in self.value_transformer_names:
             hasher.update(b"\x03")
             hasher.update(name.encode("utf-8"))
-        return hasher.digest()
+        object.__setattr__(self, "_version_hash", hasher.digest())
+        return self._version_hash
 
     def __iter__(self):
         return iter(self.table_transformers)

@@ -9,6 +9,7 @@ component names; :class:`CostModel` combines it with the size ordering.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
@@ -84,12 +85,14 @@ class CostModel:
     strategy.
     """
 
+    #: ``None`` selects the process's one :func:`default_ngram_model`,
+    #: trained on first use and shared by every cost model after it.
     model: NGramModel = None
     size_weight: float = 1.0
 
     def __post_init__(self):
         if self.model is None:
-            self.model = default_ngram_model()
+            self.model = _shared_default_model()
 
     def score(self, size: int, sequence: Sequence[str]) -> float:
         """Lower scores are explored first."""
@@ -119,3 +122,13 @@ def default_ngram_model() -> NGramModel:
     model = NGramModel(vocabulary)
     model.train(sentences)
     return model
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_default_model() -> NGramModel:
+    """The default bigram model, trained once per process.
+
+    Its counts are constants of the built-in corpus and its log table a
+    memo of them, so sharing it changes no score.
+    """
+    return default_ngram_model()

@@ -56,6 +56,11 @@ def _run_spread(tables, arguments, prefix):
     return tidyr.spread(tables[0], key.name, value.name)
 
 
+def _run_spread_batch(tables, argument_lists, prefix):
+    pairs = [(key.name, value.name) for key, value in argument_lists]
+    return tidyr.spread_batch(tables[0], pairs)
+
+
 def _run_separate(tables, arguments, prefix):
     column = _one_arg(arguments, ColumnRef)
     return tidyr.separate(tables[0], column.name, [f"{prefix}left", f"{prefix}right"])
@@ -176,6 +181,7 @@ def standard_library(include_arrange: bool = True) -> ComponentLibrary:
             _run_spread,
             _render_spread,
             "Spread a key/value pair across multiple columns.",
+            batch_executor=_run_spread_batch,
         ),
         Component(
             "separate",

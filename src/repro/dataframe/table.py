@@ -103,6 +103,31 @@ def coerce_column(values: Iterable[CellValue], cell_type: CellType) -> Tuple[Cel
     return tuple(cells)
 
 
+def carried_type(vector: Sequence[CellValue], source_type: CellType) -> CellType:
+    """The type :func:`infer_column_type` infers for cells carried from a column.
+
+    *vector* holds cells of a column typed *source_type* (a subset, a
+    reordering or repetition of them, and missing cells).  They keep the
+    source type, except that a vector with no present cell -- all ``None``,
+    or empty -- infers as ``STR``.
+    """
+    if source_type is CellType.NUM:
+        for cell in vector:
+            if cell is not None:
+                return source_type
+        return CellType.STR
+    return source_type
+
+
+def new_vector(values: Sequence[CellValue]) -> Tuple[CellType, Tuple[CellValue, ...]]:
+    """``(type, cells)`` of a column of new cells, as :meth:`Table.from_vectors` stores it.
+
+    The type is inferred from the cells, which are then coerced and interned.
+    """
+    cell_type = infer_column_type(values)
+    return cell_type, coerce_column(values, cell_type)
+
+
 class Table:
     """An immutable table of typed cells (columnar storage).
 
@@ -201,7 +226,7 @@ class Table:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def _from_shared(
+    def from_canonical(
         cls,
         columns: Tuple[str, ...],
         col_types: Tuple[CellType, ...],
@@ -209,11 +234,16 @@ class Table:
         group_cols: Tuple[str, ...],
         n_rows: int,
     ) -> "Table":
-        """Trusted constructor sharing already-coerced, interned vectors.
+        """Trusted constructor over vectors of canonical cells (no per-cell work).
 
-        Internal copy-on-write fast path: callers guarantee the vectors came
-        out of an existing table (or were coerced and interned by
-        :meth:`from_vectors`), so no validation or per-cell work happens.
+        The copy-on-write fast path of the derived-table operations and the
+        output constructor of the reshaping verbs.  Every vector must hold
+        cells as a table stores them under its type: carried out of existing
+        tables (typed with :func:`carried_type` where the verb infers types,
+        or with their declared type), or coerced and interned
+        (:func:`new_vector`, :meth:`from_vectors`).  Names, lengths and
+        grouping are the caller's to get right: nothing is validated,
+        coerced or interned.
         """
         table = cls.__new__(cls)
         table._init_shared(columns, col_types, column_data, group_cols, n_rows)
@@ -253,7 +283,7 @@ class Table:
         for name in group_cols:
             if name not in columns:
                 raise ColumnNotFoundError(name, columns)
-        return cls._from_shared(columns, col_types, coerced, tuple(group_cols), n_rows)
+        return cls.from_canonical(columns, col_types, coerced, tuple(group_cols), n_rows)
 
     @classmethod
     def from_records(
@@ -291,6 +321,11 @@ class Table:
     def col_types(self) -> Tuple[CellType, ...]:
         """Column types, aligned with :attr:`columns`."""
         return self._col_types
+
+    @property
+    def vectors(self) -> Tuple[Tuple[CellValue, ...], ...]:
+        """All column vectors, aligned with :attr:`columns` (shared)."""
+        return self._column_data
 
     @property
     def rows(self) -> Tuple[Tuple[CellValue, ...], ...]:
@@ -369,7 +404,7 @@ class Table:
         for name in group_cols:
             if name not in self._columns:
                 raise ColumnNotFoundError(name, self._columns)
-        return Table._from_shared(
+        return Table.from_canonical(
             self._columns, self._col_types, self._column_data,
             tuple(group_cols), self._n_rows,
         )
@@ -378,7 +413,7 @@ class Table:
         """Return a copy of this table with grouping metadata removed."""
         if not self._group_cols:
             return self
-        return Table._from_shared(
+        return Table.from_canonical(
             self._columns, self._col_types, self._column_data, (), self._n_rows
         )
 
@@ -531,7 +566,7 @@ class Table:
         column_data = tuple(
             tuple(vector[index] for index in indices) for vector in self._column_data
         )
-        return Table._from_shared(
+        return Table.from_canonical(
             self._columns, self._col_types, column_data, self._group_cols, len(indices)
         )
 
@@ -544,7 +579,7 @@ class Table:
         group_cols = tuple(name for name in self._group_cols if name in names)
         if len(set(names)) != len(names):
             raise DuplicateColumnError(f"duplicate column names in {list(names)}")
-        return Table._from_shared(names, col_types, column_data, group_cols, self._n_rows)
+        return Table.from_canonical(names, col_types, column_data, group_cols, self._n_rows)
 
     def drop_columns(self, names: Sequence[str]) -> "Table":
         """Remove *names* from this table."""
@@ -559,7 +594,7 @@ class Table:
         columns = list(self._columns)
         columns[index] = str(new)
         group_cols = tuple(new if name == old else name for name in self._group_cols)
-        return Table._from_shared(
+        return Table.from_canonical(
             tuple(columns), self._col_types, self._column_data, group_cols, self._n_rows
         )
 
@@ -571,12 +606,11 @@ class Table:
             raise SchemaError(
                 f"new column has {len(values)} values but the table has {self._n_rows} rows"
             )
-        new_type = infer_column_type(values)
-        new_vector = coerce_column(values, new_type)
-        return Table._from_shared(
+        new_type, cells = new_vector(values)
+        return Table.from_canonical(
             self._columns + (str(name),),
             self._col_types + (new_type,),
-            self._column_data + (new_vector,),
+            self._column_data + (cells,),
             self._group_cols,
             self._n_rows,
         )

@@ -175,8 +175,9 @@ def _deserialize_result(blob: bytes):
     run builds the table *inside* ``component.execute`` under live counters,
     and the restore replaces that execution wholesale, so restored work is
     counted by the KB's own stats instead.  The cells are still interned
-    into the *installed* pool (exactly the values the skipped execution
-    would have interned), only the counting is suppressed.
+    into the *installed* pool (the new cells the skipped execution would
+    have interned, and the cells it would have carried), only the counting
+    is suppressed.
     """
     from ..core.hypothesis import EvaluationFailure
 

@@ -17,6 +17,7 @@ from repro.components import dplyr, reference, tidyr
 from repro.components.errors import ComponentError
 from repro.core.arguments import Constant, Predicate
 from repro.dataframe import Table
+from repro.dataframe.cells import CellType
 from repro.dataframe.errors import DataFrameError
 
 
@@ -214,3 +215,44 @@ def test_spread_edge_cases_match_reference(case):
 
 def test_reference_covers_every_component():
     assert set(reference.REFERENCE_VERBS) == set(COLUMNAR_VERBS)
+
+
+#: A table whose ``n`` column is typed NUM but holds no number: carried
+#: through a verb that infers types, it must come out STR (what inferring
+#: from its cells gives), like the reference's.
+NUM = CellType.NUM
+STR = CellType.STR
+EMPTY_NUM = Table(
+    ["id", "n", "k", "v", "s"],
+    [["a", None, "x", 1, "p_1"], ["a", None, "y", 2, "q_2"], ["b", None, "x", 3, "r_3"]],
+    [STR, NUM, STR, NUM, STR],
+)
+PARTNER = Table(["id", "m"], [["a", 5], ["b", 6]])
+
+CARRIED_TYPE_CASES = {
+    "spread": (lambda verbs: verbs["spread"](EMPTY_NUM, "k", "v"), "n", STR),
+    "inner_join": (lambda verbs: verbs["inner_join"](EMPTY_NUM, PARTNER), "n", STR),
+    "summarise": (
+        lambda verbs: verbs["summarise"](EMPTY_NUM.with_grouping(["n"]), "agg", "sum", "v"),
+        "n", STR,
+    ),
+    "unite": (lambda verbs: verbs["unite"](EMPTY_NUM, "u", ["id", "k"]), "n", STR),
+    "separate": (lambda verbs: verbs["separate"](EMPTY_NUM, "s", ["l", "r"]), "n", STR),
+    "gather keeps the declared type": (
+        lambda verbs: verbs["gather"](EMPTY_NUM, "key", "value", ["k", "s"]), "n", NUM,
+    ),
+    "spread of zero rows": (
+        lambda verbs: verbs["spread"](EMPTY_NUM.take_rows([]), "k", "v"), "n", STR,
+    ),
+    "spread of one row": (
+        lambda verbs: verbs["spread"](EMPTY_NUM.take_rows([2]), "k", "v"), "x", NUM,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARRIED_TYPE_CASES))
+def test_carried_column_types_match_reference(case):
+    run, column, expected_type = CARRIED_TYPE_CASES[case]
+    columnar, legacy = run(COLUMNAR_VERBS), run(reference.REFERENCE_VERBS)
+    assert_tables_identical(columnar, legacy, case)
+    assert columnar.column_type(column) is expected_type
