@@ -367,9 +367,9 @@ class CandidateProgram:
 class SynthesisResult:
     """Outcome of a facade-level synthesis run (JSON-able).
 
-    The stats-rich internal result (:class:`repro.core.SynthesisResult`)
-    remains available through :meth:`SynthesisSession.solve` for harnesses
-    that diff raw counters; this is the wire-format summary.
+    The core result (:class:`repro.core.SynthesisResult`), which holds the
+    program trees, remains available through :meth:`SynthesisSession.solve`;
+    this is the wire-format summary.
     """
 
     solved: bool
@@ -508,7 +508,6 @@ class SynthesisSession:
             self._examples[0], self.request.config, self._library, k=k, kb=self.kb
         )
         kernel.active_seconds += time.perf_counter() - started
-        self._stats = kernel.stats
         return kernel
 
     # ------------------------------------------------------------------
@@ -752,8 +751,9 @@ class SynthesisSession:
         kernel's construction (example tables are fingerprinted and cached
         per process, so counting their set-up would depend on what ran
         before) to now.  The hot paths only increment plain attributes; the
-        names live here.  A released session reports the snapshot its
-        release took, so the counters never go backwards.
+        names are the fields of :class:`~repro.core.SynthesisStats` and of
+        ``ExecutionStats.counters()``.  A released session reports the
+        snapshot its release took, so the counters never go backwards.
         """
         counters = dict(self._search_counters())
         counters["resumes"] = self._resumes
@@ -772,28 +772,12 @@ class SynthesisSession:
 
     @staticmethod
     def _kernel_counters(kernel: SearchKernel) -> Dict[str, float]:
-        stats = kernel.stats
         return {
             "steps": kernel.steps_taken,
             "active_seconds": kernel.active_seconds,
             "frontier_peak": kernel.frontier.peak,
-            "hypotheses_expanded": stats.hypotheses_expanded,
-            "hypotheses_enqueued": stats.hypotheses_enqueued,
-            "sketches_generated": stats.sketches_generated,
-            "sketches_rejected": stats.sketches_rejected,
-            "programs_checked": stats.programs_checked,
-            "partial_programs": stats.completion.partial_programs,
-            "pruned_partial": stats.completion.pruned_partial,
-            "oe_candidates": stats.completion.oe_candidates,
-            "oe_merged": stats.completion.oe_merged,
-            "sibling_batches": stats.completion.sibling_batches,
-            "batched_fills": stats.completion.batched_fills,
-            "smt_calls": stats.deduction.smt_calls,
-            "prescreen_decided": stats.deduction.prescreen_decided,
-            "prescreen_fallback": stats.deduction.prescreen_fallback,
-            "lemma_prunes": stats.deduction.lemma_prunes,
-            "lemmas_learned": stats.deduction.lemmas_learned,
-            "lemma_mining_solves": stats.deduction.lemma_mining_solves,
+            # The search counters, named by SynthesisStats' fields.
+            **vars(kernel.stats),
             # The execution counters, named by ExecutionStats.counters().
             **kernel.execution_window(),
         }
@@ -818,7 +802,7 @@ class SynthesisSession:
 
     # ------------------------------------------------------------------
     def solve(self) -> CoreSynthesisResult:
-        """Drive the session until it finishes; return the stats-rich core result.
+        """Drive the session until it finishes; return the core result.
 
         This is :meth:`advance` without a slice limit, so the budgets are the
         same ones: a session already advanced part of the way only gets what
@@ -838,8 +822,6 @@ class SynthesisSession:
             solved=bool(programs),
             program=programs[0] if programs else None,
             elapsed=time.monotonic() - started,
-            stats=self._stats,
-            config=self.request.config,
             programs=programs,
         )
 

@@ -23,7 +23,7 @@ from .arguments import (
 )
 from .component import Component, ComponentLibrary, ValueParam
 from .cost import CostModel, NGramModel, UniformCostModel, default_ngram_model
-from .deduction import DeductionEngine, DeductionStats
+from .deduction import DeductionEngine
 from .frontier import Frontier, SearchKernel
 from .hypothesis import (
     Apply,
@@ -63,7 +63,6 @@ __all__ = [
     "Constant",
     "CostModel",
     "DeductionEngine",
-    "DeductionStats",
     "Example",
     "ExampleBaseline",
     "Frontier",

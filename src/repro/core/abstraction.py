@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from ..dataframe.table import Table
-from ..engine.cache import CacheStats, LRUCache
+from ..engine.cache import LRUCache
 from ..smt.terms import Formula, Int, LinExpr, conjoin
 
 
@@ -187,17 +187,8 @@ class AbstractionCache:
 
     __slots__ = ("_formulas",)
 
-    def __init__(
-        self,
-        maxsize: Optional[int] = ABSTRACTION_CACHE_SIZE,
-        stats: Optional[CacheStats] = None,
-    ) -> None:
-        self._formulas: LRUCache = LRUCache(maxsize=maxsize, stats=stats)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss counters of the formula memo."""
-        return self._formulas.stats
+    def __init__(self, maxsize: Optional[int] = ABSTRACTION_CACHE_SIZE) -> None:
+        self._formulas: LRUCache = LRUCache(maxsize=maxsize)
 
     def abstract(
         self,
@@ -214,10 +205,6 @@ class AbstractionCache:
         formula = abstract_attributes(attributes, variables, level, symbolic_group)
         self._formulas.put(key, formula)
         return formula
-
-    def clear(self) -> None:
-        """Drop every memoised formula (counters are left untouched)."""
-        self._formulas.clear()
 
 
 def abstract_attributes(

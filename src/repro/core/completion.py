@@ -52,6 +52,7 @@ from .hypothesis import (
 )
 from .inhabitation import enumerate_arguments
 from .oe import OEStore
+from .synthesizer import SynthesisStats
 
 
 #: How many sibling fillings of one hole are pre-executed as a group.  Each
@@ -74,23 +75,6 @@ class CompletionBudgetExceeded(Exception):
     monopolise the search (the paper's implementation side-steps the same
     issue by running one search thread per program size).
     """
-
-
-@dataclass
-class CompletionStats:
-    """Counters describing the sketch completion search."""
-
-    partial_programs: int = 0
-    pruned_partial: int = 0
-    #: Node-boundary states offered to the observational-equivalence store.
-    oe_candidates: int = 0
-    #: Of those, states merged into an earlier representative (the duplicate
-    #: completion work behind them was skipped).
-    oe_merged: int = 0
-    #: Sibling-fill groups pre-executed through ``batch_evaluate_fills``.
-    sibling_batches: int = 0
-    #: Individual hole fillings executed inside those groups.
-    batched_fills: int = 0
 
 
 @dataclass
@@ -137,7 +121,8 @@ class SketchCompleter:
     #: Candidate hole fillings one sketch may try (see
     #: :class:`CompletionBudgetExceeded`).
     budget: int = COMPLETION_BUDGET
-    stats: CompletionStats = field(default_factory=CompletionStats)
+    #: The search's counter block (the kernel hands its own in).
+    stats: SynthesisStats = field(default_factory=SynthesisStats)
     #: Optional observational-equivalence store shared across every sketch
     #: of one synthesis run (``None`` disables merging -- the ``--no-oe``
     #: ablation).

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dataframe.profiling import execution_stats
 from ..dataframe.table import Table
-from ..engine.cache import CacheStats, ExecutionCache, LRUCache
+from ..engine.cache import ExecutionCache, LRUCache
 from ..smt.solver import CheckResult, Solver
 from ..smt.terms import Formula, conjoin, disjoin
 from .abstraction import (
@@ -52,6 +52,7 @@ from .hypothesis import (
 )
 from .lemmas import LemmaStore
 from .propagation import prescreen_infeasible
+from .synthesizer import SynthesisStats
 from .types import Type
 
 
@@ -77,56 +78,6 @@ _NONNEG = ("nonneg",)
 
 
 @dataclass
-class DeductionStats:
-    """Counters describing the work done by the deduction engine."""
-
-    smt_calls: int = 0
-    hypotheses_checked: int = 0
-    hypotheses_rejected: int = 0
-    evaluation_failures: int = 0
-    #: Deduction queries decided UNSAT by the tier-1 interval prescreen
-    #: (no ``Formula`` was built, no solver ran).
-    prescreen_decided: int = 0
-    #: Queries the prescreen swept inconclusively before falling through to
-    #: the SMT tier.
-    prescreen_fallback: int = 0
-    #: Hypotheses rejected by the lemma store without an SMT query.
-    lemma_prunes: int = 0
-    #: Blocking lemmas mined from unsat cores and stored.
-    lemmas_learned: int = 0
-    #: Unsat cores extracted from the incremental session.
-    cores_extracted: int = 0
-    #: Incremental-session solves spent mining and minimizing cores.
-    lemma_mining_solves: int = 0
-    #: Verdict-memo accounting: a hit means an entire SMT query was skipped.
-    #: (The counters are written directly by the verdict LRU cache.)
-    verdict_cache: CacheStats = field(default_factory=CacheStats)
-    #: Hit/miss counters of the abstraction-formula memo.
-    abstraction_cache: CacheStats = field(default_factory=CacheStats)
-
-    @property
-    def cache_hits(self) -> int:
-        """Deduction queries answered from the verdict memo."""
-        return self.verdict_cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Deduction queries that had to build and discharge an SMT query."""
-        return self.verdict_cache.misses
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of deduction queries answered from the verdict memo."""
-        return self.verdict_cache.hit_rate
-
-    @property
-    def prescreen_hit_rate(self) -> float:
-        """Fraction of prescreened queries decided without the solver."""
-        queries = self.prescreen_decided + self.prescreen_fallback
-        return self.prescreen_decided / queries if queries else 0.0
-
-
-@dataclass
 class DeductionEngine:
     """Builds and discharges the deduction queries for one synthesis problem."""
 
@@ -140,7 +91,8 @@ class DeductionEngine:
     #: deduction verdicts shared across runs.  ``None`` keeps every tier
     #: local.
     kb_view: Optional[object] = None
-    stats: DeductionStats = field(default_factory=DeductionStats)
+    #: The search's counter block (the kernel hands its own in).
+    stats: SynthesisStats = field(default_factory=SynthesisStats)
 
     def __post_init__(self):
         self.baseline = ExampleBaseline.from_tables(self.inputs)
@@ -168,9 +120,8 @@ class DeductionEngine:
 
             self._baseline_digest = baseline_digest(self.inputs)
             self._example_digest = example_digest(self.inputs, self.output)
-        #: LRU-bounded memo of abstraction formulas (hits/misses are surfaced
-        #: through ``stats.abstraction_cache``).
-        self._abstraction = AbstractionCache(stats=self.stats.abstraction_cache)
+        #: LRU-bounded memo of abstraction formulas.
+        self._abstraction = AbstractionCache()
         #: Caches of formula fragments (specs, bindings) -- the same fragments
         #: are re-assembled for thousands of deduction queries.
         self._spec_cache: Dict[tuple, Formula] = {}
@@ -183,9 +134,7 @@ class DeductionEngine:
         #: the evaluated subterms -- not on the literal hole values -- so
         #: candidates whose completions produce tables with identical
         #: abstractions share a single query.
-        self._verdict_cache: "LRUCache[tuple, bool]" = LRUCache(
-            maxsize=VERDICT_CACHE_SIZE, stats=self.stats.verdict_cache
-        )
+        self._verdict_cache: "LRUCache[tuple, bool]" = LRUCache(maxsize=VERDICT_CACHE_SIZE)
         #: Blocking lemmas mined from unsat cores (fresh per engine: lemmas
         #: rest on the example formula and must never outlive the example).
         self.lemma_store = LemmaStore()
@@ -376,7 +325,6 @@ class DeductionEngine:
         failed passes nothing: the failure is cached in the evaluation memo,
         so re-raising it here executes nothing.
         """
-        self.stats.hypotheses_checked += 1
         if not self.use_partial_evaluation:
             evaluated = {}
         elif evaluated is None:
@@ -386,8 +334,6 @@ class DeductionEngine:
                     memo=self.evaluation_memo, exec_cache=self.execution_cache,
                 )
             except EvaluationFailure:
-                self.stats.evaluation_failures += 1
-                self.stats.hypotheses_rejected += 1
                 return False
         if not self.enabled:
             return True
@@ -402,14 +348,11 @@ class DeductionEngine:
             descriptors, _ = self._lemma_parts(hypothesis, evaluated)
             if self.lemma_store.blocks(descriptors):
                 self.stats.lemma_prunes += 1
-                self.stats.hypotheses_rejected += 1
                 return False
 
         cache_key = self._verdict_key(hypothesis, evaluated)
         cached = self._verdict_cache.get(cache_key)
         if cached is not None:
-            if not cached:
-                self.stats.hypotheses_rejected += 1
             return cached
 
         if self.kb_view is None:
@@ -426,10 +369,8 @@ class DeductionEngine:
                 # the verdict is memoised nowhere a resumed run asks again.
                 return True
         self._verdict_cache.put(cache_key, feasible)
-        if not feasible:
-            self.stats.hypotheses_rejected += 1
-            if tier == "smt" and rooted and learn:
-                self._mine_lemma(hypothesis, evaluated)
+        if not feasible and tier == "smt" and rooted and learn:
+            self._mine_lemma(hypothesis, evaluated)
         return feasible
 
     def _decide(
@@ -586,10 +527,8 @@ class DeductionEngine:
             lemma = [descriptor for descriptor in core if descriptor != _NONNEG]
             # A core whose minimization the deadline cut short depends on
             # timing; nothing is learned from it.
-            if lemma and session.reason_unknown() != "timeout":
-                self.stats.cores_extracted += 1
-                if store.add(lemma):
-                    self.stats.lemmas_learned += 1
+            if lemma and session.reason_unknown() != "timeout" and store.add(lemma):
+                self.stats.lemmas_learned += 1
         self.stats.lemma_mining_solves += (
             session.incremental_stats.checks - solves_before
         )

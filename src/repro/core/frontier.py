@@ -245,12 +245,10 @@ class SearchKernel:
             use_partial_evaluation=config.partial_evaluation,
             enabled=config.deduction,
             kb_view=kb_view,
-            stats=stats.deduction,
+            stats=stats,
         )
         self.oe_store = OEStore() if config.oe else None
-        self.completer = SketchCompleter(
-            self.engine, stats=stats.completion, oe_store=self.oe_store
-        )
+        self.completer = SketchCompleter(self.engine, stats=stats, oe_store=self.oe_store)
         #: The hypothesis ranking: a pure function of ``config``.
         model_class = CostModel if config.ngram_ranking else UniformCostModel
         self.cost_model = model_class()

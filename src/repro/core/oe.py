@@ -52,7 +52,8 @@ class OEStore:
     deduplicates completion states *across* sketch boundaries, not just
     within one sketch.  The store holds no counters of its own -- the
     admitting :class:`~repro.core.completion.SketchCompleter` accounts for
-    candidates and merges in its ``CompletionStats`` (one source of truth).
+    candidates and merges in the search's ``SynthesisStats`` (one source of
+    truth).
     """
 
     __slots__ = ("_representatives",)

@@ -1,8 +1,8 @@
 """The data types of one synthesis task (Section 5 of the paper).
 
 :class:`Example` is an input-output example, :class:`SynthesisConfig` the
-knobs of Algorithm 1, and :class:`SynthesisStats` / :class:`SynthesisResult`
-what a finished search reports.  The search itself is the anytime
+knobs of Algorithm 1, :class:`SynthesisStats` the search's counter block and
+:class:`SynthesisResult` what a finished search found.  The search itself is the anytime
 :class:`~repro.core.frontier.SearchKernel`; :class:`repro.api.SynthesisSession`
 is the one owner that builds, drives and finishes it.
 
@@ -19,8 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..dataframe.table import Table
 from .abstraction import SpecLevel
-from .completion import CompletionStats
-from .deduction import DeductionStats
 from .hypothesis import Hypothesis, hypothesis_size, render_program
 
 
@@ -94,15 +92,42 @@ class SynthesisConfig:
 
 @dataclass
 class SynthesisStats:
-    """Aggregated search statistics for one synthesis run."""
+    """The search's counter block, shared by the kernel, engine and completer.
+
+    Each field is a key of :meth:`repro.api.SynthesisSession.counters`, in
+    the schema's order: adding a counter is one field here plus its
+    increment where the work happens.
+    """
 
     hypotheses_expanded: int = 0
     hypotheses_enqueued: int = 0
     sketches_generated: int = 0
     sketches_rejected: int = 0
     programs_checked: int = 0
-    deduction: DeductionStats = field(default_factory=DeductionStats)
-    completion: CompletionStats = field(default_factory=CompletionStats)
+    partial_programs: int = 0
+    pruned_partial: int = 0
+    #: Node-boundary states offered to the observational-equivalence store.
+    oe_candidates: int = 0
+    #: Of those, states merged into an earlier representative (the duplicate
+    #: completion work behind them was skipped).
+    oe_merged: int = 0
+    #: Sibling-fill groups pre-executed through ``batch_evaluate_fills``.
+    sibling_batches: int = 0
+    #: Individual hole fillings executed inside those groups.
+    batched_fills: int = 0
+    smt_calls: int = 0
+    #: Deduction queries decided UNSAT by the tier-1 interval prescreen
+    #: (no ``Formula`` was built, no solver ran).
+    prescreen_decided: int = 0
+    #: Queries the prescreen swept inconclusively before falling through to
+    #: the SMT tier.
+    prescreen_fallback: int = 0
+    #: Hypotheses rejected by the lemma store without an SMT query.
+    lemma_prunes: int = 0
+    #: Blocking lemmas mined from unsat cores and stored.
+    lemmas_learned: int = 0
+    #: Incremental-session solves spent mining and minimizing cores.
+    lemma_mining_solves: int = 0
 
 
 @dataclass
@@ -112,8 +137,6 @@ class SynthesisResult:
     solved: bool
     program: Optional[Hypothesis]
     elapsed: float
-    stats: SynthesisStats
-    config: SynthesisConfig
     #: Every solution found, in discovery order (``program`` is the first).
     #: Holds more than one entry only when ``top_k > 1`` was requested.
     programs: List[Hypothesis] = field(default_factory=list)

@@ -20,53 +20,42 @@ COUNTS = Table(["region", "n"], [["west", 3], ["north", 1]])
 
 
 def run(config=None):
+    """The core result of one solved session and the session's counters."""
     config = config or SynthesisConfig(timeout=30)
-    return create_session(SynthesisRequest.from_tables([ORDERS], COUNTS, config=config)).solve()
+    session = create_session(SynthesisRequest.from_tables([ORDERS], COUNTS, config=config))
+    return session.solve(), session.counters()
 
 
 def test_sibling_batching_engages_and_counts():
-    result = run()
+    result, counters = run()
     assert result.solved
-    stats = result.stats.completion
-    assert stats.sibling_batches > 0
+    assert counters["sibling_batches"] > 0
     # Every batch groups at least two fills (singletons are not batches).
-    assert stats.batched_fills >= 2 * stats.sibling_batches
+    assert counters["batched_fills"] >= 2 * counters["sibling_batches"]
 
 
 def test_disabling_batching_changes_nothing_observable(monkeypatch):
-    batched = run()
+    batched, batched_counters = run()
     monkeypatch.setattr(completion, "SIBLING_BATCH", 1)
-    unbatched = run()
-    assert unbatched.stats.completion.sibling_batches == 0
-    assert unbatched.stats.completion.batched_fills == 0
+    unbatched, unbatched_counters = run()
+    assert unbatched_counters["sibling_batches"] == 0
+    assert unbatched_counters["batched_fills"] == 0
     assert batched.solved and unbatched.solved
     assert batched.render() == unbatched.render()
     # The search itself is untouched: same completion work, same deduction
     # query sequence, same prescreen split.
-    assert (
-        batched.stats.completion.partial_programs
-        == unbatched.stats.completion.partial_programs
-    )
-    assert batched.stats.deduction.smt_calls == unbatched.stats.deduction.smt_calls
-    assert (
-        batched.stats.deduction.prescreen_decided
-        == unbatched.stats.deduction.prescreen_decided
-    )
+    for name in ("partial_programs", "smt_calls", "prescreen_decided"):
+        assert batched_counters[name] == unbatched_counters[name], name
 
 
 def test_batching_disabled_without_partial_evaluation():
-    result = run(SynthesisConfig(timeout=30, partial_evaluation=False))
+    result, counters = run(SynthesisConfig(timeout=30, partial_evaluation=False))
     assert result.solved
-    assert result.stats.completion.sibling_batches == 0
-    assert result.stats.completion.batched_fills == 0
+    assert counters["sibling_batches"] == 0
+    assert counters["batched_fills"] == 0
 
 
 def test_batching_counters_deterministic_across_runs():
-    first = run()
-    second = run()
-    for field in ("sibling_batches", "batched_fills"):
-        assert getattr(first.stats.completion, field) == getattr(
-            second.stats.completion, field
-        )
-    assert first.stats.deduction.smt_calls == second.stats.deduction.smt_calls
-
+    (_, first), (_, second) = run(), run()
+    for name in ("sibling_batches", "batched_fills", "smt_calls"):
+        assert first[name] == second[name], name

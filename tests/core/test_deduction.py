@@ -43,7 +43,7 @@ class TestHypothesisLevelDeduction:
         engine = DeductionEngine(inputs=[T1], output=T2)
         hypothesis = build_chain("select", "filter")
         assert engine.deduce(hypothesis) is False
-        assert engine.stats.hypotheses_rejected >= 1
+        assert engine.stats.prescreen_decided + engine.stats.smt_calls == 1
 
     def test_select_filter_accepted_when_columns_shrink(self):
         engine = DeductionEngine(inputs=[T1], output=T3)
@@ -104,7 +104,7 @@ class TestPartialEvaluationInDeduction:
         candidate = fill_value_hole(sketch, predicate_hole, Predicate("age", ">", Constant(8)))
         assert engine.deduce(candidate) is True
 
-    def test_evaluation_failure_counts_as_rejection(self):
+    def test_evaluation_failure_rejects_before_any_tier(self):
         engine = DeductionEngine(inputs=[T1], output=T3)
         sketch = self._sketch()
         predicate_hole = [
@@ -114,7 +114,8 @@ class TestPartialEvaluationInDeduction:
         # age > 0 keeps every row, which the executor refuses.
         candidate = fill_value_hole(sketch, predicate_hole, Predicate("age", ">", Constant(0)))
         assert engine.deduce(candidate) is False
-        assert engine.stats.evaluation_failures == 1
+        stats = engine.stats
+        assert (stats.prescreen_decided, stats.prescreen_fallback, stats.smt_calls) == (0, 0, 0)
 
     def test_without_partial_evaluation_the_candidate_survives(self):
         engine = DeductionEngine(inputs=[T1], output=T3, use_partial_evaluation=False)
@@ -140,5 +141,6 @@ class TestStats:
         engine = DeductionEngine(inputs=[T1], output=T2)
         engine.deduce(build_chain("filter"))
         engine.deduce(build_chain("mutate"))
-        assert engine.stats.hypotheses_checked == 2
+        # Two distinct queries: each reaches the prescreen once.
+        assert engine.stats.prescreen_decided + engine.stats.prescreen_fallback == 2
         assert engine.stats.smt_calls >= 1

@@ -261,20 +261,20 @@ class TestAblationDifferential:
             o.counters["partial_programs"] for o in plain.outcomes
         )
 
-    def test_oe_counters_surface_through_synthesis_stats(self):
+    def test_oe_counters_surface_through_the_schema(self):
         benchmark = r_benchmark_suite().get("c3_exam_gather_unite_spread")
         example = Example.make(benchmark.inputs, benchmark.output)
 
         def solve(config):
-            request = SynthesisRequest((example,), config=config)
-            return create_session(request).solve()
+            session = create_session(SynthesisRequest((example,), config=config))
+            return session, session.solve()
 
-        result = solve(SynthesisConfig(timeout=30))
+        session, result = solve(SynthesisConfig(timeout=30))
         assert result.solved
-        completion = result.stats.completion
-        assert completion.oe_candidates > 0
-        assert completion.oe_merged > 0
-        assert completion.oe_merged <= completion.oe_candidates
-        plain = solve(SynthesisConfig(timeout=30, oe=False))
-        assert plain.stats.completion.oe_candidates == 0
+        counters = session.counters()
+        assert counters["oe_candidates"] > 0
+        assert counters["oe_merged"] > 0
+        assert counters["oe_merged"] <= counters["oe_candidates"]
+        plain_session, plain = solve(SynthesisConfig(timeout=30, oe=False))
+        assert plain_session.counters()["oe_candidates"] == 0
         assert plain.render() == result.render()

@@ -89,7 +89,7 @@ class TestConfigurations:
         assert SynthesisConfig(deduction=False).describe() == "no-deduction"
         assert SynthesisConfig(partial_evaluation=False).describe() == "spec2-no-pe"
 
-    def test_prescreen_counters_surface_through_synthesis_stats(self, monkeypatch):
+    def test_prescreen_counters_surface_through_the_schema(self, monkeypatch):
         # A task whose completion enumerates (and prunes) candidate hole
         # fillings, so the prescreen's share of the pruning is visible.
         from repro.benchmarks import r_benchmark_suite
@@ -97,24 +97,25 @@ class TestConfigurations:
 
         benchmark = r_benchmark_suite().get("c2_orders_count_by_region")
         table, output = benchmark.inputs[0], benchmark.output
-        tiered = solve([table], output, SynthesisConfig(timeout=30))
+        tiered_session, tiered = solve_session([table], output, SynthesisConfig(timeout=30))
         with monkeypatch.context() as patch:
             patch.setattr(deduction, "prescreen_infeasible", lambda *args: False)
-            plain = solve([table], output, SynthesisConfig(timeout=30))
+            plain_session, plain = solve_session([table], output, SynthesisConfig(timeout=30))
         assert tiered.solved and plain.solved
         assert tiered.render() == plain.render()
-        assert tiered.stats.deduction.prescreen_decided > 0
-        assert 0.0 < tiered.stats.deduction.prescreen_hit_rate <= 1.0
-        assert plain.stats.deduction.prescreen_decided == 0
-        assert tiered.stats.deduction.smt_calls < plain.stats.deduction.smt_calls
+        tiered_counters, plain_counters = tiered_session.counters(), plain_session.counters()
+        assert tiered_counters["prescreen_decided"] > 0
+        assert tiered_counters["prescreen_fallback"] > 0
+        assert plain_counters["prescreen_decided"] == 0
+        assert tiered_counters["smt_calls"] < plain_counters["smt_calls"]
 
     def test_no_deduction_still_solves_simple_tasks(self):
         output = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
-        result = solve(
+        session, result = solve_session(
             [STUDENTS], output, SynthesisConfig(timeout=20, deduction=False)
         )
         assert result.solved
-        assert result.stats.deduction.smt_calls == 0
+        assert session.counters()["smt_calls"] == 0
 
     def test_spec1_solves_simple_tasks(self):
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
@@ -128,13 +129,14 @@ class TestConfigurations:
         table = Table(["city", "person"],
                       [["austin", "a"], ["austin", "b"], ["waco", "c"]])
         output = Table(["city", "n"], [["austin", 2], ["waco", 1]])
-        with_deduction = solve([table], output, SynthesisConfig(timeout=30))
-        without = solve(
+        with_deduction, solved = solve_session([table], output, SynthesisConfig(timeout=30))
+        without, plain_solved = solve_session(
             [table], output, SynthesisConfig(timeout=30, deduction=False)
         )
-        assert with_deduction.solved and without.solved
+        assert solved.solved and plain_solved.solved
         assert (
-            with_deduction.stats.programs_checked <= without.stats.programs_checked
+            with_deduction.counters()["programs_checked"]
+            <= without.counters()["programs_checked"]
         )
 
     def test_restricted_library(self):
@@ -146,12 +148,11 @@ class TestConfigurations:
 
     def test_stats_are_populated(self):
         output = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
-        session, result = solve_session([STUDENTS], output, SynthesisConfig(timeout=20))
-        stats = result.stats
-        assert stats.hypotheses_expanded >= 1
-        assert stats.hypotheses_enqueued >= stats.hypotheses_expanded
-        assert stats.sketches_generated >= 1
+        session, _ = solve_session([STUDENTS], output, SynthesisConfig(timeout=20))
         counters = session.counters()
+        assert counters["hypotheses_expanded"] >= 1
+        assert counters["hypotheses_enqueued"] >= counters["hypotheses_expanded"]
+        assert counters["sketches_generated"] >= 1
         assert 0 <= counters["pruned_partial"] <= counters["partial_programs"]
 
 

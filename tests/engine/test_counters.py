@@ -3,9 +3,9 @@
 Every counter view -- ``--stats``, ``--json``, ``pruning``, ``/metrics`` and
 the perfbench harness -- reads the session's one flat counter dict, counted
 over one window (from the end of each kernel's construction).  These tests
-pin that the window does not depend on what ran earlier in the process,
-that the ``--json`` rows carry exactly the schema, and that the names the
-perfbench harness reads exist in it.
+pin the schema's keys and their order, that the window does not depend on
+what ran earlier in the process, that the ``--json`` rows carry exactly the
+schema, and that the names the perfbench harness reads exist in it.
 """
 
 import ast
@@ -60,6 +60,28 @@ def _constant_value(node, tree):
     if isinstance(node, ast.Name):
         return worker_constant(node.id, tree)
     return ast.literal_eval(node)
+
+
+#: ``SynthesisSession.counters()`` keys, in order: the kernel's clock and
+#: frontier, the ``SynthesisStats`` block, the execution window, ``resumes``.
+SCHEMA = [
+    "steps", "active_seconds", "frontier_peak",
+    "hypotheses_expanded", "hypotheses_enqueued", "sketches_generated",
+    "sketches_rejected", "programs_checked", "partial_programs", "pruned_partial",
+    "oe_candidates", "oe_merged", "sibling_batches", "batched_fills",
+    "smt_calls", "prescreen_decided", "prescreen_fallback", "lemma_prunes",
+    "lemmas_learned", "lemma_mining_solves",
+    "tables_built", "cells_interned", "fingerprint_hits", "exec_cache_hits",
+    "compare_fastpath_hits",
+    "resumes",
+]
+
+
+def test_schema_keys_and_order_are_pinned():
+    # A dropped, renamed or reordered counter changes every counter view
+    # (--json, --stats, pruning, /metrics, perfbench's record).
+    session = solved_session(r_benchmark_suite().get(TASK), spec2_config(timeout=30))
+    assert list(session.counters()) == SCHEMA
 
 
 def test_counters_do_not_depend_on_cache_warmth():

@@ -490,4 +490,4 @@ class TestRelease:
         result = session.solve()
         assert session.released
         assert result.render() == expected.render()
-        assert result.stats is expected.stats
+        assert result.render_all() == expected.render_all()
