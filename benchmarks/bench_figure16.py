@@ -21,7 +21,6 @@ from repro.benchmarks import (
     r_benchmark_suite,
     run_benchmark,
     run_figure16,
-    run_pruning_statistics,
     run_suite,
 )
 from repro.core import deduction
@@ -81,11 +80,6 @@ def _without_prescreen(patch):
     patch.setattr(deduction, "prescreen_infeasible", lambda *args: False)
 
 
-def _without_lemma_mining(patch):
-    """Learn no lemmas: plain Algorithm 2."""
-    patch.setattr(deduction.DeductionEngine, "_mine_lemma", lambda *args: None)
-
-
 def test_prescreen_ablation_smoke(capsys, monkeypatch):
     """Prescreen vs no prescreen on the Figure 16 subset: same programs, less work.
 
@@ -142,51 +136,3 @@ def test_oe_ablation_smoke(capsys):
     assert oe_merged > 0
     assert merged_totals["partial_programs"] <= plain_totals["partial_programs"]
     assert all(o.counters["oe_candidates"] == 0 for o in plain.outcomes)
-
-
-def test_cdcl_ablation_smoke(capsys, monkeypatch):
-    """CDCL vs no lemma mining on the Figure 16 subset: same outcomes, less work.
-
-    The acceptance bar for conflict-driven lemma learning: with mining on
-    the run must report lemma prunes, issue *fewer* SMT ``check()`` calls
-    than a run with ``_mine_lemma`` patched out, and synthesize
-    byte-identical programs with identical solve/fail outcomes.  Both sides
-    run with the tier-1 prescreen patched out, since it otherwise absorbs
-    the easy conflicts before any lemma can be mined.
-    """
-    subset = SUITE.subset(names=NAMES)
-    _without_prescreen(monkeypatch)
-    cdcl = run_suite(subset, spec2_config, timeout=BENCH_TIMEOUT, label="spec2")
-    with monkeypatch.context() as patch:
-        _without_lemma_mining(patch)
-        plain = run_suite(subset, spec2_config, timeout=BENCH_TIMEOUT, label="spec2")
-    cdcl_totals, plain_totals = _totals(cdcl), _totals(plain)
-    with capsys.disabled():
-        print(
-            f"\ncdcl: smt={cdcl_totals['smt_calls']} "
-            f"prunes={cdcl_totals['lemma_prunes']} "
-            f"mining_solves={cdcl_totals['lemma_mining_solves']} | "
-            f"no-cdcl: smt={plain_totals['smt_calls']}"
-        )
-    assert _outcomes(cdcl) == _outcomes(plain)
-    assert cdcl_totals["lemma_prunes"] > 0
-    assert cdcl_totals["smt_calls"] < plain_totals["smt_calls"]
-
-
-def test_lemma_counters_are_live_in_the_pruning_report(monkeypatch):
-    """The pruning report's lemma counters fire on a Figure 16 subset.
-
-    With the tier-1 prescreen running, the interval sweep absorbs the easy
-    conflicts before any lemma can be mined, so it is patched out and the
-    liveness check runs against the SMT-only pipeline.
-    """
-    _without_prescreen(monkeypatch)
-    stats = run_pruning_statistics(
-        timeout=BENCH_TIMEOUT,
-        suite=SUITE.subset(names=[
-            "c4_spread_then_difference", "c5_join_filter_large_orders", "c8_split_then_count",
-        ]),
-    )
-    assert stats["lemma_prunes"] > 0, stats
-    assert stats["lemmas_learned"] > 0, stats
-    assert stats["prescreen_decided"] == 0, stats

@@ -43,7 +43,7 @@ a ``serve`` option only.  SIGTERM stops the server as SIGINT does: the
 knowledge base is flushed and closed, and the exit status is 0.
 
 ``--stats`` appends the per-configuration deduction counter table (SMT
-calls, prescreen decisions, lemma prunes, lemmas learned), the
+calls and prescreen decisions), the
 concrete-execution counter table (tables built, cells interned, cache and
 comparison fast-path hits) and the search-kernel counter table (partial
 programs, OE candidates/merged, frontier peak), and ``--json FILE``
@@ -151,8 +151,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--stats", action="store_true",
-        help="append the per-configuration deduction counters (SMT calls, "
-             "prescreen decisions, lemma prunes, lemmas learned), "
+        help="append the per-configuration deduction counters (SMT calls "
+             "and prescreen decisions), "
              "concrete-execution counters (tables built, cells interned, "
              "cache hits, comparison fast-path hits) and search-kernel "
              "counters (partial programs, OE candidates/merged, frontier "

@@ -122,21 +122,17 @@ def _prescreen_hit_rate(decided: int, fallback: int) -> str:
 
 
 def deduction_summary_table(runs: Dict[str, SuiteRun]) -> str:
-    """Per-configuration deduction counters (prescreen, SMT calls, lemma activity).
+    """Per-configuration deduction counters (prescreen and SMT calls).
 
     Complements the Figure 16/17 tables: the prescreen columns show how many
     deduction queries the tier-1 interval sweep decided before any formula
-    was built (``hit-rate`` = decided / prescreened), and the lemma columns
-    show how much solver work the conflict-driven lemma store absorbed.
-    ``Mining solves`` is the price paid for lemmas -- incremental deletion probes,
-    much cheaper apiece than a full check but reported so the comparison
-    never hides the investment.  Only deterministic counters appear (no
-    wall-clock values), so the table is byte-identical between serial and
-    ``--jobs N`` runs.
+    was built (``hit-rate`` = decided / prescreened).  Only deterministic
+    counters appear (no wall-clock values), so the table is byte-identical
+    between serial and ``--jobs N`` runs.
     """
     lines = [
         "Configuration\tSMT calls\tPrescreen decided\tPrescreen fallback"
-        "\tPrescreen hit-rate\tLemma prunes\tLemmas learned\tMining solves"
+        "\tPrescreen hit-rate"
     ]
     for label, run in runs.items():
         totals = _totals(run)
@@ -149,9 +145,6 @@ def deduction_summary_table(runs: Dict[str, SuiteRun]) -> str:
                     str(decided),
                     str(fallback),
                     _prescreen_hit_rate(decided, fallback),
-                    str(totals["lemma_prunes"]),
-                    str(totals["lemmas_learned"]),
-                    str(totals["lemma_mining_solves"]),
                 ]
             )
         )

@@ -329,8 +329,7 @@ def run_figure18(
 # ----------------------------------------------------------------------
 #: The counters ``run_pruning_statistics`` totals over the suite, in order.
 PRUNING_COUNTERS = (
-    "smt_calls", "lemma_prunes", "lemmas_learned", "lemma_mining_solves",
-    "prescreen_decided", "prescreen_fallback",
+    "smt_calls", "prescreen_decided", "prescreen_fallback",
     "partial_programs", "oe_candidates", "oe_merged",
 )
 

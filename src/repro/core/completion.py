@@ -207,15 +207,12 @@ class SketchCompleter:
     def _deduce_partial(self, frame: _Frame) -> bool:
         """Rule 3's deduction check for one partially filled sketch.
 
-        ``learn=False``: per-hole fills come in bulk and mostly differ only
-        in evaluated-table abstractions; they consult the lemma store (and
-        the tier-1 prescreen) but are not worth a mining replay each.  The
-        frame's map is computed only when the engine reads it, so without
-        partial evaluation nothing runs here.
+        The frame's map is computed only when the engine reads it, so
+        without partial evaluation nothing runs here.
         """
         engine = self.engine
         evaluated = self._evaluation(frame) if engine.use_partial_evaluation else None
-        if engine.deduce(frame.sketch, learn=False, evaluated=evaluated):
+        if engine.deduce(frame.sketch, evaluated=evaluated):
             return True
         self.stats.pruned_partial += 1
         return False

@@ -11,23 +11,16 @@ a Presburger-arithmetic formula combining
 * :math:`\\varphi_{out}`: the root must correspond to the output table;
 * the abstraction :math:`\\alpha` of every example table,
 
-and checks satisfiability.  UNSAT means the hypothesis can never be completed
-into a program consistent with the example and is pruned.
-
-On top of Algorithm 2, the engine *learns from failures* (conflict-driven
-lemma learning): every rejected hypothesis is replayed against a persistent
-incremental solver session -- the example formula and :math:`\\varphi_{out}`
-are asserted once per synthesis run, the per-hypothesis constraints are
-pushed as named, retractable assumptions -- and the resulting unsat core is
-mined into a blocking lemma over the offending component subsequence (see
-:mod:`repro.core.lemmas`).  Later hypotheses exhibiting the same structure
-are rejected by a subset test without ever touching the solver.
+and checks satisfiability with one SMT call.  UNSAT means the hypothesis can
+never be completed into a program consistent with the example and is pruned.
+A tier-1 interval prescreen (:mod:`repro.core.propagation`) decides most
+rejections before a formula is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dataframe.profiling import execution_stats
 from ..dataframe.table import Table
@@ -50,7 +43,6 @@ from .hypothesis import (
     iter_nodes,
     partial_evaluate,
 )
-from .lemmas import LemmaStore
 from .propagation import prescreen_infeasible
 from .synthesizer import SynthesisStats
 from .types import Type
@@ -58,23 +50,6 @@ from .types import Type
 
 #: Default bound of the per-engine verdict memo.
 VERDICT_CACHE_SIZE = 32768
-
-#: Default bound on incremental-session solves spent mining lemmas per run.
-#: Mining is an investment (each mined core costs a replay solve plus a few
-#: minimization solves); the budget keeps a pathological run from spending
-#: its whole time budget on cores, and -- being a count, not a clock -- keeps
-#: parallel and serial runs bit-identical.
-LEMMA_MINING_BUDGET = 800
-
-#: Cores at most this large are deletion-minimized before becoming lemmas.
-#: Smaller cores make strictly more general lemmas (fewer descriptors to
-#: match), which is where most of the sibling pruning comes from.
-MINIMIZE_CORE_LIMIT = 12
-
-#: Assumption name for the per-hypothesis sanity constraints.  Excluded from
-#: lemma keys: every deduction query asserts nonnegativity for all of its
-#: nodes, so a matching hypothesis entails the member automatically.
-_NONNEG = ("nonneg",)
 
 
 @dataclass
@@ -135,18 +110,11 @@ class DeductionEngine:
         #: candidates whose completions produce tables with identical
         #: abstractions share a single query.
         self._verdict_cache: "LRUCache[tuple, bool]" = LRUCache(maxsize=VERDICT_CACHE_SIZE)
-        #: Blocking lemmas mined from unsat cores (fresh per engine: lemmas
-        #: rest on the example formula and must never outlive the example).
-        self.lemma_store = LemmaStore()
         #: Ground attribute vectors of the example tables, precomputed for
         #: the tier-1 prescreen (the output's ``group`` stays symbolic there,
         #: exactly as in the example formula).
         self._input_attributes = [self.table_attributes(t) for t in self.inputs]
         self._output_attributes = self.table_attributes(self.output)
-        #: Persistent incremental solver session used to replay rejected
-        #: hypotheses under named assumptions (created lazily; the example
-        #: formula and phi_out are asserted exactly once per run).
-        self._incremental: Optional[Solver] = None
         #: Wall-clock deadline (``time.monotonic()``) of the current search
         #: slice, set by the search kernel.  A solver call it cuts short
         #: answers UNKNOWN, which is accepted but never memoised.
@@ -289,10 +257,7 @@ class DeductionEngine:
 
     # ------------------------------------------------------------------
     def deduce(
-        self,
-        hypothesis: Hypothesis,
-        learn: bool = True,
-        evaluated: Optional[Dict[int, Table]] = None,
+        self, hypothesis: Hypothesis, evaluated: Optional[Dict[int, Table]] = None
     ) -> bool:
         """Algorithm 2, staged: return ``False`` when the hypothesis can be rejected.
 
@@ -300,24 +265,14 @@ class DeductionEngine:
         which may reject (never accept) before the next one runs:
 
         1. partial evaluation (a complete subterm that fails to execute);
-        2. the conflict-driven lemma store (consulted first so path-keyed
-           lemmas keep absorbing whole families);
-        3. the verdict memo;
-        4. the warm-start knowledge base's verdict facts, when a KB is
+        2. the verdict memo;
+        3. the warm-start knowledge base's verdict facts, when a KB is
            attached: a hit answers as the tier that decided it (its
-           counters, and lemma mining for an SMT rejection, are replayed);
-        5. the tier-1 interval prescreen -- compiled attribute propagation
+           counters are replayed);
+        4. the tier-1 interval prescreen -- compiled attribute propagation
            that decides ground-heavy queries without constructing a
            ``Formula`` (see :mod:`repro.core.propagation`);
-        6. one SMT check (tier 2), the only tier that can also *accept*.
-
-        When *learn* is set, every tier-2 rejection is mined for a new lemma.
-        Callers issuing bulk near-duplicate queries (the sketch completer's
-        per-hole fills) pass ``learn=False``: they still benefit from the
-        store, but only hypothesis- and sketch-level conflicts are worth the
-        mining replay.  Prescreen-decided rejections are never mined: the
-        replay solve they would need costs exactly the solver work the
-        prescreen exists to skip.
+        5. one SMT check (tier 2), the only tier that can also *accept*.
 
         *evaluated* is the hypothesis's partial-evaluation map when the
         caller already holds it (the sketch completer's frames carry
@@ -338,18 +293,6 @@ class DeductionEngine:
         if not self.enabled:
             return True
 
-        # Lemma pruning: mined conflicts are keyed by root-relative structure,
-        # so they only apply to hypotheses rooted at node 0 (all of the
-        # synthesizer's are; the guard keeps ad-hoc engine uses sound).
-        rooted = hypothesis.node_id == 0
-        # The descriptor walk is only worth paying once there is a lemma that
-        # could match (the store starts empty on every run).
-        if rooted and len(self.lemma_store):
-            descriptors, _ = self._lemma_parts(hypothesis, evaluated)
-            if self.lemma_store.blocks(descriptors):
-                self.stats.lemma_prunes += 1
-                return False
-
         cache_key = self._verdict_key(hypothesis, evaluated)
         cached = self._verdict_cache.get(cache_key)
         if cached is not None:
@@ -369,8 +312,6 @@ class DeductionEngine:
                 # the verdict is memoised nowhere a resumed run asks again.
                 return True
         self._verdict_cache.put(cache_key, feasible)
-        if not feasible and tier == "smt" and rooted and learn:
-            self._mine_lemma(hypothesis, evaluated)
         return feasible
 
     def _decide(
@@ -408,130 +349,6 @@ class DeductionEngine:
             if verdict[1] != "timeout":
                 self.kb_view.put_verdict(self._example_digest, cache_key, verdict)
         return verdict
-
-    # ------------------------------------------------------------------
-    # Conflict-driven lemma learning
-    # ------------------------------------------------------------------
-    def _lemma_parts(
-        self,
-        hypothesis: Hypothesis,
-        evaluated: Dict[int, Table],
-        with_formulas: bool = False,
-    ):
-        """The hypothesis as lemma descriptors (see :mod:`repro.core.lemmas`).
-
-        Returns ``(descriptors, named)``: the descriptor set used for lemma
-        matching, and -- when *with_formulas* is set -- the mapping from each
-        descriptor to the query fragment it stands for (the named assumptions
-        of the mining replay).  The walk mirrors :meth:`specification` and
-        :meth:`build_query` exactly: one descriptor per asserted fragment.
-
-        Bound table holes additionally contribute the weakened descriptor
-        ``("bind", path, None)`` to the *matching* set (never to the named
-        assumptions): a specific binding entails the any-input disjunction,
-        so lemmas mined from unbound holes soundly block bound ones.
-        """
-        descriptors: Set[tuple] = set()
-        named: Dict[tuple, Formula] = {}
-        self._collect_lemma_parts(
-            hypothesis, (), False, evaluated, with_formulas, descriptors, named
-        )
-        return frozenset(descriptors), named
-
-    def _collect_lemma_parts(
-        self,
-        node: Hypothesis,
-        path: Tuple[int, ...],
-        under_eval: bool,
-        evaluated: Dict[int, Table],
-        with_formulas: bool,
-        descriptors: Set[tuple],
-        named: Dict[tuple, Formula],
-    ) -> None:
-        """One node of the :meth:`_lemma_parts` walk."""
-        if isinstance(node, Hole):
-            if node.hole_type is Type.TABLE:
-                descriptor = ("bind", path, node.binding)
-                descriptors.add(descriptor)
-                if with_formulas:
-                    named[descriptor] = self._binding(node.node_id, node.binding)
-                if node.binding is not None:
-                    descriptors.add(("bind", path, None))
-                if node.node_id in evaluated and not under_eval:
-                    attributes = self.table_attributes(evaluated[node.node_id])
-                    descriptor = ("eval", path, attributes)
-                    descriptors.add(descriptor)
-                    if with_formulas:
-                        named[descriptor] = self._abstract(
-                            evaluated[node.node_id], self.node_vars(node.node_id)
-                        )
-            return
-        if node.node_id in evaluated and not under_eval:
-            attributes = self.table_attributes(evaluated[node.node_id])
-            descriptor = ("eval", path, attributes)
-            descriptors.add(descriptor)
-            if with_formulas:
-                named[descriptor] = self._abstract(
-                    evaluated[node.node_id], self.node_vars(node.node_id)
-                )
-            # The subtree below an evaluated subterm contributes no specs
-            # or abstractions, but phi_in still binds its table holes.
-            for index, child in enumerate(node.table_children):
-                self._collect_lemma_parts(
-                    child, path + (index,), True, evaluated, with_formulas, descriptors, named
-                )
-            return
-        if not under_eval:
-            descriptor = ("spec", path, node.component.name)
-            descriptors.add(descriptor)
-            if with_formulas:
-                named[descriptor] = self._component_spec(node)
-        for index, child in enumerate(node.table_children):
-            self._collect_lemma_parts(
-                child, path + (index,), under_eval, evaluated, with_formulas, descriptors, named
-            )
-
-    def _incremental_session(self) -> Solver:
-        """The per-run solver session (example formula asserted once)."""
-        if self._incremental is None:
-            session = Solver()
-            session.add(self._example_formula)
-            session.add(self.node_vars(0).equal_to(self._output_vars, self.level))
-            self._incremental = session
-        return self._incremental
-
-    def _mine_lemma(self, hypothesis: Hypothesis, evaluated: Dict[int, Table]) -> None:
-        """Replay a rejected hypothesis under assumptions and learn its core."""
-        store = self.lemma_store
-        if store.maxsize is not None and len(store) >= store.maxsize:
-            return
-        if self.stats.lemma_mining_solves >= LEMMA_MINING_BUDGET:
-            return
-        _, named = self._lemma_parts(hypothesis, evaluated, with_formulas=True)
-        named[_NONNEG] = self._nonnegativity(self._query_node_ids(hypothesis))
-        session = self._incremental_session()
-        solves_before = session.incremental_stats.checks
-        # ``known_unsat``: the monolithic check just refuted exactly this
-        # conjunction (base + named re-partition the query of Algorithm 2),
-        # so the replay skips the confirming solve.  Boolean-structured
-        # queries still fall to the lazy path, which can disagree with the
-        # monolithic fast paths near the theory solver's conservative
-        # limits; a lemma is only mined from a definite UNSAT.
-        result = session.check_assumptions(
-            named, known_unsat=True, deadline=self.deadline
-        )
-        if result is CheckResult.UNSAT:
-            core = session.unsat_core()
-            if 0 < len(core) <= MINIMIZE_CORE_LIMIT:
-                core = session.minimize_core(deadline=self.deadline)
-            lemma = [descriptor for descriptor in core if descriptor != _NONNEG]
-            # A core whose minimization the deadline cut short depends on
-            # timing; nothing is learned from it.
-            if lemma and session.reason_unknown() != "timeout" and store.add(lemma):
-                self.stats.lemmas_learned += 1
-        self.stats.lemma_mining_solves += (
-            session.incremental_stats.checks - solves_before
-        )
 
     def _verdict_key(self, hypothesis: Hypothesis, evaluated: Dict[int, Table]) -> tuple:
         """A cache key capturing everything the deduction query depends on.

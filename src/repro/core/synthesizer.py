@@ -39,9 +39,9 @@ class Example:
 class SynthesisConfig:
     """Knobs of the synthesis algorithm (defaults reproduce full Morpheus)."""
 
-    #: Use deduction to reject hypotheses / partial programs: the lemma
-    #: store, the tier-1 interval prescreen and the SMT check, in that
-    #: order (see :meth:`~repro.core.deduction.DeductionEngine.deduce`).
+    #: Use deduction to reject hypotheses / partial programs: the tier-1
+    #: interval prescreen, then one SMT check (see
+    #: :meth:`~repro.core.deduction.DeductionEngine.deduce`).
     deduction: bool = True
     #: Which component specification to use for deduction.
     spec_level: SpecLevel = SpecLevel.SPEC2
@@ -122,12 +122,6 @@ class SynthesisStats:
     #: Queries the prescreen swept inconclusively before falling through to
     #: the SMT tier.
     prescreen_fallback: int = 0
-    #: Hypotheses rejected by the lemma store without an SMT query.
-    lemma_prunes: int = 0
-    #: Blocking lemmas mined from unsat cores and stored.
-    lemmas_learned: int = 0
-    #: Incremental-session solves spent mining and minimizing cores.
-    lemma_mining_solves: int = 0
 
 
 @dataclass

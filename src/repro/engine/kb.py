@@ -44,11 +44,8 @@ Safety tiers
   memo's key.  A verdict fact is sound exactly when that memo is: both
   assume the query is a function of the key.  A hit replays the deciding
   tier's bookkeeping (``prescreen_decided``, or ``prescreen_fallback`` and
-  ``smt_calls``; lemma mining on an SMT rejection), so the search and its
-  counters match a cold run.  A check the deadline cut short is never
-  written.
-* **Lemmas** are not persisted: they rest on one example's formula, and a
-  search's lemma store lives and dies with its deduction engine.
+  ``smt_calls``), so the search and its counters match a cold run.  A check
+  the deadline cut short is never written.
 * **OE representatives** are not persisted: a fresh search that merged a
   state against a previous run's representative would skip exploring it --
   the previous run's solutions are not in this run's frontier, so the merge

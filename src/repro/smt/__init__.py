@@ -25,7 +25,6 @@ from .terms import (
     Or,
     conjoin,
     disjoin,
-    formula_atoms,
     formula_variables,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "check_conjunction",
     "conjoin",
     "disjoin",
-    "formula_atoms",
     "formula_variables",
     "is_satisfiable",
     "solve_rational",

@@ -5,13 +5,9 @@ variables numbered from 1; theory atoms are mapped to propositional variables
 and the mapping is returned so the DPLL(T) driver can translate boolean
 assignments back into conjunctions of theory literals.
 
-The encoder is *incremental*: a :class:`CNF` instance keeps a structural memo
-from subformulas to their defining literals, so encoding a second formula
-into the same instance reuses every shared subterm (atoms, conjunctions,
-disjunctions) instead of re-deriving fresh variables and clauses.  The
-incremental :class:`~repro.smt.solver.Solver` relies on this to keep one
-persistent clause database across push/pop scopes and thousands of
-near-identical assumption queries.
+A :class:`CNF` instance keeps a structural memo from subformulas to their
+defining literals, so a subformula that occurs twice (atoms, conjunctions,
+disjunctions) is encoded once.
 """
 
 from __future__ import annotations
@@ -61,11 +57,9 @@ class CNF:
 
         The encoding is definitional in both directions (each ``And``/``Or``
         node gets a variable constrained to be *equivalent* to the operand
-        combination), so the returned literal can be asserted, assumed, or
-        left free: a model of the clause set assigns it exactly the truth
-        value of the formula.  Nothing is asserted here -- callers decide
-        whether the root literal becomes a unit clause (:func:`tseitin`) or
-        an assumption (:meth:`repro.smt.solver.Solver.check_assumptions`).
+        combination), so a model of the clause set assigns the returned
+        literal exactly the truth value of the formula.  Nothing is asserted
+        here: :func:`tseitin` makes the root literal a unit clause.
         """
         cached = self.literal_of.get(formula)
         if cached is not None:

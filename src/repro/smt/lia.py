@@ -82,8 +82,7 @@ def _integer_row_cached(atom: Atom) -> Tuple[Tuple[Tuple[str, int], ...], int, b
     Terms store integral coefficients as ``int``, so the scale is 1 unless
     the atom has a genuinely fractional coefficient or constant.  Atoms are
     immutable, hash in O(1) (the hash is cached on the term) and are heavily
-    shared across queries -- the unsat-core deletion loop alone re-rows the
-    same atoms a dozen times per mined lemma.
+    shared across queries.
     """
     expr = atom.expr
     scale = math.lcm(
@@ -121,27 +120,14 @@ def _apply_substitution(
     return {name: coeff for name, coeff in result.items() if coeff != 0}, const
 
 
-def check_conjunction(atoms: Iterable[Atom], exact: bool = True) -> TheoryResult:
-    """Decide satisfiability of a conjunction of atoms over the integers.
-
-    With ``exact=False`` the propagation phases run but residual systems are
-    *not* handed to simplex/branch-and-bound: anything propagation cannot
-    refute is reported as (approximate) SAT.  UNSAT answers remain definite
-    either way.  The cheap mode exists for callers that fire many probes and
-    only act on UNSAT -- the unsat-core deletion loop above all -- where an
-    occasional conservative SAT merely weakens a lemma, while an exact
-    simplex run per probe would dominate the whole deduction budget.
-    """
+def check_conjunction(atoms: Iterable[Atom]) -> TheoryResult:
+    """Decide satisfiability of a conjunction of atoms over the integers."""
     problem = _Problem()
     for atom in atoms:
         problem.rows.append(_integer_row(atom))
 
     if _propagate(problem):
         return TheoryResult(satisfiable=False)
-    if not exact and problem.rows:
-        return TheoryResult(
-            satisfiable=True, model=_complete_model(problem, {}), approximate=True
-        )
     return _solve_residual(problem)
 
 

@@ -7,12 +7,9 @@ structure of a hypothesis specification is a handful of disjunctions), so the
 solver favours clarity over the constant-factor tricks of industrial solvers:
 propagation scans clause counters rather than maintaining watched literals.
 
-The solver is incremental in the MiniSat style: the clause database (and the
-clauses learned during earlier calls) persists across :meth:`solve` calls,
-and :meth:`solve` accepts *assumption* literals that are asserted as
-retractable pseudo-decisions.  When the instance is unsatisfiable under
-assumptions, :attr:`core` holds the final conflict set -- the subset of the
-assumptions that the refutation actually used.
+The clause database (and the clauses learned during earlier calls) persists
+across :meth:`solve` calls, so the lazy loop adds each theory-blocking clause
+and asks again.
 """
 
 from __future__ import annotations
@@ -36,10 +33,6 @@ class SatSolver:
         self.trail: List[int] = []
         self.decision_level = 0
         self._empty_clause = False
-        #: After an UNSAT :meth:`solve` call: the subset of the assumption
-        #: literals involved in the refutation (empty when the clause set is
-        #: unsatisfiable on its own).
-        self.core: List[int] = []
         for clause in clauses:
             self.add_clause(clause)
 
@@ -171,35 +164,6 @@ class SatSolver:
         self.decision_level = level
 
     # ------------------------------------------------------------------
-    # Final-conflict analysis (the unsat core over the assumptions)
-    # ------------------------------------------------------------------
-    def _analyze_final(self, literal: int) -> List[int]:
-        """The assumption subset responsible for *literal* being false.
-
-        Called when re-asserting assumption *literal* finds it already
-        falsified.  Walking the trail top-down and expanding implied
-        variables through their reason clauses reaches exactly the
-        pseudo-decisions (earlier assumptions) the refutation rests on --
-        MiniSat's ``analyzeFinal``.
-        """
-        core = [literal]
-        seen = {abs(literal)}
-        for trail_literal in reversed(self.trail):
-            variable = abs(trail_literal)
-            if variable not in seen or self.level[variable] == 0:
-                continue
-            reason_index = self.reason[variable]
-            if reason_index is None:
-                # A decision above level 0 during assumption placement is an
-                # earlier assumption.
-                core.append(trail_literal)
-            else:
-                for other in self.clauses[reason_index]:
-                    if abs(other) != variable:
-                        seen.add(abs(other))
-        return core
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def _pick_branch_literal(self) -> Optional[int]:
@@ -208,24 +172,10 @@ class SatSolver:
                 return variable
         return None
 
-    def solve(self, assumptions: Sequence[int] = ()) -> Optional[Dict[int, bool]]:
-        """Return a satisfying assignment ``{var: bool}`` or ``None`` if UNSAT.
-
-        *assumptions* are literals asserted as retractable pseudo-decisions
-        (one per decision level, below every free decision).  They do not
-        become part of the clause database: a later call with different
-        assumptions sees the same clauses (plus anything learned).  When the
-        result is ``None``, :attr:`core` holds the final conflict set -- the
-        subset of the assumptions used by the refutation (empty if the clause
-        set is unsatisfiable by itself).
-        """
-        assumptions = list(assumptions)
-        self.core = []
+    def solve(self) -> Optional[Dict[int, bool]]:
+        """Return a satisfying assignment ``{var: bool}`` or ``None`` if UNSAT."""
         if self._empty_clause:
             return None
-        for literal in assumptions:
-            if abs(literal) > self.num_vars:
-                self._grow(abs(literal))
         # Reset any state left over from a previous call.
         self._unassign_to(0)
         self.decision_level = 0
@@ -241,27 +191,11 @@ class SatSolver:
                 self.add_clause(learned_clause)
                 self._backjump(backjump_level)
                 continue
-            # Place the next pending assumption (if any) before branching.
-            while self.decision_level < len(assumptions):
-                literal = assumptions[self.decision_level]
-                value = self._value(literal)
-                if value is True:
-                    # Already implied: open an empty level so that
-                    # assumptions[i] stays aligned with decision level i+1.
-                    self.decision_level += 1
-                    continue
-                if value is False:
-                    self.core = self._analyze_final(literal)
-                    return None
-                self.decision_level += 1
-                self._assign(literal, None)
-                break
-            else:
-                literal = self._pick_branch_literal()
-                if literal is None:
-                    return {
-                        variable: bool(self.assignment[variable])
-                        for variable in range(1, self.num_vars + 1)
-                    }
-                self.decision_level += 1
-                self._assign(literal, None)
+            literal = self._pick_branch_literal()
+            if literal is None:
+                return {
+                    variable: bool(self.assignment[variable])
+                    for variable in range(1, self.num_vars + 1)
+                }
+            self.decision_level += 1
+            self._assign(literal, None)

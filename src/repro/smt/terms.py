@@ -345,11 +345,6 @@ def formula_variables(formula: Formula) -> Tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def formula_atoms(formula: Formula) -> Tuple[Atom, ...]:
-    """All distinct atoms occurring in *formula* (in first-appearance order)."""
-    return tuple(dict.fromkeys(_iter_atoms(formula)))
-
-
 def _iter_atoms(node: Formula) -> Iterator[Atom]:
     """Every atom occurrence in *node*, left to right (with repeats)."""
     if isinstance(node, Atom):

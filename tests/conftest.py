@@ -24,16 +24,8 @@ def no_prescreen(monkeypatch):
 
     The prescreen only decides queries the SMT tier would reject anyway, so
     patching it out changes how much solver work runs, never a verdict;
-    tests of the SMT tier and the lemma store use this to reach them.
+    tests of the SMT tier use this to reach it.
     """
     from repro.core import deduction
 
     monkeypatch.setattr(deduction, "prescreen_infeasible", lambda *args: False)
-
-
-@pytest.fixture
-def no_lemma_mining(monkeypatch):
-    """Learn no lemmas: every engine runs plain Algorithm 2."""
-    from repro.core.deduction import DeductionEngine
-
-    monkeypatch.setattr(DeductionEngine, "_mine_lemma", lambda *args: None)

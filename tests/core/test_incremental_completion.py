@@ -117,7 +117,7 @@ class TestSeededMapsEqualTheFullWalk:
         deduce = DeductionEngine.deduce
         evaluate = frontier.evaluate
 
-        def traced_deduce(engine, hypothesis, learn=True, evaluated=None):
+        def traced_deduce(engine, hypothesis, evaluated=None):
             if evaluated is not None:
                 seen["deduce"] += 1
                 expected = scratch(hypothesis, engine.inputs)
@@ -125,7 +125,7 @@ class TestSeededMapsEqualTheFullWalk:
                     hypothesis, expected
                 ):
                     seen["mismatches"].append(("deduce", repr(hypothesis)))
-            return deduce(engine, hypothesis, learn=learn, evaluated=evaluated)
+            return deduce(engine, hypothesis, evaluated=evaluated)
 
         def traced_evaluate(hypothesis, inputs, memo=None, exec_cache=None, known=None):
             seen["seeded_checks"] += bool(known)

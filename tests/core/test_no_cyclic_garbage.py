@@ -40,7 +40,7 @@ COMPONENTS = {component.name: component for component in standard_library()}
 
 #: (task, config knobs, prescreen): a c3 and a c5 batch task, a hard task cut
 #: to a step budget, and a run with the prescreen patched out, which reaches
-#: lemma mining and the clausal SMT fast path.
+#: the clausal SMT fast path.
 RUNS = (
     ("c3_exam_gather_unite_spread", {}, True),
     ("c5_join_filter_large_orders", {}, True),

@@ -354,7 +354,6 @@ class TestEngineCounters:
         assert engine.deduce(hypothesis) is False
         assert engine.stats.prescreen_decided == 1
         assert engine.stats.smt_calls == 0
-        assert engine.stats.lemmas_learned == 0  # no mining on tier-1 rejections
 
     def test_prescreen_verdict_is_memoised(self):
         next_id = itertools.count(1)

@@ -1,17 +1,15 @@
-"""Parallel determinism of the CDCL-enabled benchmark harness.
+"""Parallel determinism of the benchmark harness.
 
-Lemma state is strictly per-task (a fresh store and incremental session per
-synthesis run), so a ``run_suite(jobs=4)`` suite run must reproduce the
-serial run byte for byte on every deterministic outcome field -- including
-the synthesized program text and the lemma-prune / SMT-call counters that
-the conflict-driven engine adds.  ``elapsed`` is wall clock and necessarily
-excluded.
+Deduction state is strictly per-task (a fresh engine per synthesis run), so
+a ``run_suite(jobs=4)`` suite run must reproduce the serial run byte for
+byte on every deterministic outcome field -- including the synthesized
+program text and the SMT-call and prescreen counters.  ``elapsed`` is wall
+clock and necessarily excluded.
 """
 
 from repro.baselines import FIGURE16_CONFIGS
 from repro.api import SynthesisRequest, create_session
 from repro.benchmarks import r_benchmark_suite, run_suite
-from repro.core.deduction import DeductionEngine
 
 FAST_NAMES = [
     "c1_prices_long_to_wide",
@@ -30,7 +28,7 @@ def deterministic_fingerprint(run):
     """Every outcome field that must be identical across schedulers.
 
     The counters are the whole session schema minus its clock keys: SMT
-    calls, lemma and prescreen activity, the completion worklist, OE-store
+    calls, prescreen activity, the completion worklist, OE-store
     and frontier counters (pure functions of the search order, which the
     kernel keeps identical across schedulers), and the execution counters
     (every task runs in its own session context with a fresh intern pool
@@ -50,7 +48,7 @@ def deterministic_fingerprint(run):
     ]
 
 
-def test_jobs4_suite_is_byte_identical_to_serial_with_cdcl():
+def test_jobs4_suite_is_byte_identical_to_serial():
     suite = fast_suite()
     serial = run_suite(suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2")
     parallel = run_suite(
@@ -103,17 +101,3 @@ def test_jobs4_is_byte_identical_to_serial_without_oe():
     )
     assert deterministic_fingerprint(parallel) == deterministic_fingerprint(serial)
     assert all(outcome.counters["oe_candidates"] == 0 for outcome in serial.outcomes)
-
-
-def test_cdcl_and_ablation_agree_on_programs_across_schedulers(monkeypatch):
-    suite = fast_suite()
-    cdcl = run_suite(
-        suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2", jobs=4
-    )
-    # Serial, so the patch reaches the only engine that runs.
-    with monkeypatch.context() as patch:
-        patch.setattr(DeductionEngine, "_mine_lemma", lambda *args: None)
-        plain = run_suite(suite, FIGURE16_CONFIGS["spec2"], timeout=TIMEOUT, label="spec2")
-    programs = lambda run: [(o.benchmark, o.solved, o.program) for o in run.outcomes]  # noqa: E731
-    assert programs(cdcl) == programs(plain)
-    assert all(outcome.counters["lemmas_learned"] == 0 for outcome in plain.outcomes)

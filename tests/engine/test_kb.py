@@ -541,9 +541,6 @@ class TestColdVsWarmDifferential:
     TRAJECTORY_FIELDS = ("benchmark", "solved", "program", "program_size")
     TRAJECTORY_COUNTERS = (
         "smt_calls",
-        "lemma_prunes",
-        "lemmas_learned",
-        "lemma_mining_solves",
         "prescreen_decided",
         "prescreen_fallback",
         "partial_programs",
@@ -649,25 +646,6 @@ class TestWarmVerdicts:
             for o in cold.outcomes
         ]
         assert sum(o.counters["smt_calls"] for o in warm.outcomes) > 0
-
-    def test_warm_smt_rejections_still_mine_lemmas(self, tmp_path, no_prescreen):
-        # Without the prescreen every verdict is the SMT tier's, so the cold
-        # run mines lemmas; a warm run must mine the same ones from its KB
-        # answers, or its lemma prunes and the search after them diverge.
-        path = str(tmp_path / "kb.sqlite")
-        runs = []
-        for _phase in ("cold", "warm"):
-            kb = KnowledgeBase(path)
-            runs.append(run_with(kb, fast_suite()))
-            kb.close()
-        assert kb.stats.scope_hits["verdict"] > 0
-        names = ("steps", "smt_calls", "lemmas_learned", "lemma_mining_solves", "lemma_prunes")
-        cold, warm = (
-            [(o.program,) + tuple(o.counters[name] for name in names) for o in run.outcomes]
-            for run in runs
-        )
-        assert warm == cold
-        assert sum(row[names.index("lemmas_learned") + 1] for row in cold) > 0
 
     def test_swapped_inputs_read_no_verdict(self, tmp_path):
         benchmark = fast_suite().get("c5_join_filter_large_orders")

@@ -50,29 +50,13 @@ class TestVerdictMemo:
         assert sum(counted) >= 1
         assert tier_counters(engine) == counted  # no new prescreen or SMT work
 
-    def test_repeated_rejection_is_answered_by_the_memo(self, monkeypatch):
-        # With lemma learning off, the second rejection is a verdict-cache hit.
+    def test_repeated_rejection_is_answered_by_the_memo(self):
+        # The second rejection is a verdict-cache hit.
         engine = DeductionEngine(inputs=[T1], output=T1)
-        monkeypatch.setattr(engine, "_mine_lemma", lambda *args: None)
         hypothesis = build_chain("select")  # must drop a column: UNSAT
         assert engine.deduce(hypothesis) is False
         counted = tier_counters(engine)
         assert engine.deduce(hypothesis) is False
-        assert tier_counters(engine) == counted
-        assert engine.stats.lemma_prunes == 0
-
-    def test_lemma_store_answers_repeated_rejections_before_the_cache(self, no_prescreen):
-        # With lemma learning on, the first rejection mines a blocking lemma,
-        # and the replay is answered by the store without a cache probe.
-        # (Prescreen patched out: tier 1 would decide this chain before the
-        # SMT tier, and prescreen rejections deliberately skip lemma mining.)
-        engine = DeductionEngine(inputs=[T1], output=T1)
-        hypothesis = build_chain("select")
-        assert engine.deduce(hypothesis) is False
-        assert engine.stats.lemmas_learned >= 1
-        counted = tier_counters(engine)
-        assert engine.deduce(hypothesis) is False
-        assert engine.stats.lemma_prunes == 1
         assert tier_counters(engine) == counted
 
     def test_verdict_key_includes_level_and_partial_evaluation(self):

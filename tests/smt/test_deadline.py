@@ -75,16 +75,6 @@ class TestCheckDeadline:
         assert len(solver_module._formula_cache) == 1
 
 
-class TestCheckAssumptionsDeadline:
-    def test_expired_deadline_answers_unknown(self):
-        solver = Solver()
-        named = {"cases": CASES, "floor": x >= 7}
-        assert solver.check_assumptions(named, deadline=expired()) is CheckResult.UNKNOWN
-        assert solver.reason_unknown() == "timeout"
-        assert solver.check_assumptions(named) is CheckResult.UNSAT
-        assert solver.reason_unknown() is None
-
-
 def test_one_cache_lookup_per_smt_call(monkeypatch):
     lookups = []
     original = solver_module.formula_cache_lookup

@@ -22,7 +22,6 @@ from repro.smt import (
     Or,
     conjoin,
     disjoin,
-    formula_atoms,
     formula_variables,
 )
 from repro.smt.lia import _integer_row
@@ -130,15 +129,9 @@ class TestFormulas:
         assert isinstance(a | b, Or)
         assert isinstance(~a, Not)
 
-    def test_formula_variables_and_atoms(self):
+    def test_formula_variables(self):
         formula = And(Int("a") <= 0, Or(Int("b").equals(1), Not(Int("a") <= 0)))
         assert formula_variables(formula) == ("a", "b")
-        assert formula_atoms(formula) == (Int("a") <= 0, Int("b").equals(1))
-
-    def test_formula_atoms_keep_first_appearance_order(self):
-        a, b, c = Int("a") <= 0, Int("b") <= 1, Int("c").equals(2)
-        formula = Or(And(c, a), Not(c), And(b, Or(a, b)))
-        assert formula_atoms(formula) == (c, a, b)
 
     def test_boolval_repr(self):
         assert repr(BoolVal(True)) == "true"
